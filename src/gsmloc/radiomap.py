@@ -400,8 +400,8 @@ def load_document(path: str, expected_kind: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise MapFormatError(f"{path}: not valid JSON ({exc})") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise MapFormatError(f"{path}: not valid UTF-8 JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise MapFormatError(f"{path}: expected a JSON object at top level")
     version = doc.get("version")

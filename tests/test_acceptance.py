@@ -6,7 +6,7 @@ Numbered criteria:
   2  oracle equivalence of all four estimators on 200 random instances
   3  probabilistic correctness (likelihood normalization, log vs
      probability domain, shift invariance of argmax/top-K)
-  4  GP numerics against a naive dense oracle
+  4  GP numerics against a naive dense oracle (4a: preset fit selects the grid max)
   5  accuracy ordering of the techniques on the rural preset
   6  parameter trends (grid length, K, tower density, fingerprint density)
   7  runtime contract (hybrid cheaper, GP much dearer than probabilistic)
@@ -356,6 +356,24 @@ def test_criterion_4_gp_numerics():
         model = gp_fit(x, y)
         best = max(gp_log_marginal_likelihood(x, y, h) for h in default_hyper_grid())
         assert model.log_marginal == pytest.approx(best, rel=1e-9)
+
+
+def test_criterion_4a_preset_fit_selects_grid_max(rural):
+    with criterion("4a", "rural preset: the 5 best-sampled towers select the dense grid max"):
+        world, train, test, radio_map = rural
+        counts: dict[str, int] = {}
+        for scan in train:
+            for tid in scan.readings:
+                counts[tid] = counts.get(tid, 0) + 1
+        top = sorted(counts, key=lambda tid: (-counts[tid], tid))[:5]
+        models = fit_tower_models(train, radio_map.origin)
+        grid = default_hyper_grid()
+        for tid in top:
+            model = models[tid]
+            lmls = [gp_log_marginal_likelihood(model.locations, model.values, h) for h in grid]
+            best = lmls.index(max(lmls))
+            assert model.hyper == grid[best], tid
+            assert model.log_marginal == lmls[best], tid
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import ORIGIN, scan_at_planar
-from gsmloc.geo import PlanarPoint, ScanVector
+from gsmloc.geo import PlanarPoint, ProjectionRangeWarning, ScanVector
 from gsmloc.gp import (
     GpHyperparams,
     default_hyper_grid,
@@ -113,6 +114,72 @@ class TestFit:
         rebuilt = model.chol @ model.chol.T
         rel = np.linalg.norm(rebuilt - k_noisy) / np.linalg.norm(k_noisy)
         assert rel < 1e-8
+
+
+class TestSelection:
+    """``gp_fit``'s grid choice against dense per-candidate LMLs."""
+
+    @staticmethod
+    def _dense_argmax(x, y, grid):
+        lmls = [gp_log_marginal_likelihood(x, y, h) for h in grid]
+        best = max(range(len(grid)), key=lambda i: (lmls[i], -i))
+        return best, lmls[best]
+
+    @pytest.mark.parametrize("n", [5, 50, 200])
+    def test_selects_dense_grid_argmax(self, n):
+        rng = np.random.default_rng(100 + n)
+        for side in (150.0, 600.0, 2000.0):
+            x, y = random_training(rng, n=n, side=side)
+            y = y + rng.normal(0, 1.5, size=n)
+            grid = default_hyper_grid()
+            model = gp_fit(x, y, grid)
+            best, lml = self._dense_argmax(x, y, grid)
+            assert model.hyper == grid[best]
+            assert model.log_marginal == lml
+
+    def test_tie_goes_to_earlier_entry(self):
+        rng = np.random.default_rng(21)
+        x, y = random_training(rng, n=30)
+        grid = [c for h in default_hyper_grid() for c in (h, dataclasses.replace(h))]
+        model = gp_fit(x, y, grid)
+        best, _ = self._dense_argmax(x, y, grid)
+        assert model.hyper is grid[best]
+
+    def test_jittered_candidates_match_dense_loop(self):
+        # Duplicated locations make K singular; with sigma_n^2 = 1e-10 the
+        # plain Cholesky fails and the factorization must add jitter.
+        rng = np.random.default_rng(22)
+        x, y = random_training(rng, n=10)
+        x, y = np.vstack([x, x]), np.concatenate([y, y])
+        grid = [GpHyperparams(1e6, sn2, ls) for ls in (100.0, 400.0) for sn2 in (1e-10, 1.0)]
+        lmls, plain_fails = [], []
+        for h in grid:
+            k_noisy = np.array(
+                [[kernel(PlanarPoint(*a), PlanarPoint(*b), h) for b in x] for a in x]
+            ) + h.sigma_n2 * np.eye(len(x))
+            try:
+                np.linalg.cholesky(k_noisy)
+                plain_fails.append(False)
+            except np.linalg.LinAlgError:
+                plain_fails.append(True)
+            lmls.append(gp_log_marginal_likelihood(x, y, h))
+        best = lmls.index(max(lmls))
+        assert plain_fails[best]
+        model = gp_fit(x, y, grid)
+        assert model.hyper is grid[best]
+        assert model.log_marginal == lmls[best]
+
+    def test_non_finite_input_rejected(self):
+        rng = np.random.default_rng(23)
+        x, y = random_training(rng, n=10)
+        bad_y = y.copy()
+        bad_y[3] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            gp_fit(x, bad_y)
+        bad_x = x.copy()
+        bad_x[5, 0] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            gp_fit(bad_x, y)
 
 
 class TestPredict:
@@ -264,6 +331,22 @@ class TestFitTowerModels:
         with pytest.raises(ValueError, match="ground truth"):
             fit_tower_models([ScanVector(0.0, {"A": 5})], ORIGIN)
 
+    @staticmethod
+    def _scans():
+        return [scan_at_planar(t, 10.0 * t, 5.0, {"A": 10 + t % 3}) for t in range(6)]
+
+    def test_nan_value_rejected(self):
+        scans = self._scans()
+        scans[2].readings["A"] = math.nan
+        with pytest.raises(ValueError, match="finite"):
+            fit_tower_models(scans, ORIGIN)
+
+    def test_infinite_location_rejected(self):
+        scans = self._scans()
+        object.__setattr__(scans[4].truth, "lat", math.inf)
+        with pytest.warns(ProjectionRangeWarning), pytest.raises(ValueError, match="finite"):
+            fit_tower_models(scans, ORIGIN)
+
 
 class TestGridPersistence:
     def test_round_trip(self, tmp_path):
@@ -292,4 +375,10 @@ class TestGridPersistence:
         path = tmp_path / "grid.json"
         path.write_text(json.dumps({"version": 1, "kind": "gp_grid", "points": [{"x": 1}]}))
         with pytest.raises(MapFormatError):
+            load_grid(str(path))
+
+    def test_non_utf8_file_rejected(self, tmp_path):
+        path = tmp_path / "grid.json"
+        path.write_bytes(b'{"version": 1, "kind": "gp_grid", "towers": {"\xe9": {}}}')
+        with pytest.raises(MapFormatError, match="UTF-8"):
             load_grid(str(path))

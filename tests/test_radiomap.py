@@ -244,6 +244,12 @@ class TestPersistence:
         with pytest.raises(MapFormatError):
             load_radio_map(str(path))
 
+    def test_non_utf8_file_rejected(self, tmp_path):
+        path = tmp_path / "map.json"
+        path.write_bytes(b'{"version": 1, "kind": "radio_map", "cells": ["\xff\xfe"]}')
+        with pytest.raises(MapFormatError, match="UTF-8"):
+            load_radio_map(str(path))
+
     def test_wrong_kind_rejected(self, tmp_path):
         path = tmp_path / "map.json"
         path.write_text(json.dumps({"version": 1, "kind": "gp_grid"}))
