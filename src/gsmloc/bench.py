@@ -36,8 +36,6 @@ from .geo import GeoPoint, ScanVector, project
 from .gp import PrecomputedGrid, gp_locate
 from .radiomap import FingerprintPoint, GridCell, PlanarPoint, RadioMap, build_radio_map
 
-TECHNIQUES = ("probabilistic", "hybrid", "deterministic", "gp", "cellid")
-
 REPORT_HEADER = ("technique", "grid_m", "ns", "k", "median_err_m", "p95_err_m", "mean_ms")
 CDF_HEADER = ("error_m", "cum_frac")
 
@@ -99,27 +97,16 @@ class EvalReport:
             raise ValueError("error CDF abscissae must be sorted")
 
 
-EstimateFn = Callable[[Sequence[ScanVector]], LocationEstimate]
-
-
-def _technique_fn(
-    model: RadioMap | PrecomputedGrid,
-    technique: str | Callable,
-    params: EstimatorParams,
-) -> EstimateFn:
-    if callable(technique):
-        return lambda window: technique(model, window)
-    if technique == "probabilistic":
-        return lambda window: probabilistic_locate(model, window, params)
-    if technique == "hybrid":
-        return lambda window: hybrid_locate(model, window, params.k, params.smoothing)
-    if technique == "deterministic":
-        return lambda window: deterministic_locate(model, window, params)
-    if technique == "cellid":
-        return lambda window: cellid_locate(model, window[-1])
-    if technique == "gp":
-        return lambda window: gp_locate(model, window)
-    raise ValueError(f"unknown technique {technique!r}; expected one of {TECHNIQUES}")
+#: Every technique by name, as ``(model, window, params) -> LocationEstimate``.
+#: GP takes a :class:`PrecomputedGrid`, the others a :class:`RadioMap`;
+#: cell-ID places the window by its last (freshest) scan.
+TECHNIQUES: dict[str, Callable[..., LocationEstimate]] = {
+    "probabilistic": probabilistic_locate,
+    "hybrid": lambda m, window, p: hybrid_locate(m, window, p.k, p.smoothing),
+    "deterministic": deterministic_locate,
+    "gp": lambda m, window, p: gp_locate(m, window),
+    "cellid": lambda m, window, p: cellid_locate(m, window[-1]),
+}
 
 
 def evaluate(
@@ -144,7 +131,12 @@ def evaluate(
     for scan in test_scans:
         if scan.truth is None:
             raise ValueError(f"test scan at t={scan.timestamp} has no ground truth")
-    estimate = _technique_fn(model, technique, params)
+    if callable(technique):
+        locate = lambda m, window, p: technique(m, window)
+    elif technique in TECHNIQUES:
+        locate = TECHNIQUES[technique]
+    else:
+        raise ValueError(f"unknown technique {technique!r}; expected one of {tuple(TECHNIQUES)}")
     origin = model.origin
 
     errors: list[float] = []
@@ -155,7 +147,7 @@ def evaluate(
         est = None
         for _ in range(max(1, time_repeats)):
             t0 = time.perf_counter()
-            est = estimate(window)
+            est = locate(model, window, params)
             reps.append(time.perf_counter() - t0)
         truth = project(origin, test_scans[i].truth)
         errors.append(est.location.distance_to(truth))
@@ -386,23 +378,25 @@ def thin_fingerprint(
 # ---------------------------------------------------------------------------
 
 
+def report_row(r: EvalReport) -> list:
+    """A report as one CSV row under :data:`REPORT_HEADER` (floats via repr)."""
+    return [
+        r.technique,
+        repr(r.grid_m),
+        r.n_samples,
+        r.k,
+        repr(r.median_error_m),
+        repr(r.p95_error_m),
+        repr(r.mean_time_per_estimate_ms),
+    ]
+
+
 def write_report_csv(reports: Sequence[EvalReport], path: str) -> None:
     """One row per configuration: technique,grid_m,ns,k,median,p95,mean_ms."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(REPORT_HEADER)
-        for r in reports:
-            writer.writerow(
-                [
-                    r.technique,
-                    repr(r.grid_m),
-                    r.n_samples,
-                    r.k,
-                    repr(r.median_error_m),
-                    repr(r.p95_error_m),
-                    repr(r.mean_time_per_estimate_ms),
-                ]
-            )
+        writer.writerows(report_row(r) for r in reports)
 
 
 def write_cdf_csv(report: EvalReport, path: str) -> None:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import os
 import sys
 from typing import Sequence
@@ -28,8 +29,6 @@ from .synth import generate_trace, make_preset
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
-
-_DEFAULT_K = {"probabilistic": 2, "hybrid": 1, "deterministic": 8, "gp": 1, "cellid": 1}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -52,7 +51,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("build", help="build a radio map (or GP grid) from a trace")
     p.add_argument("--traces", required=True, help="training trace CSV")
-    p.add_argument("--grid-length", type=float, default=70.0)
+    p.add_argument("--grid-length", type=float, default=bench.DEFAULT_GRID_M)
     p.add_argument("--out", required=True, help="output JSON path")
     p.add_argument("--towers", help="tower_id,lat,lon CSV to embed (cell-ID needs it)")
     p.add_argument("--strip-points", action="store_true", help="drop raw fingerprint points")
@@ -71,8 +70,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--map", required=True, dest="map_path")
         p.add_argument("--scans", required=True, help="trace CSV")
         p.add_argument("--technique", required=True, choices=bench.TECHNIQUES)
-        p.add_argument("--ns", type=int, default=4, help="window length (scans)")
-        p.add_argument("--k", type=int, default=None, help="top-K / KNN size")
+        _add_params(p)
         if needs_truth:
             p.add_argument("--report", help="write the report CSV here")
             p.add_argument("--cdf", help="write the error CDF CSV here")
@@ -85,20 +83,25 @@ def _build_parser() -> _Parser:
     p.add_argument("--preset", default="rural", choices=("rural", "urban"))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output directory")
+    # Sweeps build radio maps, which the GP technique cannot use.
     p.add_argument(
-        "--technique",
-        default="probabilistic",
-        choices=("probabilistic", "hybrid", "deterministic", "cellid"),
+        "--technique", default="probabilistic", choices=[t for t in bench.TECHNIQUES if t != "gp"]
     )
-    p.add_argument("--grid-length", type=float, default=70.0)
-    p.add_argument("--ns", type=int, default=4)
-    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--grid-length", type=float, default=bench.DEFAULT_GRID_M)
+    _add_params(p)
     return parser
 
 
-def _params(args: argparse.Namespace) -> EstimatorParams:
-    k = args.k if args.k is not None else _DEFAULT_K[args.technique]
-    return EstimatorParams(n_samples=args.ns, k=k)
+def _add_params(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--ns", type=int, help="window length in scans (default: tuned per technique)")
+    p.add_argument("--k", type=int, help="top-K / KNN size (default: tuned per technique)")
+
+
+def _params(args: argparse.Namespace, preset: str = "rural") -> EstimatorParams:
+    """The preset's tuned parameters for the technique, overridden by --ns/--k."""
+    tuned = bench.preset_params(preset, args.technique)
+    ns = tuned.n_samples if args.ns is None else args.ns
+    return dataclasses.replace(tuned, n_samples=ns, k=tuned.k if args.k is None else args.k)
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
@@ -154,14 +157,14 @@ def _cmd_locate(args: argparse.Namespace) -> int:
     if not scans:
         raise ValueError(f"{args.scans}: no scans")
     params = _params(args)
-    estimate = bench._technique_fn(model, args.technique, params)
+    locate = bench.TECHNIQUES[args.technique]
     out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
     try:
         writer = csv.writer(out)
         writer.writerow(("timestamp", "lat", "lon"))
         for i in range(len(scans)):
             window = scans[max(0, i + 1 - params.n_samples) : i + 1]
-            est = estimate(window)
+            est = locate(model, window, params)
             geo = unproject(model.origin, est.location)
             writer.writerow([repr(scans[i].timestamp), repr(geo.lat), repr(geo.lon)])
     finally:
@@ -176,17 +179,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     report = bench.evaluate(model, scans, args.technique, _params(args))
     writer = csv.writer(sys.stdout)
     writer.writerow(bench.REPORT_HEADER)
-    writer.writerow(
-        [
-            report.technique,
-            repr(report.grid_m),
-            report.n_samples,
-            report.k,
-            repr(report.median_error_m),
-            repr(report.p95_error_m),
-            repr(report.mean_time_per_estimate_ms),
-        ]
-    )
+    writer.writerow(bench.report_row(report))
     if args.report:
         bench.write_report_csv([report], args.report)
     if args.cdf:
@@ -198,8 +191,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     world, routes = make_preset(args.preset, args.seed)
     train = generate_trace(world, routes["train"])
     test = generate_trace(world, routes["test"])
-    k = args.k if args.k is not None else _DEFAULT_K[args.technique]
-    params = EstimatorParams(n_samples=args.ns, k=k)
+    params = _params(args, args.preset)
 
     if args.param in ("grid", "towers", "density"):
         values = [float(v) for v in args.values]

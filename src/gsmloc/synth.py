@@ -5,11 +5,13 @@ correlated shadowing.  Shadowing is a static field: per tower, a seeded
 lattice of Gaussian values is interpolated bilinearly, so the same position
 always sees the same shadowing.  Fingerprinting presupposes exactly this
 kind of repeatable RF environment; training and test visits to a spot must
-observe correlated signal strengths.
+observe correlated signal strengths.  All lattices are drawn when the world
+is constructed.
 
 On top of the static field, trace generation adds small i.i.d. per-reading
 measurement noise (seeded per trace), so independently generated training
-and test traces differ the way two real drives would.
+and test traces differ the way two real drives would.  It is drawn as one
+(scans, towers) matrix, the same stream as one draw per tower per scan.
 
 Everything is deterministic given (world seed, route): regenerating a trace
 yields identical bytes.
@@ -93,7 +95,10 @@ class SynthWorld:
 
     ``measurement_noise_db`` is the default per-reading jitter added on top
     of the static field when generating traces; it models the second-scale
-    RSSI fluctuation a stationary phone reports.
+    RSSI fluctuation a stationary phone reports.  The shadowing lattice,
+    drawn at construction, has one layer per tower, seeded from (seed, 1,
+    tower index), with nodes one ``shadow_grid_spacing`` apart and beyond
+    the bounds.
     """
 
     bounds: tuple[float, float, float, float]  # (x_min, y_min, x_max, y_max)
@@ -102,7 +107,7 @@ class SynthWorld:
     seed: int
     geo_origin: GeoPoint = GeoPoint(30.0, 31.0)
     measurement_noise_db: float = 2.0
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _shadow: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         x_min, y_min, x_max, y_max = self.bounds
@@ -117,66 +122,79 @@ class SynthWorld:
         ]
         if not inside:
             raise ValueError("at least one tower must lie inside the bounds")
+        h = self.pathloss.shadow_grid_spacing
+        nx = int(math.ceil((x_max - x_min + 2 * h) / h)) + 1
+        ny = int(math.ceil((y_max - y_min + 2 * h) / h)) + 1
+        shadow = np.stack(
+            [
+                np.random.default_rng(np.random.SeedSequence([self.seed, 1, rank])).normal(
+                    0.0, self.pathloss.shadow_sigma_db, size=(ny, nx)
+                )
+                for rank in range(len(self.towers))
+            ]
+        )
+        object.__setattr__(self, "_shadow", shadow)
 
     def tower_locations_geo(self) -> dict[str, GeoPoint]:
         """Tower positions as geodetic points (for the tower CSV)."""
         return {t.tower_id: unproject(self.geo_origin, t.location) for t in self.towers}
 
 
-class _ShadowLattice:
-    """Static per-tower shadowing field, bilinear between seeded lattice nodes."""
+def _field_dbm(world: SynthWorld, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Static received power in dBm at points ``(x, y)``, shape (points, towers).
 
-    def __init__(self, world: SynthWorld, tower_rank: int) -> None:
-        x_min, y_min, x_max, y_max = world.bounds
-        h = world.pathloss.shadow_grid_spacing
-        self.x0 = x_min - h
-        self.y0 = y_min - h
-        self.h = h
-        nx = int(math.ceil((x_max - x_min + 2 * h) / h)) + 1
-        ny = int(math.ceil((y_max - y_min + 2 * h) / h)) + 1
-        rng = np.random.default_rng(np.random.SeedSequence([world.seed, 1, tower_rank]))
-        self.values = rng.normal(0.0, world.pathloss.shadow_sigma_db, size=(ny, nx))
-
-    def at(self, x: float, y: float) -> float:
-        ny, nx = self.values.shape
-        gx = (x - self.x0) / self.h
-        gy = (y - self.y0) / self.h
-        i = min(max(int(math.floor(gx)), 0), nx - 2)
-        j = min(max(int(math.floor(gy)), 0), ny - 2)
-        fx = min(max(gx - i, 0.0), 1.0)
-        fy = min(max(gy - j, 0.0), 1.0)
-        v = self.values
-        return (
-            (1 - fy) * ((1 - fx) * v[j, i] + fx * v[j, i + 1])
-            + fy * ((1 - fx) * v[j + 1, i] + fx * v[j + 1, i + 1])
+    Uses ``math.hypot`` and ``math.log10``: numpy's differ in the last bit on
+    about 1% and 3% of inputs, enough to move a reading across an ASU boundary.
+    """
+    pl = world.pathloss
+    tx, ty, power = np.array([(t.location.x, t.location.y, t.tx_power_dbm) for t in world.towers]).T
+    dx = tx - x[:, None]
+    dy = ty - y[:, None]
+    d = np.fromiter(map(math.hypot, dx.flat, dy.flat), float, dx.size)
+    ratio = np.maximum(d, pl.d0) / pl.d0
+    log_ratio = np.fromiter(map(math.log10, ratio), float, ratio.size).reshape(dx.shape)
+    dbm = power - (pl.p0_dbm + 10.0 * pl.exponent * log_ratio)
+    if pl.shadow_sigma_db > 0:
+        v = world._shadow
+        _, ny, nx = v.shape
+        h = pl.shadow_grid_spacing
+        gx = (x - (world.bounds[0] - h)) / h
+        gy = (y - (world.bounds[1] - h)) / h
+        i = np.clip(np.floor(gx).astype(np.int64), 0, nx - 2)
+        j = np.clip(np.floor(gy).astype(np.int64), 0, ny - 2)
+        fx = np.clip(gx - i, 0.0, 1.0)[:, None]
+        fy = np.clip(gy - j, 0.0, 1.0)[:, None]
+        dbm += (1 - fy) * ((1 - fx) * v[:, j, i].T + fx * v[:, j, i + 1].T) + fy * (
+            (1 - fx) * v[:, j + 1, i].T + fx * v[:, j + 1, i + 1].T
         )
-
-
-def _lattice_for(world: SynthWorld, tower: Tower) -> _ShadowLattice:
-    ranks = world._cache.get("ranks")
-    if ranks is None:
-        ranks = {t.tower_id: i for i, t in enumerate(world.towers)}
-        world._cache["ranks"] = ranks
-    lattice = world._cache.get(tower.tower_id)
-    if lattice is None:
-        lattice = _ShadowLattice(world, ranks[tower.tower_id])
-        world._cache[tower.tower_id] = lattice
-    return lattice
+    return dbm
 
 
 def received_dbm(world: SynthWorld, tower: Tower, p: PlanarPoint) -> float:
     """Static received power at a position: path loss plus shadowing.
 
     Deterministic in (world seed, tower, position); repeated calls at the
-    same point return the same value.
+    same point return the same value.  ``tower`` must be in ``world.towers``.
     """
-    pl = world.pathloss
-    d = tower.location.distance_to(p)
-    loss = pl.p0_dbm + 10.0 * pl.exponent * math.log10(max(d, pl.d0) / pl.d0)
-    dbm = tower.tx_power_dbm - loss
-    if pl.shadow_sigma_db > 0:
-        dbm += _lattice_for(world, tower).at(p.x, p.y)
-    return dbm
+    rank = world.towers.index(tower)
+    return float(_field_dbm(world, np.array([p.x]), np.array([p.y]))[0, rank])
+
+
+def _scans(
+    world: SynthWorld, times: Sequence[float], x: np.ndarray, y: np.ndarray, dbm: np.ndarray
+) -> list[ScanVector]:
+    """A :func:`scan_at` scan per row of ``dbm``; raises at the first silent row."""
+    ids = [t.tower_id for t in world.towers]
+    scans: list[ScanVector] = []
+    for t, px, py, row in zip(times, x.tolist(), y.tolist(), dbm.tolist()):
+        audible = [(v, tid) for v, tid in zip(row, ids) if v >= SENSITIVITY_DBM]
+        if not audible:
+            raise ValueError(f"no tower audible at ({px:.1f}, {py:.1f})")
+        audible.sort(key=lambda it: (-it[0], it[1]))
+        readings = {tid: dbm_to_asu(v) for v, tid in audible[:MAX_SCAN_TOWERS]}
+        truth = unproject(world.geo_origin, PlanarPoint(px, py))
+        scans.append(ScanVector(t, readings, truth=truth))
+    return scans
 
 
 def scan_at(
@@ -197,18 +215,11 @@ def scan_at(
     Raises:
         ValueError: if no tower is audible at ``p``.
     """
-    audible: list[tuple[float, str]] = []
-    for tower in world.towers:
-        dbm = received_dbm(world, tower, p)
-        if noise_rng is not None and noise_sigma_db > 0:
-            dbm += noise_rng.normal(0.0, noise_sigma_db)
-        if dbm >= SENSITIVITY_DBM:
-            audible.append((dbm, tower.tower_id))
-    if not audible:
-        raise ValueError(f"no tower audible at ({p.x:.1f}, {p.y:.1f})")
-    audible.sort(key=lambda it: (-it[0], it[1]))
-    readings = {tid: dbm_to_asu(dbm) for dbm, tid in audible[:MAX_SCAN_TOWERS]}
-    return ScanVector(t, readings, truth=unproject(world.geo_origin, p))
+    x, y = np.array([p.x]), np.array([p.y])
+    dbm = _field_dbm(world, x, y)
+    if noise_rng is not None and noise_sigma_db > 0:
+        dbm += noise_rng.normal(0.0, noise_sigma_db, size=len(world.towers))
+    return _scans(world, [t], x, y, dbm)[0]
 
 
 def _route_noise_seed(world: SynthWorld, route: Route) -> np.random.SeedSequence:
@@ -236,34 +247,28 @@ def generate_trace(
     if noise_sigma_db is None:
         noise_sigma_db = world.measurement_noise_db
     pts = route.waypoints
-    seg_lengths = [a.distance_to(b) for a, b in zip(pts, pts[1:])]
+    seg_lengths = np.array([a.distance_to(b) for a, b in zip(pts, pts[1:])])
     cumulative = np.concatenate([[0.0], np.cumsum(seg_lengths)])
     total = float(cumulative[-1])
     if total <= 0:
         raise ValueError("route has zero length")
 
+    n_steps = int(math.ceil(total / route.speed - 1e-9))
+    t = np.arange(n_steps + 1.0)
+    dist = np.minimum(t * route.speed, total)
+    seg = np.minimum(np.searchsorted(cumulative, dist, side="right") - 1, len(seg_lengths) - 1)
+    frac = (dist - cumulative[seg]) / seg_lengths[seg]
+    w = np.array([(p.x, p.y) for p in pts])
+    x, y = (w[seg] + frac[:, None] * (w[seg + 1] - w[seg])).T
+    dbm = _field_dbm(world, x, y)
     if noise_sigma_db > 0:
         seed = (
             np.random.SeedSequence([world.seed, 2, noise_seed])
             if noise_seed is not None
             else _route_noise_seed(world, route)
         )
-        rng = np.random.default_rng(seed)
-    else:
-        rng = None
-
-    n_steps = int(math.ceil(total / route.speed - 1e-9))
-    scans: list[ScanVector] = []
-    for t in range(n_steps + 1):
-        dist = min(t * route.speed, total)
-        seg = min(int(np.searchsorted(cumulative, dist, side="right")) - 1, len(seg_lengths) - 1)
-        frac = (dist - cumulative[seg]) / seg_lengths[seg]
-        p = PlanarPoint(
-            pts[seg].x + frac * (pts[seg + 1].x - pts[seg].x),
-            pts[seg].y + frac * (pts[seg + 1].y - pts[seg].y),
-        )
-        scans.append(scan_at(world, p, float(t), noise_rng=rng, noise_sigma_db=noise_sigma_db))
-    return scans
+        dbm += np.random.default_rng(seed).normal(0.0, noise_sigma_db, size=dbm.shape)
+    return _scans(world, t.tolist(), x, y, dbm)
 
 
 # ---------------------------------------------------------------------------
@@ -324,10 +329,6 @@ def _serpentine(side: float, margin: float, spacing: float, offset: float) -> li
     return waypoints
 
 
-def _polyline_length(waypoints: Sequence[PlanarPoint]) -> float:
-    return sum(a.distance_to(b) for a, b in zip(waypoints, waypoints[1:]))
-
-
 def _trim_polyline(waypoints: Sequence[PlanarPoint], target: float) -> list[PlanarPoint]:
     out = [waypoints[0]]
     acc = 0.0
@@ -382,7 +383,7 @@ def make_preset(name: str, seed: int = 0) -> tuple[SynthWorld, dict[str, Route]]
     speed = cfg["speed"]
     streets = _serpentine(side, cfg["margin"], cfg["street_spacing"], 0.0)
     train_target = speed * (cfg["train_scans"] - 1)
-    if _polyline_length(streets) >= train_target:
+    if Route(tuple(streets), speed).length >= train_target:
         train_path = streets
     else:
         train_path = streets + list(reversed(streets))[1:]  # drive back the same way

@@ -1,10 +1,12 @@
-"""Independent brute-force reference implementations for the estimators.
+"""Independent brute-force reference implementations for the estimators
+and the synthetic world.
 
 Everything here works in plain probability space with exhaustive
 enumeration and naive dense linear algebra, re-deriving likelihoods from
 raw histogram counts rather than calling the package's fast paths.  Tests
 compare the package output against these on instances small enough that
-probabilities do not underflow.
+probabilities do not underflow.  The synthetic-world references evaluate
+the RF field one tower and one point at a time, in plain Python floats.
 """
 
 from __future__ import annotations
@@ -215,3 +217,76 @@ def random_instance(
         readings = {towers[t]: int(rng.integers(0, 32)) for t in sorted(chosen)}
         window.append(ScanVector(float(1000 + j), readings))
     return rm, window
+
+
+# ---------------------------------------------------------------------------
+# Synthetic world: the static field, scans and traces one reading at a time
+# ---------------------------------------------------------------------------
+
+
+def scalar_received_dbm(world, rank: int, p: PlanarPoint) -> float:
+    """Path loss plus bilinear shadowing of tower ``rank`` at ``p``.
+
+    The tower's shadowing lattice is re-drawn from its seed on every call.
+    """
+    tower = world.towers[rank]
+    pl = world.pathloss
+    d = math.hypot(tower.location.x - p.x, tower.location.y - p.y)
+    dbm = tower.tx_power_dbm - (pl.p0_dbm + 10.0 * pl.exponent * math.log10(max(d, pl.d0) / pl.d0))
+    if pl.shadow_sigma_db > 0:
+        x_min, y_min, x_max, y_max = world.bounds
+        h = pl.shadow_grid_spacing
+        nx = int(math.ceil((x_max - x_min + 2 * h) / h)) + 1
+        ny = int(math.ceil((y_max - y_min + 2 * h) / h)) + 1
+        rng = np.random.default_rng(np.random.SeedSequence([world.seed, 1, rank]))
+        v = rng.normal(0.0, pl.shadow_sigma_db, size=(ny, nx)).tolist()
+        gx = (p.x - (x_min - h)) / h
+        gy = (p.y - (y_min - h)) / h
+        i = min(max(int(math.floor(gx)), 0), nx - 2)
+        j = min(max(int(math.floor(gy)), 0), ny - 2)
+        fx = min(max(gx - i, 0.0), 1.0)
+        fy = min(max(gy - j, 0.0), 1.0)
+        dbm += (1 - fy) * ((1 - fx) * v[j][i] + fx * v[j][i + 1]) + fy * (
+            (1 - fx) * v[j + 1][i] + fx * v[j + 1][i + 1]
+        )
+    return dbm
+
+
+def scalar_scan(world, p: PlanarPoint, noise_rng=None, noise_sigma_db: float = 0.0):
+    """Readings at ``p`` as ``[(tower_id, asu), ...]``, strongest first.
+
+    One scalar noise draw per tower in world order when ``noise_rng`` is
+    given; ``None`` when no tower is audible.
+    """
+    from gsmloc.geo import SENSITIVITY_DBM, dbm_to_asu
+
+    audible = []
+    for rank, tower in enumerate(world.towers):
+        dbm = scalar_received_dbm(world, rank, p)
+        if noise_rng is not None:
+            dbm += noise_rng.normal(0.0, noise_sigma_db)
+        if dbm >= SENSITIVITY_DBM:
+            audible.append((dbm, tower.tower_id))
+    if not audible:
+        return None
+    audible.sort(key=lambda it: (-it[0], it[1]))
+    return [(tid, dbm_to_asu(dbm)) for dbm, tid in audible[:7]]
+
+
+def scalar_trace(world, route, noise_sigma_db: float, noise_seed: int):
+    """``(x, y, readings)`` per 1 Hz step along the route, stepped one at a time."""
+    pts = route.waypoints
+    seg_lengths = [math.hypot(b.x - a.x, b.y - a.y) for a, b in zip(pts, pts[1:])]
+    cumulative = [0.0]
+    for length in seg_lengths:
+        cumulative.append(cumulative[-1] + length)
+    rng = np.random.default_rng(np.random.SeedSequence([world.seed, 2, noise_seed]))
+    out = []
+    for t in range(int(math.ceil(cumulative[-1] / route.speed - 1e-9)) + 1):
+        dist = min(t * route.speed, cumulative[-1])
+        seg = max(k for k in range(len(seg_lengths)) if cumulative[k] <= dist)
+        frac = (dist - cumulative[seg]) / seg_lengths[seg]
+        x = pts[seg].x + frac * (pts[seg + 1].x - pts[seg].x)
+        y = pts[seg].y + frac * (pts[seg + 1].y - pts[seg].y)
+        out.append((x, y, scalar_scan(world, PlanarPoint(x, y), rng, noise_sigma_db)))
+    return out

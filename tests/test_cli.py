@@ -88,6 +88,30 @@ class TestBuildLocateEvaluate:
         assert out.splitlines()[0] == "technique,grid_m,ns,k,median_err_m,p95_err_m,mean_ms"
         assert report_path.exists() and cdf_path.exists()
 
+    def test_evaluate_defaults_to_tuned_params(self, tmp_path, tiny_trace, capsys):
+        # Hybrid scores the window's first scan, so it must default to a
+        # one-scan window rather than the probabilistic technique's four.
+        trace, _ = tiny_trace
+        map_path = tmp_path / "map.json"
+        main(["build", "--traces", str(trace), "--out", str(map_path)])
+        for technique, ns, k in (("hybrid", "1", "1"), ("deterministic", "4", "8")):
+            capsys.readouterr()
+            assert main(["evaluate", "--map", str(map_path), "--scans", str(trace),
+                         "--technique", technique]) == 0
+            row = next(csv.DictReader(capsys.readouterr().out.splitlines()))
+            assert (row["technique"], row["grid_m"], row["ns"], row["k"]) == (
+                technique, "70.0", ns, k)
+
+    def test_evaluate_stdout_row_equals_report_row(self, tmp_path, tiny_trace, capsys):
+        trace, _ = tiny_trace
+        map_path = tmp_path / "map.json"
+        main(["build", "--traces", str(trace), "--out", str(map_path)])
+        capsys.readouterr()
+        report_path = tmp_path / "report.csv"
+        assert main(["evaluate", "--map", str(map_path), "--scans", str(trace),
+                     "--technique", "hybrid", "--k", "2", "--report", str(report_path)]) == 0
+        assert capsys.readouterr().out.splitlines() == report_path.read_text().splitlines()
+
     def test_evaluate_requires_truth(self, tmp_path, capsys):
         from gsmloc.geo import ScanVector
 

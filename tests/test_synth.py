@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 
@@ -15,6 +16,7 @@ from gsmloc.synth import (
     received_dbm,
     scan_at,
 )
+from oracles import scalar_received_dbm, scalar_scan, scalar_trace
 
 
 def flat_world(towers, *, shadow=0.0, seed=0, bounds=(0.0, 0.0, 1000.0, 1000.0), exponent=3.0):
@@ -219,3 +221,101 @@ class TestPresets:
 
         assert trace_bytes(3) == trace_bytes(3)
         assert trace_bytes(3) != trace_bytes(4)
+
+
+def _oracle_world(shadow):
+    rng = np.random.default_rng(11)
+    towers = tuple(
+        Tower(f"T{i}", PlanarPoint(rng.uniform(0, 600), rng.uniform(0, 400)), rng.uniform(-50, -20))
+        for i in range(9)
+    )
+    pathloss = PathLossParams(shadow_sigma_db=shadow, shadow_grid_spacing=45.0)
+    return SynthWorld((0.0, 0.0, 600.0, 400.0), towers, pathloss, seed=3)
+
+
+# Points inside and around the bounds, on lattice nodes, and far outside
+# (clamped to the lattice edge, some beyond every tower's range).
+_ORACLE_POINTS = [
+    PlanarPoint(x, y) for x, y in np.random.default_rng(12).uniform(-50, 650, (40, 2))
+] + [
+    PlanarPoint(-45.0, -45.0),
+    PlanarPoint(0.0, 0.0),
+    PlanarPoint(90.0, 135.0),
+    PlanarPoint(-900.0, 200.0),
+    PlanarPoint(300.0, 5000.0),
+    PlanarPoint(2e4, -2e4),
+]
+
+
+class TestFieldOracle:
+    """The array field against the scalar per-tower, per-point references."""
+
+    @pytest.mark.parametrize("shadow", [0.0, 6.0])
+    def test_received_dbm_bit_identical(self, shadow):
+        world = _oracle_world(shadow)
+        points = _ORACLE_POINTS + [world.towers[4].location]
+        for p in points:
+            for rank, tower in enumerate(world.towers):
+                assert received_dbm(world, tower, p) == scalar_received_dbm(world, rank, p)
+
+    @pytest.mark.parametrize("shadow", [0.0, 6.0])
+    def test_scan_at_matches_oracle(self, shadow):
+        world = _oracle_world(shadow)
+        ours, ref = np.random.default_rng(5), np.random.default_rng(5)
+        for t, p in enumerate(_ORACLE_POINTS):
+            expected = scalar_scan(world, p, ref, 4.0)
+            if expected is None:
+                with pytest.raises(ValueError, match="no tower audible"):
+                    scan_at(world, p, float(t), noise_rng=ours, noise_sigma_db=4.0)
+                continue
+            sv = scan_at(world, p, float(t), noise_rng=ours, noise_sigma_db=4.0)
+            assert list(sv.readings.items()) == expected
+            assert sv.timestamp == float(t)
+        assert ours.normal() == ref.normal()  # both consumed one draw per tower per scan
+
+    def test_generate_trace_matches_stepwise_oracle(self):
+        world = _oracle_world(6.0)
+        waypoints = (
+            PlanarPoint(-30.0, 20.0),
+            PlanarPoint(500.0, 60.0),
+            PlanarPoint(480.0, 390.0),
+            PlanarPoint(40.0, 300.0),
+        )
+        route = Route(waypoints, 11.0)
+        trace = generate_trace(world, route, noise_sigma_db=3.0, noise_seed=8)
+        expected = scalar_trace(world, route, 3.0, 8)
+        assert len(trace) == len(expected)
+        for t, (sv, (x, y, readings)) in enumerate(zip(trace, expected)):
+            assert sv.timestamp == float(t)
+            assert list(sv.readings.items()) == readings
+            back = project(world.geo_origin, sv.truth)
+            assert math.hypot(back.x - x, back.y - y) < 1e-6
+
+    def test_tower_outside_world_rejected(self):
+        world = _oracle_world(6.0)
+        with pytest.raises(ValueError):
+            received_dbm(world, Tower("X", PlanarPoint(1.0, 1.0), -20.0), PlanarPoint(2.0, 2.0))
+
+
+#: sha256 of the write_trace file for each preset and route at world seed 0.
+_GOLDEN_TRACES = {
+    ("rural", "train"): "5893596fe616d548a881917df5f39ddede7ae26d4d1e604074800aa5357db77f",
+    ("rural", "test"): "1286bd3c9e2107e8de752a2bee9699d654023a86f5910366223009965b7f2406",
+    ("urban", "train"): "3f70257b92e70cbd519fcdf81379295001755034d54d70237089218c066d34d4",
+    ("urban", "test"): "d06a9e9f6403340973b9b9fb9f271106fdc290669d4672cfd85e011fe02b3e74",
+}
+
+
+class TestGoldenTraces:
+    @pytest.mark.parametrize("preset", ["rural", "urban"])
+    def test_seed0_trace_bytes_pinned(self, preset, tmp_path):
+        world, routes = make_preset(preset, seed=0)
+        for name in ("train", "test"):
+            path = tmp_path / f"{name}.csv"
+            write_trace(generate_trace(world, routes[name]), str(path))
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == _GOLDEN_TRACES[preset, name]
+
+    def test_rural_seed5_has_a_silent_spot(self):
+        world, routes = make_preset("rural", seed=5)
+        with pytest.raises(ValueError, match=r"^no tower audible at \(62\.0, 50\.0\)$"):
+            generate_trace(world, routes["train"])
