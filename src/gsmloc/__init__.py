@@ -11,6 +11,8 @@ The package splits along the natural pipeline:
 * :mod:`gsmloc.synth` - synthetic GSM worlds and war-drive trace generation.
 * :mod:`gsmloc.bench` - evaluation metrics, sweeps and CSV reports.
 * :mod:`gsmloc.cli` - the ``gsmloc`` command line.
+
+The names imported below are the package's public API.
 """
 
 from .bench import (
@@ -34,13 +36,11 @@ from .bench import (
 from .estimators import (
     EstimatorParams,
     LocationEstimate,
-    ScanWindow,
     cell_log_posterior,
     cellid_locate,
     deterministic_locate,
     hybrid_locate,
     probabilistic_locate,
-    rssi_distance,
 )
 from .geo import (
     GeoPoint,
@@ -69,7 +69,6 @@ from .gp import (
     gp_fit,
     gp_locate,
     gp_predict,
-    kernel,
     load_grid,
     save_grid,
 )
@@ -81,7 +80,6 @@ from .radiomap import (
     SmoothingParams,
     TowerHistogram,
     build_radio_map,
-    cell_likelihood,
     load_radio_map,
     save_radio_map,
 )
@@ -97,76 +95,3 @@ from .synth import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "DEFAULT_GRID_M",
-    "EvalReport",
-    "EstimatorParams",
-    "FingerprintPoint",
-    "GeoPoint",
-    "GpHyperparams",
-    "GpTowerModel",
-    "GridCell",
-    "LocationEstimate",
-    "MapFormatError",
-    "PathLossParams",
-    "PRESET_GP_SPACING_M",
-    "PRESET_PARAMS",
-    "PlanarPoint",
-    "PrecomputedGrid",
-    "ProjectionRangeWarning",
-    "RadioMap",
-    "Route",
-    "ScanRow",
-    "ScanVector",
-    "ScanWindow",
-    "SmoothingParams",
-    "SynthWorld",
-    "TECHNIQUES",
-    "Tower",
-    "TowerHistogram",
-    "TraceFormatError",
-    "ablate_towers",
-    "asu_to_dbm",
-    "build_radio_map",
-    "cell_likelihood",
-    "cell_log_posterior",
-    "cellid_locate",
-    "dbm_to_asu",
-    "deterministic_locate",
-    "evaluate",
-    "fit_tower_models",
-    "generate_trace",
-    "gp_build_grid",
-    "gp_fit",
-    "gp_locate",
-    "gp_predict",
-    "group_rows_into_scans",
-    "hybrid_locate",
-    "kernel",
-    "load_grid",
-    "load_radio_map",
-    "make_preset",
-    "preset_params",
-    "probabilistic_locate",
-    "project",
-    "read_tower_locations",
-    "read_trace",
-    "read_trace_rows",
-    "received_dbm",
-    "rssi_distance",
-    "save_grid",
-    "save_radio_map",
-    "scan_at",
-    "sweep_density",
-    "sweep_grid_length",
-    "sweep_k",
-    "sweep_ns",
-    "sweep_tower_drop",
-    "thin_fingerprint",
-    "unproject",
-    "write_cdf_csv",
-    "write_report_csv",
-    "write_tower_locations",
-    "write_trace",
-]

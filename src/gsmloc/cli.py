@@ -16,7 +16,6 @@ from typing import Sequence
 from . import bench, gp
 from .estimators import EstimatorParams
 from .geo import (
-    GeoPoint,
     project,
     read_tower_locations,
     read_trace,
@@ -24,7 +23,7 @@ from .geo import (
     write_tower_locations,
     write_trace,
 )
-from .radiomap import build_radio_map, load_radio_map, save_radio_map
+from .radiomap import build_radio_map, default_origin, load_radio_map, save_radio_map
 from .synth import generate_trace, make_preset
 
 USAGE_ERROR = 1
@@ -127,10 +126,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
         save_radio_map(radio_map, args.out)
         print(f"built radio map: {radio_map.n_cells} cells, {len(radio_map.tower_ids)} towers")
     else:
-        origin = GeoPoint(
-            sum(s.truth.lat for s in scans) / len(scans),
-            sum(s.truth.lon for s in scans) / len(scans),
-        )
+        origin = default_origin(scans)
         models = gp.fit_tower_models(scans, origin)
         pts = [project(origin, s.truth) for s in scans]
         bounds = (

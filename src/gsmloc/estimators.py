@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -43,22 +43,6 @@ class EstimatorParams:
             raise ValueError("n_samples must be >= 1")
         if self.k < 1:
             raise ValueError("k must be >= 1")
-
-
-@dataclass(frozen=True)
-class ScanWindow(Sequence[ScanVector]):
-    """A short run of consecutive scans with strictly increasing timestamps."""
-
-    scans: tuple[ScanVector, ...]
-
-    def __post_init__(self) -> None:
-        _check_scans(self.scans)
-
-    def __len__(self) -> int:
-        return len(self.scans)
-
-    def __getitem__(self, i):  # noqa: ANN001 - Sequence protocol
-        return self.scans[i]
 
 
 @dataclass(frozen=True)
@@ -83,12 +67,6 @@ def _check_scans(scans: Sequence[ScanVector]) -> Sequence[ScanVector]:
         if not b.timestamp > a.timestamp:
             raise ValueError("window timestamps must be strictly increasing")
     return scans
-
-
-def _as_scans(window: Sequence[ScanVector]) -> Sequence[ScanVector]:
-    if isinstance(window, ScanWindow):
-        return window.scans  # validated at construction
-    return _check_scans(window)
 
 
 def _posterior_vector(
@@ -125,7 +103,7 @@ def cell_log_posterior(
     entirely in log domain, so long windows cannot underflow.
     """
     params = params or EstimatorParams()
-    scans = _as_scans(window)
+    scans = _check_scans(window)
     scores = _posterior_vector(radio_map, scans, params.smoothing)
     return {key: float(s) for key, s in zip(radio_map.cell_keys(), scores)}
 
@@ -151,7 +129,7 @@ def probabilistic_locate(
     params = params or EstimatorParams()
     if not radio_map.cells:
         raise ValueError("radio map has no cells")
-    scans = _as_scans(window)
+    scans = _check_scans(window)
     scores = _posterior_vector(radio_map, scans, params.smoothing)
     keys = radio_map.cell_keys()
 
@@ -170,19 +148,6 @@ def probabilistic_locate(
     x, y = weights @ centroids
     contributing = tuple((keys[i], float(w)) for i, w in zip(top, weights))
     return LocationEstimate(PlanarPoint(float(x), float(y)), float(m), contributing)
-
-
-def rssi_distance(a: Mapping[str, int], b: Mapping[str, int]) -> float:
-    """Euclidean distance in ASU space over the union of tower ids.
-
-    A tower missing from one side is imputed as ASU 0: "not heard" sits at
-    the sensitivity floor.
-    """
-    total = 0.0
-    for tower_id in a.keys() | b.keys():
-        d = a.get(tower_id, 0) - b.get(tower_id, 0)
-        total += d * d
-    return math.sqrt(total)
 
 
 def hybrid_locate(
@@ -207,7 +172,7 @@ def hybrid_locate(
     if not radio_map.cells:
         raise ValueError("radio map has no cells")
     smoothing = smoothing or SmoothingParams()
-    scans = _as_scans(window)
+    scans = _check_scans(window)
     first = scans[0]
 
     scores = _posterior_vector(radio_map, [first], smoothing)
@@ -218,8 +183,8 @@ def hybrid_locate(
         raise ValueError("hybrid refinement needs raw points; map was built with strip_points")
 
     # Squared ASU-space distance against every point of the cell at once;
-    # ranks identically to rssi_distance() over the union of tower ids with
-    # missing-as-0 (towers unknown to the map shift all points equally).
+    # ranks identically to the Euclidean distance over the union of tower ids
+    # with missing-as-0 (towers unknown to the map shift all points equally).
     locations, readings = radio_map.cell_point_arrays(key)
     tower_index = radio_map.tower_index()
     v = np.zeros(readings.shape[1])
@@ -246,12 +211,14 @@ def deterministic_locate(
 
     Each cell is represented by its mean ASU per tower; the window's
     readings are averaged per tower into one query vector.  The K nearest
-    cells by :func:`rssi_distance` are averaged, weighted by 1/(d + 1e-6).
+    cells by Euclidean distance in ASU space, over the union of tower ids
+    with a tower missing on one side imputed as ASU 0 ("not heard" sits at
+    the sensitivity floor), are averaged, weighted by 1/(d + 1e-6).
     """
     params = params or EstimatorParams()
     if not radio_map.cells:
         raise ValueError("radio map has no cells")
-    scans = _as_scans(window)
+    scans = _check_scans(window)
 
     sums: dict[str, float] = {}
     counts: dict[str, int] = {}

@@ -33,7 +33,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.stats import norm
 
-from .estimators import LocationEstimate, _as_scans
+from .estimators import LocationEstimate, _check_scans
 from .geo import GeoPoint, PlanarPoint, ScanVector, project
 from .radiomap import MAP_FORMAT_VERSION, MapFormatError, load_document
 
@@ -72,12 +72,6 @@ def default_hyper_grid() -> list[GpHyperparams]:
         for sf2 in DEFAULT_SIGNAL_VARS
         for sn2 in DEFAULT_NOISE_VARS
     ]
-
-
-def kernel(p: PlanarPoint, q: PlanarPoint, hyper: GpHyperparams) -> float:
-    """Squared-exponential covariance between two positions."""
-    d2 = (p.x - q.x) ** 2 + (p.y - q.y) ** 2
-    return hyper.sigma_f2 * math.exp(-d2 / (2.0 * hyper.length_scale**2))
 
 
 def _sq_dists(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
@@ -363,7 +357,7 @@ def gp_locate(grid: PrecomputedGrid, window: Sequence[ScanVector]) -> LocationEs
     """
     if grid.n_points == 0:
         raise ValueError("precomputed grid is empty")
-    scans = _as_scans(window)
+    scans = _check_scans(window)
     ll = np.zeros(grid.n_points)
     used = 0
     for scan in scans:

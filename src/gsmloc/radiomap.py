@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -102,14 +102,15 @@ class GridCell:
     histograms: dict[str, TowerHistogram]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class RadioMap:
     """The probabilistic fingerprint: grid geometry plus per-cell histograms.
 
     The grid is anchored at the minimum x/y of the training data, so cell
     (row, col) covers [anchor_x + col*G, anchor_x + (col+1)*G) horizontally
-    and the same vertically with row.  Immutable after construction; safe
-    for concurrent read-only use.
+    and the same vertically with row.  The fields never change after
+    construction; the derived arrays below are computed on first use and
+    memoized in ``_cache``, which equality ignores.
     """
 
     origin: GeoPoint
@@ -130,26 +131,7 @@ class RadioMap:
         """True when raw fingerprint points were retained in every cell."""
         return all(cell.points for cell in self.cells.values())
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RadioMap):
-            return NotImplemented
-        return (
-            self.origin == other.origin
-            and self.grid_length == other.grid_length
-            and self.anchor_x == other.anchor_x
-            and self.anchor_y == other.anchor_y
-            and self.cells == other.cells
-            and self.tower_ids == other.tower_ids
-            and self.tower_locations == other.tower_locations
-        )
-
-    def cell_index_of(self, p: PlanarPoint) -> tuple[int, int]:
-        """Grid cell containing a planar point."""
-        col = math.floor((p.x - self.anchor_x) / self.grid_length)
-        row = math.floor((p.y - self.anchor_y) / self.grid_length)
-        return (row, col)
-
-    # -- derived arrays, built lazily and memoized (the map is immutable) --
+    # -- derived arrays, built lazily and memoized (the fields never change) --
 
     def cell_keys(self) -> tuple[tuple[int, int], ...]:
         """Cell indices in deterministic (row, col) order."""
@@ -242,18 +224,12 @@ class RadioMap:
         return cached
 
 
-def cell_likelihood(
-    cell: GridCell, tower_id: str, asu: int, smoothing: SmoothingParams
-) -> float:
-    """P(asu | cell) for one tower, from the cell's smoothed histogram.
-
-    Returns ``(counts[asu] + alpha) / (total + 32*alpha)`` when the cell has
-    a histogram for the tower, else the floor probability ``p_min``.
-    """
-    hist = cell.histograms.get(tower_id)
-    if hist is None:
-        return smoothing.p_min
-    return (hist.counts[asu] + smoothing.alpha) / (hist.total + N_ASU_BINS * smoothing.alpha)
+def default_origin(scans: Sequence[ScanVector]) -> GeoPoint:
+    """The mean of the scans' ground truths: the default projection origin."""
+    return GeoPoint(
+        sum(s.truth.lat for s in scans) / len(scans),
+        sum(s.truth.lon for s in scans) / len(scans),
+    )
 
 
 def build_radio_map(
@@ -293,10 +269,7 @@ def build_radio_map(
             raise ValueError(f"scan at t={scan.timestamp} has no ground truth")
 
     if origin is None:
-        origin = GeoPoint(
-            sum(s.truth.lat for s in scans) / len(scans),
-            sum(s.truth.lon for s in scans) / len(scans),
-        )
+        origin = default_origin(scans)
 
     points = [
         FingerprintPoint(project(origin, scan.truth), dict(scan.readings)) for scan in scans
@@ -419,12 +392,14 @@ def load_radio_map(path: str) -> RadioMap:
     """Read a map saved by :func:`save_radio_map`.
 
     Raises:
-        MapFormatError: on version mismatch or a malformed/truncated file;
-            no partial map is ever returned.
+        MapFormatError: on version mismatch, a malformed/truncated file, a
+            histogram or point naming a tower missing from ``towers``, or a
+            point reading outside ASU 0..31; no partial map is ever returned.
     """
     doc = load_document(path, RADIO_MAP_KIND)
     try:
         origin = GeoPoint(doc["origin"]["lat"], doc["origin"]["lon"])
+        tower_ids = frozenset(doc["towers"])
         cells: dict[tuple[int, int], GridCell] = {}
         for entry in doc["cells"]:
             key = (int(entry["row"]), int(entry["col"]))
@@ -439,6 +414,11 @@ def load_radio_map(path: str) -> RadioMap:
                 )
                 for p in entry.get("points", [])
             )
+            unknown = set(histograms).union(*(p.readings for p in points)) - tower_ids
+            if unknown:
+                raise ValueError(f"cell {key} names towers not in 'towers': {sorted(unknown)}")
+            if any(not 0 <= asu <= ASU_MAX for p in points for asu in p.readings.values()):
+                raise ValueError(f"cell {key} has a point reading outside ASU 0..{ASU_MAX}")
             cells[key] = GridCell(
                 cell_index=key,
                 centroid=PlanarPoint(entry["centroid"]["x"], entry["centroid"]["y"]),
@@ -456,7 +436,7 @@ def load_radio_map(path: str) -> RadioMap:
             anchor_x=float(doc["grid_anchor"]["x"]),
             anchor_y=float(doc["grid_anchor"]["y"]),
             cells=cells,
-            tower_ids=frozenset(doc["towers"]),
+            tower_ids=tower_ids,
             tower_locations=tower_locations,
         )
     except (KeyError, TypeError, ValueError) as exc:

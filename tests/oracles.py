@@ -141,6 +141,12 @@ def boundary_tie(values: dict, k: int, *, descending: bool, rel: float = 1e-9) -
     return abs(a - b) <= rel * scale
 
 
+def kernel(p: PlanarPoint, q: PlanarPoint, hyper: GpHyperparams) -> float:
+    """Squared-exponential covariance between two positions."""
+    d2 = (p.x - q.x) ** 2 + (p.y - q.y) ** 2
+    return hyper.sigma_f2 * math.exp(-d2 / (2.0 * hyper.length_scale**2))
+
+
 def naive_gp_posterior(
     train_x: np.ndarray,
     train_y: np.ndarray,

@@ -1,4 +1,5 @@
 import csv
+import json
 
 import numpy as np
 import pytest
@@ -44,6 +45,18 @@ class TestExitCodes:
         rc = main(["build", "--traces", "/nonexistent/trace.csv", "--out", "/tmp/x.json"])
         assert rc == 2
         assert "error" in capsys.readouterr().err
+
+    def test_map_missing_a_heard_tower_is_2(self, tmp_path, tiny_trace, capsys):
+        trace, _ = tiny_trace
+        map_path = tmp_path / "map.json"
+        assert main(["build", "--traces", str(trace), "--out", str(map_path)]) == 0
+        doc = json.loads(map_path.read_text())
+        doc["towers"].remove("T0")
+        map_path.write_text(json.dumps(doc))
+        rc = main(["locate", "--map", str(map_path), "--scans", str(trace),
+                   "--technique", "probabilistic"])
+        assert rc == 2
+        assert "T0" in capsys.readouterr().err
 
 
 class TestBuildLocateEvaluate:

@@ -8,13 +8,11 @@ from hypothesis import strategies as st
 from conftest import ORIGIN, scan_at_planar
 from gsmloc.estimators import (
     EstimatorParams,
-    ScanWindow,
     cell_log_posterior,
     cellid_locate,
     deterministic_locate,
     hybrid_locate,
     probabilistic_locate,
-    rssi_distance,
 )
 from gsmloc.geo import GeoPoint, PlanarPoint, ScanVector
 from gsmloc.radiomap import SmoothingParams, build_radio_map
@@ -161,16 +159,17 @@ class TestProbabilisticLocate:
 
 
 class TestScanWindow:
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            ScanWindow(())
+    def test_rejects_empty(self, small_map):
+        with pytest.raises(ValueError, match="at least one scan"):
+            probabilistic_locate(small_map, ())
 
-    def test_rejects_non_increasing(self):
-        with pytest.raises(ValueError):
-            ScanWindow((scan({"A": 1}, t=5.0), scan({"A": 1}, t=5.0)))
+    def test_rejects_non_increasing(self, small_map):
+        window = (scan({"A": 1}, t=5.0), scan({"A": 1}, t=5.0))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            probabilistic_locate(small_map, window)
 
-    def test_sequence_protocol(self, small_map):
-        w = ScanWindow((scan({"A": 10}, t=1.0), scan({"A": 11}, t=2.0)))
+    def test_accepts_tuple_window(self, small_map):
+        w = (scan({"A": 10}, t=1.0), scan({"A": 11}, t=2.0))
         assert len(w) == 2
         assert w[0].timestamp == 1.0
         est = probabilistic_locate(small_map, w)
@@ -179,17 +178,18 @@ class TestScanWindow:
 
 class TestRssiDistance:
     def test_identical_is_zero(self):
-        assert rssi_distance({"A": 10, "B": 5}, {"A": 10, "B": 5}) == 0.0
+        assert brute_rssi_distance({"A": 10, "B": 5}, {"A": 10, "B": 5}) == 0.0
 
     def test_one_dimensional(self):
-        assert rssi_distance({"A": 10}, {"A": 13}) == pytest.approx(3.0)
+        assert brute_rssi_distance({"A": 10}, {"A": 13}) == pytest.approx(3.0)
 
     def test_disjoint_towers_imputed_as_zero(self):
-        assert rssi_distance({"A": 10}, {"B": 10}) == pytest.approx(math.sqrt(200), abs=1e-12)
+        expected = pytest.approx(math.sqrt(200), abs=1e-12)
+        assert brute_rssi_distance({"A": 10}, {"B": 10}) == expected
 
     def test_symmetry(self):
         a, b = {"A": 3, "B": 30}, {"B": 1, "C": 12}
-        assert rssi_distance(a, b) == rssi_distance(b, a)
+        assert brute_rssi_distance(a, b) == brute_rssi_distance(b, a)
 
 
 class TestHybridLocate:
@@ -352,3 +352,13 @@ def test_topk_selection_invariant_under_uniform_shift(scores, shift, k):
         return order[: min(k, len(order))]
 
     assert select(scores) == select([s + shift for s in scores])
+
+
+def test_reference_helpers_are_not_package_api():
+    # Scalar references live in tests/oracles.py; the package ships only the fast paths.
+    import gsmloc
+    from gsmloc import estimators, gp, radiomap
+
+    for name in ("rssi_distance", "cell_likelihood", "kernel", "ScanWindow"):
+        for module in (gsmloc, estimators, gp, radiomap):
+            assert not hasattr(module, name), f"{module.__name__}.{name}"

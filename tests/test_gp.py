@@ -16,12 +16,11 @@ from gsmloc.gp import (
     gp_locate,
     gp_log_marginal_likelihood,
     gp_predict,
-    kernel,
     load_grid,
     save_grid,
 )
 from gsmloc.radiomap import MapFormatError
-from oracles import brute_gp_locate, naive_gp_posterior, naive_log_marginal
+from oracles import brute_gp_locate, kernel, naive_gp_posterior, naive_log_marginal
 
 HYPER = GpHyperparams(sigma_f2=100.0, sigma_n2=4.0, length_scale=100.0)
 

@@ -12,11 +12,10 @@ from gsmloc.radiomap import (
     SmoothingParams,
     TowerHistogram,
     build_radio_map,
-    cell_likelihood,
     load_radio_map,
     save_radio_map,
 )
-from oracles import random_instance
+from oracles import likelihood_from_counts, random_instance
 
 import numpy as np
 
@@ -158,29 +157,29 @@ class TestCellLikelihood:
     def test_laplace_smoothing_value(self):
         cell = self._cell_with({10: 4})
         sm = SmoothingParams(alpha=0.5)
-        assert cell_likelihood(cell, "A", 10, sm) == pytest.approx(4.5 / 20.0, abs=1e-15)
+        assert likelihood_from_counts(cell, "A", 10, sm) == pytest.approx(4.5 / 20.0, abs=1e-15)
 
     def test_uniform_histogram_alpha_zero(self):
         cell = self._cell_with({asu: 1 for asu in range(32)})
         sm = SmoothingParams(alpha=0.0)
         for asu in (0, 7, 31):
-            assert cell_likelihood(cell, "A", asu, sm) == pytest.approx(1 / 32, abs=1e-15)
+            assert likelihood_from_counts(cell, "A", asu, sm) == pytest.approx(1 / 32, abs=1e-15)
 
     def test_unheard_tower_floor(self):
         cell = self._cell_with({10: 4})
         sm = SmoothingParams()
-        assert cell_likelihood(cell, "ZZZ", 10, sm) == 1e-4
+        assert likelihood_from_counts(cell, "ZZZ", 10, sm) == 1e-4
 
     def test_sums_to_one_alpha_zero(self):
         cell = self._cell_with({3: 2, 9: 5, 30: 1})
         sm = SmoothingParams(alpha=0.0)
-        total = sum(cell_likelihood(cell, "A", asu, sm) for asu in range(32))
+        total = sum(likelihood_from_counts(cell, "A", asu, sm) for asu in range(32))
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_sums_to_one_alpha_positive(self):
         cell = self._cell_with({3: 2, 9: 5})
         sm = SmoothingParams(alpha=0.5)
-        total = sum(cell_likelihood(cell, "A", asu, sm) for asu in range(32))
+        total = sum(likelihood_from_counts(cell, "A", asu, sm) for asu in range(32))
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_table_matches_scalar_op(self):
@@ -194,7 +193,7 @@ class TestCellLikelihood:
             cell = rm.cells[key]
             for tid, t in tower_index.items():
                 for asu in range(32):
-                    expected = math.log(cell_likelihood(cell, tid, asu, sm))
+                    expected = math.log(likelihood_from_counts(cell, tid, asu, sm))
                     assert table[t, asu, ci] == pytest.approx(expected, rel=1e-12)
 
 
@@ -248,6 +247,29 @@ class TestPersistence:
         path = tmp_path / "map.json"
         path.write_bytes(b'{"version": 1, "kind": "radio_map", "cells": ["\xff\xfe"]}')
         with pytest.raises(MapFormatError, match="UTF-8"):
+            load_radio_map(str(path))
+
+    @staticmethod
+    def _saved_doc(tmp_path):
+        rm, _ = random_instance(np.random.default_rng(29))
+        path = tmp_path / "map.json"
+        save_radio_map(rm, str(path))
+        return path, json.loads(path.read_text())
+
+    def test_tower_missing_from_towers_list_rejected(self, tmp_path):
+        path, doc = self._saved_doc(tmp_path)
+        missing = doc["towers"].pop(0)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MapFormatError, match=f"not in 'towers'.*{missing}"):
+            load_radio_map(str(path))
+
+    @pytest.mark.parametrize("asu", [-1, 32])
+    def test_point_reading_outside_asu_range_rejected(self, tmp_path, asu):
+        path, doc = self._saved_doc(tmp_path)
+        readings = doc["cells"][0]["points"][0]["readings"]
+        readings[next(iter(readings))] = asu
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MapFormatError, match="outside ASU"):
             load_radio_map(str(path))
 
     def test_wrong_kind_rejected(self, tmp_path):
