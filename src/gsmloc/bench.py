@@ -61,6 +61,9 @@ PRESET_PARAMS: dict[str, dict[str, EstimatorParams]] = {
     },
 }
 
+#: Calls per window in :func:`evaluate` and the sweeps; the median is timed.
+TIME_REPEATS = 3
+
 #: GP lattice spacing per preset, sized so the precomputed point count lands
 #: near one thousand (rural) and six hundred (urban).
 PRESET_GP_SPACING_M = {"rural": 42.0, "urban": 87.0}
@@ -115,7 +118,7 @@ def evaluate(
     technique: str | Callable,
     params: EstimatorParams | None = None,
     *,
-    time_repeats: int = 3,
+    time_repeats: int = TIME_REPEATS,
 ) -> EvalReport:
     """Run one technique over a test trace and aggregate an :class:`EvalReport`.
 
@@ -184,7 +187,7 @@ def sweep_grid_length(
     params: EstimatorParams | None = None,
     technique: str | Callable = "probabilistic",
     origin: GeoPoint | None = None,
-    time_repeats: int = 3,
+    time_repeats: int = TIME_REPEATS,
 ) -> list[EvalReport]:
     """Rebuild the map at each grid length and evaluate on the same trace."""
     if not grid_lengths:
@@ -205,7 +208,7 @@ def sweep_ns(
     *,
     params: EstimatorParams | None = None,
     technique: str | Callable = "probabilistic",
-    time_repeats: int = 3,
+    time_repeats: int = TIME_REPEATS,
 ) -> list[EvalReport]:
     """Evaluate one map under different window lengths."""
     if not ns_values:
@@ -230,7 +233,7 @@ def sweep_k(
     *,
     params: EstimatorParams | None = None,
     technique: str | Callable = "probabilistic",
-    time_repeats: int = 3,
+    time_repeats: int = TIME_REPEATS,
 ) -> list[EvalReport]:
     """Evaluate one map under different top-K averaging counts."""
     if not k_values:
@@ -256,7 +259,7 @@ def sweep_tower_drop(
     params: EstimatorParams | None = None,
     technique: str | Callable = "probabilistic",
     base_seed: int = 0,
-    time_repeats: int = 3,
+    time_repeats: int = TIME_REPEATS,
 ) -> list[EvalReport]:
     """Evaluate maps with a random subset of towers removed."""
     if not drop_fractions:
@@ -281,7 +284,7 @@ def sweep_density(
     technique: str | Callable = "probabilistic",
     origin: GeoPoint | None = None,
     base_seed: int = 0,
-    time_repeats: int = 3,
+    time_repeats: int = TIME_REPEATS,
 ) -> list[EvalReport]:
     """Thin the training trace before the map build and evaluate each map."""
     if not keep_fractions:

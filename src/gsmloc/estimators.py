@@ -15,7 +15,8 @@ Four techniques share the :class:`~gsmloc.radiomap.RadioMap` fingerprint:
 * :func:`cellid_locate` returns the known location of the strongest tower.
 
 All estimators are pure functions of immutable inputs: identical inputs
-give bit-identical outputs, and concurrent calls are safe.
+give bit-identical outputs, and concurrent calls are safe: of a map's arrays,
+only the per-smoothing log-likelihood table is built on first use.
 """
 
 from __future__ import annotations
@@ -178,14 +179,13 @@ def hybrid_locate(
     scores = _posterior_vector(radio_map, [first], smoothing)
     best = int(np.argmax(scores))  # ties resolve to the lowest (row, col)
     key = radio_map.cell_keys()[best]
-    cell = radio_map.cells[key]
-    if not cell.points:
+    locations, readings = radio_map.cell_point_arrays(key)
+    if len(locations) == 0:
         raise ValueError("hybrid refinement needs raw points; map was built with strip_points")
 
     # Squared ASU-space distance against every point of the cell at once;
     # ranks identically to the Euclidean distance over the union of tower ids
     # with missing-as-0 (towers unknown to the map shift all points equally).
-    locations, readings = radio_map.cell_point_arrays(key)
     tower_index = radio_map.tower_index()
     v = np.zeros(readings.shape[1])
     for tower_id, asu in first.readings.items():
@@ -197,7 +197,7 @@ def hybrid_locate(
     if k_refine == 1:
         x, y = locations[int(np.argmin(sq_dists))]  # first minimum, as below
     else:
-        nearest = np.argsort(sq_dists, kind="stable")[: min(k_refine, len(cell.points))]
+        nearest = np.argsort(sq_dists, kind="stable")[:k_refine]
         x, y = locations[nearest].mean(axis=0)
     return LocationEstimate(PlanarPoint(float(x), float(y)), float(scores[best]), ((key, 1.0),))
 

@@ -42,6 +42,8 @@ GP_GRID_KIND = "gp_grid"
 DEFAULT_LENGTH_SCALES_M = (50.0, 100.0, 200.0, 400.0, 800.0)
 DEFAULT_SIGNAL_VARS = (25.0, 100.0, 400.0)
 DEFAULT_NOISE_VARS = (1.0, 4.0, 16.0)
+FIT_MAX_POINTS = 500  # training points kept per tower, subsampled with FIT_SEED
+FIT_SEED = 0
 
 _JITTER_START = 1e-8
 _JITTER_RETRIES = 3
@@ -167,8 +169,8 @@ def gp_fit(
     values: Sequence[float] | np.ndarray,
     hyper_grid: Iterable[GpHyperparams] | None = None,
     *,
-    max_points: int = 500,
-    seed: int = 0,
+    max_points: int = FIT_MAX_POINTS,
+    seed: int = FIT_SEED,
 ) -> GpTowerModel:
     """Fit one tower's GP, selecting hyperparameters by grid search.
 
@@ -247,8 +249,8 @@ def fit_tower_models(
     origin: GeoPoint,
     *,
     hyper_grid: Iterable[GpHyperparams] | None = None,
-    max_points: int = 500,
-    seed: int = 0,
+    max_points: int = FIT_MAX_POINTS,
+    seed: int = FIT_SEED,
     min_points: int = 2,
 ) -> dict[str, GpTowerModel]:
     """Fit one GP per tower from a ground-truthed trace.

@@ -88,9 +88,6 @@ class TowerHistogram:
     def total(self) -> int:
         return sum(self.counts)
 
-    def mean_asu(self) -> float:
-        return sum(asu * c for asu, c in enumerate(self.counts)) / self.total
-
 
 @dataclass(frozen=True)
 class GridCell:
@@ -108,9 +105,10 @@ class RadioMap:
 
     The grid is anchored at the minimum x/y of the training data, so cell
     (row, col) covers [anchor_x + col*G, anchor_x + (col+1)*G) horizontally
-    and the same vertically with row.  The fields never change after
-    construction; the derived arrays below are computed on first use and
-    memoized in ``_cache``, which equality ignores.
+    and the same vertically with row.  The fields never change, and
+    construction builds every read-only array the estimators use except the
+    log-likelihood table, which depends on the smoothing: it is built on
+    first use, once per :class:`SmoothingParams`.
     """
 
     origin: GeoPoint
@@ -120,7 +118,46 @@ class RadioMap:
     cells: dict[tuple[int, int], GridCell]
     tower_ids: frozenset[str]
     tower_locations: dict[str, PlanarPoint] | None = None
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _keys: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
+    _tower_index: dict[str, int] = field(init=False, repr=False, compare=False)
+    _centroids: np.ndarray = field(init=False, repr=False, compare=False)
+    _mean_asu: np.ndarray = field(init=False, repr=False, compare=False)
+    _points: dict = field(init=False, repr=False, compare=False)  # cell key -> point arrays
+    _loglik: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        keys = tuple(sorted(self.cells))
+        tower_index = {tid: i for i, tid in enumerate(sorted(self.tower_ids))}
+        object.__setattr__(self, "_keys", keys)
+        object.__setattr__(self, "_tower_index", tower_index)
+        centroids = np.array([[self.cells[k].centroid.x, self.cells[k].centroid.y] for k in keys])
+        rows, cols, counts = self._histogram_rows()
+        mean_asu = np.zeros((len(keys), len(tower_index)))
+        # An exact integer sum, then one division: the mean ASU of each histogram.
+        mean_asu[rows, cols] = (counts @ np.arange(N_ASU_BINS)) / counts.sum(axis=1)
+        points = {}
+        for key in keys:
+            cell = self.cells[key]
+            locations = np.array([[p.location.x, p.location.y] for p in cell.points])
+            readings = np.zeros((len(cell.points), len(tower_index)), dtype=np.uint8)
+            for i, p in enumerate(cell.points):
+                for tid, asu in p.readings.items():
+                    readings[i, tower_index[tid]] = asu
+            locations.setflags(write=False)
+            readings.setflags(write=False)
+            points[key] = (locations, readings)
+        centroids.setflags(write=False)
+        mean_asu.setflags(write=False)
+        object.__setattr__(self, "_centroids", centroids)
+        object.__setattr__(self, "_mean_asu", mean_asu)
+        object.__setattr__(self, "_points", points)
+
+    def _histogram_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every stored histogram as a cell position, a tower column and a counts row."""
+        heard = [(ci, self._tower_index[tid], hist.counts) for ci, key in enumerate(self._keys)
+                 for tid, hist in self.cells[key].histograms.items()]
+        rows, cols = (np.array([h[i] for h in heard], dtype=np.intp) for i in (0, 1))
+        return rows, cols, np.array([h[2] for h in heard], dtype=np.int64).reshape(-1, N_ASU_BINS)
 
     @property
     def n_cells(self) -> int:
@@ -131,33 +168,17 @@ class RadioMap:
         """True when raw fingerprint points were retained in every cell."""
         return all(cell.points for cell in self.cells.values())
 
-    # -- derived arrays, built lazily and memoized (the fields never change) --
-
     def cell_keys(self) -> tuple[tuple[int, int], ...]:
         """Cell indices in deterministic (row, col) order."""
-        keys = self._cache.get("cell_keys")
-        if keys is None:
-            keys = tuple(sorted(self.cells))
-            self._cache["cell_keys"] = keys
-        return keys
+        return self._keys
 
     def centroid_array(self) -> np.ndarray:
         """(n_cells, 2) centroid coordinates aligned with :meth:`cell_keys`."""
-        arr = self._cache.get("centroids")
-        if arr is None:
-            keys = self.cell_keys()
-            arr = np.array([[self.cells[k].centroid.x, self.cells[k].centroid.y] for k in keys])
-            arr.setflags(write=False)
-            self._cache["centroids"] = arr
-        return arr
+        return self._centroids
 
     def tower_index(self) -> dict[str, int]:
         """Stable tower id -> column index mapping (lexicographic)."""
-        idx = self._cache.get("tower_index")
-        if idx is None:
-            idx = {tid: i for i, tid in enumerate(sorted(self.tower_ids))}
-            self._cache["tower_index"] = idx
-        return idx
+        return self._tower_index
 
     def log_likelihood_table(self, smoothing: SmoothingParams) -> np.ndarray:
         """Smoothed per-cell log-likelihoods, shape (n_towers, 32, n_cells).
@@ -167,61 +188,31 @@ class RadioMap:
         :meth:`cell_keys`).  Cells without a histogram for a tower hold
         log(p_min).  With alpha == 0, unseen ASU bins are -inf.
         """
-        key = ("loglik", smoothing.alpha, smoothing.p_min)
-        table = self._cache.get(key)
+        table = self._loglik.get(smoothing)
         if table is None:
-            keys = self.cell_keys()
-            tower_index = self.tower_index()
-            n_towers = len(tower_index)
-            table = np.full(
-                (n_towers, N_ASU_BINS, len(keys)), math.log(smoothing.p_min), dtype=float
-            )
+            shape = (len(self._tower_index), N_ASU_BINS, len(self._keys))
+            table = np.full(shape, math.log(smoothing.p_min), dtype=float)
+            rows, cols, counts = self._histogram_rows()
             alpha = smoothing.alpha
+            probs = (counts + alpha) / (counts.sum(axis=1) + N_ASU_BINS * alpha)[:, None]
             with np.errstate(divide="ignore"):
-                for ci, cell_key in enumerate(keys):
-                    for tid, hist in self.cells[cell_key].histograms.items():
-                        counts = np.asarray(hist.counts, dtype=float)
-                        probs = (counts + alpha) / (hist.total + N_ASU_BINS * alpha)
-                        table[tower_index[tid], :, ci] = np.log(probs)
+                table[cols, :, rows] = np.log(probs)
             table.setflags(write=False)
-            self._cache[key] = table
+            self._loglik[smoothing] = table
         return table
 
     def mean_asu_matrix(self) -> np.ndarray:
         """(n_cells, n_towers) per-cell mean ASU, 0.0 where a tower is unheard."""
-        mat = self._cache.get("mean_asu")
-        if mat is None:
-            keys = self.cell_keys()
-            tower_index = self.tower_index()
-            mat = np.zeros((len(keys), len(tower_index)))
-            for ci, cell_key in enumerate(keys):
-                for tid, hist in self.cells[cell_key].histograms.items():
-                    mat[ci, tower_index[tid]] = hist.mean_asu()
-            mat.setflags(write=False)
-            self._cache["mean_asu"] = mat
-        return mat
+        return self._mean_asu
 
     def cell_point_arrays(self, key: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
         """One cell's points as arrays: locations (P, 2) and readings (P, n_towers).
 
-        The readings matrix is indexed per :meth:`tower_index` with 0.0 for
-        towers a point did not hear, which matches the "not heard is at the
-        sensitivity floor" imputation of RSSI-space distances.
+        The ``uint8`` readings matrix is indexed per :meth:`tower_index`
+        with ASU 0 for towers a point did not hear, which matches the "not
+        heard is at the sensitivity floor" imputation of RSSI-space distances.
         """
-        cached = self._cache.get(("points", key))
-        if cached is None:
-            cell = self.cells[key]
-            tower_index = self.tower_index()
-            locations = np.array([[p.location.x, p.location.y] for p in cell.points])
-            readings = np.zeros((len(cell.points), len(tower_index)))
-            for i, p in enumerate(cell.points):
-                for tid, asu in p.readings.items():
-                    readings[i, tower_index[tid]] = asu
-            locations.setflags(write=False)
-            readings.setflags(write=False)
-            cached = (locations, readings)
-            self._cache[("points", key)] = cached
-        return cached
+        return self._points[key]
 
 
 def default_origin(scans: Sequence[ScanVector]) -> GeoPoint:
@@ -393,8 +384,9 @@ def load_radio_map(path: str) -> RadioMap:
 
     Raises:
         MapFormatError: on version mismatch, a malformed/truncated file, a
-            histogram or point naming a tower missing from ``towers``, or a
-            point reading outside ASU 0..31; no partial map is ever returned.
+            histogram or point naming a tower missing from ``towers``, a
+            point reading outside ASU 0..31, or two entries for one cell; no
+            partial map is ever returned.
     """
     doc = load_document(path, RADIO_MAP_KIND)
     try:
@@ -403,6 +395,8 @@ def load_radio_map(path: str) -> RadioMap:
         cells: dict[tuple[int, int], GridCell] = {}
         for entry in doc["cells"]:
             key = (int(entry["row"]), int(entry["col"]))
+            if key in cells:
+                raise ValueError(f"cell {key} appears more than once")
             histograms = {
                 tid: TowerHistogram(tuple(int(c) for c in counts))
                 for tid, counts in entry["histograms"].items()

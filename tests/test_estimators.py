@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ORIGIN, scan_at_planar
+from gsmloc.bench import ablate_towers
 from gsmloc.estimators import (
     EstimatorParams,
     cell_log_posterior,
@@ -15,7 +16,7 @@ from gsmloc.estimators import (
     probabilistic_locate,
 )
 from gsmloc.geo import GeoPoint, PlanarPoint, ScanVector
-from gsmloc.radiomap import SmoothingParams, build_radio_map
+from gsmloc.radiomap import SmoothingParams, build_radio_map, load_radio_map, save_radio_map
 from oracles import (
     boundary_tie,
     brute_deterministic,
@@ -30,6 +31,22 @@ from oracles import (
 
 def scan(readings, t=100.0):
     return ScanVector(t, dict(readings))
+
+
+def as_built(rm):
+    return rm
+
+
+@pytest.fixture(params=["loaded", "ablated"])
+def remake(request, tmp_path):
+    """The other two ways a map is made: saved then loaded, or with half of
+    its towers ablated.  Every constructor builds the map's arrays itself."""
+    def loaded(rm):
+        path = str(tmp_path / "map.json")
+        save_radio_map(rm, path)
+        return load_radio_map(path)
+
+    return {"loaded": loaded, "ablated": lambda rm: ablate_towers(rm, 0.5, 11)}[request.param]
 
 
 class TestLogPosterior:
@@ -97,11 +114,20 @@ class TestProbabilisticLocate:
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_matches_brute_force(self, k):
+        self._check_brute_force(k, as_built)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matches_brute_force_on_remade_map(self, k, remake):
+        self._check_brute_force(k, remake)
+
+    @staticmethod
+    def _check_brute_force(k, remake):
         rng = np.random.default_rng(47 + k)
         sm = SmoothingParams()
         checked = 0
         while checked < 40:
             rm, window = random_instance(rng)
+            rm = remake(rm)
             if boundary_tie(cell_probabilities(rm, window, sm), k, descending=True):
                 continue  # top-K boundary tie: selection is domain-dependent
             est = probabilistic_locate(rm, window, EstimatorParams(k=k, smoothing=sm))
@@ -109,6 +135,25 @@ class TestProbabilisticLocate:
             assert est.location.x == pytest.approx(bx, abs=1e-9)
             assert est.location.y == pytest.approx(by, abs=1e-9)
             checked += 1
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_zero_alpha_unseen_asu_falls_back_to_uniform_weights(self, k):
+        # Every cell heard tower A, none at ASU 20: with alpha = 0 every
+        # cell scores -inf, and the top K are weighted uniformly.
+        scans = [
+            scan_at_planar(t, x, 10.0, {"A": 10, "B": 12})
+            for t, x in enumerate((10.0, 100.0, 190.0, 280.0))
+        ]
+        rm = build_radio_map(scans, 70.0, origin=ORIGIN)
+        sm = SmoothingParams(alpha=0.0)
+        window = [scan({"A": 20, "B": 12})]
+        est = probabilistic_locate(rm, window, EstimatorParams(k=k, smoothing=sm))
+        assert est.log_score == -math.inf
+        assert [key for key, _ in est.contributing_cells] == sorted(rm.cells)[:k]
+        assert [w for _, w in est.contributing_cells] == [1.0 / k] * k
+        bx, by = brute_probabilistic(rm, window, k, sm)
+        assert est.location.x == pytest.approx(bx, abs=1e-9)
+        assert est.location.y == pytest.approx(by, abs=1e-9)
 
     def test_weights_sum_to_one_inside_hull(self):
         rng = np.random.default_rng(53)
@@ -212,11 +257,19 @@ class TestHybridLocate:
         assert est.location.y == pytest.approx(60.0, abs=1e-9)
 
     def test_matches_brute_force(self):
+        self._check_brute_force(as_built)
+
+    def test_matches_brute_force_on_remade_map(self, remake):
+        self._check_brute_force(remake)
+
+    @staticmethod
+    def _check_brute_force(remake):
         rng = np.random.default_rng(67)
         sm = SmoothingParams()
         checked = 0
         while checked < 40:
             rm, window = random_instance(rng)
+            rm = remake(rm)
             if boundary_tie(cell_probabilities(rm, [window[0]], sm), 1, descending=True):
                 continue  # phase-1 argmax tie: domain-dependent
             first = window[0]
@@ -272,10 +325,18 @@ class TestDeterministicLocate:
         assert est.location.x == pytest.approx(sum(c.x for c in cents) / 2, abs=1e-9)
 
     def test_matches_brute_force(self):
+        self._check_brute_force(as_built)
+
+    def test_matches_brute_force_on_remade_map(self, remake):
+        self._check_brute_force(remake)
+
+    @staticmethod
+    def _check_brute_force(remake):
         rng = np.random.default_rng(73)
         checked = 0
         while checked < 40:
             rm, window = random_instance(rng)
+            rm = remake(rm)
             dists = _oracle_cell_distances(rm, window)
             if any(boundary_tie(dists, k, descending=False) for k in (1, 2, 4)):
                 continue

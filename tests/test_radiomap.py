@@ -136,10 +136,11 @@ class TestHistogram:
             TowerHistogram((0,) * 32)
 
     def test_mean(self):
-        counts = [0] * 32
-        counts[10] = 3
-        counts[20] = 1
-        assert TowerHistogram(tuple(counts)).mean_asu() == pytest.approx(12.5)
+        asus = [10, 10, 10, 20]
+        rm = build_radio_map(
+            [scan_at_planar(t, 1.0, 1.0, {"A": asu}) for t, asu in enumerate(asus)], 70.0, origin=ORIGIN
+        )
+        assert rm.mean_asu_matrix().tolist() == [[12.5]]
 
 
 class TestCellLikelihood:
@@ -195,6 +196,17 @@ class TestCellLikelihood:
                 for asu in range(32):
                     expected = math.log(likelihood_from_counts(cell, tid, asu, sm))
                     assert table[t, asu, ci] == pytest.approx(expected, rel=1e-12)
+
+    def test_one_table_per_smoothing(self):
+        rm, _ = random_instance(np.random.default_rng(3))
+        first = rm.log_likelihood_table(SmoothingParams())
+        for sm in (SmoothingParams(alpha=2.0, p_min=1e-3), SmoothingParams(alpha=0.1)):
+            table = rm.log_likelihood_table(sm)
+            for ci, key in enumerate(rm.cell_keys()):
+                for tid, t in rm.tower_index().items():
+                    expected = [math.log(likelihood_from_counts(rm.cells[key], tid, a, sm)) for a in range(32)]
+                    assert table[t, :, ci].tolist() == pytest.approx(expected, rel=1e-12)
+        assert rm.log_likelihood_table(SmoothingParams()) is first
 
 
 class TestPersistence:
@@ -270,6 +282,14 @@ class TestPersistence:
         readings[next(iter(readings))] = asu
         path.write_text(json.dumps(doc))
         with pytest.raises(MapFormatError, match="outside ASU"):
+            load_radio_map(str(path))
+
+    def test_duplicate_cell_rejected(self, tmp_path):
+        path, doc = self._saved_doc(tmp_path)
+        row, col = doc["cells"][0]["row"], doc["cells"][0]["col"]
+        doc["cells"].append(dict(doc["cells"][-1], row=row, col=col))
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MapFormatError, match=rf"cell \({row}, {col}\) appears more than once"):
             load_radio_map(str(path))
 
     def test_wrong_kind_rejected(self, tmp_path):
