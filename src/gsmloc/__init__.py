@@ -3,7 +3,8 @@
 The package splits along the natural pipeline:
 
 * :mod:`gsmloc.geo` - readings, scans, ASU/dBm conversion, planar projection,
-  trace CSV I/O.
+  trace and tower CSV I/O (a malformed file raises ``TraceFormatError``
+  naming its line).
 * :mod:`gsmloc.radiomap` - offline fingerprint construction and persistence.
 * :mod:`gsmloc.estimators` - the probabilistic, hybrid, deterministic-KNN
   and cell-ID estimators.
@@ -46,16 +47,13 @@ from .geo import (
     GeoPoint,
     PlanarPoint,
     ProjectionRangeWarning,
-    ScanRow,
     ScanVector,
     TraceFormatError,
     asu_to_dbm,
     dbm_to_asu,
-    group_rows_into_scans,
     project,
     read_tower_locations,
     read_trace,
-    read_trace_rows,
     unproject,
     write_tower_locations,
     write_trace,

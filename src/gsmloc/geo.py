@@ -5,6 +5,10 @@ phone APIs, an integer in [0, 31] with dBm = 2*ASU - 113.  A scan is the set
 of readings a phone reports in one instant: the serving cell plus up to six
 neighbours, so at most seven towers.
 
+Trace and tower-location CSV files share one record reader.  A trace becomes
+a list of :class:`ScanVector` in a single pass over its rows, and every
+malformed file raises :class:`TraceFormatError` naming its path and line.
+
 All distance math in this package runs in a local planar frame obtained by
 an equirectangular projection about a fixed origin.  At the areas this
 toolkit targets (a few km across) the projection round-trips within 0.1 m,
@@ -14,10 +18,11 @@ so Euclidean geometry on (x, y) is exact for every practical purpose.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 EARTH_RADIUS_M = 6_371_000.0
 
@@ -123,21 +128,6 @@ def _check_asu(asu: int) -> None:
 
 
 @dataclass(frozen=True)
-class ScanRow:
-    """One tower reading: a single line of a war-driving trace."""
-
-    timestamp: float
-    tower_id: str
-    asu: int
-    truth: GeoPoint | None = None
-
-    def __post_init__(self) -> None:
-        if not self.tower_id:
-            raise ValueError("tower_id must be non-empty")
-        _check_asu(self.asu)
-
-
-@dataclass(frozen=True)
 class ScanVector:
     """All readings reported at one instant: 1 to 7 towers.
 
@@ -159,37 +149,6 @@ class ScanVector:
             if not tower_id:
                 raise ValueError("tower_id must be non-empty")
             _check_asu(asu)
-
-
-def group_rows_into_scans(rows: Sequence[ScanRow]) -> list[ScanVector]:
-    """Merge rows sharing a timestamp into one :class:`ScanVector` each.
-
-    Rows must already be sorted by timestamp (scans arrive once per second,
-    so equal timestamps delimit one scan).  A tower repeated within one
-    timestamp keeps the last row.  The merged scan carries the ground truth
-    of its rows (rows of one scan share it; the last row wins).
-
-    Raises:
-        ValueError: if ``rows`` is not sorted by timestamp.
-    """
-    scans: list[ScanVector] = []
-    readings: dict[str, int] = {}
-    current_t: float | None = None
-    current_truth: GeoPoint | None = None
-    for i, row in enumerate(rows):
-        if i > 0 and row.timestamp < rows[i - 1].timestamp:
-            raise ValueError(
-                f"rows not sorted by timestamp: {row.timestamp} after {rows[i - 1].timestamp}"
-            )
-        if current_t is not None and row.timestamp != current_t:
-            scans.append(ScanVector(current_t, readings, current_truth))
-            readings = {}
-        current_t = row.timestamp
-        current_truth = row.truth
-        readings[row.tower_id] = row.asu
-    if current_t is not None:
-        scans.append(ScanVector(current_t, readings, current_truth))
-    return scans
 
 
 # ---------------------------------------------------------------------------
@@ -217,35 +176,80 @@ def write_trace(scans: Iterable[ScanVector], path: str) -> None:
                 writer.writerow([repr(scan.timestamp), lat, lon, tower_id, scan.readings[tower_id]])
 
 
-def read_trace_rows(path: str) -> list[ScanRow]:
-    """Read a trace CSV into rows, validating header and field types."""
-    rows: list[ScanRow] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != TRACE_HEADER:
-            raise TraceFormatError(
-                f"{path}: expected header {','.join(TRACE_HEADER)!r}, got {header!r}"
-            )
-        for lineno, rec in enumerate(reader, start=2):
+def _read_records(path: str, header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
+    """Yield ``(line, fields)`` for each non-blank record of a UTF-8 CSV file.
+
+    Checks the encoding, the header and each record's field count, and raises
+    :class:`TraceFormatError` naming ``path`` and the line at fault.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise TraceFormatError(f"{path}:{line}: not valid UTF-8 ({exc.reason})") from exc
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        first = next(reader, None)
+        if first is None or tuple(h.strip() for h in first) != header:
+            raise TraceFormatError(f"{path}:1: expected header {','.join(header)!r}, got {first!r}")
+        for rec in reader:
             if not rec:
                 continue
-            if len(rec) != len(TRACE_HEADER):
-                raise TraceFormatError(f"{path}:{lineno}: expected {len(TRACE_HEADER)} fields")
-            t_s, lat_s, lon_s, tower_id, asu_s = rec
-            try:
-                truth = None
-                if lat_s != "" or lon_s != "":
-                    truth = GeoPoint(float(lat_s), float(lon_s))
-                rows.append(ScanRow(float(t_s), tower_id, int(asu_s), truth))
-            except (ValueError, TypeError) as exc:
-                raise TraceFormatError(f"{path}:{lineno}: {exc}") from exc
-    return rows
+            if len(rec) != len(header):
+                raise TraceFormatError(
+                    f"{path}:{reader.line_num}: expected {len(header)} fields, got {len(rec)}"
+                )
+            yield reader.line_num, rec
+    except csv.Error as exc:
+        raise TraceFormatError(f"{path}:{reader.line_num}: {exc}") from exc
 
 
 def read_trace(path: str) -> list[ScanVector]:
-    """Read a trace CSV and group its rows into scans."""
-    return group_rows_into_scans(read_trace_rows(path))
+    """Read a trace CSV into scans, in one pass over its records.
+
+    Rows that share a timestamp form one scan, and timestamps must be finite
+    and must not decrease.  A tower repeated within one timestamp keeps its
+    last row, and a scan takes the ground truth of its last row.  A
+    header-only file gives ``[]``.
+
+    Raises:
+        TraceFormatError: naming ``path`` and the line at fault, for a bad
+            header, a wrong field count, an unparsable field, an empty tower
+            id, an ASU outside [0, 31], a decreasing or non-finite timestamp,
+            or an eighth distinct tower in one scan.
+    """
+    scans: list[ScanVector] = []
+    readings: dict[str, int] = {}
+    t = -math.inf  # timestamp of the scan being gathered
+    truth: GeoPoint | None = None
+    for line, (t_s, lat_s, lon_s, tower_id, asu_s) in _read_records(path, TRACE_HEADER):
+        try:
+            row_t = float(t_s)
+            if not math.isfinite(row_t):
+                raise ValueError(f"timestamp {t_s!r} is not finite")
+            if row_t < t:
+                raise ValueError(f"timestamp {row_t} after {t}: rows not sorted by timestamp")
+            if not tower_id:
+                raise ValueError("tower_id must be non-empty")
+            asu = int(asu_s)
+            _check_asu(asu)
+            row_truth = GeoPoint(float(lat_s), float(lon_s)) if lat_s or lon_s else None
+        except ValueError as exc:
+            raise TraceFormatError(f"{path}:{line}: {exc}") from exc
+        if row_t != t:
+            if readings:
+                scans.append(ScanVector(t, readings, truth))
+            readings = {}
+            t = row_t
+        readings[tower_id] = asu
+        truth = row_truth
+        if len(readings) > MAX_READINGS:
+            raise TraceFormatError(f"{path}:{line}: more than {MAX_READINGS} towers at t={t}")
+    if readings:
+        scans.append(ScanVector(t, readings, truth))
+    return scans
 
 
 def write_tower_locations(towers: Mapping[str, GeoPoint], path: str) -> None:
@@ -259,23 +263,19 @@ def write_tower_locations(towers: Mapping[str, GeoPoint], path: str) -> None:
 
 
 def read_tower_locations(path: str) -> dict[str, GeoPoint]:
-    """Read a ``tower_id,lat,lon`` CSV."""
+    """Read a ``tower_id,lat,lon`` CSV.
+
+    Raises:
+        TraceFormatError: naming ``path`` and the line at fault, for a bad
+            header, a wrong field count, an unparsable or out-of-range
+            coordinate, or a tower id listed twice.
+    """
     towers: dict[str, GeoPoint] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != TOWER_HEADER:
-            raise TraceFormatError(
-                f"{path}: expected header {','.join(TOWER_HEADER)!r}, got {header!r}"
-            )
-        for lineno, rec in enumerate(reader, start=2):
-            if not rec:
-                continue
-            if len(rec) != len(TOWER_HEADER):
-                raise TraceFormatError(f"{path}:{lineno}: expected {len(TOWER_HEADER)} fields")
-            tower_id, lat_s, lon_s = rec
-            try:
-                towers[tower_id] = GeoPoint(float(lat_s), float(lon_s))
-            except (ValueError, TypeError) as exc:
-                raise TraceFormatError(f"{path}:{lineno}: {exc}") from exc
+    for line, (tower_id, lat_s, lon_s) in _read_records(path, TOWER_HEADER):
+        if tower_id in towers:
+            raise TraceFormatError(f"{path}:{line}: tower {tower_id!r} listed twice")
+        try:
+            towers[tower_id] = GeoPoint(float(lat_s), float(lon_s))
+        except ValueError as exc:
+            raise TraceFormatError(f"{path}:{line}: {exc}") from exc
     return towers

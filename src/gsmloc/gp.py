@@ -248,16 +248,14 @@ def fit_tower_models(
     scans: Sequence[ScanVector],
     origin: GeoPoint,
     *,
-    hyper_grid: Iterable[GpHyperparams] | None = None,
     max_points: int = FIT_MAX_POINTS,
     seed: int = FIT_SEED,
-    min_points: int = 2,
 ) -> dict[str, GpTowerModel]:
     """Fit one GP per tower from a ground-truthed trace.
 
-    Towers heard at fewer than ``min_points`` positions are skipped.
-    Per-tower subsampling seeds derive from (seed, tower rank), so results
-    do not depend on fit order.
+    Each tower searches :func:`default_hyper_grid`, and towers heard at fewer
+    than 2 positions are skipped.  Per-tower subsampling seeds derive from
+    (seed, tower rank), so results do not depend on fit order.
     """
     by_tower: dict[str, list[tuple[PlanarPoint, float]]] = {}
     for scan in scans:
@@ -270,15 +268,11 @@ def fit_tower_models(
     models: dict[str, GpTowerModel] = {}
     for rank, tower_id in enumerate(sorted(by_tower)):
         data = by_tower[tower_id]
-        if len(data) < max(min_points, 2):
+        if len(data) < 2:
             continue
         tower_seed = int(np.random.SeedSequence([seed, rank]).generate_state(1)[0])
         models[tower_id] = gp_fit(
-            [p for p, _ in data],
-            [v for _, v in data],
-            hyper_grid,
-            max_points=max_points,
-            seed=tower_seed,
+            [p for p, _ in data], [v for _, v in data], max_points=max_points, seed=tower_seed
         )
     return models
 

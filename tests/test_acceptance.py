@@ -529,15 +529,18 @@ def test_criterion_8_linear_scaling():
         ]
         for (radio_map, _), ws in zip(beds, windows):
             probabilistic_locate(radio_map, ws[5], params)  # warm the map's array cache
-        # Timed as the benchmark times estimates: the beds take turns over
-        # rounds, so a drift in machine speed reaches all three alike; each
-        # window keeps its best call, and a bed's time is the median window.
+        # The machine's speed can switch between states that last from a few
+        # milliseconds to seconds, so the beds take turns call by call, in an
+        # order that rotates, and every state reaches all three alike.
+        # Each window keeps its best call over the rounds, and a bed's time
+        # is the median window.
         best = [[math.inf] * n_windows for _ in beds]
-        for _ in range(15):
-            for b, ((radio_map, _), ws) in enumerate(zip(beds, windows)):
-                for i, w in enumerate(ws):
+        for r in range(15):
+            for i in range(n_windows):
+                for j in range(len(beds)):
+                    b = (r + i + j) % len(beds)
                     t0 = time.perf_counter()
-                    probabilistic_locate(radio_map, w, params)
+                    probabilistic_locate(beds[b][0], windows[b][i], params)
                     best[b][i] = min(best[b][i], time.perf_counter() - t0)
         times = [float(np.median(bed_best)) * 1e3 for bed_best in best]
         print(

@@ -58,6 +58,18 @@ class TestExitCodes:
         assert rc == 2
         assert "T0" in capsys.readouterr().err
 
+    def test_eighth_tower_in_a_scan_is_2_and_names_the_line(self, tmp_path, tiny_trace, capsys):
+        trace, _ = tiny_trace
+        map_path = tmp_path / "map.json"
+        assert main(["build", "--traces", str(trace), "--out", str(map_path)]) == 0
+        bad = tmp_path / "eight.csv"
+        rows = [f"1.0,,,T{i},5" for i in range(8)]
+        bad.write_text("\n".join(["timestamp,lat,lon,tower_id,asu", *rows]) + "\n")
+        rc = main(["locate", "--map", str(map_path), "--scans", str(bad),
+                   "--technique", "probabilistic"])
+        assert rc == 2
+        assert f"{bad}:9:" in capsys.readouterr().err
+
 
 class TestBuildLocateEvaluate:
     def test_build_and_locate(self, tmp_path, tiny_trace, capsys):

@@ -9,16 +9,13 @@ from gsmloc.geo import (
     GeoPoint,
     PlanarPoint,
     ProjectionRangeWarning,
-    ScanRow,
     ScanVector,
     TraceFormatError,
     asu_to_dbm,
     dbm_to_asu,
-    group_rows_into_scans,
     project,
     read_tower_locations,
     read_trace,
-    read_trace_rows,
     unproject,
     write_tower_locations,
     write_trace,
@@ -86,14 +83,21 @@ class TestProjection:
             GeoPoint(0.0, 181.0)
 
 
-class TestScanTypes:
-    def test_scan_row_rejects_empty_tower(self):
-        with pytest.raises(ValueError):
-            ScanRow(0.0, "", 10)
+def _trace(tmp_path, *rows):
+    """Write the trace header and ``rows`` as a trace CSV; return its path."""
+    path = tmp_path / "trace.csv"
+    path.write_text("\n".join(("timestamp,lat,lon,tower_id,asu", *rows)) + "\n")
+    return str(path)
 
-    def test_scan_row_rejects_bad_asu(self):
-        with pytest.raises(ValueError):
-            ScanRow(0.0, "A", 32)
+
+class TestScanTypes:
+    def test_scan_row_rejects_empty_tower(self, tmp_path):
+        with pytest.raises(TraceFormatError, match=":2: tower_id must be non-empty"):
+            read_trace(_trace(tmp_path, "0.0,,,,10"))
+
+    def test_scan_row_rejects_bad_asu(self, tmp_path):
+        with pytest.raises(TraceFormatError, match=r":2: ASU reading 32 outside \[0, 31\]"):
+            read_trace(_trace(tmp_path, "0.0,,,A,32"))
 
     def test_scan_vector_rejects_eight_readings(self):
         with pytest.raises(ValueError):
@@ -105,38 +109,50 @@ class TestScanTypes:
 
 
 class TestGrouping:
-    def test_three_rows_one_scan(self):
-        rows = [ScanRow(5.0, t, 10) for t in ("A", "B", "C")]
-        scans = group_rows_into_scans(rows)
+    """``read_trace`` merges rows that share a timestamp into one scan."""
+
+    def test_three_rows_one_scan(self, tmp_path):
+        scans = read_trace(_trace(tmp_path, *(f"5.0,,,{t},10" for t in ("A", "B", "C"))))
         assert len(scans) == 1
         assert scans[0].readings == {"A": 10, "B": 10, "C": 10}
 
-    def test_two_timestamps_two_scans(self):
-        rows = [ScanRow(5.0, "A", 10), ScanRow(6.0, "A", 11)]
-        scans = group_rows_into_scans(rows)
+    def test_two_timestamps_two_scans(self, tmp_path):
+        scans = read_trace(_trace(tmp_path, "5.0,,,A,10", "6.0,,,A,11"))
         assert [s.timestamp for s in scans] == [5.0, 6.0]
 
-    def test_duplicate_tower_last_wins(self):
-        rows = [ScanRow(5.0, f"T{i}", 10) for i in range(7)]
-        rows.append(ScanRow(5.0, "T3", 25))  # 8 rows, one duplicated tower
-        scans = group_rows_into_scans(rows)
+    def test_duplicate_tower_last_wins(self, tmp_path):
+        rows = [f"5.0,,,T{i},10" for i in range(7)]
+        rows.append("5.0,,,T3,25")  # 8 rows, one duplicated tower
+        scans = read_trace(_trace(tmp_path, *rows))
         assert len(scans) == 1
         assert len(scans[0].readings) == 7
         assert scans[0].readings["T3"] == 25
 
-    def test_unsorted_rows_rejected(self):
-        rows = [ScanRow(6.0, "A", 10), ScanRow(5.0, "A", 10)]
-        with pytest.raises(ValueError, match="sorted"):
-            group_rows_into_scans(rows)
+    def test_unsorted_rows_rejected(self, tmp_path):
+        with pytest.raises(TraceFormatError, match=":3:.*sorted"):
+            read_trace(_trace(tmp_path, "6.0,,,A,10", "5.0,,,A,10"))
 
-    def test_never_more_than_seven_readings(self):
-        rows = [ScanRow(1.0, f"T{i}", 3) for i in range(7)]
-        for scan in group_rows_into_scans(rows):
+    def test_never_more_than_seven_readings(self, tmp_path):
+        for scan in read_trace(_trace(tmp_path, *(f"1.0,,,T{i},3" for i in range(7)))):
             assert 1 <= len(scan.readings) <= 7
             assert len(set(scan.readings)) == len(scan.readings)
 
-    def test_empty_input(self):
-        assert group_rows_into_scans([]) == []
+    def test_empty_input(self, tmp_path):
+        assert read_trace(_trace(tmp_path)) == []
+
+    def test_eighth_tower_rejected_with_line(self, tmp_path):
+        rows = ["0.0,,,A,5"] + [f"1.0,,,T{i},5" for i in range(8)]
+        with pytest.raises(TraceFormatError, match=":10: more than 7 towers at t=1.0"):
+            read_trace(_trace(tmp_path, *rows))
+
+    @pytest.mark.parametrize("stamp", ["nan", "inf", "-inf"])
+    def test_non_finite_timestamp_rejected(self, tmp_path, stamp):
+        with pytest.raises(TraceFormatError, match=":3:.*not finite"):
+            read_trace(_trace(tmp_path, "0.0,,,A,5", f"{stamp},,,A,5"))
+
+    def test_truth_of_last_row_kept(self, tmp_path):
+        scans = read_trace(_trace(tmp_path, "2.0,30.0,31.0,A,5", "2.0,30.5,31.5,B,6"))
+        assert scans[0].truth == GeoPoint(30.5, 31.5)
 
 
 class TestTraceFiles:
@@ -160,17 +176,49 @@ class TestTraceFiles:
     def test_header_checked(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("time,lat,lon,cell,asu\n1,,,,5\n")
-        with pytest.raises(TraceFormatError):
-            read_trace_rows(str(path))
+        with pytest.raises(TraceFormatError, match=":1: expected header"):
+            read_trace(str(path))
 
     def test_bad_field_reported_with_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("timestamp,lat,lon,tower_id,asu\n1.0,,,A,notanumber\n")
         with pytest.raises(TraceFormatError, match=":2:"):
-            read_trace_rows(str(path))
+            read_trace(str(path))
 
     def test_tower_csv_round_trip(self, tmp_path):
         towers = {"T1": GeoPoint(30.01, 31.01), "T0": GeoPoint(30.0, 31.0)}
         path = tmp_path / "towers.csv"
         write_tower_locations(towers, str(path))
         assert read_tower_locations(str(path)) == towers
+
+    @pytest.mark.parametrize(
+        "rows,line",
+        [
+            (["1.0,,,A,5", "1.0,,,B"], 3),  # wrong field count
+            (["1.0,30.0,,A,5"], 2),  # half a ground truth
+            (["1.0,91.0,31.0,A,5"], 2),  # latitude out of range
+            (["1.0,,,A,5.5"], 2),  # fractional ASU
+            (["1.0,,,A,5", "", "x,,,A,5"], 4),  # blank lines still count
+        ],
+    )
+    def test_malformed_row_names_its_line(self, tmp_path, rows, line):
+        with pytest.raises(TraceFormatError, match=f"trace.csv:{line}:"):
+            read_trace(_trace(tmp_path, *rows))
+
+    def test_non_utf8_trace_names_its_line(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_bytes(b"timestamp,lat,lon,tower_id,asu\n1.0,,,A,5\n2.0,,,\xff,5\n")
+        with pytest.raises(TraceFormatError, match=":3: not valid UTF-8"):
+            read_trace(str(path))
+
+    def test_tower_csv_duplicate_id_rejected(self, tmp_path):
+        path = tmp_path / "towers.csv"
+        path.write_text("tower_id,lat,lon\nT0,30.0,31.0\nT0,30.5,31.5\n")
+        with pytest.raises(TraceFormatError, match=":3: tower 'T0' listed twice"):
+            read_tower_locations(str(path))
+
+    def test_tower_csv_bad_row_names_its_line(self, tmp_path):
+        path = tmp_path / "towers.csv"
+        path.write_text("tower_id,lat,lon\nT0,30.0,31.0\nT1,30.5\n")
+        with pytest.raises(TraceFormatError, match=":3: expected 3 fields"):
+            read_tower_locations(str(path))

@@ -1,9 +1,10 @@
-"""Record the benchmark's end-to-end metrics as one BENCH file, or compare two.
+"""Record, compare or pair runs of the benchmark's end-to-end metrics.
 
 Run from the repository root:
 
     python3 tools/bench_record.py run BENCH_<n>.json
     python3 tools/bench_record.py compare BENCH_old.json BENCH_new.json
+    python3 tools/bench_record.py pair PARENT_DIR OUT.json --pairs N
 
 ``run`` runs ``benchmark/run.py --seed 0 --seconds 6`` once per workload
 listed in ``BENCHMARK.json`` and writes each run record, gate result and
@@ -11,14 +12,26 @@ end-to-end metrics, plus the ``src/`` line count and the benchmark's known
 blind spots.  ``compare`` prints, per workload and end-to-end metric, the
 change from the first file to the second, signed so that positive is worse,
 and flags every change beyond the metric's bound.  One run per side is not
-enough to tell a change within the run-to-run spread from noise.  It exits
-1 when a metric passes its bound or a run fails its gate.
+enough to tell a change within the run-to-run spread from noise, and two
+files recorded at different times also differ by the machine's speed.
+It exits 1 when a metric passes its bound or a run fails its gate.
+
+``pair`` runs each workload ``N`` times from a parent checkout (for
+example one made with ``git worktree add``) and from this checkout,
+alternating which side goes first, and writes every run to ``OUT.json``.
+Per workload and end-to-end metric it prints both medians, the change
+between them (positive is worse), the parent's interquartile range over
+its median, and in how many pairs the change beat the parent.  It flags
+WORSE when the change passes the metric's bound, and UNRESOLVED when the
+parent's spread alone passes it.  It exits 1 on WORSE or when a run of the
+change fails its gate or fails a larger share of its operations.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -40,16 +53,21 @@ def _spec() -> dict:
         return json.load(fh)
 
 
+def _run(checkout: Path, workload: str) -> dict:
+    """One benchmark run of ``workload`` from ``checkout``: run record and result."""
+    proc = subprocess.run(
+        [sys.executable, "benchmark/run.py", "--workload", workload,
+         "--seed", str(SEED), "--seconds", str(SECONDS)],
+        cwd=checkout, capture_output=True, text=True, check=True,
+    )
+    *_, run_record, result = proc.stdout.strip().splitlines()
+    return {**json.loads(run_record), **json.loads(result)}
+
+
 def record(out: Path) -> int:
     workloads = {}
     for workload in (w["name"] for w in _spec()["workloads"]):
-        proc = subprocess.run(
-            [sys.executable, "benchmark/run.py", "--workload", workload,
-             "--seed", str(SEED), "--seconds", str(SECONDS)],
-            cwd=ROOT, capture_output=True, text=True, check=True,
-        )
-        *_, run_record, result = proc.stdout.strip().splitlines()
-        workloads[workload] = {**json.loads(run_record), **json.loads(result)}
+        workloads[workload] = _run(ROOT, workload)
         print(f"{workload}: correct={workloads[workload]['correct']} "
               f"failed={workloads[workload]['failed']}", flush=True)
     bench = {
@@ -86,6 +104,53 @@ def compare(old_path: Path, new_path: Path) -> int:
     return 1 if worse else 0
 
 
+def _failed_share(runs: list[dict]) -> float:
+    return sum(r["failed"] for r in runs) / max(1, sum(r["attempted"] for r in runs))
+
+
+def pair(parent: Path, out: Path, pairs: int) -> int:
+    spec = _spec()
+    runs: dict[str, dict[str, list[dict]]] = {}
+    for workload in (w["name"] for w in spec["workloads"]):
+        runs[workload] = {"parent": [], "change": []}
+        for k in range(pairs):
+            sides = (("parent", parent), ("change", ROOT))
+            for side, checkout in sides if k % 2 == 0 else sides[::-1]:
+                runs[workload][side].append(_run(checkout, workload))
+            print(f"{workload}: pair {k + 1}/{pairs} done", file=sys.stderr, flush=True)
+    out.write_text(json.dumps({
+        "command": f"benchmark/run.py --seed {SEED} --seconds {SECONDS}",
+        "parent": str(parent), "pairs": pairs, "workloads": runs,
+    }, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+
+    worse = 0
+    print(f"{'workload':12s} {'metric':14s} {'parent':>10s} {'change':>10s} {'change':>8s} "
+          f"{'IQR/med':>8s} {'wins':>6s} {'bound':>6s}")
+    for workload, sides in runs.items():
+        before, after = sides["parent"], sides["change"]
+        if (any(r["correct"] is not True for r in after)
+                or _failed_share(after) > _failed_share(before)):
+            worse += 1
+            print(f"{workload}: GATE correct={[r['correct'] for r in after]} "
+                  f"failed={[r['failed'] for r in after]}")
+        for metric in spec["end_to_end"]:
+            a = [r["metrics"][metric["name"]]["value"] for r in before]
+            b = [r["metrics"][metric["name"]]["value"] for r in after]
+            sign = 1.0 if metric["better"] == "lower" else -1.0
+            a_med, b_med = statistics.median(a), statistics.median(b)
+            change = sign * (b_med - a_med) / a_med
+            q1, _, q3 = statistics.quantiles(a, n=4, method="inclusive")
+            spread = (q3 - q1) / a_med
+            wins = sum(sign * (y - x) < 0 for x, y in zip(a, b))
+            flag = ("WORSE" if change > metric["bound"]
+                    else "UNRESOLVED" if spread > metric["bound"] else "")
+            worse += flag == "WORSE"
+            print(f"{workload:12s} {metric['name']:14s} {a_med:10.4g} {b_med:10.4g} "
+                  f"{change:+8.1%} {spread:8.1%} {wins:>3d}/{len(a):<2d} "
+                  f"{metric['bound']:6.0%} {flag}")
+    return 1 if worse else 0
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -93,9 +158,17 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("compare")
     p.add_argument("old", type=Path)
     p.add_argument("new", type=Path)
+    p = sub.add_parser("pair")
+    p.add_argument("parent", type=Path, help="checkout of the parent commit")
+    p.add_argument("out", type=Path, help="JSON file for every run of both sides")
+    p.add_argument("--pairs", type=int, default=3)
     args = parser.parse_args(argv)
     if args.command == "run":
         return record(args.out)
+    if args.command == "pair":
+        if args.pairs < 2:
+            parser.error("--pairs must be at least 2")
+        return pair(args.parent.resolve(), args.out, args.pairs)
     return compare(args.old, args.new)
 
 
