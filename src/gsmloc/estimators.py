@@ -5,7 +5,8 @@ Four techniques share the :class:`~gsmloc.radiomap.RadioMap` fingerprint:
 * :func:`probabilistic_locate` scores every grid cell with the smoothed
   histogram likelihood of a window of scans (accumulated in log domain),
   then returns the posterior-weighted average of the K most probable cell
-  centroids.
+  centroids.  A window is scored by one gather of the map's log-likelihood
+  table, whose floor row scores towers the map never heard.
 * :func:`hybrid_locate` runs two phases: a rough pass that picks the most
   probable cell from the window's first scan only, then a K-nearest-neighbor
   refinement in ASU space over that cell's raw fingerprint points.
@@ -28,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .geo import PlanarPoint, ScanVector
-from .radiomap import RadioMap, SmoothingParams
+from .radiomap import N_ASU_BINS, RadioMap, SmoothingParams
 
 
 @dataclass(frozen=True)
@@ -75,21 +76,17 @@ def _posterior_vector(
 ) -> np.ndarray:
     """Unnormalized log posterior per cell, aligned with ``radio_map.cell_keys()``.
 
-    Towers observed online but absent from the whole map contribute a flat
-    log(p_min) to every cell, which can never change the ranking.
+    One gather takes the table row of every reading, in scan and reading
+    order, and one reduction sums them row by row in that order.  Towers
+    absent from the whole map read the table's floor row, a flat log(p_min)
+    in every cell, which can never change the ranking.
     """
     table = radio_map.log_likelihood_table(smoothing)
     tower_index = radio_map.tower_index()
-    total = np.zeros(radio_map.n_cells)
-    log_p_min = math.log(smoothing.p_min)
-    for scan in scans:
-        for tower_id, asu in scan.readings.items():
-            t = tower_index.get(tower_id)
-            if t is None:
-                total += log_p_min
-            else:
-                total += table[t, asu]
-    return total
+    floor = len(tower_index)
+    rows = [N_ASU_BINS * tower_index.get(tower_id, floor) + asu
+            for scan in scans for tower_id, asu in scan.readings.items()]
+    return np.add.reduce(table.reshape(len(table) * N_ASU_BINS, -1).take(rows, axis=0), axis=0)
 
 
 def cell_log_posterior(
@@ -109,10 +106,14 @@ def cell_log_posterior(
     return {key: float(s) for key, s in zip(radio_map.cell_keys(), scores)}
 
 
-def _top_k_stable(scores: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k largest scores; ties resolve to the lowest index."""
-    order = np.argsort(-scores, kind="stable")
-    return order[:k]
+def _weighted_estimate(
+    radio_map: RadioMap, cells: np.ndarray, weights: np.ndarray, log_score: float | None
+) -> LocationEstimate:
+    """The weighted mean of the chosen cells' centroids, the cells as contributors."""
+    x, y = weights @ radio_map.centroid_array()[cells]
+    keys = radio_map.cell_keys()
+    contributing = tuple((keys[i], float(w)) for i, w in zip(cells, weights))
+    return LocationEstimate(PlanarPoint(float(x), float(y)), log_score, contributing)
 
 
 def probabilistic_locate(
@@ -132,10 +133,9 @@ def probabilistic_locate(
         raise ValueError("radio map has no cells")
     scans = _check_scans(window)
     scores = _posterior_vector(radio_map, scans, params.smoothing)
-    keys = radio_map.cell_keys()
 
-    k = min(params.k, len(keys))
-    top = _top_k_stable(scores, k)
+    k = min(params.k, radio_map.n_cells)
+    top = np.argsort(-scores, kind="stable")[:k]  # ties resolve to the lowest index
     top_scores = scores[top]
     m = top_scores[0]
     if math.isfinite(m):
@@ -145,10 +145,7 @@ def probabilistic_locate(
         # Every candidate has zero likelihood (possible only with alpha=0);
         # fall back to uniform weights over the K for determinism.
         weights = np.full(k, 1.0 / k)
-    centroids = radio_map.centroid_array()[top]
-    x, y = weights @ centroids
-    contributing = tuple((keys[i], float(w)) for i, w in zip(top, weights))
-    return LocationEstimate(PlanarPoint(float(x), float(y)), float(m), contributing)
+    return _weighted_estimate(radio_map, top, weights, float(m))
 
 
 def hybrid_locate(
@@ -185,14 +182,13 @@ def hybrid_locate(
 
     # Squared ASU-space distance against every point of the cell at once;
     # ranks identically to the Euclidean distance over the union of tower ids
-    # with missing-as-0 (towers unknown to the map shift all points equally).
+    # with missing-as-0 (towers unknown to the map shift all points equally,
+    # so they land in a spare last slot that the distance leaves out).
     tower_index = radio_map.tower_index()
-    v = np.zeros(readings.shape[1])
+    v = np.zeros(len(tower_index) + 1)
     for tower_id, asu in first.readings.items():
-        t = tower_index.get(tower_id)
-        if t is not None:
-            v[t] = asu
-    diff = readings - v
+        v[tower_index.get(tower_id, -1)] = asu
+    diff = readings - v[:-1]
     sq_dists = (diff * diff).sum(axis=1)
     if k_refine == 1:
         x, y = locations[int(np.argmin(sq_dists))]  # first minimum, as below
@@ -240,15 +236,11 @@ def deterministic_locate(
     diff = radio_map.mean_asu_matrix() - v
     dists = np.sqrt((diff * diff).sum(axis=1) + unknown_sq)
 
-    keys = radio_map.cell_keys()
-    k = min(params.k, len(keys))
+    k = min(params.k, radio_map.n_cells)
     nearest = np.argsort(dists, kind="stable")[:k]
     weights = 1.0 / (dists[nearest] + 1e-6)
     weights /= weights.sum()
-    centroids = radio_map.centroid_array()[nearest]
-    x, y = weights @ centroids
-    contributing = tuple((keys[i], float(w)) for i, w in zip(nearest, weights))
-    return LocationEstimate(PlanarPoint(float(x), float(y)), None, contributing)
+    return _weighted_estimate(radio_map, nearest, weights, None)
 
 
 def cellid_locate(radio_map: RadioMap, scan: ScanVector) -> LocationEstimate:

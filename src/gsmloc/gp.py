@@ -400,11 +400,23 @@ def save_grid(grid: PrecomputedGrid, path: str) -> None:
 
 
 def load_grid(path: str) -> PrecomputedGrid:
-    """Read a grid saved by :func:`save_grid`."""
+    """Read a grid saved by :func:`save_grid`.
+
+    Raises:
+        MapFormatError: on version mismatch, a malformed/truncated file, a
+            spacing that is not a positive finite number, a non-finite point
+            or mean, a negative or non-finite variance, or a ``noise_var``
+            that is not a positive finite number.
+    """
     doc = load_document(path, GP_GRID_KIND)
     try:
+        spacing = float(doc["spacing_m"])
+        if not 0.0 < spacing < math.inf:
+            raise ValueError(f"spacing_m {spacing} is not a positive finite number")
         points = np.array([[p["x"], p["y"]] for p in doc["points"]], dtype=float)
         points = points.reshape(len(doc["points"]), 2)
+        if not np.isfinite(points).all():
+            raise ValueError("a grid point is not finite")
         points.setflags(write=False)
         means: dict[str, np.ndarray] = {}
         variances: dict[str, np.ndarray] = {}
@@ -412,16 +424,23 @@ def load_grid(path: str) -> PrecomputedGrid:
         for tid, entry in doc["towers"].items():
             mean = np.asarray(entry["mean"], dtype=float)
             var = np.asarray(entry["var"], dtype=float)
+            noise_var = float(entry["noise_var"])
             if len(mean) != len(points) or len(var) != len(points):
                 raise ValueError(f"tower {tid!r} arrays do not match the point count")
+            if not np.isfinite(mean).all():
+                raise ValueError(f"tower {tid!r} has a non-finite mean")
+            if not ((var >= 0.0) & (var < math.inf)).all():
+                raise ValueError(f"tower {tid!r} has a negative or non-finite variance")
+            if not 0.0 < noise_var < math.inf:
+                raise ValueError(f"tower {tid!r} noise_var {noise_var} is not positive and finite")
             mean.setflags(write=False)
             var.setflags(write=False)
             means[tid] = mean
             variances[tid] = var
-            noise_vars[tid] = float(entry["noise_var"])
+            noise_vars[tid] = noise_var
         return PrecomputedGrid(
             origin=GeoPoint(doc["origin"]["lat"], doc["origin"]["lon"]),
-            spacing=float(doc["spacing_m"]),
+            spacing=spacing,
             points=points,
             towers=tuple(sorted(means)),
             means=means,

@@ -23,6 +23,7 @@ import numpy as np
 
 from .geo import (
     ASU_MAX,
+    MAX_READINGS,
     GeoPoint,
     PlanarPoint,
     ScanVector,
@@ -66,7 +67,7 @@ class FingerprintPoint:
     readings: dict[str, int]
 
     def __post_init__(self) -> None:
-        if not 1 <= len(self.readings) <= 7:
+        if not 1 <= len(self.readings) <= MAX_READINGS:
             raise ValueError(f"fingerprint point has {len(self.readings)} readings")
 
 
@@ -181,16 +182,18 @@ class RadioMap:
         return self._tower_index
 
     def log_likelihood_table(self, smoothing: SmoothingParams) -> np.ndarray:
-        """Smoothed per-cell log-likelihoods, shape (n_towers, 32, n_cells).
+        """Smoothed per-cell log-likelihoods, shape (n_towers + 1, 32, n_cells).
 
         ``table[t, asu]`` is the vector of log P(asu | cell) over all cells
         for tower ``t`` (indices per :meth:`tower_index` and
         :meth:`cell_keys`).  Cells without a histogram for a tower hold
-        log(p_min).  With alpha == 0, unseen ASU bins are -inf.
+        log(p_min).  The last row, ``table[n_towers]``, is the floor row: it
+        holds log(p_min) in every cell and scores towers the map never heard.
+        With alpha == 0, unseen ASU bins are -inf.
         """
         table = self._loglik.get(smoothing)
         if table is None:
-            shape = (len(self._tower_index), N_ASU_BINS, len(self._keys))
+            shape = (len(self._tower_index) + 1, N_ASU_BINS, len(self._keys))
             table = np.full(shape, math.log(smoothing.p_min), dtype=float)
             rows, cols, counts = self._histogram_rows()
             alpha = smoothing.alpha
@@ -379,18 +382,30 @@ def load_document(path: str, expected_kind: str) -> dict:
     return doc
 
 
+def _require_finite(what: str, values: Sequence[float]) -> None:
+    if not np.isfinite(np.asarray(values, dtype=float)).all():
+        raise ValueError(f"{what} is not finite")
+
+
 def load_radio_map(path: str) -> RadioMap:
     """Read a map saved by :func:`save_radio_map`.
 
     Raises:
         MapFormatError: on version mismatch, a malformed/truncated file, a
             histogram or point naming a tower missing from ``towers``, a
-            point reading outside ASU 0..31, or two entries for one cell; no
-            partial map is ever returned.
+            point reading outside ASU 0..31, two entries for one cell, a
+            grid length that is not a positive finite number, or a
+            non-finite anchor, centroid, point or tower location; no partial
+            map is ever returned.
     """
     doc = load_document(path, RADIO_MAP_KIND)
     try:
         origin = GeoPoint(doc["origin"]["lat"], doc["origin"]["lon"])
+        grid_length = float(doc["grid_length_m"])
+        if not 0.0 < grid_length < math.inf:
+            raise ValueError(f"grid_length_m {grid_length} is not a positive finite number")
+        anchor = (float(doc["grid_anchor"]["x"]), float(doc["grid_anchor"]["y"]))
+        _require_finite("grid_anchor", anchor)
         tower_ids = frozenset(doc["towers"])
         cells: dict[tuple[int, int], GridCell] = {}
         for entry in doc["cells"]:
@@ -413,9 +428,12 @@ def load_radio_map(path: str) -> RadioMap:
                 raise ValueError(f"cell {key} names towers not in 'towers': {sorted(unknown)}")
             if any(not 0 <= asu <= ASU_MAX for p in points for asu in p.readings.values()):
                 raise ValueError(f"cell {key} has a point reading outside ASU 0..{ASU_MAX}")
+            centroid = PlanarPoint(entry["centroid"]["x"], entry["centroid"]["y"])
+            xy = [v for p in points for v in (p.location.x, p.location.y)]
+            _require_finite(f"cell {key} centroid or point", [centroid.x, centroid.y, *xy])
             cells[key] = GridCell(
                 cell_index=key,
-                centroid=PlanarPoint(entry["centroid"]["x"], entry["centroid"]["y"]),
+                centroid=centroid,
                 points=points,
                 histograms=histograms,
             )
@@ -424,11 +442,13 @@ def load_radio_map(path: str) -> RadioMap:
             tower_locations = {
                 tid: PlanarPoint(p["x"], p["y"]) for tid, p in doc["tower_locations"].items()
             }
+            xy = [v for p in tower_locations.values() for v in (p.x, p.y)]
+            _require_finite("tower_locations", xy)
         return RadioMap(
             origin=origin,
-            grid_length=float(doc["grid_length_m"]),
-            anchor_x=float(doc["grid_anchor"]["x"]),
-            anchor_y=float(doc["grid_anchor"]["y"]),
+            grid_length=grid_length,
+            anchor_x=anchor[0],
+            anchor_y=anchor[1],
             cells=cells,
             tower_ids=tower_ids,
             tower_locations=tower_locations,

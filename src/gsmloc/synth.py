@@ -27,6 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .geo import (
+    MAX_READINGS,
     SENSITIVITY_DBM,
     GeoPoint,
     PlanarPoint,
@@ -34,8 +35,6 @@ from .geo import (
     dbm_to_asu,
     unproject,
 )
-
-MAX_SCAN_TOWERS = 7
 
 
 @dataclass(frozen=True)
@@ -191,7 +190,7 @@ def _scans(
         if not audible:
             raise ValueError(f"no tower audible at ({px:.1f}, {py:.1f})")
         audible.sort(key=lambda it: (-it[0], it[1]))
-        readings = {tid: dbm_to_asu(v) for v, tid in audible[:MAX_SCAN_TOWERS]}
+        readings = {tid: dbm_to_asu(v) for v, tid in audible[:MAX_READINGS]}
         truth = unproject(world.geo_origin, PlanarPoint(px, py))
         scans.append(ScanVector(t, readings, truth=truth))
     return scans

@@ -15,6 +15,7 @@ Numbered criteria:
 """
 
 import dataclasses
+import hashlib
 import math
 import time
 from contextlib import contextmanager
@@ -24,7 +25,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gsmloc.bench import ablate_towers, evaluate, preset_params, thin_fingerprint
+from gsmloc.bench import (
+    DEFAULT_GRID_M,
+    TECHNIQUES,
+    ablate_towers,
+    evaluate,
+    preset_params,
+    thin_fingerprint,
+)
 from gsmloc.estimators import (
     EstimatorParams,
     cell_log_posterior,
@@ -528,7 +536,7 @@ def test_criterion_8_linear_scaling():
             [dscans[max(0, i + 1 - 4) : i + 1] for i in range(n_windows)] for _, dscans in beds
         ]
         for (radio_map, _), ws in zip(beds, windows):
-            probabilistic_locate(radio_map, ws[5], params)  # warm the map's array cache
+            probabilistic_locate(radio_map, ws[5], params)  # build the map's log table
         # The machine's speed can switch between states that last from a few
         # milliseconds to seconds, so the beds take turns call by call, in an
         # order that rotates, and every state reaches all three alike.
@@ -591,3 +599,40 @@ def test_criterion_9_determinism_and_persistence(rural, tmp_path):
         assert r1.median_error_m == r2.median_error_m
         assert r1.p95_error_m == r2.p95_error_m
         assert r1.error_cdf == r2.error_cdf
+
+
+#: sha256 of ``repr((x, y, log_score, contributing_cells))`` over every sliding
+#: window of the rural seed-0 test trace, per technique, on the full map and
+#: on ``ablate_towers(map, 0.4, 7)``.  They pin every estimate bit for bit, so
+#: a refactor of the estimators or of the map that moves one estimate fails.
+GOLDEN_ESTIMATE_SHA256 = {
+    "full": {
+        "probabilistic": "e5128f0a006486e52eb5f0fa466f0ee4ec565db6915c4d169223a58837b9e8a5",
+        "hybrid": "7b9e7bab8077a9c556c87c0cee556cba74a24f2a2080d430ccd2611bb083cdfd",
+        "deterministic": "022a2ade03dd5259737aa9e01d1c0fa9307ba28a5e82975c6a830f9b54f16c27",
+    },
+    "ablated": {
+        "probabilistic": "1ab423f06607c73bcc098982e9c8984e6df0f8cc22df6e97e7a77db5eb57a2f7",
+        "hybrid": "90103ee904a8fb577ef62f716b6949dc57b94e4687033962b5df2411b68d4a8f",
+        "deterministic": "aa508b9b3b45e7c580a92c8c7eb411fbd381c9e2ea5ff7ac69e6dad09d87e0e9",
+    },
+}
+
+
+def test_criterion_9a_golden_estimate_hashes(rural):
+    with criterion("9a", "every rural seed-0 estimate is bit-identical to the pinned digests"):
+        _, _, test, radio_map = rural
+        assert radio_map.grid_length == DEFAULT_GRID_M
+        maps = {"full": radio_map, "ablated": ablate_towers(radio_map, 0.4, 7)}
+        digests = {label: {} for label in maps}
+        for label, m in maps.items():
+            for technique in GOLDEN_ESTIMATE_SHA256[label]:
+                params = preset_params("rural", technique)
+                h = hashlib.sha256()
+                for i in range(len(test)):
+                    window = test[max(0, i + 1 - params.n_samples) : i + 1]
+                    est = TECHNIQUES[technique](m, window, params)
+                    loc = est.location
+                    h.update(repr((loc.x, loc.y, est.log_score, est.contributing_cells)).encode())
+                digests[label][technique] = h.hexdigest()
+        assert digests == GOLDEN_ESTIMATE_SHA256

@@ -348,12 +348,17 @@ class TestFitTowerModels:
 
 
 class TestGridPersistence:
-    def test_round_trip(self, tmp_path):
+    @staticmethod
+    def _saved_grid(tmp_path):
         rng = np.random.default_rng(19)
         models = {"A": gp_fit(*random_training(rng, n=20), [HYPER])}
         grid = gp_build_grid(models, (0.0, 0.0, 300.0, 300.0), 100.0, ORIGIN)
         path = tmp_path / "grid.json"
         save_grid(grid, str(path))
+        return grid, path
+
+    def test_round_trip(self, tmp_path):
+        grid, path = self._saved_grid(tmp_path)
         back = load_grid(str(path))
         assert back.origin == grid.origin
         assert back.spacing == grid.spacing
@@ -363,6 +368,24 @@ class TestGridPersistence:
             assert np.array_equal(back.means[tid], grid.means[tid])
             assert np.array_equal(back.variances[tid], grid.variances[tid])
             assert back.noise_vars[tid] == grid.noise_vars[tid]
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda d: d.update(spacing_m=0.0), id="spacing_zero"),
+        pytest.param(lambda d: d.update(spacing_m=math.nan), id="spacing_nan"),
+        pytest.param(lambda d: d["points"][3].update(y=math.inf), id="point_inf"),
+        pytest.param(lambda d: d["towers"]["A"]["mean"].__setitem__(2, math.nan), id="mean_nan"),
+        pytest.param(lambda d: d["towers"]["A"]["var"].__setitem__(1, -1.0), id="var_negative"),
+        pytest.param(lambda d: d["towers"]["A"]["var"].__setitem__(0, math.inf), id="var_inf"),
+        pytest.param(lambda d: d["towers"]["A"].update(noise_var=0.0), id="noise_var_zero"),
+        pytest.param(lambda d: d["towers"]["A"].update(noise_var=-4.0), id="noise_var_negative"),
+    ])
+    def test_non_finite_or_out_of_range_number_rejected(self, tmp_path, edit):
+        _, path = self._saved_grid(tmp_path)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MapFormatError, match="finite"):
+            load_grid(str(path))
 
     def test_wrong_kind_rejected(self, tmp_path):
         path = tmp_path / "grid.json"

@@ -206,6 +206,8 @@ class TestCellLikelihood:
                 for tid, t in rm.tower_index().items():
                     expected = [math.log(likelihood_from_counts(rm.cells[key], tid, a, sm)) for a in range(32)]
                     assert table[t, :, ci].tolist() == pytest.approx(expected, rel=1e-12)
+            assert table.shape == (len(rm.tower_index()) + 1, 32, rm.n_cells)
+            assert (table[-1] == math.log(sm.p_min)).all()
         assert rm.log_likelihood_table(SmoothingParams()) is first
 
 
@@ -290,6 +292,26 @@ class TestPersistence:
         doc["cells"].append(dict(doc["cells"][-1], row=row, col=col))
         path.write_text(json.dumps(doc))
         with pytest.raises(MapFormatError, match=rf"cell \({row}, {col}\) appears more than once"):
+            load_radio_map(str(path))
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda d: d.update(grid_length_m=0.0), id="grid_length_zero"),
+        pytest.param(lambda d: d.update(grid_length_m=-70.0), id="grid_length_negative"),
+        pytest.param(lambda d: d.update(grid_length_m=math.nan), id="grid_length_nan"),
+        pytest.param(lambda d: d.update(grid_length_m=math.inf), id="grid_length_inf"),
+        pytest.param(lambda d: d["grid_anchor"].update(y=math.nan), id="anchor_nan"),
+        pytest.param(lambda d: d["cells"][0]["centroid"].update(x=math.nan), id="centroid_nan"),
+        pytest.param(lambda d: d["cells"][-1]["points"][0].update(x=math.inf), id="point_inf"),
+        pytest.param(
+            lambda d: d.update(tower_locations={t: {"x": 0.0, "y": -math.inf} for t in d["towers"]}),
+            id="tower_location_inf",
+        ),
+    ])
+    def test_non_finite_or_out_of_range_number_rejected(self, tmp_path, edit):
+        path, doc = self._saved_doc(tmp_path)
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MapFormatError, match="finite"):
             load_radio_map(str(path))
 
     def test_wrong_kind_rejected(self, tmp_path):
