@@ -5,7 +5,8 @@ The package splits along the natural pipeline:
 * :mod:`gsmloc.geo` - readings, scans, ASU/dBm conversion, planar projection,
   trace and tower CSV I/O (a malformed file raises ``TraceFormatError``
   naming its line).
-* :mod:`gsmloc.radiomap` - offline fingerprint construction and persistence.
+* :mod:`gsmloc.radiomap` - offline fingerprint construction, tower ablation
+  and persistence.
 * :mod:`gsmloc.estimators` - the probabilistic, hybrid, deterministic-KNN
   and cell-ID estimators.
 * :mod:`gsmloc.gp` - the Gaussian-process modeling baseline.
@@ -22,13 +23,11 @@ from .bench import (
     PRESET_GP_SPACING_M,
     PRESET_PARAMS,
     TECHNIQUES,
-    ablate_towers,
     evaluate,
-    sweep_density,
     preset_params,
+    sweep_density,
     sweep_grid_length,
-    sweep_k,
-    sweep_ns,
+    sweep_params,
     sweep_tower_drop,
     thin_fingerprint,
     write_cdf_csv,
@@ -77,6 +76,7 @@ from .radiomap import (
     RadioMap,
     SmoothingParams,
     TowerHistogram,
+    ablate_towers,
     build_radio_map,
     load_radio_map,
     save_radio_map,

@@ -16,7 +16,6 @@ report row per value; randomized configurations derive their seed from
 from __future__ import annotations
 
 import csv
-import dataclasses
 import statistics
 import time
 from dataclasses import dataclass
@@ -34,7 +33,7 @@ from .estimators import (
 )
 from .geo import GeoPoint, ScanVector, project
 from .gp import PrecomputedGrid, gp_locate
-from .radiomap import FingerprintPoint, GridCell, PlanarPoint, RadioMap, build_radio_map
+from .radiomap import RadioMap, ablate_towers, build_radio_map
 
 REPORT_HEADER = ("technique", "grid_m", "ns", "k", "median_err_m", "p95_err_m", "mean_ms")
 CDF_HEADER = ("error_m", "cum_frac")
@@ -89,7 +88,6 @@ class EvalReport:
     p95_error_m: float
     mean_time_per_estimate_ms: float
     error_cdf: tuple[tuple[float, float], ...]
-    params: EstimatorParams | None = None
 
     def __post_init__(self) -> None:
         fracs = [f for _, f in self.error_cdf]
@@ -170,7 +168,6 @@ def evaluate(
         p95_error_m=float(np.percentile(ordered, 95)),
         mean_time_per_estimate_ms=1e3 * sum(times_s) / n,
         error_cdf=cdf,
-        params=params,
     )
 
 
@@ -201,53 +198,20 @@ def sweep_grid_length(
     return reports
 
 
-def sweep_ns(
+def sweep_params(
     radio_map: RadioMap,
     test_scans: Sequence[ScanVector],
-    ns_values: Sequence[int],
+    configs: Sequence[EstimatorParams],
     *,
-    params: EstimatorParams | None = None,
     technique: str | Callable = "probabilistic",
     time_repeats: int = TIME_REPEATS,
 ) -> list[EvalReport]:
-    """Evaluate one map under different window lengths."""
-    if not ns_values:
-        raise ValueError("ns_values must be non-empty")
-    base = params or EstimatorParams()
+    """Evaluate one map under each estimator configuration, one report each."""
+    if not configs:
+        raise ValueError("configs must be non-empty")
     return [
-        evaluate(
-            radio_map,
-            test_scans,
-            technique,
-            dataclasses.replace(base, n_samples=ns),
-            time_repeats=time_repeats,
-        )
-        for ns in ns_values
-    ]
-
-
-def sweep_k(
-    radio_map: RadioMap,
-    test_scans: Sequence[ScanVector],
-    k_values: Sequence[int],
-    *,
-    params: EstimatorParams | None = None,
-    technique: str | Callable = "probabilistic",
-    time_repeats: int = TIME_REPEATS,
-) -> list[EvalReport]:
-    """Evaluate one map under different top-K averaging counts."""
-    if not k_values:
-        raise ValueError("k_values must be non-empty")
-    base = params or EstimatorParams()
-    return [
-        evaluate(
-            radio_map,
-            test_scans,
-            technique,
-            dataclasses.replace(base, k=k),
-            time_repeats=time_repeats,
-        )
-        for k in k_values
+        evaluate(radio_map, test_scans, technique, params, time_repeats=time_repeats)
+        for params in configs
     ]
 
 
@@ -303,63 +267,6 @@ def sweep_density(
 # ---------------------------------------------------------------------------
 # Ablations
 # ---------------------------------------------------------------------------
-
-
-def ablate_towers(radio_map: RadioMap, drop_fraction: float, seed: int) -> RadioMap:
-    """Remove a seeded random subset of towers from the whole map.
-
-    The dropped towers disappear from every histogram, every retained
-    fingerprint point and the tower registry; points left with no readings
-    are dropped (centroids recomputed), and cells left with no towers are
-    removed.
-
-    Raises:
-        ValueError: if drop_fraction is outside [0, 1) or rounding would
-            drop every tower.
-    """
-    if not 0.0 <= drop_fraction < 1.0:
-        raise ValueError("drop_fraction must be in [0, 1)")
-    towers = sorted(radio_map.tower_ids)
-    n_drop = int(round(drop_fraction * len(towers)))
-    if n_drop == 0:
-        return radio_map
-    if n_drop >= len(towers):
-        raise ValueError("ablation would drop every tower")
-    rng = np.random.default_rng(seed)
-    dropped = {towers[i] for i in rng.choice(len(towers), size=n_drop, replace=False)}
-
-    cells: dict[tuple[int, int], GridCell] = {}
-    for key, cell in radio_map.cells.items():
-        histograms = {t: h for t, h in cell.histograms.items() if t not in dropped}
-        if not histograms:
-            continue
-        points = cell.points
-        centroid = cell.centroid
-        if points:
-            kept = []
-            for p in points:
-                readings = {t: a for t, a in p.readings.items() if t not in dropped}
-                if readings:
-                    kept.append(FingerprintPoint(p.location, readings))
-            points = tuple(kept)
-            centroid = PlanarPoint(
-                sum(p.location.x for p in points) / len(points),
-                sum(p.location.y for p in points) / len(points),
-            )
-        cells[key] = GridCell(key, centroid, points, histograms)
-
-    tower_locations = radio_map.tower_locations
-    if tower_locations is not None:
-        tower_locations = {t: p for t, p in tower_locations.items() if t not in dropped}
-    return RadioMap(
-        origin=radio_map.origin,
-        grid_length=radio_map.grid_length,
-        anchor_x=radio_map.anchor_x,
-        anchor_y=radio_map.anchor_y,
-        cells=cells,
-        tower_ids=frozenset(t for t in radio_map.tower_ids if t not in dropped),
-        tower_locations=tower_locations,
-    )
 
 
 def thin_fingerprint(

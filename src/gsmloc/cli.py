@@ -189,29 +189,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     test = generate_trace(world, routes["test"])
     params = _params(args, args.preset)
 
-    if args.param in ("grid", "towers", "density"):
-        values = [float(v) for v in args.values]
-    else:
+    if args.param in ("ns", "k"):
         values = [int(v) for v in args.values]
+    else:
+        values = [float(v) for v in args.values]
 
     if args.param == "grid":
         reports = bench.sweep_grid_length(
             train, test, values, params=params, technique=args.technique
         )
-    elif args.param == "ns":
-        radio_map = build_radio_map(train, args.grid_length)
-        reports = bench.sweep_ns(radio_map, test, values, params=params, technique=args.technique)
-    elif args.param == "k":
-        radio_map = build_radio_map(train, args.grid_length)
-        reports = bench.sweep_k(radio_map, test, values, params=params, technique=args.technique)
-    elif args.param == "towers":
-        radio_map = build_radio_map(
-            train, args.grid_length, tower_locations=world.tower_locations_geo()
-        )
-        reports = bench.sweep_tower_drop(
-            radio_map, test, values, params=params, technique=args.technique, base_seed=args.seed
-        )
-    else:
+    elif args.param == "density":
         reports = bench.sweep_density(
             train,
             test,
@@ -221,6 +208,19 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             technique=args.technique,
             base_seed=args.seed,
         )
+    else:
+        radio_map = build_radio_map(
+            train, args.grid_length, tower_locations=world.tower_locations_geo()
+        )
+        if args.param == "towers":
+            reports = bench.sweep_tower_drop(
+                radio_map, test, values, params=params, technique=args.technique,
+                base_seed=args.seed,
+            )
+        else:
+            field = {"ns": "n_samples", "k": "k"}[args.param]
+            configs = [dataclasses.replace(params, **{field: v}) for v in values]
+            reports = bench.sweep_params(radio_map, test, configs, technique=args.technique)
 
     os.makedirs(args.out, exist_ok=True)
     bench.write_report_csv(reports, os.path.join(args.out, "report.csv"))

@@ -35,7 +35,7 @@ from scipy.stats import norm
 
 from .estimators import LocationEstimate, _check_scans
 from .geo import GeoPoint, PlanarPoint, ScanVector, project
-from .radiomap import MAP_FORMAT_VERSION, MapFormatError, load_document
+from .radiomap import MAP_FORMAT_VERSION, MapFormatError, json_finite, json_value, load_document
 
 GP_GRID_KIND = "gp_grid"
 
@@ -404,27 +404,26 @@ def load_grid(path: str) -> PrecomputedGrid:
 
     Raises:
         MapFormatError: on version mismatch, a malformed/truncated file, a
-            spacing that is not a positive finite number, a non-finite point
-            or mean, a negative or non-finite variance, or a ``noise_var``
-            that is not a positive finite number.
+            field of the wrong JSON type, a spacing that is not a positive
+            finite number, a non-finite point or mean, a negative or
+            non-finite variance, or a ``noise_var`` that is not a positive
+            finite number.
     """
     doc = load_document(path, GP_GRID_KIND)
     try:
-        spacing = float(doc["spacing_m"])
+        spacing = json_value(doc["spacing_m"], float)
         if not 0.0 < spacing < math.inf:
             raise ValueError(f"spacing_m {spacing} is not a positive finite number")
-        points = np.array([[p["x"], p["y"]] for p in doc["points"]], dtype=float)
-        points = points.reshape(len(doc["points"]), 2)
-        if not np.isfinite(points).all():
-            raise ValueError("a grid point is not finite")
+        xy = [json_finite(p, "x", "y") for p in json_value(doc["points"], list)]
+        points = np.array(xy, dtype=float).reshape(len(xy), 2)
         points.setflags(write=False)
         means: dict[str, np.ndarray] = {}
         variances: dict[str, np.ndarray] = {}
         noise_vars: dict[str, float] = {}
-        for tid, entry in doc["towers"].items():
-            mean = np.asarray(entry["mean"], dtype=float)
-            var = np.asarray(entry["var"], dtype=float)
-            noise_var = float(entry["noise_var"])
+        for tid, entry in json_value(doc["towers"], dict).items():
+            mean = np.array([json_value(v, float) for v in json_value(entry["mean"], list)])
+            var = np.array([json_value(v, float) for v in json_value(entry["var"], list)])
+            noise_var = json_value(entry["noise_var"], float)
             if len(mean) != len(points) or len(var) != len(points):
                 raise ValueError(f"tower {tid!r} arrays do not match the point count")
             if not np.isfinite(mean).all():
@@ -439,7 +438,7 @@ def load_grid(path: str) -> PrecomputedGrid:
             variances[tid] = var
             noise_vars[tid] = noise_var
         return PrecomputedGrid(
-            origin=GeoPoint(doc["origin"]["lat"], doc["origin"]["lon"]),
+            origin=GeoPoint(*json_finite(doc["origin"], "lat", "lon")),
             spacing=spacing,
             points=points,
             towers=tuple(sorted(means)),

@@ -14,6 +14,7 @@ candidate cell.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
@@ -226,6 +227,14 @@ def default_origin(scans: Sequence[ScanVector]) -> GeoPoint:
     )
 
 
+def _centroid(points: Sequence[FingerprintPoint]) -> PlanarPoint:
+    """A cell's centroid: the mean position of its member points."""
+    return PlanarPoint(
+        sum(p.location.x for p in points) / len(points),
+        sum(p.location.y for p in points) / len(points),
+    )
+
+
 def build_radio_map(
     scans: Sequence[ScanVector],
     grid_length: float,
@@ -281,10 +290,6 @@ def build_radio_map(
     tower_ids: set[str] = set()
     for cell_index in sorted(buckets):
         members = buckets[cell_index]
-        centroid = PlanarPoint(
-            sum(p.location.x for p in members) / len(members),
-            sum(p.location.y for p in members) / len(members),
-        )
         counts: dict[str, list[int]] = {}
         for p in members:
             for tid, asu in p.readings.items():
@@ -293,7 +298,7 @@ def build_radio_map(
         tower_ids.update(histograms)
         cells[cell_index] = GridCell(
             cell_index=cell_index,
-            centroid=centroid,
+            centroid=_centroid(members),
             points=() if strip_points else tuple(members),
             histograms=histograms,
         )
@@ -310,6 +315,55 @@ def build_radio_map(
         cells=cells,
         tower_ids=frozenset(tower_ids),
         tower_locations=planar_towers,
+    )
+
+
+def ablate_towers(radio_map: RadioMap, drop_fraction: float, seed: int) -> RadioMap:
+    """Remove a seeded random subset of towers from the whole map.
+
+    The dropped towers disappear from every histogram, every retained
+    fingerprint point and the tower registry; points left with no readings
+    are dropped (centroids recomputed), and cells left with no towers are
+    removed.
+
+    Raises:
+        ValueError: if drop_fraction is outside [0, 1) or rounding would
+            drop every tower.
+    """
+    if not 0.0 <= drop_fraction < 1.0:
+        raise ValueError("drop_fraction must be in [0, 1)")
+    towers = sorted(radio_map.tower_ids)
+    n_drop = int(round(drop_fraction * len(towers)))
+    if n_drop == 0:
+        return radio_map
+    if n_drop >= len(towers):
+        raise ValueError("ablation would drop every tower")
+    rng = np.random.default_rng(seed)
+    dropped = {towers[i] for i in rng.choice(len(towers), size=n_drop, replace=False)}
+
+    cells: dict[tuple[int, int], GridCell] = {}
+    for key, cell in radio_map.cells.items():
+        histograms = {t: h for t, h in cell.histograms.items() if t not in dropped}
+        if not histograms:
+            continue
+        points = tuple(
+            FingerprintPoint(p.location, readings)
+            for p in cell.points
+            if (readings := {t: a for t, a in p.readings.items() if t not in dropped})
+        )
+        centroid = _centroid(points) if points else cell.centroid
+        cells[key] = GridCell(key, centroid, points, histograms)
+
+    tower_locations = radio_map.tower_locations
+    if tower_locations is not None:
+        tower_locations = {t: p for t, p in tower_locations.items() if t not in dropped}
+    # replace() runs __post_init__, so the ablated map gets its own arrays
+    # and an empty log-table memo.
+    return dataclasses.replace(
+        radio_map,
+        cells=cells,
+        tower_ids=radio_map.tower_ids - dropped,
+        tower_locations=tower_locations,
     )
 
 
@@ -382,9 +436,24 @@ def load_document(path: str, expected_kind: str) -> dict:
     return doc
 
 
-def _require_finite(what: str, values: Sequence[float]) -> None:
-    if not np.isfinite(np.asarray(values, dtype=float)).all():
-        raise ValueError(f"{what} is not finite")
+def json_value(value, kind: type):
+    """``value`` if its JSON type is ``kind``, else ``TypeError``.
+
+    A ``float`` field takes any JSON number and returns it as a float; an
+    ``int`` field takes only a JSON integer.  A bool or a string is never a
+    number, and ``list`` and ``dict`` are the JSON array and object.
+    """
+    if type(value) not in ((int, float) if kind is float else (kind,)):
+        raise TypeError(f"expected {kind.__name__}, got {value!r:.40}")
+    return float(value) if kind is float else value
+
+
+def json_finite(obj: dict, *keys: str) -> list[float]:
+    """The named fields of a JSON object, each a finite JSON number."""
+    values = [json_value(obj[k], float) for k in keys]
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"{dict(zip(keys, values))} is not finite")
+    return values
 
 
 def load_radio_map(path: str) -> RadioMap:
@@ -392,6 +461,7 @@ def load_radio_map(path: str) -> RadioMap:
 
     Raises:
         MapFormatError: on version mismatch, a malformed/truncated file, a
+            field of the wrong JSON type (see :func:`json_value`), a
             histogram or point naming a tower missing from ``towers``, a
             point reading outside ASU 0..31, two entries for one cell, a
             grid length that is not a positive finite number, or a
@@ -400,50 +470,45 @@ def load_radio_map(path: str) -> RadioMap:
     """
     doc = load_document(path, RADIO_MAP_KIND)
     try:
-        origin = GeoPoint(doc["origin"]["lat"], doc["origin"]["lon"])
-        grid_length = float(doc["grid_length_m"])
+        origin = GeoPoint(*json_finite(doc["origin"], "lat", "lon"))
+        grid_length = json_value(doc["grid_length_m"], float)
         if not 0.0 < grid_length < math.inf:
             raise ValueError(f"grid_length_m {grid_length} is not a positive finite number")
-        anchor = (float(doc["grid_anchor"]["x"]), float(doc["grid_anchor"]["y"]))
-        _require_finite("grid_anchor", anchor)
-        tower_ids = frozenset(doc["towers"])
+        anchor = json_finite(doc["grid_anchor"], "x", "y")
+        tower_ids = frozenset(json_value(doc["towers"], list))
         cells: dict[tuple[int, int], GridCell] = {}
-        for entry in doc["cells"]:
-            key = (int(entry["row"]), int(entry["col"]))
+        for entry in json_value(doc["cells"], list):
+            key = (json_value(entry["row"], int), json_value(entry["col"], int))
             if key in cells:
                 raise ValueError(f"cell {key} appears more than once")
             histograms = {
-                tid: TowerHistogram(tuple(int(c) for c in counts))
-                for tid, counts in entry["histograms"].items()
+                tid: TowerHistogram(tuple(json_value(c, int) for c in json_value(counts, list)))
+                for tid, counts in json_value(entry["histograms"], dict).items()
             }
             points = tuple(
                 FingerprintPoint(
-                    PlanarPoint(p["x"], p["y"]),
-                    {tid: int(asu) for tid, asu in p["readings"].items()},
+                    PlanarPoint(*json_finite(p, "x", "y")),
+                    {tid: json_value(a, int) for tid, a in json_value(p["readings"], dict).items()},
                 )
-                for p in entry.get("points", [])
+                for p in json_value(entry.get("points", []), list)
             )
             unknown = set(histograms).union(*(p.readings for p in points)) - tower_ids
             if unknown:
                 raise ValueError(f"cell {key} names towers not in 'towers': {sorted(unknown)}")
             if any(not 0 <= asu <= ASU_MAX for p in points for asu in p.readings.values()):
                 raise ValueError(f"cell {key} has a point reading outside ASU 0..{ASU_MAX}")
-            centroid = PlanarPoint(entry["centroid"]["x"], entry["centroid"]["y"])
-            xy = [v for p in points for v in (p.location.x, p.location.y)]
-            _require_finite(f"cell {key} centroid or point", [centroid.x, centroid.y, *xy])
             cells[key] = GridCell(
                 cell_index=key,
-                centroid=centroid,
+                centroid=PlanarPoint(*json_finite(entry["centroid"], "x", "y")),
                 points=points,
                 histograms=histograms,
             )
         tower_locations = None
         if "tower_locations" in doc:
             tower_locations = {
-                tid: PlanarPoint(p["x"], p["y"]) for tid, p in doc["tower_locations"].items()
+                tid: PlanarPoint(*json_finite(p, "x", "y"))
+                for tid, p in json_value(doc["tower_locations"], dict).items()
             }
-            xy = [v for p in tower_locations.values() for v in (p.x, p.y)]
-            _require_finite("tower_locations", xy)
         return RadioMap(
             origin=origin,
             grid_length=grid_length,

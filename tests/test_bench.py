@@ -9,16 +9,17 @@ from gsmloc.bench import (
     ablate_towers,
     evaluate,
     preset_params,
+    sweep_density,
     sweep_grid_length,
-    sweep_k,
-    sweep_ns,
+    sweep_params,
+    sweep_tower_drop,
     thin_fingerprint,
     write_cdf_csv,
     write_report_csv,
 )
 from gsmloc.estimators import EstimatorParams, LocationEstimate
 from gsmloc.geo import PlanarPoint, project, read_trace
-from gsmloc.radiomap import build_radio_map
+from gsmloc.radiomap import SmoothingParams, build_radio_map
 
 
 @pytest.fixture
@@ -139,15 +140,52 @@ class TestSweeps:
 
     def test_ns_and_k_sweeps(self, training_scans, test_scans):
         rm = build_radio_map(training_scans, 70.0, origin=ORIGIN)
-        ns_reports = sweep_ns(rm, test_scans, [1, 3], time_repeats=1)
+        ns_configs = [EstimatorParams(n_samples=ns) for ns in (1, 3)]
+        ns_reports = sweep_params(rm, test_scans, ns_configs, time_repeats=1)
         assert [r.n_samples for r in ns_reports] == [1, 3]
-        k_reports = sweep_k(rm, test_scans, [1, 2, 4], time_repeats=1)
+        k_configs = [EstimatorParams(k=k) for k in (1, 2, 4)]
+        k_reports = sweep_params(rm, test_scans, k_configs, time_repeats=1)
         assert [r.k for r in k_reports] == [1, 2, 4]
 
     def test_empty_values_rejected(self, training_scans, test_scans):
         rm = build_radio_map(training_scans, 70.0, origin=ORIGIN)
         with pytest.raises(ValueError):
-            sweep_ns(rm, test_scans, [])
+            sweep_params(rm, test_scans, [])
+
+    def test_tower_drop_and_density_single_value_equal_plain_evaluate(
+        self, training_scans, test_scans
+    ):
+        rm = build_radio_map(training_scans, 70.0, origin=ORIGIN)
+        single = evaluate(rm, test_scans, "probabilistic", time_repeats=1)
+        dropped = sweep_tower_drop(rm, test_scans, [0.0], time_repeats=1)
+        kept = sweep_density(
+            training_scans, test_scans, [1.0], grid_length=70.0, origin=ORIGIN, time_repeats=1
+        )
+        for reports in (dropped, kept):
+            assert len(reports) == 1
+            assert reports[0].error_cdf == single.error_cdf
+
+    def test_tower_drop_and_density_seed_per_value(self, training_scans, test_scans):
+        rm = build_radio_map(training_scans, 70.0, origin=ORIGIN)
+        seeds = [int(np.random.SeedSequence([9, i]).generate_state(1)[0]) for i in range(2)]
+        dropped = sweep_tower_drop(rm, test_scans, [0.5, 0.25], base_seed=9, time_repeats=1)
+        kept = sweep_density(training_scans, test_scans, [0.5, 0.6], grid_length=70.0,
+                             origin=ORIGIN, base_seed=9, time_repeats=1)
+        for i, (drop, keep) in enumerate(zip((0.5, 0.25), (0.5, 0.6))):
+            ablated = ablate_towers(rm, drop, seeds[i])
+            thinned = build_radio_map(
+                thin_fingerprint(training_scans, keep, seeds[i]), 70.0, origin=ORIGIN
+            )
+            for report, radio_map in ((dropped[i], ablated), (kept[i], thinned)):
+                direct = evaluate(radio_map, test_scans, "probabilistic", time_repeats=1)
+                assert report.error_cdf == direct.error_cdf
+
+    def test_tower_drop_and_density_empty_values_rejected(self, training_scans, test_scans):
+        rm = build_radio_map(training_scans, 70.0, origin=ORIGIN)
+        with pytest.raises(ValueError):
+            sweep_tower_drop(rm, test_scans, [])
+        with pytest.raises(ValueError):
+            sweep_density(training_scans, test_scans, [], grid_length=70.0)
 
 
 class TestAblateTowers:
@@ -196,6 +234,15 @@ class TestAblateTowers:
     def test_seeded_and_deterministic(self, training_scans):
         rm = build_radio_map(training_scans, 70.0, origin=ORIGIN)
         assert ablate_towers(rm, 0.5, seed=6) == ablate_towers(rm, 0.5, seed=6)
+
+    def test_builds_its_own_log_table(self, training_scans):
+        rm = build_radio_map(training_scans, 70.0, origin=ORIGIN)
+        smoothing = SmoothingParams()
+        full = rm.log_likelihood_table(smoothing)
+        out = ablate_towers(rm, 0.5, seed=7)
+        table = out.log_likelihood_table(smoothing)
+        assert table.shape == (len(out.tower_ids) + 1, full.shape[1], out.n_cells)
+        assert rm.log_likelihood_table(smoothing) is full
 
 
 class TestThinFingerprint:

@@ -180,3 +180,21 @@ class TestSynthAndSweep:
         lines = (out / "report.csv").read_text().strip().splitlines()
         assert len(lines) == 3  # header + 2 rows
         assert (out / "cdf_000.csv").exists() and (out / "cdf_001.csv").exists()
+
+    @pytest.mark.parametrize("param, values, technique, column", [
+        ("grid", ["60", "90"], "probabilistic", "grid_m"),
+        ("ns", ["1", "3"], "probabilistic", "ns"),
+        ("ns", ["1", "3"], "cellid", "ns"),
+        ("towers", ["0", "0.2"], "probabilistic", None),
+        ("density", ["1", "0.5"], "probabilistic", None),
+    ])
+    def test_sweep_writes_a_row_and_cdf_per_value(self, tmp_path, param, values, technique,
+                                                  column):
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--param", param, "--values", *values, "--technique", technique,
+                     "--out", str(out)]) == 0
+        rows = list(csv.DictReader((out / "report.csv").open()))
+        assert [r["technique"] for r in rows] == [technique, technique]
+        if column is not None:
+            assert [float(r[column]) for r in rows] == [float(v) for v in values]
+        assert (out / "cdf_000.csv").exists() and (out / "cdf_001.csv").exists()

@@ -387,6 +387,22 @@ class TestGridPersistence:
         with pytest.raises(MapFormatError, match="finite"):
             load_grid(str(path))
 
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda d: d["points"][0].update(x="0.0"), id="point_string"),
+        pytest.param(lambda d: d["towers"]["A"]["mean"].__setitem__(0, "10.0"), id="mean_string"),
+        pytest.param(lambda d: d["towers"]["A"]["var"].__setitem__(0, True), id="var_bool"),
+        pytest.param(lambda d: d["towers"]["A"].update(noise_var="4.0"), id="noise_var_string"),
+        pytest.param(lambda d: d.update(spacing_m="50"), id="spacing_string"),
+        pytest.param(lambda d: d.update(towers=[]), id="towers_array"),
+    ])
+    def test_wrongly_typed_field_rejected(self, tmp_path, edit):
+        _, path = self._saved_grid(tmp_path)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MapFormatError):
+            load_grid(str(path))
+
     def test_wrong_kind_rejected(self, tmp_path):
         path = tmp_path / "grid.json"
         path.write_text(json.dumps({"version": 1, "kind": "radio_map"}))

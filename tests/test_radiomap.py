@@ -211,6 +211,15 @@ class TestCellLikelihood:
         assert rm.log_likelihood_table(SmoothingParams()) is first
 
 
+def _first_counts(doc):
+    return next(iter(doc["cells"][0]["histograms"].values()))
+
+
+def _set_first_asu(doc, value):
+    readings = doc["cells"][0]["points"][0]["readings"]
+    readings[next(iter(readings))] = value
+
+
 class TestPersistence:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(13)
@@ -312,6 +321,35 @@ class TestPersistence:
         edit(doc)
         path.write_text(json.dumps(doc))
         with pytest.raises(MapFormatError, match="finite"):
+            load_radio_map(str(path))
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda d: d["cells"][0]["centroid"].update(x="5.0"), id="centroid_string"),
+        pytest.param(lambda d: d["cells"][0]["points"][0].update(x="5.0"), id="point_string"),
+        pytest.param(lambda d: d["cells"][0].update(row=d["cells"][0]["row"] + 0.7), id="row_float"),
+        pytest.param(lambda d: d["cells"][0].update(row=str(d["cells"][0]["row"])), id="row_string"),
+        pytest.param(lambda d: _first_counts(d).__setitem__(0, 2.6), id="count_float"),
+        pytest.param(lambda d: _first_counts(d).__setitem__(0, "3"), id="count_string"),
+        pytest.param(lambda d: _first_counts(d).__setitem__(0, True), id="count_bool"),
+        pytest.param(lambda d: _set_first_asu(d, 3.9), id="asu_float"),
+        pytest.param(lambda d: _set_first_asu(d, "3"), id="asu_string"),
+        pytest.param(lambda d: d.update(grid_length_m="70"), id="grid_length_string"),
+        pytest.param(lambda d: d["grid_anchor"].update(x=str(d["grid_anchor"]["x"])),
+                     id="anchor_string"),
+        pytest.param(lambda d: d.update(tower_locations={t: {"x": "1.0", "y": 0.0}
+                                                         for t in d["towers"]}),
+                     id="tower_location_string"),
+        pytest.param(lambda d: d["cells"][0].update(histograms=[]), id="histograms_array"),
+        pytest.param(lambda d: d["cells"][0]["points"][0].update(readings=[]),
+                     id="readings_array"),
+        pytest.param(lambda d: d.update(tower_locations=[]), id="tower_locations_array"),
+        pytest.param(lambda d: d.update(cells={}), id="cells_object"),
+    ])
+    def test_wrongly_typed_field_rejected(self, tmp_path, edit):
+        path, doc = self._saved_doc(tmp_path)
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MapFormatError):
             load_radio_map(str(path))
 
     def test_wrong_kind_rejected(self, tmp_path):

@@ -14,7 +14,9 @@ change from the first file to the second, signed so that positive is worse,
 and flags every change beyond the metric's bound.  One run per side is not
 enough to tell a change within the run-to-run spread from noise, and two
 files recorded at different times also differ by the machine's speed.
-It exits 1 when a metric passes its bound or a run fails its gate.
+It exits 1 when a metric passes its bound, or when a run of the second
+file fails its gate or fails a larger share of its operations than the
+first file's run.
 
 ``pair`` runs each workload ``N`` times from a parent checkout (for
 example one made with ``git worktree add``) and from this checkout,
@@ -84,6 +86,10 @@ def record(out: Path) -> int:
     return 0
 
 
+def _failed_share(runs: list[dict]) -> float:
+    return sum(r["failed"] for r in runs) / max(1, sum(r["attempted"] for r in runs))
+
+
 def compare(old_path: Path, new_path: Path) -> int:
     old, new = (json.loads(p.read_text(encoding="utf-8")) for p in (old_path, new_path))
     end_to_end = _spec()["end_to_end"]
@@ -94,7 +100,7 @@ def compare(old_path: Path, new_path: Path) -> int:
         if before is None:
             print(f"{workload}: not in {old_path}")
             continue
-        if after["correct"] is not True or after["failed"] > before["failed"]:
+        if after["correct"] is not True or _failed_share([after]) > _failed_share([before]):
             worse += 1
             print(f"{workload}: GATE correct={after['correct']} failed={after['failed']}")
         for metric in end_to_end:
@@ -106,10 +112,6 @@ def compare(old_path: Path, new_path: Path) -> int:
             print(f"{workload:12s} {metric['name']:14s} {a:10.4g} -> {b:10.4g} "
                   f"{change:+7.1%} (bound {metric['bound']:.0%}) {flag}")
     return 1 if worse else 0
-
-
-def _failed_share(runs: list[dict]) -> float:
-    return sum(r["failed"] for r in runs) / max(1, sum(r["attempted"] for r in runs))
 
 
 def pair(parent: Path, out: Path, pairs: int) -> int:
