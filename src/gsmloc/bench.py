@@ -19,7 +19,7 @@ import csv
 import statistics
 import time
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -114,7 +114,7 @@ def evaluate(
     model: RadioMap | PrecomputedGrid,
     test_scans: Sequence[ScanVector],
     technique: str | Callable,
-    params: EstimatorParams | None = None,
+    params: EstimatorParams = EstimatorParams(),
     *,
     time_repeats: int = TIME_REPEATS,
 ) -> EvalReport:
@@ -126,7 +126,6 @@ def evaluate(
     are shorter than ``n_samples``; tracking produces an estimate from the
     first scan on.
     """
-    params = params or EstimatorParams()
     if not test_scans:
         raise ValueError("empty test set")
     for scan in test_scans:
@@ -176,26 +175,37 @@ def evaluate(
 # ---------------------------------------------------------------------------
 
 
+def _config_seed(base_seed: int, i: int) -> int:
+    """The seed of configuration ``i``: a function of (base seed, i) alone."""
+    return int(np.random.SeedSequence([base_seed, i]).generate_state(1)[0])
+
+
+def _sweep(
+    runs: Iterable[tuple[RadioMap, EstimatorParams]],
+    test_scans: Sequence[ScanVector],
+    technique: str | Callable,
+    time_repeats: int,
+) -> list[EvalReport]:
+    """Evaluate each (map, params) pair as ``runs`` yields it, one report each."""
+    reports = [evaluate(m, test_scans, technique, p, time_repeats=time_repeats) for m, p in runs]
+    if not reports:
+        raise ValueError("a sweep needs at least one value")
+    return reports
+
+
 def sweep_grid_length(
     train_scans: Sequence[ScanVector],
     test_scans: Sequence[ScanVector],
     grid_lengths: Sequence[float],
     *,
-    params: EstimatorParams | None = None,
+    params: EstimatorParams = EstimatorParams(),
     technique: str | Callable = "probabilistic",
     origin: GeoPoint | None = None,
     time_repeats: int = TIME_REPEATS,
 ) -> list[EvalReport]:
     """Rebuild the map at each grid length and evaluate on the same trace."""
-    if not grid_lengths:
-        raise ValueError("grid_lengths must be non-empty")
-    reports = []
-    for g in grid_lengths:
-        radio_map = build_radio_map(train_scans, g, origin=origin)
-        reports.append(
-            evaluate(radio_map, test_scans, technique, params, time_repeats=time_repeats)
-        )
-    return reports
+    runs = ((build_radio_map(train_scans, g, origin=origin), params) for g in grid_lengths)
+    return _sweep(runs, test_scans, technique, time_repeats)
 
 
 def sweep_params(
@@ -207,12 +217,7 @@ def sweep_params(
     time_repeats: int = TIME_REPEATS,
 ) -> list[EvalReport]:
     """Evaluate one map under each estimator configuration, one report each."""
-    if not configs:
-        raise ValueError("configs must be non-empty")
-    return [
-        evaluate(radio_map, test_scans, technique, params, time_repeats=time_repeats)
-        for params in configs
-    ]
+    return _sweep(((radio_map, p) for p in configs), test_scans, technique, time_repeats)
 
 
 def sweep_tower_drop(
@@ -220,22 +225,15 @@ def sweep_tower_drop(
     test_scans: Sequence[ScanVector],
     drop_fractions: Sequence[float],
     *,
-    params: EstimatorParams | None = None,
+    params: EstimatorParams = EstimatorParams(),
     technique: str | Callable = "probabilistic",
     base_seed: int = 0,
     time_repeats: int = TIME_REPEATS,
 ) -> list[EvalReport]:
     """Evaluate maps with a random subset of towers removed."""
-    if not drop_fractions:
-        raise ValueError("drop_fractions must be non-empty")
-    reports = []
-    for i, fraction in enumerate(drop_fractions):
-        seed = int(np.random.SeedSequence([base_seed, i]).generate_state(1)[0])
-        ablated = ablate_towers(radio_map, fraction, seed)
-        reports.append(
-            evaluate(ablated, test_scans, technique, params, time_repeats=time_repeats)
-        )
-    return reports
+    runs = ((ablate_towers(radio_map, f, _config_seed(base_seed, i)), params)
+            for i, f in enumerate(drop_fractions))
+    return _sweep(runs, test_scans, technique, time_repeats)
 
 
 def sweep_density(
@@ -244,24 +242,17 @@ def sweep_density(
     keep_fractions: Sequence[float],
     *,
     grid_length: float,
-    params: EstimatorParams | None = None,
+    params: EstimatorParams = EstimatorParams(),
     technique: str | Callable = "probabilistic",
     origin: GeoPoint | None = None,
     base_seed: int = 0,
     time_repeats: int = TIME_REPEATS,
 ) -> list[EvalReport]:
     """Thin the training trace before the map build and evaluate each map."""
-    if not keep_fractions:
-        raise ValueError("keep_fractions must be non-empty")
-    reports = []
-    for i, fraction in enumerate(keep_fractions):
-        seed = int(np.random.SeedSequence([base_seed, i]).generate_state(1)[0])
-        thinned = thin_fingerprint(train_scans, fraction, seed)
-        radio_map = build_radio_map(thinned, grid_length, origin=origin)
-        reports.append(
-            evaluate(radio_map, test_scans, technique, params, time_repeats=time_repeats)
-        )
-    return reports
+    runs = ((build_radio_map(thin_fingerprint(train_scans, f, _config_seed(base_seed, i)),
+                             grid_length, origin=origin), params)
+            for i, f in enumerate(keep_fractions))
+    return _sweep(runs, test_scans, technique, time_repeats)
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +266,6 @@ def thin_fingerprint(
     """Seeded uniform subsample of training scans (time order preserved)."""
     if not 0.0 < keep_fraction <= 1.0:
         raise ValueError("keep_fraction must be in (0, 1]")
-    if keep_fraction == 1.0:
-        return list(scans)
     n_keep = int(round(keep_fraction * len(scans)))
     rng = np.random.default_rng(seed)
     idx = np.sort(rng.choice(len(scans), size=n_keep, replace=False))

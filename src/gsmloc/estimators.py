@@ -23,7 +23,7 @@ only the per-smoothing log-likelihood table is built on first use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -38,7 +38,7 @@ class EstimatorParams:
 
     n_samples: int = 4
     k: int = 2
-    smoothing: SmoothingParams = field(default_factory=SmoothingParams)
+    smoothing: SmoothingParams = SmoothingParams()
 
     def __post_init__(self) -> None:
         if self.n_samples < 1:
@@ -53,7 +53,7 @@ class LocationEstimate:
 
     ``log_score`` is the unnormalized log posterior of the winning cell for
     the probabilistic techniques and ``None`` where no posterior exists.
-    ``contributing_cells`` lists (cell_index, weight) pairs whose weights
+    ``contributing_cells`` lists ((row, col), weight) pairs whose weights
     sum to 1.
     """
 
@@ -92,7 +92,7 @@ def _posterior_vector(
 def cell_log_posterior(
     radio_map: RadioMap,
     window: Sequence[ScanVector],
-    params: EstimatorParams | None = None,
+    params: EstimatorParams = EstimatorParams(),
 ) -> dict[tuple[int, int], float]:
     """Log P(window | cell) for every cell, under a uniform location prior.
 
@@ -100,7 +100,6 @@ def cell_log_posterior(
     in each scan of the log smoothed histogram likelihood.  Accumulation is
     entirely in log domain, so long windows cannot underflow.
     """
-    params = params or EstimatorParams()
     scans = _check_scans(window)
     scores = _posterior_vector(radio_map, scans, params.smoothing)
     return {key: float(s) for key, s in zip(radio_map.cell_keys(), scores)}
@@ -119,7 +118,7 @@ def _weighted_estimate(
 def probabilistic_locate(
     radio_map: RadioMap,
     window: Sequence[ScanVector],
-    params: EstimatorParams | None = None,
+    params: EstimatorParams = EstimatorParams(),
 ) -> LocationEstimate:
     """Grid-histogram Bayes estimate: weighted average of the top-K cells.
 
@@ -128,9 +127,6 @@ def probabilistic_locate(
     log-sum-exp, and the estimate is the weighted average of their
     centroids.  K = 1 degenerates to the most-probable-cell centroid.
     """
-    params = params or EstimatorParams()
-    if not radio_map.cells:
-        raise ValueError("radio map has no cells")
     scans = _check_scans(window)
     scores = _posterior_vector(radio_map, scans, params.smoothing)
 
@@ -152,7 +148,7 @@ def hybrid_locate(
     radio_map: RadioMap,
     window: Sequence[ScanVector],
     k_refine: int = 1,
-    smoothing: SmoothingParams | None = None,
+    smoothing: SmoothingParams = SmoothingParams(),
 ) -> LocationEstimate:
     """Two-phase estimate: rough probabilistic cell pick, then KNN refinement.
 
@@ -167,9 +163,6 @@ def hybrid_locate(
     """
     if k_refine < 1:
         raise ValueError("k_refine must be >= 1")
-    if not radio_map.cells:
-        raise ValueError("radio map has no cells")
-    smoothing = smoothing or SmoothingParams()
     scans = _check_scans(window)
     first = scans[0]
 
@@ -201,7 +194,7 @@ def hybrid_locate(
 def deterministic_locate(
     radio_map: RadioMap,
     window: Sequence[ScanVector],
-    params: EstimatorParams | None = None,
+    params: EstimatorParams = EstimatorParams(),
 ) -> LocationEstimate:
     """KNN baseline over cells in RSSI space with inverse-distance weights.
 
@@ -211,9 +204,6 @@ def deterministic_locate(
     with a tower missing on one side imputed as ASU 0 ("not heard" sits at
     the sensitivity floor), are averaged, weighted by 1/(d + 1e-6).
     """
-    params = params or EstimatorParams()
-    if not radio_map.cells:
-        raise ValueError("radio map has no cells")
     scans = _check_scans(window)
 
     sums: dict[str, float] = {}

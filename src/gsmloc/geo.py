@@ -58,15 +58,11 @@ def asu_to_dbm(asu: int) -> float:
 def dbm_to_asu(dbm: float) -> int:
     """Quantize a dBm power to the nearest ASU, clamped to [0, 31].
 
-    Rounds half away from zero, so the quantizer is the exact inverse of
+    Halves round up.  Every value below ASU 0 clamps to 0, so this equals
+    rounding half away from zero, and the quantizer is the exact inverse of
     :func:`asu_to_dbm` on the integer ASU range.
     """
-    value = (dbm + 113.0) / 2.0
-    if value >= 0.0:
-        rounded = math.floor(value + 0.5)
-    else:
-        rounded = math.ceil(value - 0.5)
-    return min(max(int(rounded), ASU_MIN), ASU_MAX)
+    return min(max(math.floor((dbm + 113.0) / 2.0 + 0.5), ASU_MIN), ASU_MAX)
 
 
 @dataclass(frozen=True)
@@ -267,14 +263,16 @@ def read_tower_locations(path: str) -> dict[str, GeoPoint]:
 
     Raises:
         TraceFormatError: naming ``path`` and the line at fault, for a bad
-            header, a wrong field count, an unparsable or out-of-range
-            coordinate, or a tower id listed twice.
+            header, a wrong field count, an empty tower id, an unparsable
+            or out-of-range coordinate, or a tower id listed twice.
     """
     towers: dict[str, GeoPoint] = {}
     for line, (tower_id, lat_s, lon_s) in _read_records(path, TOWER_HEADER):
         if tower_id in towers:
             raise TraceFormatError(f"{path}:{line}: tower {tower_id!r} listed twice")
         try:
+            if not tower_id:
+                raise ValueError("tower_id must be non-empty")
             towers[tower_id] = GeoPoint(float(lat_s), float(lon_s))
         except ValueError as exc:
             raise TraceFormatError(f"{path}:{line}: {exc}") from exc

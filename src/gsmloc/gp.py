@@ -279,19 +279,31 @@ def fit_tower_models(
 
 @dataclass(frozen=True, eq=False)
 class PrecomputedGrid:
-    """Per-tower GP posterior evaluated on a dense lattice of points."""
+    """Per-tower GP posterior on a dense lattice: at least one point and one tower."""
 
     origin: GeoPoint
     spacing: float
     points: np.ndarray  # (n_points, 2)
-    towers: tuple[str, ...]
     means: dict[str, np.ndarray]
     variances: dict[str, np.ndarray]
     noise_vars: dict[str, float]
 
+    def __post_init__(self) -> None:
+        if self.n_points == 0:
+            raise ValueError("precomputed grid has no points")
+        if not self.means:
+            raise ValueError("precomputed grid has no towers")
+        for tid, mean in self.means.items():
+            if len(mean) != self.n_points or len(self.variances[tid]) != self.n_points:
+                raise ValueError(f"tower {tid!r} arrays do not match the point count")
+
     @property
     def n_points(self) -> int:
         return len(self.points)
+
+    @property
+    def towers(self) -> tuple[str, ...]:
+        return tuple(sorted(self.means))
 
 
 def gp_build_grid(
@@ -310,8 +322,6 @@ def gp_build_grid(
     x_min, y_min, x_max, y_max = bounds
     if x_max < x_min or y_max < y_min:
         raise ValueError("bounds must not be empty")
-    if not models:
-        raise ValueError("at least one tower model is required")
     nx = int(math.floor((x_max - x_min) / spacing + 1e-9)) + 1
     ny = int(math.floor((y_max - y_min) / spacing + 1e-9)) + 1
     xs = x_min + spacing * np.arange(nx)
@@ -335,7 +345,6 @@ def gp_build_grid(
         origin=origin,
         spacing=float(spacing),
         points=points,
-        towers=tuple(sorted(models)),
         means=means,
         variances=variances,
         noise_vars=noise_vars,
@@ -351,8 +360,6 @@ def gp_locate(grid: PrecomputedGrid, window: Sequence[ScanVector]) -> LocationEs
     from a log-sum-exp over all points; observed towers without a model are
     skipped.
     """
-    if grid.n_points == 0:
-        raise ValueError("precomputed grid is empty")
     scans = _check_scans(window)
     ll = np.zeros(grid.n_points)
     used = 0
@@ -405,9 +412,9 @@ def load_grid(path: str) -> PrecomputedGrid:
     Raises:
         MapFormatError: on version mismatch, a malformed/truncated file, a
             field of the wrong JSON type, a spacing that is not a positive
-            finite number, a non-finite point or mean, a negative or
-            non-finite variance, or a ``noise_var`` that is not a positive
-            finite number.
+            finite number, no points or no towers, tower arrays not of the
+            point count, a non-finite point or mean, a negative or non-finite
+            variance, or a ``noise_var`` that is not a positive finite number.
     """
     doc = load_document(path, GP_GRID_KIND)
     try:
@@ -424,8 +431,6 @@ def load_grid(path: str) -> PrecomputedGrid:
             mean = np.array([json_value(v, float) for v in json_value(entry["mean"], list)])
             var = np.array([json_value(v, float) for v in json_value(entry["var"], list)])
             noise_var = json_value(entry["noise_var"], float)
-            if len(mean) != len(points) or len(var) != len(points):
-                raise ValueError(f"tower {tid!r} arrays do not match the point count")
             if not np.isfinite(mean).all():
                 raise ValueError(f"tower {tid!r} has a non-finite mean")
             if not ((var >= 0.0) & (var < math.inf)).all():
@@ -441,7 +446,6 @@ def load_grid(path: str) -> PrecomputedGrid:
             origin=GeoPoint(*json_finite(doc["origin"], "lat", "lon")),
             spacing=spacing,
             points=points,
-            towers=tuple(sorted(means)),
             means=means,
             variances=variances,
             noise_vars=noise_vars,

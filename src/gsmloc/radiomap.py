@@ -93,9 +93,8 @@ class TowerHistogram:
 
 @dataclass(frozen=True)
 class GridCell:
-    """All fingerprint data pooled inside one grid square."""
+    """One grid square's pooled fingerprint data; the map keys it by (row, col)."""
 
-    cell_index: tuple[int, int]  # (row, col)
     centroid: PlanarPoint
     points: tuple[FingerprintPoint, ...]
     histograms: dict[str, TowerHistogram]
@@ -107,10 +106,10 @@ class RadioMap:
 
     The grid is anchored at the minimum x/y of the training data, so cell
     (row, col) covers [anchor_x + col*G, anchor_x + (col+1)*G) horizontally
-    and the same vertically with row.  The fields never change, and
-    construction builds every read-only array the estimators use except the
-    log-likelihood table, which depends on the smoothing: it is built on
-    first use, once per :class:`SmoothingParams`.
+    and the same vertically with row.  A map holds at least one cell.  The
+    fields never change, and construction builds every read-only array the
+    estimators use except the log-likelihood table, which depends on the
+    smoothing: it is built on first use, once per :class:`SmoothingParams`.
     """
 
     origin: GeoPoint
@@ -128,6 +127,8 @@ class RadioMap:
     _loglik: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if not self.cells:
+            raise ValueError("radio map has no cells")
         keys = tuple(sorted(self.cells))
         tower_index = {tid: i for i, tid in enumerate(sorted(self.tower_ids))}
         object.__setattr__(self, "_keys", keys)
@@ -288,16 +289,14 @@ def build_radio_map(
 
     cells: dict[tuple[int, int], GridCell] = {}
     tower_ids: set[str] = set()
-    for cell_index in sorted(buckets):
-        members = buckets[cell_index]
+    for key, members in sorted(buckets.items()):
         counts: dict[str, list[int]] = {}
         for p in members:
             for tid, asu in p.readings.items():
                 counts.setdefault(tid, [0] * N_ASU_BINS)[asu] += 1
         histograms = {tid: TowerHistogram(tuple(c)) for tid, c in sorted(counts.items())}
         tower_ids.update(histograms)
-        cells[cell_index] = GridCell(
-            cell_index=cell_index,
+        cells[key] = GridCell(
             centroid=_centroid(members),
             points=() if strip_points else tuple(members),
             histograms=histograms,
@@ -352,7 +351,7 @@ def ablate_towers(radio_map: RadioMap, drop_fraction: float, seed: int) -> Radio
             if (readings := {t: a for t, a in p.readings.items() if t not in dropped})
         )
         centroid = _centroid(points) if points else cell.centroid
-        cells[key] = GridCell(key, centroid, points, histograms)
+        cells[key] = GridCell(centroid, points, histograms)
 
     tower_locations = radio_map.tower_locations
     if tower_locations is not None:
@@ -463,8 +462,8 @@ def load_radio_map(path: str) -> RadioMap:
         MapFormatError: on version mismatch, a malformed/truncated file, a
             field of the wrong JSON type (see :func:`json_value`), a
             histogram or point naming a tower missing from ``towers``, a
-            point reading outside ASU 0..31, two entries for one cell, a
-            grid length that is not a positive finite number, or a
+            point reading outside ASU 0..31, no cells or two entries for one
+            cell, a grid length that is not a positive finite number, or a
             non-finite anchor, centroid, point or tower location; no partial
             map is ever returned.
     """
@@ -498,7 +497,6 @@ def load_radio_map(path: str) -> RadioMap:
             if any(not 0 <= asu <= ASU_MAX for p in points for asu in p.readings.values()):
                 raise ValueError(f"cell {key} has a point reading outside ASU 0..{ASU_MAX}")
             cells[key] = GridCell(
-                cell_index=key,
                 centroid=PlanarPoint(*json_finite(entry["centroid"], "x", "y")),
                 points=points,
                 histograms=histograms,

@@ -151,6 +151,8 @@ class TestSweeps:
         rm = build_radio_map(training_scans, 70.0, origin=ORIGIN)
         with pytest.raises(ValueError):
             sweep_params(rm, test_scans, [])
+        with pytest.raises(ValueError):
+            sweep_grid_length(training_scans, test_scans, [])
 
     def test_tower_drop_and_density_single_value_equal_plain_evaluate(
         self, training_scans, test_scans
@@ -290,6 +292,8 @@ class TestCsvOutput:
     def test_report_invariants_enforced(self):
         with pytest.raises(ValueError):
             EvalReport("x", 70.0, 1, 1, 1.0, 2.0, 0.1, error_cdf=((1.0, 0.5),))
+        with pytest.raises(ValueError, match="abscissae must be sorted"):
+            EvalReport("x", 70.0, 1, 1, 1.0, 2.0, 0.1, error_cdf=((2.0, 0.5), (1.0, 1.0)))
 
 
 def test_preset_params_lookup():

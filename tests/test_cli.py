@@ -70,6 +70,25 @@ class TestExitCodes:
         assert rc == 2
         assert f"{bad}:9:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind,technique,edit,message", [
+        pytest.param("map", "probabilistic", lambda d: d.update(cells=[]),
+                     "malformed radio map (radio map has no cells)", id="map_no_cells"),
+        pytest.param("gp", "gp", lambda d: d.update(towers={}),
+                     "malformed GP grid (precomputed grid has no towers)", id="grid_no_towers"),
+    ])
+    def test_empty_model_file_is_2(self, tmp_path, tiny_trace, capsys, kind, technique, edit,
+                                   message):
+        trace, _ = tiny_trace
+        path = tmp_path / "model.json"
+        assert main(["build", "--traces", str(trace), "--kind", kind, "--spacing", "50",
+                     "--out", str(path)]) == 0
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        rc = main(["locate", "--map", str(path), "--scans", str(trace), "--technique", technique])
+        assert rc == 2
+        assert f"{path}: {message}" in capsys.readouterr().err
+
 
 class TestBuildLocateEvaluate:
     def test_build_and_locate(self, tmp_path, tiny_trace, capsys):

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -16,7 +18,13 @@ from gsmloc.estimators import (
     probabilistic_locate,
 )
 from gsmloc.geo import GeoPoint, PlanarPoint, ScanVector
-from gsmloc.radiomap import SmoothingParams, build_radio_map, load_radio_map, save_radio_map
+from gsmloc.radiomap import (
+    MapFormatError,
+    SmoothingParams,
+    build_radio_map,
+    load_radio_map,
+    save_radio_map,
+)
 from oracles import (
     boundary_tie,
     brute_deterministic,
@@ -175,11 +183,19 @@ class TestProbabilisticLocate:
         b = probabilistic_locate(rm, window, EstimatorParams(k=2))
         assert a == b
 
-    def test_empty_map_rejected(self):
+    def test_empty_map_rejected(self, tmp_path):
+        # A map without cells cannot be constructed or loaded, so no
+        # estimator ever sees one.
         rm = build_radio_map([scan_at_planar(0, 1.0, 1.0, {"A": 1})], 70.0, origin=ORIGIN)
-        object.__setattr__(rm, "cells", {})
-        with pytest.raises(ValueError):
-            probabilistic_locate(rm, [scan({"A": 1})])
+        with pytest.raises(ValueError, match="radio map has no cells"):
+            dataclasses.replace(rm, cells={})
+        path = tmp_path / "map.json"
+        save_radio_map(rm, str(path))
+        doc = json.loads(path.read_text())
+        doc["cells"] = []
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MapFormatError, match="radio map has no cells"):
+            load_radio_map(str(path))
 
     def test_unknown_tower_shifts_all_scores_uniformly(self):
         # A reading from a tower the map never heard adds the same floor

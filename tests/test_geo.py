@@ -107,6 +107,11 @@ class TestScanTypes:
         with pytest.raises(ValueError):
             ScanVector(0.0, {})
 
+    @pytest.mark.parametrize("asu", [True, 5.0])
+    def test_scan_vector_rejects_non_int_asu(self, asu):
+        with pytest.raises(TypeError, match="ASU reading must be an int"):
+            ScanVector(0.0, {"A": asu})
+
 
 class TestGrouping:
     """``read_trace`` merges rows that share a timestamp into one scan."""
@@ -199,6 +204,7 @@ class TestTraceFiles:
             (["1.0,91.0,31.0,A,5"], 2),  # latitude out of range
             (["1.0,,,A,5.5"], 2),  # fractional ASU
             (["1.0,,,A,5", "", "x,,,A,5"], 4),  # blank lines still count
+            (["1.0,,,A" + "x" * 131_072 + ",5"], 2),  # csv.Error: field larger than limit
         ],
     )
     def test_malformed_row_names_its_line(self, tmp_path, rows, line):
@@ -215,6 +221,17 @@ class TestTraceFiles:
         path = tmp_path / "towers.csv"
         path.write_text("tower_id,lat,lon\nT0,30.0,31.0\nT0,30.5,31.5\n")
         with pytest.raises(TraceFormatError, match=":3: tower 'T0' listed twice"):
+            read_tower_locations(str(path))
+
+    @pytest.mark.parametrize("row,message", [
+        pytest.param(",30.0,31.0", "tower_id must be non-empty", id="empty_id"),
+        pytest.param("T1,north,31.0", "could not convert string to float", id="unparsable_lat"),
+        pytest.param("T1,95.0,31.0", r"latitude 95.0 outside", id="lat_out_of_range"),
+    ])
+    def test_tower_csv_bad_field_names_its_line(self, tmp_path, row, message):
+        path = tmp_path / "towers.csv"
+        path.write_text(f"tower_id,lat,lon\nT0,30.0,31.0\n{row}\n")
+        with pytest.raises(TraceFormatError, match=f":3: {message}"):
             read_tower_locations(str(path))
 
     def test_tower_csv_bad_row_names_its_line(self, tmp_path):

@@ -180,6 +180,17 @@ class TestSelection:
         with pytest.raises(ValueError, match="finite"):
             gp_fit(bad_x, y)
 
+    @pytest.mark.parametrize("x,y,hyper_grid,message", [
+        pytest.param(np.zeros((5, 2)), np.zeros(4), None, "match values", id="length_mismatch"),
+        pytest.param(np.zeros((5, 3)), np.zeros(5), None, r"\(n, 2\)", id="three_columns"),
+        pytest.param(np.zeros(5), np.zeros(5), None, r"\(n, 2\)", id="one_dimensional"),
+        pytest.param(np.arange(10.0).reshape(5, 2), np.zeros(5), [], "at least one candidate",
+                     id="empty_hyper_grid"),
+    ])
+    def test_bad_shape_or_empty_hyper_grid_rejected(self, x, y, hyper_grid, message):
+        with pytest.raises(ValueError, match=message):
+            gp_fit(x, y, hyper_grid)
+
 
 class TestPredict:
     def test_far_query_reverts_to_training_mean(self):
@@ -262,6 +273,22 @@ class TestGrid:
         rng = np.random.default_rng(13)
         with pytest.raises(ValueError):
             gp_build_grid(self._models(rng), (0.0, 0.0, 100.0, 100.0), 0.0, ORIGIN)
+
+    @pytest.mark.parametrize("bounds,towers,message", [
+        pytest.param((100.0, 0.0, 0.0, 100.0), ("A",), "bounds must not be empty", id="x_inverted"),
+        pytest.param((0.0, 100.0, 100.0, 0.0), ("A",), "bounds must not be empty", id="y_inverted"),
+        pytest.param((0.0, 0.0, 100.0, 100.0), (), "no towers", id="no_models"),
+    ])
+    def test_empty_lattice_or_no_models_rejected(self, bounds, towers, message):
+        models = self._models(np.random.default_rng(13), towers)
+        with pytest.raises(ValueError, match=message):
+            gp_build_grid(models, bounds, 50.0, ORIGIN)
+
+    def test_towers_follow_means(self):
+        rng = np.random.default_rng(13)
+        grid = gp_build_grid(self._models(rng), (0.0, 0.0, 100.0, 100.0), 50.0, ORIGIN)
+        assert grid.towers == ("A", "B")
+        assert dataclasses.replace(grid, means={"B": grid.means["B"]}).towers == ("B",)
 
 
 class TestGpLocate:
@@ -347,6 +374,13 @@ class TestFitTowerModels:
             fit_tower_models(scans, ORIGIN)
 
 
+def _drop_points(doc):
+    """Empty a saved grid's points and every tower's arrays with them."""
+    doc["points"] = []
+    for entry in doc["towers"].values():
+        entry["mean"], entry["var"] = [], []
+
+
 class TestGridPersistence:
     @staticmethod
     def _saved_grid(tmp_path):
@@ -401,6 +435,20 @@ class TestGridPersistence:
         edit(doc)
         path.write_text(json.dumps(doc))
         with pytest.raises(MapFormatError):
+            load_grid(str(path))
+
+    @pytest.mark.parametrize("edit,message", [
+        pytest.param(_drop_points, "no points", id="no_points"),
+        pytest.param(lambda d: d.update(towers={}), "no towers", id="no_towers"),
+        pytest.param(lambda d: d["towers"]["A"]["mean"].pop(), "point count", id="mean_short"),
+        pytest.param(lambda d: d["towers"]["A"]["var"].append(1.0), "point count", id="var_long"),
+    ])
+    def test_empty_or_mismatched_grid_rejected(self, tmp_path, edit, message):
+        _, path = self._saved_grid(tmp_path)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MapFormatError, match=message):
             load_grid(str(path))
 
     def test_wrong_kind_rejected(self, tmp_path):
