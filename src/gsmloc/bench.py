@@ -19,7 +19,7 @@ import csv
 import statistics
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -201,10 +201,12 @@ def sweep_grid_length(
     params: EstimatorParams = EstimatorParams(),
     technique: str | Callable = "probabilistic",
     origin: GeoPoint | None = None,
+    tower_locations: Mapping[str, GeoPoint] | None = None,
     time_repeats: int = TIME_REPEATS,
 ) -> list[EvalReport]:
     """Rebuild the map at each grid length and evaluate on the same trace."""
-    runs = ((build_radio_map(train_scans, g, origin=origin), params) for g in grid_lengths)
+    runs = ((build_radio_map(train_scans, g, origin=origin, tower_locations=tower_locations),
+             params) for g in grid_lengths)
     return _sweep(runs, test_scans, technique, time_repeats)
 
 
@@ -245,12 +247,13 @@ def sweep_density(
     params: EstimatorParams = EstimatorParams(),
     technique: str | Callable = "probabilistic",
     origin: GeoPoint | None = None,
+    tower_locations: Mapping[str, GeoPoint] | None = None,
     base_seed: int = 0,
     time_repeats: int = TIME_REPEATS,
 ) -> list[EvalReport]:
     """Thin the training trace before the map build and evaluate each map."""
     runs = ((build_radio_map(thin_fingerprint(train_scans, f, _config_seed(base_seed, i)),
-                             grid_length, origin=origin), params)
+                             grid_length, origin=origin, tower_locations=tower_locations), params)
             for i, f in enumerate(keep_fractions))
     return _sweep(runs, test_scans, technique, time_repeats)
 

@@ -194,9 +194,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     else:
         values = [float(v) for v in args.values]
 
+    towers = world.tower_locations_geo()
     if args.param == "grid":
         reports = bench.sweep_grid_length(
-            train, test, values, params=params, technique=args.technique
+            train, test, values, params=params, technique=args.technique, tower_locations=towers
         )
     elif args.param == "density":
         reports = bench.sweep_density(
@@ -206,12 +207,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             grid_length=args.grid_length,
             params=params,
             technique=args.technique,
+            tower_locations=towers,
             base_seed=args.seed,
         )
     else:
-        radio_map = build_radio_map(
-            train, args.grid_length, tower_locations=world.tower_locations_geo()
-        )
+        radio_map = build_radio_map(train, args.grid_length, tower_locations=towers)
         if args.param == "towers":
             reports = bench.sweep_tower_drop(
                 radio_map, test, values, params=params, technique=args.technique,

@@ -8,12 +8,17 @@ prediction), so far from the data the posterior reverts to the tower's
 typical level instead of ASU 0.
 
 Hyperparameters come from a deterministic grid search maximizing the log
-marginal likelihood (LML).  Following Rasmussen & Williams, *GPML* (2006),
-Alg. 2.1 and Sec. 5.4, one ``eigh`` of R = exp(-d^2 / (2 l^2)) per length
-scale ranks every (sigma_f^2, sigma_n^2) candidate in O(n), since
-sigma_f^2 R + sigma_n^2 I has eigenvalues sigma_f^2 lambda + sigma_n^2.  The
-near-best candidates are then scored exactly by Cholesky, so the chosen
-model equals that of a dense per-candidate search.
+marginal likelihood (LML) of Rasmussen & Williams, *GPML* (2006), Sec. 5.4.
+Per length scale, one Householder tridiagonalization (Golub & Van Loan,
+Sec. 8.3.1) of the bordered matrix [[0, y^T], [y, R]], R = exp(-d^2 / (2 l^2)),
+gives Q^T R Q = T with Q^T y = |y| e_0, since the first reflector maps y onto
+e_0 and the later ones never touch that index.  Each (sigma_f^2, sigma_n^2)
+candidate then costs one tridiagonal solve, y^T K^-1 y =
+|y|^2 [(sigma_f^2 T + sigma_n^2 I)^-1]_00, and log|K| sums log(sigma_f^2
+lambda + sigma_n^2) over T's eigenvalues.  The near-best candidates are scored
+exactly by Cholesky, so the chosen model equals that of a dense search.  GP
+arrays are bit-reproducible only under a fixed scipy/OpenBLAS build and BLAS
+thread count.
 
 For localization, posterior mean and variance are precomputed on a dense
 lattice of points once; each online estimate then weights every lattice
@@ -30,7 +35,8 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import cholesky, solve_triangular
+from scipy.linalg.lapack import dptsv, dsterf, dsytrd, dsytrd_lwork
 from scipy.stats import norm
 
 from .estimators import LocationEstimate, _check_scans
@@ -77,7 +83,9 @@ def default_hyper_grid() -> list[GpHyperparams]:
 
 
 def _sq_dists(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
-    return ((xa[:, None, :] - xb[None, :, :]) ** 2).sum(axis=2)
+    dx = xa[:, None, 0] - xb[None, :, 0]
+    dy = xa[:, None, 1] - xb[None, :, 1]
+    return dx * dx + dy * dy
 
 
 def _se_kernel(d2: np.ndarray, hyper: GpHyperparams) -> np.ndarray:
@@ -85,16 +93,13 @@ def _se_kernel(d2: np.ndarray, hyper: GpHyperparams) -> np.ndarray:
 
 
 def _cholesky_with_jitter(k_noisy: np.ndarray, sigma_f2: float) -> np.ndarray:
-    jitter = _JITTER_START * sigma_f2
-    try:
-        return np.linalg.cholesky(k_noisy)
-    except np.linalg.LinAlgError:
-        pass
-    for _ in range(_JITTER_RETRIES):
+    jitter = 0.0
+    for retry in range(_JITTER_RETRIES + 1):
         try:
-            return np.linalg.cholesky(k_noisy + jitter * np.eye(len(k_noisy)))
+            return cholesky(k_noisy + jitter * np.eye(len(k_noisy)) if retry else k_noisy,
+                            lower=True, check_finite=False)
         except np.linalg.LinAlgError:
-            jitter *= 10.0
+            jitter = jitter * 10.0 if retry else _JITTER_START * sigma_f2
     raise GpFitError("kernel matrix is not positive definite even after jitter")
 
 
@@ -126,7 +131,8 @@ def _factorize(
     """Cholesky factor of K + sigma_n^2 I, alpha = (K + sigma_n^2 I)^-1 yc and the LML."""
     k_noisy = _se_kernel(d2, hyper) + hyper.sigma_n2 * np.eye(len(d2))
     chol = _cholesky_with_jitter(k_noisy, hyper.sigma_f2)
-    alpha = solve_triangular(chol.T, solve_triangular(chol, yc, lower=True), lower=False)
+    half = solve_triangular(chol, yc, lower=True, check_finite=False)
+    alpha = solve_triangular(chol.T, half, lower=False, check_finite=False)
     lml = float(
         -0.5 * yc @ alpha - np.log(np.diag(chol)).sum() - 0.5 * len(yc) * math.log(2.0 * math.pi)
     )
@@ -145,23 +151,31 @@ def gp_log_marginal_likelihood(
 def _spectral_lmls(
     d2: np.ndarray, yc: np.ndarray, candidates: Sequence[GpHyperparams]
 ) -> np.ndarray:
-    """Every candidate's LML from one ``eigh`` per distinct length scale.
+    """Every candidate's LML from one tridiagonal reduction per distinct length scale.
 
-    A candidate whose spectrum sigma_f^2 lambda + sigma_n^2 is not safely
-    positive (minimum <= 1e-6 sigma_f^2) gets +inf, so that it is always
-    scored exactly, with the jitter retries of the Cholesky path.
+    A candidate whose spectrum sigma_f^2 lambda + sigma_n^2 is not safely positive
+    (minimum <= 1e-6 sigma_f^2), or whose tridiagonal solve fails, gets +inf, so
+    that it is always scored exactly, with the Cholesky path's jitter retries.
     """
+    n = len(yc)
     lmls = np.full(len(candidates), np.inf)
-    spectra: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+    bordered = np.zeros((n + 1, n + 1), order="F")
+    bordered[1:, 0] = yc
+    unit = np.eye(n, 1)
+    lwork = int(dsytrd_lwork(n + 1, lower=1)[0])
+    spectra: dict[float, tuple[np.ndarray, np.ndarray, float, np.ndarray, int]] = {}
     for i, hyper in enumerate(candidates):
         if hyper.length_scale not in spectra:
-            lam, vecs = np.linalg.eigh(np.exp(-d2 / (2.0 * hyper.length_scale**2)))
-            spectra[hyper.length_scale] = lam, (vecs.T @ yc) ** 2
-        lam, proj2 = spectra[hyper.length_scale]
+            bordered[1:, 1:] = np.exp(-d2 / (2.0 * hyper.length_scale**2))
+            _, d, e, _, _ = dsytrd(bordered, lower=1, lwork=lwork)
+            spectra[hyper.length_scale] = d[1:], e[1:], e[0] ** 2, *dsterf(d[1:], e[1:])
+        d, e, yy, lam, failed = spectra[hyper.length_scale]
         eig = hyper.sigma_f2 * lam + hyper.sigma_n2
-        if eig.min() > 1e-6 * hyper.sigma_f2:
-            lmls[i] = -0.5 * (proj2 / eig).sum() - 0.5 * np.log(eig).sum()
-    return lmls - 0.5 * len(yc) * math.log(2.0 * math.pi)
+        if not failed and eig.min() > 1e-6 * hyper.sigma_f2:
+            _, _, x, info = dptsv(hyper.sigma_f2 * d + hyper.sigma_n2, hyper.sigma_f2 * e, unit)
+            if info == 0:
+                lmls[i] = -0.5 * yy * x[0, 0] - 0.5 * np.log(eig).sum()
+    return lmls - 0.5 * n * math.log(2.0 * math.pi)
 
 
 def gp_fit(
@@ -209,16 +223,11 @@ def gp_fit(
     d2 = _sq_dists(x, x)
     spectral = _spectral_lmls(d2, yc, candidates)
     top = spectral[np.isfinite(spectral)].max(initial=-np.inf)
-    best = None
-    for i in np.flatnonzero(spectral >= top - 1e-6 * max(1.0, abs(top))):
-        fit = _factorize(d2, yc, candidates[i])
-        if best is None or fit[2] > best[1][2]:
-            best = candidates[i], fit
-    hyper, (chol, alpha, lml) = best
-    x.setflags(write=False)
-    y.setflags(write=False)
-    chol.setflags(write=False)
-    alpha.setflags(write=False)
+    near = np.flatnonzero(spectral >= top - 1e-6 * max(1.0, abs(top)))
+    hyper, (chol, alpha, lml) = max(  # max keeps the first of equal maxima
+        ((candidates[i], _factorize(d2, yc, candidates[i])) for i in near), key=lambda c: c[1][2])
+    for array in (x, y, chol, alpha):
+        array.setflags(write=False)
     return GpTowerModel(
         locations=x,
         values=y,
@@ -233,7 +242,7 @@ def gp_fit(
 def _predict_many(model: GpTowerModel, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     k_star = _se_kernel(_sq_dists(model.locations, pts), model.hyper)  # (n, m)
     mean = k_star.T @ model.alpha + model.mean_offset
-    w = solve_triangular(model.chol, k_star, lower=True)
+    w = solve_triangular(model.chol, k_star, lower=True, check_finite=False)
     var = model.hyper.sigma_f2 - (w * w).sum(axis=0)
     return mean, np.maximum(var, 0.0)
 

@@ -206,6 +206,8 @@ class TestSynthAndSweep:
         ("ns", ["1", "3"], "cellid", "ns"),
         ("towers", ["0", "0.2"], "probabilistic", None),
         ("density", ["1", "0.5"], "probabilistic", None),
+        ("grid", ["60", "90"], "cellid", "grid_m"),
+        ("density", ["1", "0.5"], "cellid", None),
     ])
     def test_sweep_writes_a_row_and_cdf_per_value(self, tmp_path, param, values, technique,
                                                   column):

@@ -9,6 +9,7 @@ from conftest import ORIGIN, scan_at_planar
 from gsmloc.geo import PlanarPoint, ProjectionRangeWarning, ScanVector
 from gsmloc.gp import (
     GpHyperparams,
+    _spectral_lmls,
     default_hyper_grid,
     fit_tower_models,
     gp_build_grid,
@@ -19,8 +20,15 @@ from gsmloc.gp import (
     load_grid,
     save_grid,
 )
-from gsmloc.radiomap import MapFormatError
-from oracles import brute_gp_locate, kernel, naive_gp_posterior, naive_log_marginal
+from gsmloc.radiomap import MapFormatError, build_radio_map
+from gsmloc.synth import generate_trace, make_preset
+from oracles import (
+    brute_gp_locate,
+    eigh_spectral_lmls,
+    kernel,
+    naive_gp_posterior,
+    naive_log_marginal,
+)
 
 HYPER = GpHyperparams(sigma_f2=100.0, sigma_n2=4.0, length_scale=100.0)
 
@@ -167,6 +175,66 @@ class TestSelection:
         model = gp_fit(x, y, grid)
         assert model.hyper is grid[best]
         assert model.log_marginal == lmls[best]
+
+    @staticmethod
+    def _spectral_pair(x, y, grid):
+        """The package's tridiagonal LMLs and the eigh oracle's, on the same input."""
+        d2 = ((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2)
+        yc = y - y.mean()
+        return _spectral_lmls(d2, yc, grid), eigh_spectral_lmls(d2, yc, grid)
+
+    @staticmethod
+    def _assert_lmls_agree(got, want):
+        assert np.array_equal(np.isinf(got), np.isinf(want))
+        finite = np.isfinite(want)
+        assert finite.any()
+        err = np.abs(got[finite] - want[finite])
+        assert (err <= 1e-9 * np.maximum(1.0, np.abs(want[finite]))).all(), err.max()
+
+    @pytest.mark.parametrize("n", [2, 5, 50, 200, 500])
+    def test_tridiagonal_lmls_match_eigh_oracle(self, n):
+        rng = np.random.default_rng(300 + n)
+        for side in (150.0, 600.0, 2000.0):
+            x, y = random_training(rng, n=n, side=side)
+            y = y + rng.normal(0, 1.5, size=n)
+            self._assert_lmls_agree(*self._spectral_pair(x, y, default_hyper_grid()))
+
+    def test_constant_targets_match_eigh_oracle(self):
+        rng = np.random.default_rng(24)
+        x, _ = random_training(rng, n=40)
+        got, want = self._spectral_pair(x, np.full(40, 12.0), default_hyper_grid())
+        self._assert_lmls_agree(got, want)
+        # with yc = 0 only the log-determinant is left
+        assert got[0] == pytest.approx(gp_log_marginal_likelihood(x, np.full(40, 12.0),
+                                                                  default_hyper_grid()[0]))
+
+    def test_duplicated_locations_give_inf_on_the_same_candidates(self):
+        rng = np.random.default_rng(25)
+        x, y = random_training(rng, n=15)
+        x, y = np.vstack([x, x]), np.concatenate([y, y + 0.5])
+        grid = [GpHyperparams(1e6, sn2, ls) for ls in (100.0, 400.0) for sn2 in (1e-10, 4.0)]
+        got, want = self._spectral_pair(x, y, grid)
+        assert np.isinf(want).tolist() == [True, False, True, False]
+        self._assert_lmls_agree(got, want)
+
+    def test_rural_preset_fit_picks_the_eigh_ranking_choice(self):
+        # Every tower of rural seed 0, re-ranked by the oracle under the same
+        # rule: the near-best candidates are scored exactly, first max wins.
+        world, routes = make_preset("rural", seed=0)
+        train = generate_trace(world, routes["train"])
+        models = fit_tower_models(train, build_radio_map(train, 70.0).origin)
+        grid = default_hyper_grid()
+        assert len(models) == 51
+        for tid, model in models.items():
+            x, y = model.locations, model.values
+            yc = y - y.mean()
+            spectral = eigh_spectral_lmls(((x[:, None] - x[None]) ** 2).sum(axis=2), yc, grid)
+            top = spectral[np.isfinite(spectral)].max(initial=-np.inf)
+            near = np.flatnonzero(spectral >= top - 1e-6 * max(1.0, abs(top)))
+            exact = {i: gp_log_marginal_likelihood(x, y, grid[i]) for i in near}
+            best = max(near, key=lambda i: (exact[i], -i))
+            assert model.hyper == grid[best], tid
+            assert model.log_marginal == exact[best], tid
 
     def test_non_finite_input_rejected(self):
         rng = np.random.default_rng(23)

@@ -4,7 +4,7 @@ Run from the repository root:
 
     python3 tools/bench_record.py run BENCH_<n>.json
     python3 tools/bench_record.py compare BENCH_old.json BENCH_new.json
-    python3 tools/bench_record.py pair PARENT_DIR OUT.json --pairs N
+    python3 tools/bench_record.py pair PARENT_DIR OUT.json --pairs N [--workload NAME ...]
 
 ``run`` runs ``benchmark/run.py --seed 0 --seconds 6`` once per workload
 listed in ``BENCHMARK.json`` and writes each run record, gate result and
@@ -21,6 +21,9 @@ first file's run.
 ``pair`` runs each workload ``N`` times from a parent checkout (for
 example one made with ``git worktree add``) and from this checkout,
 alternating which side goes first, and writes every run to ``OUT.json``.
+``--workload NAME``, which may be repeated, limits it to the named
+workloads, in the given order; without it every workload in
+``BENCHMARK.json`` runs.
 Per workload and end-to-end metric it prints both medians, the change
 between them (positive is worse), the parent's interquartile range over
 its median, and in how many pairs the change beat the parent.  It flags
@@ -114,10 +117,10 @@ def compare(old_path: Path, new_path: Path) -> int:
     return 1 if worse else 0
 
 
-def pair(parent: Path, out: Path, pairs: int) -> int:
+def pair(parent: Path, out: Path, pairs: int, workloads: list[str]) -> int:
     spec = _spec()
     runs: dict[str, dict[str, list[dict]]] = {}
-    for workload in (w["name"] for w in spec["workloads"]):
+    for workload in workloads:
         runs[workload] = {"parent": [], "change": []}
         for k in range(pairs):
             sides = (("parent", parent), ("change", ROOT))
@@ -159,6 +162,7 @@ def pair(parent: Path, out: Path, pairs: int) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    workloads = [w["name"] for w in _spec()["workloads"]]
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("run").add_argument("out", type=Path)
@@ -169,13 +173,16 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("parent", type=Path, help="checkout of the parent commit")
     p.add_argument("out", type=Path, help="JSON file for every run of both sides")
     p.add_argument("--pairs", type=int, default=3)
+    p.add_argument("--workload", action="append", choices=workloads,
+                   help="run only this workload (repeatable)")
     args = parser.parse_args(argv)
     if args.command == "run":
         return record(args.out)
     if args.command == "pair":
         if args.pairs < 2:
             parser.error("--pairs must be at least 2")
-        return pair(args.parent.resolve(), args.out, args.pairs)
+        return pair(args.parent.resolve(), args.out, args.pairs,
+                    list(dict.fromkeys(args.workload or workloads)))
     return compare(args.old, args.new)
 
 
