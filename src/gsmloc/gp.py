@@ -20,11 +20,14 @@ exactly by Cholesky, so the chosen model equals that of a dense search.  GP
 arrays are bit-reproducible only under a fixed scipy/OpenBLAS build and BLAS
 thread count.
 
-For localization, posterior mean and variance are precomputed on a dense
-lattice of points once; each online estimate then weights every lattice
-point by its Gaussian likelihood of the observed readings and returns the
-weighted average position.  That per-point work is what makes this baseline
-much slower than the histogram techniques.
+For localization, posterior mean and variance are precomputed once on a dense
+lattice, where the kernel factors per axis, exp(-(dx^2 + dy^2) / (2 l^2)) =
+exp(-dx^2 / (2 l^2)) exp(-dy^2 / (2 l^2)), so k* is the outer product of an
+(nx, n) and an (ny, n) table.  Each online estimate weights every lattice point
+by its Gaussian likelihood of the observed readings and returns the weighted
+average position; that per-point work makes this baseline much slower than the
+histogram techniques.  scipy.stats, for that likelihood, loads at a process's
+first GP estimate, once (about 43 MB and 0.9 s), and never in other processes.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 from scipy.linalg import cholesky, solve_triangular
 from scipy.linalg.lapack import dptsv, dsterf, dsytrd, dsytrd_lwork
-from scipy.stats import norm
 
 from .estimators import LocationEstimate, _check_scans
 from .geo import GeoPoint, PlanarPoint, ScanVector, project
@@ -239,17 +241,21 @@ def gp_fit(
     )
 
 
-def _predict_many(model: GpTowerModel, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    k_star = _se_kernel(_sq_dists(model.locations, pts), model.hyper)  # (n, m)
+def _predict_lattice(model: GpTowerModel, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior mean and variance at every (xs[i], ys[j]), x varying fastest."""
+    scale = -0.5 / model.hyper.length_scale**2
+    ex = np.exp(scale * (xs[:, None] - model.locations[:, 0]) ** 2)  # (nx, n)
+    ey = model.hyper.sigma_f2 * np.exp(scale * (ys[:, None] - model.locations[:, 1]) ** 2)
+    k_star = (ey[:, None, :] * ex[None, :, :]).reshape(-1, len(model.alpha)).T  # (n, m), F order: solved in place
     mean = k_star.T @ model.alpha + model.mean_offset
-    w = solve_triangular(model.chol, k_star, lower=True, check_finite=False)
+    w = solve_triangular(model.chol, k_star, lower=True, overwrite_b=True, check_finite=False)
     var = model.hyper.sigma_f2 - (w * w).sum(axis=0)
     return mean, np.maximum(var, 0.0)
 
 
 def gp_predict(model: GpTowerModel, p: PlanarPoint) -> tuple[float, float]:
     """Posterior mean and variance of the tower's ASU field at a point."""
-    mean, var = _predict_many(model, np.array([[p.x, p.y]]))
+    mean, var = _predict_lattice(model, np.array([p.x]), np.array([p.y]))
     return float(mean[0]), float(var[0])
 
 
@@ -344,7 +350,7 @@ def gp_build_grid(
     noise_vars: dict[str, float] = {}
     for tower_id in sorted(models):
         model = models[tower_id]
-        mean, var = _predict_many(model, points)
+        mean, var = _predict_lattice(model, xs, ys)
         mean.setflags(write=False)
         var.setflags(write=False)
         means[tower_id] = mean
@@ -367,8 +373,11 @@ def gp_locate(grid: PrecomputedGrid, window: Sequence[ScanVector]) -> LocationEs
     towers with a model, the Gaussian log density of the observed ASU under
     (posterior mean, posterior variance + observation noise).  Weights come
     from a log-sum-exp over all points; observed towers without a model are
-    skipped.
+    skipped.  The first call in a process also imports scipy.stats: ``evaluate``'s
+    default timing, a median over repeats, excludes that import, and
+    ``evaluate(..., time_repeats=1)`` includes it.
     """
+    from scipy.stats import norm  # ~43 MB and ~0.9 s, paid only by processes that run GP
     scans = _check_scans(window)
     ll = np.zeros(grid.n_points)
     used = 0

@@ -14,9 +14,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from gsmloc.geo import PlanarPoint, ScanVector
-from gsmloc.gp import GpHyperparams, PrecomputedGrid
+from gsmloc.gp import GpHyperparams, GpTowerModel, PrecomputedGrid
 from gsmloc.radiomap import N_ASU_BINS, GridCell, RadioMap, SmoothingParams
 
 
@@ -169,6 +170,19 @@ def naive_gp_posterior(
         means.append(k_star @ inv @ yc + ybar)
         variances.append(hyper.sigma_f2 - k_star @ inv @ k_star)
     return np.array(means), np.array(variances)
+
+
+def dense_gp_predict(model: GpTowerModel, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior mean and variance at arbitrary points from the dense (n, m) k*.
+
+    The fitted model's own Cholesky factor and alpha, with every kernel entry
+    computed from the full squared distance, without the lattice factorization.
+    """
+    d2 = ((model.locations[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
+    k_star = model.hyper.sigma_f2 * np.exp(-d2 / (2.0 * model.hyper.length_scale**2))
+    mean = k_star.T @ model.alpha + model.mean_offset
+    w = solve_triangular(model.chol, k_star, lower=True)
+    return mean, np.maximum(model.hyper.sigma_f2 - (w * w).sum(axis=0), 0.0)
 
 
 def naive_log_marginal(train_x: np.ndarray, train_y: np.ndarray, hyper: GpHyperparams) -> float:

@@ -1,10 +1,16 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gsmloc
 from conftest import ORIGIN, scan_at_planar
 from gsmloc.geo import PlanarPoint, ProjectionRangeWarning, ScanVector
 from gsmloc.gp import (
@@ -24,6 +30,7 @@ from gsmloc.radiomap import MapFormatError, build_radio_map
 from gsmloc.synth import generate_trace, make_preset
 from oracles import (
     brute_gp_locate,
+    dense_gp_predict,
     eigh_spectral_lmls,
     kernel,
     naive_gp_posterior,
@@ -31,6 +38,17 @@ from oracles import (
 )
 
 HYPER = GpHyperparams(sigma_f2=100.0, sigma_n2=4.0, length_scale=100.0)
+
+
+def random_model(rng):
+    """A GP fitted with one random hyperparameter triple to a noisy random field."""
+    x, y = random_training(rng, n=int(rng.integers(5, 60)))
+    hyper = GpHyperparams(
+        float(rng.choice([25.0, 100.0, 400.0])),
+        float(rng.choice([1.0, 4.0, 16.0])),
+        float(rng.choice([50.0, 100.0, 200.0, 400.0])),
+    )
+    return gp_fit(x, y + rng.normal(0, 1.0, size=len(y)), [hyper])
 
 
 def random_training(rng, n=30, side=400.0):
@@ -290,6 +308,17 @@ class TestPredict:
                 assert mean == pytest.approx(nm, abs=1e-8)
                 assert var == pytest.approx(nv, abs=1e-8)
 
+    def test_matches_dense_kernel_oracle_at_random_points(self):
+        rng = np.random.default_rng(19)
+        for _ in range(10):
+            model = random_model(rng)
+            queries = rng.uniform(-300, 700, size=(20, 2))
+            dense_mean, dense_var = dense_gp_predict(model, queries)
+            for q, dm, dv in zip(queries, dense_mean, dense_var):
+                mean, var = gp_predict(model, PlanarPoint(*q))
+                assert abs(mean - dm) <= 1e-9
+                assert abs(var - dv) <= 1e-9
+
     def test_variance_bounds(self):
         rng = np.random.default_rng(8)
         x, y = random_training(rng, n=30)
@@ -336,6 +365,22 @@ class TestGrid:
         grid = gp_build_grid(self._models(rng), (0.0, 0.0, 500.0, 500.0), 100.0, ORIGIN)
         for tid in grid.towers:
             assert (grid.variances[tid] >= 0).all()
+
+    @pytest.mark.parametrize("bounds,shape", [
+        pytest.param((50.0, 60.0, 50.0, 60.0), (1, 1), id="1x1"),
+        pytest.param((0.0, 60.0, 440.0, 60.0), (1, 12), id="1xN"),
+        pytest.param((60.0, -40.0, 60.0, 480.0), (14, 1), id="Nx1"),
+        pytest.param((-120.0, -80.0, 520.0, 360.0), (12, 17), id="NxM"),
+    ])
+    def test_lattice_matches_dense_kernel_oracle(self, bounds, shape):
+        rng = np.random.default_rng(20)
+        models = {str(i): random_model(rng) for i in range(6)}
+        grid = gp_build_grid(models, bounds, 40.0, ORIGIN)
+        assert grid.n_points == shape[0] * shape[1]
+        for tid, model in models.items():
+            dense_mean, dense_var = dense_gp_predict(model, grid.points)
+            assert np.abs(grid.means[tid] - dense_mean).max() <= 1e-9
+            assert np.abs(grid.variances[tid] - dense_var).max() <= 1e-9
 
     def test_bad_spacing(self):
         rng = np.random.default_rng(13)
@@ -409,6 +454,53 @@ class TestGpLocate:
         grid = self._grid(rng)
         with pytest.raises(ValueError, match="no observed tower"):
             gp_locate(grid, [ScanVector(0.0, {"ZZ": 30})])
+
+
+_FOOTPRINT_SCRIPT = textwrap.dedent("""
+    import math, os, sys, tempfile
+    from gsmloc import (GeoPoint, PlanarPoint, ScanVector, build_radio_map, evaluate,
+                        fit_tower_models, gp_build_grid, gp_locate, load_radio_map,
+                        save_radio_map, unproject, write_trace)
+    from gsmloc.cli import main
+
+    origin = GeoPoint(30.0, 31.0)
+    towers = {"A": PlanarPoint(0.0, 0.0), "B": PlanarPoint(300.0, 0.0), "C": PlanarPoint(150.0, 300.0)}
+
+    def scan(t, x, y):
+        p = PlanarPoint(x, y)
+        readings = {tid: max(0, 31 - int(p.distance_to(q) / 15)) for tid, q in towers.items()}
+        return ScanVector(float(t), readings, truth=unproject(origin, p))
+
+    train = [scan(i, 20.0 * (i % 16), 20.0 * (i // 16)) for i in range(256)]
+    test = train[::17]
+    tower_geo = {tid: unproject(origin, q) for tid, q in towers.items()}
+    radio_map = build_radio_map(train, 50.0, origin=origin, tower_locations=tower_geo)
+    for technique in ("probabilistic", "hybrid", "deterministic", "cellid"):
+        assert math.isfinite(evaluate(radio_map, test, technique).median_error_m)
+    with tempfile.TemporaryDirectory() as tmp:
+        map_path, scans_path = os.path.join(tmp, "map.json"), os.path.join(tmp, "test.csv")
+        save_radio_map(radio_map, map_path)
+        assert load_radio_map(map_path).n_cells == radio_map.n_cells
+        write_trace(test, scans_path)
+        assert main(["locate", "--map", map_path, "--scans", scans_path,
+                     "--technique", "probabilistic", "--out", os.path.join(tmp, "est.csv")]) == 0
+    assert "scipy.stats" not in sys.modules, "a histogram path loaded scipy.stats"
+
+    grid = gp_build_grid(fit_tower_models(train, origin), (0.0, 0.0, 300.0, 300.0), 100.0, origin)
+    est = gp_locate(grid, test[:2])
+    assert math.isfinite(est.location.x) and math.isfinite(est.location.y)
+    assert "scipy.stats" in sys.modules, "gp_locate ran without scipy.stats"
+    print("ok")
+""")
+
+
+def test_scipy_stats_loads_at_the_first_gp_estimate_only():
+    src = str(Path(gsmloc.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", _FOOTPRINT_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
 
 
 class TestFitTowerModels:

@@ -8,12 +8,16 @@ Run from the repository root:
 
 ``run`` runs ``benchmark/run.py --seed 0 --seconds 6`` once per workload
 listed in ``BENCHMARK.json`` and writes each run record, gate result and
-end-to-end metrics, plus the ``src/`` line count and the benchmark's known
-blind spots.  ``compare`` prints, per workload and end-to-end metric, the
-change from the first file to the second, signed so that positive is worse,
-and flags every change beyond the metric's bound.  One run per side is not
-enough to tell a change within the run-to-run spread from noise, and two
-files recorded at different times also differ by the machine's speed.
+end-to-end metrics, plus the ``src/`` line count, the start-up cost and the
+benchmark's known blind spots.  The start-up cost is ``import_s``, the
+median wall time of 5 fresh ``python -c "import gsmloc"`` processes, and
+``import_rss_mb``, the median of those processes' peak RSS (``ru_maxrss``).
+``compare`` prints both, without a bound, and then, per workload and
+end-to-end metric, the change from the first file to the second, signed so
+that positive is worse, and flags every change beyond the metric's bound.
+One run per side is not enough to tell a change within the run-to-run
+spread from noise, and two files recorded at different times also differ
+by the machine's speed.
 It exits 1 when a metric passes its bound, or when a run of the second
 file fails its gate or fails a larger share of its operations than the
 first file's run.
@@ -38,14 +42,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 0
 SECONDS = 6
+IMPORT_RUNS = 5
+_IMPORT_PROBE = "import gsmloc, resource; print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
 
 BLIND_SPOTS = [
     "gp.lml_evals reports towers x 45 candidates, not the factorizations the fit runs",
@@ -73,15 +81,31 @@ def _run(checkout: Path, workload: str) -> dict:
     return {**json.loads(run_record), **json.loads(result)}
 
 
+def _import_cost() -> tuple[float, float]:
+    """Median wall time (s) and peak RSS (MB) of fresh processes that import gsmloc."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    times, rss_mb = [], []
+    for _ in range(IMPORT_RUNS):
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env,
+                              capture_output=True, text=True, check=True)
+        times.append(time.perf_counter() - start)
+        rss_mb.append(int(proc.stdout) / 1024.0)
+    return round(statistics.median(times), 4), round(statistics.median(rss_mb), 1)
+
+
 def record(out: Path) -> int:
     workloads = {}
     for workload in (w["name"] for w in _spec()["workloads"]):
         workloads[workload] = _run(ROOT, workload)
         print(f"{workload}: correct={workloads[workload]['correct']} "
               f"failed={workloads[workload]['failed']}", flush=True)
+    import_s, import_rss_mb = _import_cost()
     bench = {
         "command": f"benchmark/run.py --seed {SEED} --seconds {SECONDS}",
         "src_lines": next(iter(workloads.values()))["run_record"]["src_lines"],
+        "import_s": import_s,
+        "import_rss_mb": import_rss_mb,
         "notes": BLIND_SPOTS,
         "workloads": workloads,
     }
@@ -96,7 +120,8 @@ def _failed_share(runs: list[dict]) -> float:
 def compare(old_path: Path, new_path: Path) -> int:
     old, new = (json.loads(p.read_text(encoding="utf-8")) for p in (old_path, new_path))
     end_to_end = _spec()["end_to_end"]
-    print(f"src_lines {old['src_lines']} -> {new['src_lines']}")
+    for key in ("src_lines", "import_s", "import_rss_mb"):
+        print(f"{key} {old.get(key, 'n/a')} -> {new.get(key, 'n/a')}")
     worse = 0
     for workload, after in new["workloads"].items():
         before = old["workloads"].get(workload)
