@@ -12,7 +12,10 @@ is ``preset seed map technique digest``, where the digest is the sha256 of
 order: 30 lines in all.  Two checkouts that print the same lines give
 bit-identical probabilistic, hybrid and deterministic estimates on these
 worlds, so diffing the output of a parent and a change checks a refactor
-that claims to move no estimate.
+that claims to move no estimate.  ``tools/estimate_digests.txt`` holds the
+committed output, and CI diffs a fresh run against it:
+
+    python3 tools/estimate_digests.py | diff tools/estimate_digests.txt -
 """
 
 from __future__ import annotations
