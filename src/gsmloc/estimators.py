@@ -12,7 +12,9 @@ Four techniques share the :class:`~gsmloc.radiomap.RadioMap` fingerprint:
   refinement in ASU space over that cell's raw fingerprint points.
 * :func:`deterministic_locate` is the classic KNN baseline: cells are
   summarized by their mean ASU per tower and the nearest cells in RSSI
-  space are averaged with inverse-distance weights.
+  space are averaged with inverse-distance weights.  A screen over the
+  heard towers, with a rounding margin ``tol``, picks the few cells that
+  get the exact distance, so estimates equal a dense ranking bit for bit.
 * :func:`cellid_locate` returns the known location of the strongest tower.
 
 All estimators are pure functions of immutable inputs: identical inputs
@@ -199,38 +201,46 @@ def deterministic_locate(
     """KNN baseline over cells in RSSI space with inverse-distance weights.
 
     Each cell is represented by its mean ASU per tower; the window's
-    readings are averaged per tower into one query vector.  The K nearest
+    readings are averaged per tower into one query vector v.  The K nearest
     cells by Euclidean distance in ASU space, over the union of tower ids
     with a tower missing on one side imputed as ASU 0 ("not heard" sits at
     the sensitivity floor), are averaged, weighted by 1/(d + 1e-6).
+
+    A screen on the heard towers scores each cell m as |m|^2 - 2 m.v; only
+    cells within ``tol`` of the K-th smallest score get the exact distance.
+    The screen errs by some 4 n eps (|m|^2 + |v|^2), ~1e4 times below
+    ``tol``, so no cell tied with or nearer than the K-th is dropped, and a
+    kept row reduces as in the full matrix: bit-identical to a dense ranking.
     """
     scans = _check_scans(window)
 
-    sums: dict[str, float] = {}
-    counts: dict[str, int] = {}
+    readings: dict[str, list[int]] = {}
     for scan in scans:
         for tower_id, asu in scan.readings.items():
-            sums[tower_id] = sums.get(tower_id, 0.0) + asu
-            counts[tower_id] = counts.get(tower_id, 0) + 1
-    query = {tid: sums[tid] / counts[tid] for tid in sums}
-
+            readings.setdefault(tower_id, []).append(asu)
     tower_index = radio_map.tower_index()
     v = np.zeros(len(tower_index))
     unknown_sq = 0.0  # towers the map never heard anywhere
-    for tower_id, mean_asu in query.items():
+    for tower_id, asus in readings.items():
+        mean_asu = sum(asus) / len(asus)
         t = tower_index.get(tower_id)
         if t is None:
             unknown_sq += mean_asu * mean_asu
         else:
             v[t] = mean_asu
-    diff = radio_map.mean_asu_matrix() - v
-    dists = np.sqrt((diff * diff).sum(axis=1) + unknown_sq)
+    means, norm2 = radio_map.mean_asu_matrix(), radio_map.mean_asu_norm2()
+    heard = np.flatnonzero(v)
+    screen = norm2 - 2.0 * (means[:, heard] @ v[heard])
 
     k = min(params.k, radio_map.n_cells)
-    nearest = np.argsort(dists, kind="stable")[:k]
-    weights = 1.0 / (dists[nearest] + 1e-6)
+    tol = 1e-9 * (norm2.max() + v @ v + unknown_sq)  # |v|^2 over all towers, unknown too
+    kept = np.flatnonzero(screen <= np.partition(screen, k - 1)[k - 1] + tol)
+    diff = means[kept] - v
+    dists = np.sqrt((diff * diff).sum(axis=1) + unknown_sq)
+    order = np.argsort(dists, kind="stable")[:k]
+    weights = 1.0 / (dists[order] + 1e-6)
     weights /= weights.sum()
-    return _weighted_estimate(radio_map, nearest, weights, None)
+    return _weighted_estimate(radio_map, kept[order], weights, None)
 
 
 def cellid_locate(radio_map: RadioMap, scan: ScanVector) -> LocationEstimate:

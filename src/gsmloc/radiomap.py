@@ -107,9 +107,9 @@ class RadioMap:
     The grid is anchored at the minimum x/y of the training data, so cell
     (row, col) covers [anchor_x + col*G, anchor_x + (col+1)*G) horizontally
     and the same vertically with row.  A map holds at least one cell.  The
-    fields never change, and construction builds every read-only array the
-    estimators use except the log-likelihood table, which depends on the
-    smoothing: it is built on first use, once per :class:`SmoothingParams`.
+    fields never change.  Construction builds every read-only array (centroids,
+    mean ASU per tower and its per-cell squared norm, point arrays) except the
+    log-likelihood table, built on first use once per :class:`SmoothingParams`.
     """
 
     origin: GeoPoint
@@ -123,6 +123,7 @@ class RadioMap:
     _tower_index: dict[str, int] = field(init=False, repr=False, compare=False)
     _centroids: np.ndarray = field(init=False, repr=False, compare=False)
     _mean_asu: np.ndarray = field(init=False, repr=False, compare=False)
+    _mean_asu_norm2: np.ndarray = field(init=False, repr=False, compare=False)
     _points: dict = field(init=False, repr=False, compare=False)  # cell key -> point arrays
     _loglik: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -149,10 +150,10 @@ class RadioMap:
             locations.setflags(write=False)
             readings.setflags(write=False)
             points[key] = (locations, readings)
-        centroids.setflags(write=False)
-        mean_asu.setflags(write=False)
-        object.__setattr__(self, "_centroids", centroids)
-        object.__setattr__(self, "_mean_asu", mean_asu)
+        for name, array in (("_centroids", centroids), ("_mean_asu", mean_asu),
+                            ("_mean_asu_norm2", (mean_asu * mean_asu).sum(axis=1))):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
         object.__setattr__(self, "_points", points)
 
     def _histogram_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -209,6 +210,10 @@ class RadioMap:
     def mean_asu_matrix(self) -> np.ndarray:
         """(n_cells, n_towers) per-cell mean ASU, 0.0 where a tower is unheard."""
         return self._mean_asu
+
+    def mean_asu_norm2(self) -> np.ndarray:
+        """(n_cells,) squared Euclidean norm of each row of :meth:`mean_asu_matrix`."""
+        return self._mean_asu_norm2
 
     def cell_point_arrays(self, key: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
         """One cell's points as arrays: locations (P, 2) and readings (P, n_towers).

@@ -108,6 +108,43 @@ def brute_deterministic(rm: RadioMap, scans, k: int) -> tuple[float, float]:
     return x, y
 
 
+def dense_deterministic(rm: RadioMap, scans, k: int) -> tuple[PlanarPoint, tuple]:
+    """The deterministic baseline ranking every cell by its exact distance.
+
+    The dense form the package used before its screen: (n_cells, n_towers)
+    ``M - v`` squared and summed per row, a stable argsort over all cells
+    and the same inverse-distance weights.  Returns the location and the
+    contributing cells, which the package must match bit for bit.
+    """
+    sums: dict[str, float] = {}
+    counts: dict[str, int] = {}
+    for scan in scans:
+        for tower_id, asu in scan.readings.items():
+            sums[tower_id] = sums.get(tower_id, 0.0) + asu
+            counts[tower_id] = counts.get(tower_id, 0) + 1
+    query = {tid: sums[tid] / counts[tid] for tid in sums}
+
+    tower_index = rm.tower_index()
+    v = np.zeros(len(tower_index))
+    unknown_sq = 0.0
+    for tower_id, mean_asu in query.items():
+        t = tower_index.get(tower_id)
+        if t is None:
+            unknown_sq += mean_asu * mean_asu
+        else:
+            v[t] = mean_asu
+    diff = rm.mean_asu_matrix() - v
+    dists = np.sqrt((diff * diff).sum(axis=1) + unknown_sq)
+
+    k = min(k, rm.n_cells)
+    nearest = np.argsort(dists, kind="stable")[:k]
+    weights = 1.0 / (dists[nearest] + 1e-6)
+    weights /= weights.sum()
+    x, y = weights @ rm.centroid_array()[nearest]
+    contributing = tuple((rm.cell_keys()[i], float(w)) for i, w in zip(nearest, weights))
+    return PlanarPoint(float(x), float(y)), contributing
+
+
 def brute_gp_locate(grid: PrecomputedGrid, scans) -> tuple[float, float]:
     """Probability-space point weighting with scalar Gaussian densities."""
     weights = np.ones(grid.n_points)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ORIGIN, scan_at_planar
-from gsmloc.bench import ablate_towers
+from gsmloc.bench import DEFAULT_GRID_M, ablate_towers, preset_params
 from gsmloc.estimators import (
     EstimatorParams,
     cell_log_posterior,
@@ -25,6 +25,7 @@ from gsmloc.radiomap import (
     load_radio_map,
     save_radio_map,
 )
+from gsmloc.synth import generate_trace, make_preset
 from oracles import (
     boundary_tie,
     brute_deterministic,
@@ -32,6 +33,7 @@ from oracles import (
     brute_probabilistic,
     brute_rssi_distance,
     cell_probabilities,
+    dense_deterministic,
     deterministic_distances as _oracle_cell_distances,
     random_instance,
 )
@@ -368,6 +370,99 @@ class TestDeterministicLocate:
         rm, window = random_instance(rng)
         est = deterministic_locate(rm, window, EstimatorParams(k=3))
         assert sum(w for _, w in est.contributing_cells) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.fixture(scope="module")
+def preset_maps():
+    """The rural and urban seed-0 test traces and 70 m maps."""
+    out = {}
+    for preset in ("rural", "urban"):
+        world, routes = make_preset(preset, 0)
+        out[preset] = (generate_trace(world, routes["test"]),
+                       build_radio_map(generate_trace(world, routes["train"]), DEFAULT_GRID_M))
+    return out
+
+
+class TestDeterministicScreen:
+    """The screened KNN equals the dense ranking of every cell bit for bit."""
+
+    @staticmethod
+    def _assert_dense(rm, window, k):
+        est = deterministic_locate(rm, window, EstimatorParams(k=k))
+        assert (est.location, est.contributing_cells) == dense_deterministic(rm, window, k)
+
+    @staticmethod
+    def _grid_map(fingerprints, n_cols):
+        """One 50 m cell per fingerprint, row by row; the extra metre per
+        row and column keeps every point off a cell edge."""
+        return build_radio_map(
+            [scan_at_planar(i, 51.0 * (i % n_cols), 51.0 * (i // n_cols), r)
+             for i, r in enumerate(fingerprints)], 50.0, origin=ORIGIN)
+
+    @pytest.mark.parametrize("label", ["full", "ablated"])
+    @pytest.mark.parametrize("preset", ["rural", "urban"])
+    def test_matches_dense_on_preset_maps(self, preset_maps, preset, label):
+        test, rm = preset_maps[preset]
+        if label == "ablated":
+            rm = ablate_towers(rm, 0.4, 7)
+        params = preset_params(preset, "deterministic")
+        for k in (1, params.k, rm.n_cells - 1, rm.n_cells, rm.n_cells + 3):
+            for i in range(len(test)):
+                self._assert_dense(rm, test[max(0, i + 1 - params.n_samples) : i + 1], k)
+
+    def test_exact_ties_straddle_the_k_boundary(self):
+        # Cells 1-4 share one fingerprint, so their distances to any query
+        # are equal; the assertion checks that k = 2 or 3 falls inside them.
+        fingerprints = [{"A": 12}, {"A": 10, "B": 5}, {"A": 10, "B": 5}, {"A": 10, "B": 5},
+                        {"A": 10, "B": 5}, {"A": 3, "C": 7}]
+        rm = self._grid_map(fingerprints, 6)
+        assert rm.n_cells == 6
+        for query in ({"A": 10, "B": 5}, {"A": 11, "B": 4}, {"A": 4, "C": 6}, {"B": 5, "Z": 8}):
+            dists = sorted(_oracle_cell_distances(rm, [scan(query)]).values())
+            assert dists.count(dists[1]) >= 4 or dists.count(dists[2]) >= 4
+            for k in range(1, rm.n_cells + 2):
+                self._assert_dense(rm, [scan(query)], k)
+
+    # Maps and windows where two cells' exact distances tie, or nearly, and
+    # rounding ranks them one way in the screen and the other way exactly:
+    # keeping only the k smallest screen values would drop the true nearest.
+    ROUNDING_CASES = [
+        ([(14, 15, 1), (28, 8, 20), (16, 28, 14), (18, 17, 9)],
+         [(10, 18, 29), (10, 4, 18), (9, 1, 21)], 1),
+        ([(28, 29, 24), (3, 19, 24), (3, 24, 4), (19, 5, 9)],
+         [(20, 2, 17), (15, 24, 24), (12, 26, 0), (16, 29, 16), (14, 0, 16), (11, 25, 2),
+          (12, 30, 28)], 2),
+        ([(26, 19, 30), (20, 17, 2), (17, 16, 2)],
+         [(22, 0, 21), (31, 1, 25), (15, 26, 12), (20, 15, 13), (26, 9, 2), (10, 1, 30)], 2),
+    ]
+
+    @pytest.mark.parametrize("cells, scans, k", ROUNDING_CASES)
+    def test_rounding_near_ties_stay_in_the_screen(self, cells, scans, k):
+        rm = self._grid_map([dict(zip("ABC", asus)) for asus in cells], len(cells))
+        window = [scan(dict(zip("ABC", asus)), float(t)) for t, asus in enumerate(scans)]
+        self._assert_dense(rm, window, k)
+
+    def test_random_maps_with_repeated_fingerprints(self):
+        # 24 cells drawn from 3 fingerprints: most k fall inside a tie.
+        rng = np.random.default_rng(83)
+        towers = ["A", "B", "C", "D", "E"]
+        for _ in range(20):
+            patterns = [{t: int(rng.integers(0, 32)) for t in rng.choice(towers, 3, replace=False)}
+                        for _ in range(3)]
+            rm = self._grid_map([patterns[rng.integers(0, 3)] for _ in range(24)], 6)
+            assert rm.n_cells == 24
+            for t in range(5):
+                heard = rng.choice(towers + ["X", "Y"], 3, replace=False)
+                window = [scan({tid: int(rng.integers(0, 32)) for tid in heard}, 100.0 + t)]
+                for k in range(1, rm.n_cells + 2):
+                    self._assert_dense(rm, window, k)
+
+    def test_window_of_towers_unknown_to_the_map(self, preset_maps):
+        _, rm = preset_maps["rural"]
+        window = [scan({"X1": 20, "X2": 9}, 1.0), scan({"X1": 23, "X3": 0}, 2.0)]
+        assert not set(rm.tower_index()) & {"X1", "X2", "X3"}
+        for k in (1, preset_params("rural", "deterministic").k, rm.n_cells):
+            self._assert_dense(rm, window, k)
 
 
 class TestCellIdLocate:

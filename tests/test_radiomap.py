@@ -142,6 +142,15 @@ class TestHistogram:
         )
         assert rm.mean_asu_matrix().tolist() == [[12.5]]
 
+    def test_mean_norm2(self):
+        scans = [scan_at_planar(0, 1.0, 1.0, {"A": 10, "B": 4}),
+                 scan_at_planar(1, 2.0, 1.0, {"A": 15}),
+                 scan_at_planar(2, 101.0, 1.0, {"B": 3})]
+        rm = build_radio_map(scans, 70.0, origin=ORIGIN)
+        assert rm.mean_asu_matrix().tolist() == [[12.5, 4.0], [0.0, 3.0]]
+        assert rm.mean_asu_norm2().tolist() == [12.5**2 + 16.0, 9.0]
+        assert not rm.mean_asu_norm2().flags.writeable
+
 
 class TestCellLikelihood:
     @staticmethod

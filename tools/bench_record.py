@@ -62,6 +62,9 @@ BLIND_SPOTS = [
     "those arrays at construction, so their work is in radiomap.build_s",
     "radiomap.table_bytes counts the log table's floor row for unknown towers, one row more "
     "than the map's towers (+1/n_towers against files before BENCH_9.json)",
+    "estimators.det.cells_compared counts n_cells per call, but the screen reads only the "
+    "window's heard towers per cell and then re-scores about k cells over all towers "
+    "(from BENCH_14.json on)",
 ]
 
 
