@@ -69,7 +69,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--map", required=True, dest="map_path")
         p.add_argument("--scans", required=True, help="trace CSV")
         p.add_argument("--technique", required=True, choices=bench.TECHNIQUES)
-        _add_params(p)
+        _add_params(p, "the rural preset, whatever preset built the map")
         if needs_truth:
             p.add_argument("--report", help="write the report CSV here")
             p.add_argument("--cdf", help="write the error CDF CSV here")
@@ -87,13 +87,14 @@ def _build_parser() -> _Parser:
         "--technique", default="probabilistic", choices=[t for t in bench.TECHNIQUES if t != "gp"]
     )
     p.add_argument("--grid-length", type=float, default=bench.DEFAULT_GRID_M)
-    _add_params(p)
+    _add_params(p, "--preset")
     return parser
 
 
-def _add_params(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--ns", type=int, help="window length in scans (default: tuned per technique)")
-    p.add_argument("--k", type=int, help="top-K / KNN size (default: tuned per technique)")
+def _add_params(p: argparse.ArgumentParser, preset: str) -> None:
+    tuned = f"default: the technique's value tuned on {preset}"
+    p.add_argument("--ns", type=int, help=f"window length in scans ({tuned})")
+    p.add_argument("--k", type=int, help=f"top-K / KNN size ({tuned})")
 
 
 def _params(args: argparse.Namespace, preset: str = "rural") -> EstimatorParams:
@@ -115,9 +116,6 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 def _cmd_build(args: argparse.Namespace) -> int:
     scans = read_trace(args.traces)
-    for scan in scans:
-        if scan.truth is None:
-            raise ValueError(f"training scan at t={scan.timestamp} has no ground truth")
     if args.kind == "map":
         towers = read_tower_locations(args.towers) if args.towers else None
         radio_map = build_radio_map(
@@ -129,13 +127,8 @@ def _cmd_build(args: argparse.Namespace) -> int:
         origin = default_origin(scans)
         models = gp.fit_tower_models(scans, origin)
         pts = [project(origin, s.truth) for s in scans]
-        bounds = (
-            min(p.x for p in pts),
-            min(p.y for p in pts),
-            max(p.x for p in pts),
-            max(p.y for p in pts),
-        )
-        grid = gp.gp_build_grid(models, bounds, args.spacing, origin)
+        xs, ys = [p.x for p in pts], [p.y for p in pts]
+        grid = gp.gp_build_grid(models, (min(xs), min(ys), max(xs), max(ys)), args.spacing, origin)
         gp.save_grid(grid, args.out)
         print(f"built GP grid: {grid.n_points} points, {len(grid.towers)} towers")
     return 0

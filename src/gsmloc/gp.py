@@ -43,7 +43,8 @@ from scipy.linalg.lapack import dptsv, dsterf, dsytrd, dsytrd_lwork
 
 from .estimators import LocationEstimate, _check_scans
 from .geo import GeoPoint, PlanarPoint, ScanVector, project
-from .radiomap import MAP_FORMAT_VERSION, MapFormatError, json_finite, json_value, load_document
+from .radiomap import (MAP_FORMAT_VERSION, MapFormatError, ground_truths, json_floats,
+                       json_value, load_document)
 
 GP_GRID_KIND = "gp_grid"
 
@@ -181,8 +182,8 @@ def _spectral_lmls(
 
 
 def gp_fit(
-    locations: Sequence[PlanarPoint] | np.ndarray,
-    values: Sequence[float] | np.ndarray,
+    locations: np.ndarray,
+    values: np.ndarray,
     hyper_grid: Iterable[GpHyperparams] | None = None,
     *,
     max_points: int = FIT_MAX_POINTS,
@@ -200,11 +201,11 @@ def gp_fit(
     given seed.
 
     Raises:
-        ValueError: with fewer than 2 training points, or with a NaN or
-            infinite location or value.
+        ValueError: on arrays not shaped (n, 2) and (n,), with fewer than 2
+            training points, or with a NaN or infinite location or value.
         GpFitError: if factorization fails even after jitter retries.
     """
-    x = np.array([[p.x, p.y] for p in locations]) if not isinstance(locations, np.ndarray) else np.asarray(locations, dtype=float)
+    x = np.asarray(locations, dtype=float)
     y = np.asarray(values, dtype=float)
     if x.ndim != 2 or x.shape[1] != 2 or len(x) != len(y):
         raise ValueError("locations must be (n, 2) and match values")
@@ -272,13 +273,11 @@ def fit_tower_models(
     than 2 positions are skipped.  Per-tower subsampling seeds derive from
     (seed, tower rank), so results do not depend on fit order.
     """
-    by_tower: dict[str, list[tuple[PlanarPoint, float]]] = {}
-    for scan in scans:
-        if scan.truth is None:
-            raise ValueError(f"scan at t={scan.timestamp} has no ground truth")
-        p = project(origin, scan.truth)
+    by_tower: dict[str, list[tuple[tuple[float, float], float]]] = {}
+    for scan, truth in zip(scans, ground_truths(scans)):
+        p = project(origin, truth)
         for tower_id, asu in scan.readings.items():
-            by_tower.setdefault(tower_id, []).append((p, float(asu)))
+            by_tower.setdefault(tower_id, []).append(((p.x, p.y), float(asu)))
 
     models: dict[str, GpTowerModel] = {}
     for rank, tower_id in enumerate(sorted(by_tower)):
@@ -286,15 +285,21 @@ def fit_tower_models(
         if len(data) < 2:
             continue
         tower_seed = int(np.random.SeedSequence([seed, rank]).generate_state(1)[0])
-        models[tower_id] = gp_fit(
-            [p for p, _ in data], [v for _, v in data], max_points=max_points, seed=tower_seed
-        )
+        models[tower_id] = gp_fit(np.array([xy for xy, _ in data]), np.array([v for _, v in data]),
+                                  max_points=max_points, seed=tower_seed)
     return models
 
 
 @dataclass(frozen=True, eq=False)
 class PrecomputedGrid:
-    """Per-tower GP posterior on a dense lattice: at least one point and one tower."""
+    """Per-tower GP posterior on a dense lattice.
+
+    Construction checks every rule of a grid and raises ``ValueError`` on the
+    first one broken: ``spacing`` is positive and finite; there is at least
+    one point and one tower; each tower's mean and variance arrays have one
+    entry per point; points and means are finite; variances are in [0, inf)
+    and each ``noise_var`` is in (0, inf).
+    """
 
     origin: GeoPoint
     spacing: float
@@ -304,13 +309,24 @@ class PrecomputedGrid:
     noise_vars: dict[str, float]
 
     def __post_init__(self) -> None:
+        if not 0.0 < self.spacing < math.inf:
+            raise ValueError(f"spacing {self.spacing} is not a positive finite number")
         if self.n_points == 0:
             raise ValueError("precomputed grid has no points")
         if not self.means:
             raise ValueError("precomputed grid has no towers")
+        if not np.isfinite(self.points).all():
+            raise ValueError("precomputed grid points must be finite")
         for tid, mean in self.means.items():
-            if len(mean) != self.n_points or len(self.variances[tid]) != self.n_points:
+            var, noise_var = self.variances[tid], self.noise_vars[tid]
+            if len(mean) != self.n_points or len(var) != self.n_points:
                 raise ValueError(f"tower {tid!r} arrays do not match the point count")
+            if not np.isfinite(mean).all():
+                raise ValueError(f"tower {tid!r} has a non-finite mean")
+            if not ((var >= 0.0) & (var < math.inf)).all():
+                raise ValueError(f"tower {tid!r} has a negative or non-finite variance")
+            if not 0.0 < noise_var < math.inf:
+                raise ValueError(f"tower {tid!r} noise_var {noise_var} is not positive and finite")
 
     @property
     def n_points(self) -> int:
@@ -343,26 +359,19 @@ def gp_build_grid(
     ys = y_min + spacing * np.arange(ny)
     gx, gy = np.meshgrid(xs, ys)
     points = np.column_stack([gx.ravel(), gy.ravel()])
-    points.setflags(write=False)
-
     means: dict[str, np.ndarray] = {}
     variances: dict[str, np.ndarray] = {}
-    noise_vars: dict[str, float] = {}
     for tower_id in sorted(models):
-        model = models[tower_id]
-        mean, var = _predict_lattice(model, xs, ys)
-        mean.setflags(write=False)
-        var.setflags(write=False)
-        means[tower_id] = mean
-        variances[tower_id] = var
-        noise_vars[tower_id] = model.hyper.sigma_n2
+        means[tower_id], variances[tower_id] = _predict_lattice(models[tower_id], xs, ys)
+    for array in (points, *means.values(), *variances.values()):
+        array.setflags(write=False)
     return PrecomputedGrid(
         origin=origin,
         spacing=float(spacing),
         points=points,
         means=means,
         variances=variances,
-        noise_vars=noise_vars,
+        noise_vars={tid: models[tid].hyper.sigma_n2 for tid in means},
     )
 
 
@@ -429,44 +438,29 @@ def load_grid(path: str) -> PrecomputedGrid:
 
     Raises:
         MapFormatError: on version mismatch, a malformed/truncated file, a
-            field of the wrong JSON type, a spacing that is not a positive
-            finite number, no points or no towers, tower arrays not of the
-            point count, a non-finite point or mean, a negative or non-finite
-            variance, or a ``noise_var`` that is not a positive finite number.
+            field of the wrong JSON type or an origin outside the lat/lon
+            range; and, as the value rules are :class:`PrecomputedGrid`'s, on
+            a spacing that is not a positive finite number, no points or no
+            towers, tower arrays not of the point count, a non-finite point or
+            mean, a negative or non-finite variance, or a ``noise_var`` that
+            is not a positive finite number.
     """
     doc = load_document(path, GP_GRID_KIND)
     try:
-        spacing = json_value(doc["spacing_m"], float)
-        if not 0.0 < spacing < math.inf:
-            raise ValueError(f"spacing_m {spacing} is not a positive finite number")
-        xy = [json_finite(p, "x", "y") for p in json_value(doc["points"], list)]
+        xy = [json_floats(p, "x", "y") for p in json_value(doc["points"], list)]
         points = np.array(xy, dtype=float).reshape(len(xy), 2)
-        points.setflags(write=False)
-        means: dict[str, np.ndarray] = {}
-        variances: dict[str, np.ndarray] = {}
-        noise_vars: dict[str, float] = {}
-        for tid, entry in json_value(doc["towers"], dict).items():
-            mean = np.array([json_value(v, float) for v in json_value(entry["mean"], list)])
-            var = np.array([json_value(v, float) for v in json_value(entry["var"], list)])
-            noise_var = json_value(entry["noise_var"], float)
-            if not np.isfinite(mean).all():
-                raise ValueError(f"tower {tid!r} has a non-finite mean")
-            if not ((var >= 0.0) & (var < math.inf)).all():
-                raise ValueError(f"tower {tid!r} has a negative or non-finite variance")
-            if not 0.0 < noise_var < math.inf:
-                raise ValueError(f"tower {tid!r} noise_var {noise_var} is not positive and finite")
-            mean.setflags(write=False)
-            var.setflags(write=False)
-            means[tid] = mean
-            variances[tid] = var
-            noise_vars[tid] = noise_var
+        towers = json_value(doc["towers"], dict)
+        series = {k: {tid: np.array([json_value(v, float) for v in json_value(entry[k], list)])
+                      for tid, entry in towers.items()} for k in ("mean", "var")}
+        for array in (points, *series["mean"].values(), *series["var"].values()):
+            array.setflags(write=False)
         return PrecomputedGrid(
-            origin=GeoPoint(*json_finite(doc["origin"], "lat", "lon")),
-            spacing=spacing,
+            origin=GeoPoint(*json_floats(doc["origin"], "lat", "lon")),
+            spacing=json_value(doc["spacing_m"], float),
             points=points,
-            means=means,
-            variances=variances,
-            noise_vars=noise_vars,
+            means=series["mean"],
+            variances=series["var"],
+            noise_vars={tid: json_value(e["noise_var"], float) for tid, e in towers.items()},
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise MapFormatError(f"{path}: malformed GP grid ({exc})") from exc

@@ -18,6 +18,7 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -67,24 +68,12 @@ class FingerprintPoint:
     location: PlanarPoint
     readings: dict[str, int]
 
-    def __post_init__(self) -> None:
-        if not 1 <= len(self.readings) <= MAX_READINGS:
-            raise ValueError(f"fingerprint point has {len(self.readings)} readings")
-
 
 @dataclass(frozen=True)
 class TowerHistogram:
     """ASU histogram of one tower within one grid cell (32 integer bins)."""
 
     counts: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.counts) != N_ASU_BINS:
-            raise ValueError(f"histogram must have {N_ASU_BINS} bins")
-        if any(c < 0 for c in self.counts):
-            raise ValueError("histogram counts must be non-negative")
-        if self.total < 1:
-            raise ValueError("stored histograms must hold at least one reading")
 
     @property
     def total(self) -> int:
@@ -106,10 +95,18 @@ class RadioMap:
 
     The grid is anchored at the minimum x/y of the training data, so cell
     (row, col) covers [anchor_x + col*G, anchor_x + (col+1)*G) horizontally
-    and the same vertically with row.  A map holds at least one cell.  The
-    fields never change.  Construction builds every read-only array (centroids,
-    mean ASU per tower and its per-cell squared norm, point arrays) except the
-    log-likelihood table, built on first use once per :class:`SmoothingParams`.
+    and the same vertically with row.  The fields never change.  Construction
+    builds every read-only array (centroids, mean ASU per tower and its
+    per-cell squared norm, point arrays) except the log-likelihood table,
+    built on first use once per :class:`SmoothingParams`.
+
+    Construction checks every rule of a map, once, on those arrays or on the
+    set of values the points take, and raises ``ValueError`` on the first one
+    broken: there is at least one cell, and every cell holds at least one
+    histogram; every histogram has 32 bins, counts >= 0 and at least one
+    reading; every histogram tower and point tower is in ``tower_ids``; every
+    point has 1..7 readings, each in ASU 0..31; ``grid_length`` is positive
+    and finite; the anchor, centroids, point and tower locations are finite.
     """
 
     origin: GeoPoint
@@ -130,16 +127,40 @@ class RadioMap:
     def __post_init__(self) -> None:
         if not self.cells:
             raise ValueError("radio map has no cells")
+        if not 0.0 < self.grid_length < math.inf:
+            raise ValueError(f"grid_length {self.grid_length} is not a positive finite number")
         keys = tuple(sorted(self.cells))
         tower_index = {tid: i for i, tid in enumerate(sorted(self.tower_ids))}
         object.__setattr__(self, "_keys", keys)
         object.__setattr__(self, "_tower_index", tower_index)
-        centroids = np.array([[self.cells[k].centroid.x, self.cells[k].centroid.y] for k in keys])
+        bins = {len(h.counts) for cell in self.cells.values() for h in cell.histograms.values()}
+        if bins - {N_ASU_BINS}:
+            raise ValueError(f"histograms must have {N_ASU_BINS} bins")
         rows, cols, counts = self._histogram_rows()
+        empty = np.bincount(rows, minlength=len(keys)) == 0
+        if empty.any():
+            raise ValueError(f"cell {keys[np.argmax(empty)]} holds no histogram")
+        if counts.min() < 0:
+            raise ValueError("histogram counts must be non-negative")
+        totals = counts.sum(axis=1)
+        if totals.min() < 1:
+            raise ValueError("stored histograms must hold at least one reading")
+        # Each point rule is checked once, on the set of values the points take.
+        points = [p for key in keys for p in self.cells[key].points]
+        point_towers = set(chain.from_iterable(p.readings for p in points))
+        if cols.min() < 0 or not point_towers <= self.tower_ids:
+            named = point_towers.union(*(cell.histograms for cell in self.cells.values()))
+            raise ValueError(f"map names towers not in 'towers': {sorted(named - self.tower_ids)}")
+        if not {len(p.readings) for p in points} <= set(range(1, MAX_READINGS + 1)):
+            raise ValueError(f"fingerprint points must have 1..{MAX_READINGS} readings")
+        asus = set(chain.from_iterable(p.readings.values() for p in points))
+        if not asus <= set(range(N_ASU_BINS)):
+            raise ValueError(f"a point reading is outside ASU 0..{ASU_MAX}")
+        centroids = np.array([[self.cells[k].centroid.x, self.cells[k].centroid.y] for k in keys])
         mean_asu = np.zeros((len(keys), len(tower_index)))
         # An exact integer sum, then one division: the mean ASU of each histogram.
-        mean_asu[rows, cols] = (counts @ np.arange(N_ASU_BINS)) / counts.sum(axis=1)
-        points = {}
+        mean_asu[rows, cols] = (counts @ np.arange(N_ASU_BINS)) / totals
+        per_cell = {}
         for key in keys:
             cell = self.cells[key]
             locations = np.array([[p.location.x, p.location.y] for p in cell.points])
@@ -147,21 +168,25 @@ class RadioMap:
             for i, p in enumerate(cell.points):
                 for tid, asu in p.readings.items():
                     readings[i, tower_index[tid]] = asu
-            locations.setflags(write=False)
-            readings.setflags(write=False)
-            points[key] = (locations, readings)
-        for name, array in (("_centroids", centroids), ("_mean_asu", mean_asu),
-                            ("_mean_asu_norm2", (mean_asu * mean_asu).sum(axis=1))):
+            per_cell[key] = (locations, readings)
+        planar = [(self.anchor_x, self.anchor_y), centroids, *(xy for xy, _ in per_cell.values()),
+                  [[p.x, p.y] for p in (self.tower_locations or {}).values()]]
+        if not all(np.isfinite(a).all() for a in planar):
+            raise ValueError("anchor, centroids, point and tower locations must be finite")
+        norm2 = (mean_asu * mean_asu).sum(axis=1)
+        for array in (centroids, mean_asu, norm2, *(a for pair in per_cell.values() for a in pair)):
             array.setflags(write=False)
-            object.__setattr__(self, name, array)
-        object.__setattr__(self, "_points", points)
+        for name, value in (("_centroids", centroids), ("_mean_asu", mean_asu),
+                            ("_mean_asu_norm2", norm2), ("_points", per_cell)):
+            object.__setattr__(self, name, value)
 
     def _histogram_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every stored histogram as a cell position, a tower column and a counts row."""
-        heard = [(ci, self._tower_index[tid], hist.counts) for ci, key in enumerate(self._keys)
+        """Each histogram as a cell position, a tower column (-1 if unknown) and a counts row."""
+        heard = [(ci, self._tower_index.get(tid, -1), hist.counts)
+                 for ci, key in enumerate(self._keys)
                  for tid, hist in self.cells[key].histograms.items()]
         rows, cols = (np.array([h[i] for h in heard], dtype=np.intp) for i in (0, 1))
-        return rows, cols, np.array([h[2] for h in heard], dtype=np.int64).reshape(-1, N_ASU_BINS)
+        return rows, cols, np.array([h[2] for h in heard], dtype=np.int64)
 
     @property
     def n_cells(self) -> int:
@@ -225,11 +250,20 @@ class RadioMap:
         return self._points[key]
 
 
+def ground_truths(scans: Sequence[ScanVector]) -> list[GeoPoint]:
+    """The scans' ground truths; ``ValueError`` names the first scan without one."""
+    for scan in scans:
+        if scan.truth is None:
+            raise ValueError(f"scan at t={scan.timestamp} has no ground truth")
+    return [scan.truth for scan in scans]
+
+
 def default_origin(scans: Sequence[ScanVector]) -> GeoPoint:
     """The mean of the scans' ground truths: the default projection origin."""
+    truths = ground_truths(scans)
     return GeoPoint(
-        sum(s.truth.lat for s in scans) / len(scans),
-        sum(s.truth.lon for s in scans) / len(scans),
+        sum(t.lat for t in truths) / len(truths),
+        sum(t.lon for t in truths) / len(truths),
     )
 
 
@@ -273,15 +307,13 @@ def build_radio_map(
         raise ValueError("grid_length must be > 0")
     if not scans:
         raise ValueError("cannot build a radio map from an empty trace")
-    for scan in scans:
-        if scan.truth is None:
-            raise ValueError(f"scan at t={scan.timestamp} has no ground truth")
-
+    truths = ground_truths(scans)
     if origin is None:
         origin = default_origin(scans)
 
     points = [
-        FingerprintPoint(project(origin, scan.truth), dict(scan.readings)) for scan in scans
+        FingerprintPoint(project(origin, truth), dict(scan.readings))
+        for scan, truth in zip(scans, truths)
     ]
     anchor_x = min(p.location.x for p in points)
     anchor_y = min(p.location.y for p in points)
@@ -307,9 +339,8 @@ def build_radio_map(
             histograms=histograms,
         )
 
-    planar_towers = None
-    if tower_locations is not None:
-        planar_towers = {tid: project(origin, gp) for tid, gp in sorted(tower_locations.items())}
+    planar_towers = None if tower_locations is None else {
+        tid: project(origin, gp) for tid, gp in sorted(tower_locations.items())}
 
     return RadioMap(
         origin=origin,
@@ -376,10 +407,6 @@ def ablate_towers(radio_map: RadioMap, drop_fraction: float, seed: int) -> Radio
 # ---------------------------------------------------------------------------
 
 
-def _point_to_json(p: PlanarPoint) -> dict:
-    return {"x": p.x, "y": p.y}
-
-
 def save_radio_map(radio_map: RadioMap, path: str) -> None:
     """Serialize a map to versioned JSON.  Byte-identical for equal maps."""
     cells = []
@@ -388,19 +415,12 @@ def save_radio_map(radio_map: RadioMap, path: str) -> None:
         entry: dict = {
             "row": key[0],
             "col": key[1],
-            "centroid": _point_to_json(cell.centroid),
-            "histograms": {
-                tid: list(hist.counts) for tid, hist in sorted(cell.histograms.items())
-            },
+            "centroid": {"x": cell.centroid.x, "y": cell.centroid.y},
+            "histograms": {tid: list(hist.counts) for tid, hist in cell.histograms.items()},
         }
         if cell.points:
             entry["points"] = [
-                {
-                    "x": p.location.x,
-                    "y": p.location.y,
-                    "readings": dict(sorted(p.readings.items())),
-                }
-                for p in cell.points
+                {"x": p.location.x, "y": p.location.y, "readings": p.readings} for p in cell.points
             ]
         cells.append(entry)
     doc: dict = {
@@ -414,7 +434,7 @@ def save_radio_map(radio_map: RadioMap, path: str) -> None:
     }
     if radio_map.tower_locations is not None:
         doc["tower_locations"] = {
-            tid: _point_to_json(p) for tid, p in sorted(radio_map.tower_locations.items())
+            tid: {"x": p.x, "y": p.y} for tid, p in radio_map.tower_locations.items()
         }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True)
@@ -452,12 +472,9 @@ def json_value(value, kind: type):
     return float(value) if kind is float else value
 
 
-def json_finite(obj: dict, *keys: str) -> list[float]:
-    """The named fields of a JSON object, each a finite JSON number."""
-    values = [json_value(obj[k], float) for k in keys]
-    if not all(map(math.isfinite, values)):
-        raise ValueError(f"{dict(zip(keys, values))} is not finite")
-    return values
+def json_floats(obj: dict, *keys: str) -> list[float]:
+    """The named fields of a JSON object, each a JSON number, as floats."""
+    return [json_value(obj[k], float) for k in keys]
 
 
 def load_radio_map(path: str) -> RadioMap:
@@ -465,21 +482,18 @@ def load_radio_map(path: str) -> RadioMap:
 
     Raises:
         MapFormatError: on version mismatch, a malformed/truncated file, a
-            field of the wrong JSON type (see :func:`json_value`), a
-            histogram or point naming a tower missing from ``towers``, a
-            point reading outside ASU 0..31, no cells or two entries for one
-            cell, a grid length that is not a positive finite number, or a
-            non-finite anchor, centroid, point or tower location; no partial
-            map is ever returned.
+            field of the wrong JSON type (see :func:`json_value`), two entries
+            for one cell or an origin outside the lat/lon range; and, as the
+            value rules are :class:`RadioMap`'s, on no cells, a cell without
+            histograms, a histogram not of 32 non-negative counts with at
+            least one reading, a histogram or point naming a tower missing
+            from ``towers``, a point without 1..7 readings in ASU 0..31, a
+            grid length that is not a positive finite number, or a non-finite
+            anchor, centroid, point or tower location.  No partial map is
+            ever returned.
     """
     doc = load_document(path, RADIO_MAP_KIND)
     try:
-        origin = GeoPoint(*json_finite(doc["origin"], "lat", "lon"))
-        grid_length = json_value(doc["grid_length_m"], float)
-        if not 0.0 < grid_length < math.inf:
-            raise ValueError(f"grid_length_m {grid_length} is not a positive finite number")
-        anchor = json_finite(doc["grid_anchor"], "x", "y")
-        tower_ids = frozenset(json_value(doc["towers"], list))
         cells: dict[tuple[int, int], GridCell] = {}
         for entry in json_value(doc["cells"], list):
             key = (json_value(entry["row"], int), json_value(entry["col"], int))
@@ -491,34 +505,30 @@ def load_radio_map(path: str) -> RadioMap:
             }
             points = tuple(
                 FingerprintPoint(
-                    PlanarPoint(*json_finite(p, "x", "y")),
+                    PlanarPoint(*json_floats(p, "x", "y")),
                     {tid: json_value(a, int) for tid, a in json_value(p["readings"], dict).items()},
                 )
                 for p in json_value(entry.get("points", []), list)
             )
-            unknown = set(histograms).union(*(p.readings for p in points)) - tower_ids
-            if unknown:
-                raise ValueError(f"cell {key} names towers not in 'towers': {sorted(unknown)}")
-            if any(not 0 <= asu <= ASU_MAX for p in points for asu in p.readings.values()):
-                raise ValueError(f"cell {key} has a point reading outside ASU 0..{ASU_MAX}")
             cells[key] = GridCell(
-                centroid=PlanarPoint(*json_finite(entry["centroid"], "x", "y")),
+                centroid=PlanarPoint(*json_floats(entry["centroid"], "x", "y")),
                 points=points,
                 histograms=histograms,
             )
         tower_locations = None
         if "tower_locations" in doc:
             tower_locations = {
-                tid: PlanarPoint(*json_finite(p, "x", "y"))
+                tid: PlanarPoint(*json_floats(p, "x", "y"))
                 for tid, p in json_value(doc["tower_locations"], dict).items()
             }
+        anchor_x, anchor_y = json_floats(doc["grid_anchor"], "x", "y")
         return RadioMap(
-            origin=origin,
-            grid_length=grid_length,
-            anchor_x=anchor[0],
-            anchor_y=anchor[1],
+            origin=GeoPoint(*json_floats(doc["origin"], "lat", "lon")),
+            grid_length=json_value(doc["grid_length_m"], float),
+            anchor_x=anchor_x,
+            anchor_y=anchor_y,
             cells=cells,
-            tower_ids=tower_ids,
+            tower_ids=frozenset(json_value(doc["towers"], list)),
             tower_locations=tower_locations,
         )
     except (KeyError, TypeError, ValueError) as exc:

@@ -169,6 +169,19 @@ class TestBuildLocateEvaluate:
                    "--technique", "probabilistic"])
         assert rc == 2
 
+    @pytest.mark.parametrize("kind", ["map", "gp"])
+    def test_build_names_a_scan_without_truth(self, tmp_path, capsys, kind):
+        from gsmloc.geo import ScanVector
+
+        trace = tmp_path / "train.csv"
+        write_trace([scan_at_planar(0, 1.0, 1.0, {"T0": 5}), ScanVector(17.5, {"T0": 6}),
+                     scan_at_planar(20, 90.0, 1.0, {"T0": 7})], str(trace))
+        rc = main(["build", "--traces", str(trace), "--kind", kind,
+                   "--out", str(tmp_path / "out.json")])
+        assert rc == 2
+        assert "t=17.5 has no ground truth" in capsys.readouterr().err
+        assert not (tmp_path / "out.json").exists()
+
     def test_build_gp_and_locate(self, tmp_path, tiny_trace):
         trace, _ = tiny_trace
         grid_path = tmp_path / "grid.json"

@@ -541,6 +541,36 @@ def _drop_points(doc):
         entry["mean"], entry["var"] = [], []
 
 
+def _with(array, index, value):
+    """A copy of ``array`` with ``array[index] = value``."""
+    copy = array.copy()
+    copy[index] = value
+    return copy
+
+
+class TestGridRules:
+    """Each rule PrecomputedGrid checks, broken once on an otherwise valid grid."""
+
+    @pytest.mark.parametrize("edit,message", [
+        pytest.param(lambda g: dict(points=_with(g.points, (3, 1), math.nan)),
+                     "points must be finite", id="nan_point"),
+        pytest.param(lambda g: dict(means={"A": _with(g.means["A"], 2, math.nan)}),
+                     "non-finite mean", id="nan_mean"),
+        pytest.param(lambda g: dict(variances={"A": _with(g.variances["A"], 1, -1.0)}),
+                     "negative or non-finite variance", id="negative_variance"),
+        pytest.param(lambda g: dict(noise_vars={"A": 0.0}), "noise_var 0.0 is not positive",
+                     id="zero_noise_var"),
+        pytest.param(lambda g: dict(spacing=math.inf), "spacing inf is not a positive finite",
+                     id="inf_spacing"),
+    ])
+    def test_broken_rule_raises(self, edit, message):
+        models = {"A": gp_fit(*random_training(np.random.default_rng(19), n=20), [HYPER])}
+        grid = gp_build_grid(models, (0.0, 0.0, 300.0, 300.0), 100.0, ORIGIN)
+        assert dataclasses.replace(grid).n_points == 16
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(grid, **edit(grid))
+
+
 class TestGridPersistence:
     @staticmethod
     def _saved_grid(tmp_path):

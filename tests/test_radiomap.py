@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -5,8 +6,10 @@ import random
 import pytest
 
 from conftest import ORIGIN, scan_at_planar
-from gsmloc.geo import GeoPoint
+from gsmloc.geo import GeoPoint, PlanarPoint
 from gsmloc.radiomap import (
+    FingerprintPoint,
+    GridCell,
     MapFormatError,
     RadioMap,
     SmoothingParams,
@@ -126,14 +129,76 @@ class TestBuild:
         assert rm.origin.lon == pytest.approx(sum(lons) / 2)
 
 
+def _base_map():
+    """Two cells, (0, 0) hearing towers A and B and (0, 1) hearing A, with points kept."""
+    scans = [scan_at_planar(0, 1.0, 1.0, {"A": 10, "B": 4}),
+             scan_at_planar(1, 101.0, 1.0, {"A": 7})]
+    towers = {"A": GeoPoint(30.001, 31.0)}
+    return build_radio_map(scans, 70.0, origin=ORIGIN, tower_locations=towers)
+
+
+def _map_with(grid_length=70.0, tower_ids=(), **first_cell):
+    """The RadioMap constructor on :func:`_base_map`'s fields, with cell (0, 0)
+    taking ``first_cell``'s fields and ``tower_ids`` added to its towers."""
+    rm = _base_map()
+    cells = {**rm.cells, (0, 0): dataclasses.replace(rm.cells[(0, 0)], **first_cell)}
+    return RadioMap(rm.origin, grid_length, rm.anchor_x, rm.anchor_y, cells,
+                    rm.tower_ids | set(tower_ids), rm.tower_locations)
+
+
+def _counts(**bins):
+    """A 32-bin histogram with the given ASU bins (``a5=3``: three readings at ASU 5)."""
+    counts = [0] * 32
+    for name, count in bins.items():
+        counts[int(name[1:])] = count
+    return TowerHistogram(tuple(counts))
+
+
+def _point(readings):
+    return (FingerprintPoint(PlanarPoint(1.0, 1.0), readings),)
+
+
+class TestRules:
+    """Each rule RadioMap checks, broken once on an otherwise valid map."""
+
+    def test_unbroken_map_constructs(self):
+        rm = _map_with()
+        assert rm == _base_map()
+        assert sorted(rm.cells) == [(0, 0), (0, 1)]
+
+    @pytest.mark.parametrize("fields,message", [
+        pytest.param(dict(histograms={"A": TowerHistogram((1,) * 31)}), "32 bins", id="31_bins"),
+        pytest.param(dict(histograms={"A": _counts(), "B": _counts(a4=1)}), "at least one reading",
+                     id="all_counts_zero"),
+        pytest.param(dict(histograms={"A": _counts(a3=-1, a5=2)}), "non-negative",
+                     id="negative_count"),
+        pytest.param(dict(histograms={"A": _counts(a5=1), "Z": _counts(a5=1)}),
+                     r"not in 'towers'.*'Z'", id="unknown_histogram_tower"),
+        pytest.param(dict(points=_point({"A": 5, "Z": 5})), r"not in 'towers'.*'Z'",
+                     id="unknown_point_tower"),
+        pytest.param(dict(points=_point({"A": -1})), "outside ASU", id="asu_minus_1"),
+        pytest.param(dict(points=_point({"A": 32})), "outside ASU", id="asu_32"),
+        pytest.param(dict(points=_point({})), r"1\.\.7 readings", id="no_readings"),
+        pytest.param(dict(points=_point({f"T{i}": 5 for i in range(8)}),
+                          tower_ids={f"T{i}" for i in range(8)}), r"1\.\.7 readings",
+                     id="eight_readings"),
+        pytest.param(dict(centroid=PlanarPoint(math.nan, 1.0)), "finite", id="nan_centroid"),
+        pytest.param(dict(grid_length=math.inf), "finite", id="inf_grid_length"),
+        pytest.param(dict(histograms={}), r"cell \(0, 0\) holds no histogram", id="empty_cell"),
+    ])
+    def test_broken_rule_raises(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            _map_with(**fields)
+
+
 class TestHistogram:
     def test_requires_32_bins(self):
-        with pytest.raises(ValueError):
-            TowerHistogram((1,) * 31)
+        with pytest.raises(ValueError, match="32 bins"):
+            _map_with(histograms={"A": TowerHistogram((1,) * 31), "B": TowerHistogram((1,) * 31)})
 
     def test_requires_a_count(self):
-        with pytest.raises(ValueError):
-            TowerHistogram((0,) * 32)
+        with pytest.raises(ValueError, match="at least one reading"):
+            _map_with(histograms={"A": TowerHistogram((0,) * 32)})
 
     def test_mean(self):
         asus = [10, 10, 10, 20]
@@ -303,6 +368,19 @@ class TestPersistence:
         path.write_text(json.dumps(doc))
         with pytest.raises(MapFormatError, match="outside ASU"):
             load_radio_map(str(path))
+
+    def test_cell_without_histograms_rejected(self, tmp_path):
+        path, doc = self._saved_doc(tmp_path)
+        rm = load_radio_map(str(path))
+        assert (5, 5) not in rm.cells
+        doc["cells"].append({"row": 5, "col": 5, "centroid": {"x": 360.0, "y": 360.0},
+                             "histograms": {}})
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MapFormatError, match=r"cell \(5, 5\) holds no histogram"):
+            load_radio_map(str(path))
+        empty = GridCell(PlanarPoint(360.0, 360.0), (), {})
+        with pytest.raises(ValueError, match=r"cell \(5, 5\) holds no histogram"):
+            dataclasses.replace(rm, cells={**rm.cells, (5, 5): empty})
 
     def test_duplicate_cell_rejected(self, tmp_path):
         path, doc = self._saved_doc(tmp_path)
