@@ -30,6 +30,7 @@ from .bench import (
     sweep_params,
     sweep_tower_drop,
     thin_fingerprint,
+    window_at,
     write_cdf_csv,
     write_report_csv,
 )
@@ -70,12 +71,9 @@ from .gp import (
     save_grid,
 )
 from .radiomap import (
-    FingerprintPoint,
-    GridCell,
     MapFormatError,
     RadioMap,
     SmoothingParams,
-    TowerHistogram,
     ablate_towers,
     build_radio_map,
     load_radio_map,

@@ -110,6 +110,11 @@ TECHNIQUES: dict[str, Callable[..., LocationEstimate]] = {
 }
 
 
+def window_at(scans: Sequence[ScanVector], i: int, n_samples: int) -> Sequence[ScanVector]:
+    """The sliding window that ends at scan ``i``: up to ``n_samples`` scans."""
+    return scans[max(0, i + 1 - n_samples) : i + 1]
+
+
 def evaluate(
     model: RadioMap | PrecomputedGrid,
     test_scans: Sequence[ScanVector],
@@ -142,7 +147,7 @@ def evaluate(
     errors: list[float] = []
     times_s: list[float] = []
     for i in range(len(test_scans)):
-        window = list(test_scans[max(0, i + 1 - params.n_samples) : i + 1])
+        window = list(window_at(test_scans, i, params.n_samples))
         reps = []
         est = None
         for _ in range(max(1, time_repeats)):

@@ -152,7 +152,7 @@ def _cmd_locate(args: argparse.Namespace) -> int:
         writer = csv.writer(out)
         writer.writerow(("timestamp", "lat", "lon"))
         for i in range(len(scans)):
-            window = scans[max(0, i + 1 - params.n_samples) : i + 1]
+            window = bench.window_at(scans, i, params.n_samples)
             est = locate(model, window, params)
             geo = unproject(model.origin, est.location)
             writer.writerow([repr(scans[i].timestamp), repr(geo.lat), repr(geo.lon)])

@@ -14,12 +14,13 @@ from gsmloc.bench import (
     sweep_params,
     sweep_tower_drop,
     thin_fingerprint,
+    window_at,
     write_cdf_csv,
     write_report_csv,
 )
-from gsmloc.estimators import EstimatorParams, LocationEstimate
-from gsmloc.geo import PlanarPoint, project, read_trace
-from gsmloc.radiomap import SmoothingParams, build_radio_map
+from gsmloc.estimators import EstimatorParams, LocationEstimate, probabilistic_locate
+from gsmloc.geo import PlanarPoint, project, read_trace, unproject
+from gsmloc.radiomap import SmoothingParams, build_radio_map, load_radio_map, save_radio_map
 
 
 @pytest.fixture
@@ -246,6 +247,62 @@ class TestAblateTowers:
         assert table.shape == (len(out.tower_ids) + 1, full.shape[1], out.n_cells)
         assert rm.log_likelihood_table(smoothing) is full
 
+    def test_stripped_map_keeps_stored_centroids(self, training_scans):
+        rm = build_radio_map(training_scans, 70.0, origin=ORIGIN, strip_points=True)
+        stored = dict(zip(rm.cell_keys(), rm.centroid_array().tolist()))
+        for seed in range(4):
+            out = ablate_towers(rm, 0.5, seed=seed)
+            assert out.n_cells > 0
+            for key, centroid in zip(out.cell_keys(), out.centroid_array().tolist()):
+                assert centroid == stored[key]
+
+    def test_emptied_point_dropped_and_centroid_recomputed(self):
+        # One cell: a point hearing only A and one hearing only B.  Dropping
+        # either tower empties one point; the cell keeps the other tower.
+        scans = [scan_at_planar(0, 1.0, 1.0, {"A": 5}), scan_at_planar(1, 41.0, 21.0, {"B": 7})]
+        rm = build_radio_map(scans, 70.0, origin=ORIGIN)
+        ((key, cell),) = rm.cells.items()
+        seen = set()
+        for seed in range(8):
+            out = ablate_towers(rm, 0.5, seed=seed)
+            ((kept,),) = [out.tower_ids]
+            seen.add(kept)
+            (survivor,) = [p for p in cell.points if kept in p.readings]
+            assert out.cell_keys() == (key,)
+            assert out.cells[key].points == (survivor,)
+            assert out.cells[key].centroid == survivor.location
+            assert out.cells[key].centroid != cell.centroid
+        assert seen == {"A", "B"}
+
+
+def test_cells_view_stays_unbuilt(tmp_path, training_scans, test_scans):
+    """No package path builds the GridCell view: it costs memory, and only
+    the benchmark reference reads it."""
+    towers = {f"T{i}": unproject(ORIGIN, PlanarPoint(80.0 * i, 60.0 * i)) for i in range(4)}
+    rm = build_radio_map(training_scans, 70.0, origin=ORIGIN, tower_locations=towers)
+    path = str(tmp_path / "map.json")
+    save_radio_map(rm, path)
+    loaded = load_radio_map(path)
+    ablated = ablate_towers(rm, 0.5, seed=1)
+    assert loaded == rm and ablated != rm
+    maps = {id(m): m for m in (rm, loaded, ablated)}
+    for technique in ("probabilistic", "hybrid", "deterministic", "cellid"):
+        # Cell-ID cannot place a scan whose strongest tower was ablated.
+        for m in (rm, loaded) if technique == "cellid" else (rm, loaded, ablated):
+            evaluate(m, test_scans, technique, EstimatorParams(k=2), time_repeats=1)
+
+    def recording(model, window):
+        maps[id(model)] = model
+        return probabilistic_locate(model, window)
+
+    kw = dict(technique=recording, time_repeats=1)
+    sweep_grid_length(training_scans, test_scans, [50.0, 70.0], origin=ORIGIN, **kw)
+    sweep_density(training_scans, test_scans, [0.5], grid_length=70.0, origin=ORIGIN, **kw)
+    sweep_tower_drop(rm, test_scans, [0.0, 0.5], **kw)
+    sweep_params(rm, test_scans, [EstimatorParams(k=1)], **kw)
+    assert len(maps) == 7  # plus two grid lengths, one density and one drop of 0.5
+    assert all("cells" not in m.__dict__ for m in maps.values())
+
 
 class TestThinFingerprint:
     def test_keep_all(self, training_scans):
@@ -294,6 +351,13 @@ class TestCsvOutput:
             EvalReport("x", 70.0, 1, 1, 1.0, 2.0, 0.1, error_cdf=((1.0, 0.5),))
         with pytest.raises(ValueError, match="abscissae must be sorted"):
             EvalReport("x", 70.0, 1, 1, 1.0, 2.0, 0.1, error_cdf=((2.0, 0.5), (1.0, 1.0)))
+
+
+def test_window_at_ends_at_the_scan_and_holds_up_to_n_samples():
+    scans = list(range(5))
+    assert [window_at(scans, i, 3) for i in range(5)] == [
+        [0], [0, 1], [0, 1, 2], [1, 2, 3], [2, 3, 4]]
+    assert window_at(scans, 4, 1) == [4]
 
 
 def test_preset_params_lookup():

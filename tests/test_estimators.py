@@ -190,7 +190,7 @@ class TestProbabilisticLocate:
         # estimator ever sees one.
         rm = build_radio_map([scan_at_planar(0, 1.0, 1.0, {"A": 1})], 70.0, origin=ORIGIN)
         with pytest.raises(ValueError, match="radio map has no cells"):
-            dataclasses.replace(rm, cells={})
+            dataclasses.replace(rm, keys=())
         path = tmp_path / "map.json"
         save_radio_map(rm, str(path))
         doc = json.loads(path.read_text())

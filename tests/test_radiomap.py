@@ -8,12 +8,8 @@ import pytest
 from conftest import ORIGIN, scan_at_planar
 from gsmloc.geo import GeoPoint, PlanarPoint
 from gsmloc.radiomap import (
-    FingerprintPoint,
-    GridCell,
     MapFormatError,
-    RadioMap,
     SmoothingParams,
-    TowerHistogram,
     build_radio_map,
     load_radio_map,
     save_radio_map,
@@ -35,7 +31,7 @@ class TestBuild:
         assert cell.centroid.x == pytest.approx(35.0, abs=1e-9)
         assert cell.centroid.y == pytest.approx(35.0, abs=1e-9)
         assert cell.histograms["A"].counts[10] == 4
-        assert cell.histograms["A"].total == 4
+        assert sum(cell.histograms["A"].counts) == 4
 
     def test_two_points_two_cells(self):
         scans = [
@@ -66,7 +62,7 @@ class TestBuild:
         rm, _ = random_instance(rng)
         n_scans = sum(len(c.points) for c in rm.cells.values())
         rebuilt_total = sum(
-            sum(h.total for h in c.histograms.values()) for c in rm.cells.values()
+            sum(sum(h.counts) for h in c.histograms.values()) for c in rm.cells.values()
         )
         readings_total = sum(
             len(p.readings) for c in rm.cells.values() for p in c.points
@@ -94,7 +90,7 @@ class TestBuild:
                     per_tower.setdefault(tid, []).append(asu)
             assert set(per_tower) == set(cell.histograms)
             for tid, values in per_tower.items():
-                assert cell.histograms[tid].total == len(values)
+                assert sum(cell.histograms[tid].counts) == len(values)
                 for asu in values:
                     assert cell.histograms[tid].counts[asu] >= 1
 
@@ -114,7 +110,8 @@ class TestBuild:
     def test_strip_points(self):
         scans = [scan_at_planar(0, 1.0, 1.0, {"A": 5})]
         rm = build_radio_map(scans, 70.0, origin=ORIGIN, strip_points=True)
-        assert not rm.has_points
+        assert rm.point_xy.shape == (0, 2) and rm.reading_asu.shape == (0,)
+        assert rm.point_offsets.tolist() == [0, 0]
         assert all(c.points == () for c in rm.cells.values())
 
     def test_default_origin_is_truth_centroid(self):
@@ -137,25 +134,25 @@ def _base_map():
     return build_radio_map(scans, 70.0, origin=ORIGIN, tower_locations=towers)
 
 
-def _map_with(grid_length=70.0, tower_ids=(), **first_cell):
-    """The RadioMap constructor on :func:`_base_map`'s fields, with cell (0, 0)
-    taking ``first_cell``'s fields and ``tower_ids`` added to its towers."""
-    rm = _base_map()
-    cells = {**rm.cells, (0, 0): dataclasses.replace(rm.cells[(0, 0)], **first_cell)}
-    return RadioMap(rm.origin, grid_length, rm.anchor_x, rm.anchor_y, cells,
-                    rm.tower_ids | set(tower_ids), rm.tower_locations)
+def _map_with(**fields):
+    """The RadioMap constructor on :func:`_base_map`'s fields, ``fields`` replacing some.
+
+    The base arrays: keys ((0, 0), (0, 1)); towers A and B in columns 0 and
+    1; histograms (0, 0)/A at ASU 10, (0, 0)/B at 4 and (0, 1)/A at 7; one
+    point per cell, reading {A: 10, B: 4} and {A: 7}.
+    """
+    return dataclasses.replace(_base_map(), **fields)
 
 
 def _counts(**bins):
-    """A 32-bin histogram with the given ASU bins (``a5=3``: three readings at ASU 5)."""
+    """A 32-bin counts row with the given ASU bins (``a5=3``: three readings at ASU 5)."""
     counts = [0] * 32
     for name, count in bins.items():
         counts[int(name[1:])] = count
-    return TowerHistogram(tuple(counts))
+    return counts
 
 
-def _point(readings):
-    return (FingerprintPoint(PlanarPoint(1.0, 1.0), readings),)
+EIGHT = [f"T{i}" for i in range(8)]  # tower columns 2..9 next to A and B
 
 
 class TestRules:
@@ -167,38 +164,104 @@ class TestRules:
         assert sorted(rm.cells) == [(0, 0), (0, 1)]
 
     @pytest.mark.parametrize("fields,message", [
-        pytest.param(dict(histograms={"A": TowerHistogram((1,) * 31)}), "32 bins", id="31_bins"),
-        pytest.param(dict(histograms={"A": _counts(), "B": _counts(a4=1)}), "at least one reading",
-                     id="all_counts_zero"),
-        pytest.param(dict(histograms={"A": _counts(a3=-1, a5=2)}), "non-negative",
-                     id="negative_count"),
-        pytest.param(dict(histograms={"A": _counts(a5=1), "Z": _counts(a5=1)}),
-                     r"not in 'towers'.*'Z'", id="unknown_histogram_tower"),
-        pytest.param(dict(points=_point({"A": 5, "Z": 5})), r"not in 'towers'.*'Z'",
+        pytest.param(dict(counts=[[1] * 31] * 3), "32 bins", id="31_bins"),
+        pytest.param(dict(counts=[_counts(), _counts(a4=1), _counts(a7=1)]),
+                     "at least one reading", id="all_counts_zero"),
+        pytest.param(dict(counts=[_counts(a3=-1, a5=2), _counts(a4=1), _counts(a7=1)]),
+                     "non-negative", id="negative_count"),
+        pytest.param(dict(hist_tower=[0, 2, 0]), r"not in 'towers'.*columns \[2\]",
+                     id="unknown_histogram_tower"),
+        pytest.param(dict(reading_tower=[0, 2, 0]), r"not in 'towers'.*columns \[2\]",
                      id="unknown_point_tower"),
-        pytest.param(dict(points=_point({"A": -1})), "outside ASU", id="asu_minus_1"),
-        pytest.param(dict(points=_point({"A": 32})), "outside ASU", id="asu_32"),
-        pytest.param(dict(points=_point({})), r"1\.\.7 readings", id="no_readings"),
-        pytest.param(dict(points=_point({f"T{i}": 5 for i in range(8)}),
-                          tower_ids={f"T{i}" for i in range(8)}), r"1\.\.7 readings",
-                     id="eight_readings"),
-        pytest.param(dict(centroid=PlanarPoint(math.nan, 1.0)), "finite", id="nan_centroid"),
+        pytest.param(dict(reading_asu=[-1, 4, 7]), "outside ASU", id="asu_minus_1"),
+        pytest.param(dict(reading_asu=[32, 4, 7]), "outside ASU", id="asu_32"),
+        pytest.param(dict(reading_offsets=[0, 0, 1], reading_tower=[0], reading_asu=[7]),
+                     r"1\.\.7 readings", id="no_readings"),
+        pytest.param(dict(tower_ids=frozenset(["A", "B", *EIGHT]), reading_offsets=[0, 8, 9],
+                          reading_tower=[*range(2, 10), 0], reading_asu=[5] * 8 + [7]),
+                     r"1\.\.7 readings", id="eight_readings"),
+        pytest.param(dict(centroids=[[math.nan, 1.0], [101.0, 1.0]]), "finite",
+                     id="nan_centroid"),
         pytest.param(dict(grid_length=math.inf), "finite", id="inf_grid_length"),
-        pytest.param(dict(histograms={}), r"cell \(0, 0\) holds no histogram", id="empty_cell"),
+        pytest.param(dict(hist_cell=[1], hist_tower=[0], counts=[_counts(a7=1)]),
+                     r"cell \(0, 0\) holds no histogram", id="empty_cell"),
+        pytest.param(dict(keys=((0, 1), (0, 0))), "keys are not sorted",
+                     id="keys_unsorted"),
+        pytest.param(dict(hist_tower=[1, 0, 0], counts=[_counts(a4=1), _counts(a10=1),
+                                                         _counts(a7=1)]),
+                     r"one per \(cell, tower\) pair", id="histograms_unsorted"),
+        pytest.param(dict(hist_cell=[0, 1, 2]), r"one per \(cell, tower\) pair",
+                     id="histogram_cell_outside_keys"),
+        pytest.param(dict(reading_tower=[1, 0, 0], reading_asu=[4, 10, 7]), "column order",
+                     id="readings_unsorted"),
+        pytest.param(dict(point_offsets=[0, 1, 3]), "shape or offsets", id="offsets_past_end"),
+        pytest.param(dict(centroids=[[1.0, 1.0]]), "shape or offsets", id="centroid_missing"),
     ])
     def test_broken_rule_raises(self, fields, message):
         with pytest.raises(ValueError, match=message):
             _map_with(**fields)
 
 
+class TestEquality:
+    def test_load_round_trip_compares_equal(self, tmp_path):
+        rm = _base_map()
+        path = tmp_path / "map.json"
+        save_radio_map(rm, str(path))
+        back = load_radio_map(str(path))
+        assert back == rm and rm == back and not back != rm
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda rm: dict(counts=[_counts(a10=2), _counts(a4=1), _counts(a7=1)]),
+                     id="one_count"),
+        pytest.param(lambda rm: dict(reading_asu=[11, 4, 7]), id="one_point_asu"),
+        pytest.param(lambda rm: dict(centroids=[[np.nextafter(rm.centroids[0, 0], np.inf),
+                                                 rm.centroids[0, 1]], rm.centroids[1]]),
+                     id="one_centroid_ulp"),
+        pytest.param(lambda rm: dict(tower_locations={
+            "A": PlanarPoint(rm.tower_locations["A"].x,
+                             np.nextafter(rm.tower_locations["A"].y, np.inf))}),
+                     id="one_tower_location"),
+    ])
+    def test_one_difference_compares_unequal(self, edit):
+        rm = _base_map()
+        other = dataclasses.replace(rm, **edit(rm))
+        assert other != rm and rm != other
+        assert not other == rm
+
+    def test_non_map_is_not_equal(self):
+        rm = _base_map()
+        assert rm.__eq__(object()) is NotImplemented
+        assert (rm == "map") is False and (rm != None) is True  # noqa: E711
+        assert rm != rm.cells
+
+
+class TestAsuZero:
+    """A reading at ASU 0 is heard, unlike a tower the point did not hear."""
+
+    def test_survives_build_save_load(self, tmp_path):
+        scans = [scan_at_planar(0, 1.0, 1.0, {"A": 0, "B": 5}),
+                 scan_at_planar(1, 2.0, 1.0, {"A": 0})]
+        rm = build_radio_map(scans, 70.0, origin=ORIGIN)
+        path = tmp_path / "map.json"
+        save_radio_map(rm, str(path))
+        back = load_radio_map(str(path))
+        assert back == rm
+        ((key, cell),) = back.cells.items()
+        assert [p.readings for p in cell.points] == [{"A": 0, "B": 5}, {"A": 0}]
+        assert cell.histograms["A"].counts[0] == 2
+        _, readings = back.cell_point_arrays(key)
+        a, b = back.tower_index()["A"], back.tower_index()["B"]
+        assert readings[:, a].tolist() == [0, 0] and readings[:, b].tolist() == [5, 0]
+
+
 class TestHistogram:
     def test_requires_32_bins(self):
         with pytest.raises(ValueError, match="32 bins"):
-            _map_with(histograms={"A": TowerHistogram((1,) * 31), "B": TowerHistogram((1,) * 31)})
+            _map_with(counts=[[1] * 31] * 3)
 
     def test_requires_a_count(self):
         with pytest.raises(ValueError, match="at least one reading"):
-            _map_with(histograms={"A": TowerHistogram((0,) * 32)})
+            _map_with(counts=[_counts()] * 3)
 
     def test_mean(self):
         asus = [10, 10, 10, 20]
@@ -378,9 +441,10 @@ class TestPersistence:
         path.write_text(json.dumps(doc))
         with pytest.raises(MapFormatError, match=r"cell \(5, 5\) holds no histogram"):
             load_radio_map(str(path))
-        empty = GridCell(PlanarPoint(360.0, 360.0), (), {})
         with pytest.raises(ValueError, match=r"cell \(5, 5\) holds no histogram"):
-            dataclasses.replace(rm, cells={**rm.cells, (5, 5): empty})
+            dataclasses.replace(rm, keys=(*rm.keys, (5, 5)),
+                                centroids=[*rm.centroids, (360.0, 360.0)],
+                                point_offsets=[*rm.point_offsets, rm.point_offsets[-1]])
 
     def test_duplicate_cell_rejected(self, tmp_path):
         path, doc = self._saved_doc(tmp_path)
@@ -452,4 +516,4 @@ class TestPersistence:
         save_radio_map(rm, str(path))
         back = load_radio_map(str(path))
         assert back == rm
-        assert not back.has_points
+        assert back.point_xy.shape == (0, 2)

@@ -41,6 +41,7 @@ from gsmloc import (  # noqa: E402
     make_preset,
     preset_params,
     save_radio_map,
+    window_at,
 )
 
 WORLDS = (("rural", 0), ("rural", 1), ("rural", 2), ("urban", 0), ("urban", 1))
@@ -68,7 +69,7 @@ def main() -> int:
                 params = preset_params(preset, technique)
                 h = hashlib.sha256()
                 for i in range(len(test)):
-                    window = test[max(0, i + 1 - params.n_samples) : i + 1]
+                    window = window_at(test, i, params.n_samples)
                     est = TECHNIQUES[technique](radio_map, window, params)
                     loc = est.location
                     h.update(repr((loc.x, loc.y, est.log_score, est.contributing_cells)).encode())
