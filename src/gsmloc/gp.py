@@ -438,8 +438,8 @@ def load_grid(path: str) -> PrecomputedGrid:
 
     Raises:
         MapFormatError: on version mismatch, a malformed/truncated file, a
-            field of the wrong JSON type or an origin outside the lat/lon
-            range; and, as the value rules are :class:`PrecomputedGrid`'s, on
+            field of the wrong JSON type or too large for it, or an origin
+            outside the lat/lon range; and, as the value rules are :class:`PrecomputedGrid`'s, on
             a spacing that is not a positive finite number, no points or no
             towers, tower arrays not of the point count, a non-finite point or
             mean, a negative or non-finite variance, or a ``noise_var`` that
@@ -462,5 +462,5 @@ def load_grid(path: str) -> PrecomputedGrid:
             variances=series["var"],
             noise_vars={tid: json_value(e["noise_var"], float) for tid, e in towers.items()},
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MapFormatError(f"{path}: malformed GP grid ({exc})") from exc

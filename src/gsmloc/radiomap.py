@@ -527,11 +527,11 @@ def load_radio_map(path: str) -> RadioMap:
 
     Raises:
         MapFormatError: on version mismatch, a malformed/truncated file, a
-            field of the wrong JSON type (see :func:`json_value`), two entries
-            for one cell, a histogram not of 32 counts, a histogram or point
-            naming a tower missing from ``towers``, an origin outside the
-            lat/lon range, or any other :class:`RadioMap` rule broken.  No
-            partial map is ever returned.
+            field of the wrong JSON type (see :func:`json_value`) or too large
+            for it, two entries for one cell, a histogram not of 32 counts, a
+            histogram or point naming a tower missing from ``towers``, an
+            origin outside the lat/lon range, or any other :class:`RadioMap`
+            rule broken.  No partial map is ever returned.
     """
     doc = load_document(path, RADIO_MAP_KIND)
     try:
@@ -582,5 +582,5 @@ def load_radio_map(path: str) -> RadioMap:
             point_offsets=point_offsets, reading_offsets=reading_offsets,
             reading_tower=reading_tower, reading_asu=reading_asu,
             tower_ids=tower_ids, tower_locations=tower_locations)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MapFormatError(f"{path}: malformed radio map ({exc})") from exc

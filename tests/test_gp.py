@@ -611,6 +611,14 @@ class TestGridPersistence:
         with pytest.raises(MapFormatError, match="finite"):
             load_grid(str(path))
 
+    def test_number_too_large_rejected(self, tmp_path):
+        _, path = self._saved_grid(tmp_path)
+        doc = json.loads(path.read_text())
+        doc["points"][0]["x"] = 10**400
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MapFormatError, match="too large"):
+            load_grid(str(path))
+
     @pytest.mark.parametrize("edit", [
         pytest.param(lambda d: d["points"][0].update(x="0.0"), id="point_string"),
         pytest.param(lambda d: d["towers"]["A"]["mean"].__setitem__(0, "10.0"), id="mean_string"),

@@ -503,6 +503,18 @@ class TestPersistence:
         with pytest.raises(MapFormatError):
             load_radio_map(str(path))
 
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda d: _first_counts(d).__setitem__(0, 2**70), id="count_beyond_int64"),
+        pytest.param(lambda d: d["cells"][0]["centroid"].update(x=10**400),
+                     id="centroid_beyond_float"),
+    ])
+    def test_number_too_large_rejected(self, tmp_path, edit):
+        path, doc = self._saved_doc(tmp_path)
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MapFormatError, match="too large"):
+            load_radio_map(str(path))
+
     def test_wrong_kind_rejected(self, tmp_path):
         path = tmp_path / "map.json"
         path.write_text(json.dumps({"version": 1, "kind": "gp_grid"}))
