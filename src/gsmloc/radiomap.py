@@ -207,7 +207,8 @@ class RadioMap:
         for array in (mean_asu, norm2, dense):
             array.setflags(write=False)
         bounds = cell_points.tolist()
-        points = {key: (self.point_xy[a:b], dense[a:b]) for key, a, b in zip(keys, bounds, bounds[1:])}
+        points = {key: (self.point_xy[a:b], dense[a:b])
+                  for key, a, b in zip(keys, bounds, bounds[1:])}
         for name, value in (("_tower_index", tower_index), ("_mean_asu", mean_asu),
                             ("_mean_asu_norm2", norm2), ("_points", points)):
             object.__setattr__(self, name, value)
