@@ -122,8 +122,10 @@ class RadioMap:
     per point, each in ASU 0..31; a positive finite ``grid_length``; a
     finite anchor, centroids, point and tower locations; arrays agreeing in
     shape, offsets and order.  The log-likelihood table is built on first
-    use per :class:`SmoothingParams`.  Equal maps have equal fields, arrays
-    equal in dtype and value.
+    use per :class:`SmoothingParams`, and :attr:`cells`, a view of the
+    arrays as :class:`GridCell` objects kept for the benchmark's reference,
+    on first access.  Equal maps have equal fields, arrays equal in dtype
+    and value.
     """
 
     origin: GeoPoint
