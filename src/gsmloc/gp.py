@@ -14,8 +14,8 @@ Sec. 8.3.1) of the bordered matrix [[0, y^T], [y, R]], R = exp(-d^2 / (2 l^2)),
 gives Q^T R Q = T with Q^T y = |y| e_0, since the first reflector maps y onto
 e_0 and the later ones never touch that index.  Each (sigma_f^2, sigma_n^2)
 candidate then costs one tridiagonal solve, y^T K^-1 y =
-|y|^2 [(sigma_f^2 T + sigma_n^2 I)^-1]_00, and log|K| sums log(sigma_f^2
-lambda + sigma_n^2) over T's eigenvalues.  The near-best candidates are scored
+|y|^2 [(sigma_f^2 T + sigma_n^2 I)^-1]_00, whose L D L^T factorization also
+gives log|K| as the sum of log D.  The near-best candidates are scored
 exactly by Cholesky, so the chosen model equals that of a dense search.  GP
 arrays are bit-reproducible only under a fixed scipy/OpenBLAS build and BLAS
 thread count.
@@ -39,7 +39,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy.linalg import cholesky, solve_triangular
-from scipy.linalg.lapack import dptsv, dsterf, dsytrd, dsytrd_lwork
+from scipy.linalg.lapack import dptsv, dsytrd, dsytrd_lwork
 
 from .estimators import LocationEstimate, _check_scans
 from .geo import GeoPoint, PlanarPoint, ScanVector, project
@@ -156,9 +156,11 @@ def _spectral_lmls(
 ) -> np.ndarray:
     """Every candidate's LML from one tridiagonal reduction per distinct length scale.
 
-    A candidate whose spectrum sigma_f^2 lambda + sigma_n^2 is not safely positive
-    (minimum <= 1e-6 sigma_f^2), or whose tridiagonal solve fails, gets +inf, so
-    that it is always scored exactly, with the Cholesky path's jitter retries.
+    The log-determinant sums the logs of the pivots D of the L D L^T
+    factorization that ``dptsv`` computes for the solve.  A candidate with
+    sigma_n^2 <= 1e-6 sigma_f^2, whose matrix may be near singular, or whose
+    tridiagonal solve fails, gets +inf, so that it is always scored exactly,
+    with the Cholesky path's jitter retries.
     """
     n = len(yc)
     lmls = np.full(len(candidates), np.inf)
@@ -166,18 +168,17 @@ def _spectral_lmls(
     bordered[1:, 0] = yc
     unit = np.eye(n, 1)
     lwork = int(dsytrd_lwork(n + 1, lower=1)[0])
-    spectra: dict[float, tuple[np.ndarray, np.ndarray, float, np.ndarray, int]] = {}
+    tridiagonals: dict[float, tuple[np.ndarray, np.ndarray, float]] = {}
     for i, hyper in enumerate(candidates):
-        if hyper.length_scale not in spectra:
+        if hyper.length_scale not in tridiagonals:
             bordered[1:, 1:] = np.exp(-d2 / (2.0 * hyper.length_scale**2))
             _, d, e, _, _ = dsytrd(bordered, lower=1, lwork=lwork)
-            spectra[hyper.length_scale] = d[1:], e[1:], e[0] ** 2, *dsterf(d[1:], e[1:])
-        d, e, yy, lam, failed = spectra[hyper.length_scale]
-        eig = hyper.sigma_f2 * lam + hyper.sigma_n2
-        if not failed and eig.min() > 1e-6 * hyper.sigma_f2:
-            _, _, x, info = dptsv(hyper.sigma_f2 * d + hyper.sigma_n2, hyper.sigma_f2 * e, unit)
+            tridiagonals[hyper.length_scale] = d[1:], e[1:], e[0] ** 2
+        d, e, yy = tridiagonals[hyper.length_scale]
+        if hyper.sigma_n2 > 1e-6 * hyper.sigma_f2:
+            pivots, _, x, info = dptsv(hyper.sigma_f2 * d + hyper.sigma_n2, hyper.sigma_f2 * e, unit)
             if info == 0:
-                lmls[i] = -0.5 * yy * x[0, 0] - 0.5 * np.log(eig).sum()
+                lmls[i] = -0.5 * yy * x[0, 0] - 0.5 * np.log(pivots).sum()
     return lmls - 0.5 * n * math.log(2.0 * math.pi)
 
 
@@ -194,11 +195,11 @@ def gp_fit(
     The candidate maximizing the log marginal likelihood wins (first
     maximum on ties, in grid order).  Candidates are ranked by their
     spectral LML; those within 1e-6 * max(1, |best|) of the best, and those
-    without a safely positive spectrum, are re-scored exactly with the
-    factorization of :func:`gp_log_marginal_likelihood`, which also yields
-    the returned ``chol``, ``alpha`` and ``log_marginal``.  Training sets
-    larger than ``max_points`` are subsampled uniformly at random with the
-    given seed.
+    with sigma_n^2 <= 1e-6 sigma_f^2 or a failed tridiagonal solve, are
+    re-scored exactly with the factorization of
+    :func:`gp_log_marginal_likelihood`, which also yields the returned
+    ``chol``, ``alpha`` and ``log_marginal``.  Training sets larger than
+    ``max_points`` are subsampled uniformly at random with the given seed.
 
     Raises:
         ValueError: on arrays not shaped (n, 2) and (n,), with fewer than 2

@@ -10,8 +10,12 @@ is constructed.
 
 On top of the static field, trace generation adds small i.i.d. per-reading
 measurement noise (seeded per trace), so independently generated training
-and test traces differ the way two real drives would.  It is drawn as one
-(scans, towers) matrix, the same stream as one draw per tower per scan.
+and test traces differ the way two real drives would.  A trace is synthesized
+in fixed blocks of scans; each block draws its (scans, towers) noise from the
+trace's one generator, the same stream as one draw per tower per scan.  A
+numpy estimate of each block's field picks the pairs that can be heard, and
+only those get the exact path loss (``math.hypot``, ``math.log10``), so a
+trace matches the all-pairs field bit for bit.
 
 Everything is deterministic given (world seed, route): regenerating a trace
 yields identical bytes.
@@ -27,14 +31,22 @@ from typing import Sequence
 import numpy as np
 
 from .geo import (
+    ASU_MAX,
+    ASU_MIN,
     MAX_READINGS,
     SENSITIVITY_DBM,
     GeoPoint,
     PlanarPoint,
     ScanVector,
-    dbm_to_asu,
     unproject,
 )
+
+#: Scans synthesized together: bounds the (scans, towers) working arrays.
+_BLOCK_SCANS = 256
+#: A pair whose numpy power estimate lies more than this below the
+#: sensitivity is never heard.  numpy's and math's hypot and log10 differ by
+#: a few ulp, about 1e-13 dB on these powers.
+_PRUNE_MARGIN_DB = 1e-6
 
 
 @dataclass(frozen=True)
@@ -139,33 +151,51 @@ class SynthWorld:
         return {t.tower_id: unproject(self.geo_origin, t.location) for t in self.towers}
 
 
+def _tower_columns(world: SynthWorld) -> np.ndarray:
+    """Tower x, y and transmit power, shape (3, towers), in world order."""
+    return np.array([(t.location.x, t.location.y, t.tx_power_dbm) for t in world.towers]).T
+
+
+def _exact_loss_db(pl: PathLossParams, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """Log-distance path loss at flat tower offsets, with ``math.hypot`` and ``math.log10``.
+
+    numpy's hypot and log10 differ from these in the last bit on about 1% and
+    3% of inputs, enough to move a reading across an ASU boundary.
+    """
+    d = np.fromiter(map(math.hypot, dx.tolist(), dy.tolist()), float, len(dx))
+    ratio = (np.maximum(d, pl.d0) / pl.d0).tolist()
+    return pl.p0_dbm + 10.0 * pl.exponent * np.fromiter(map(math.log10, ratio), float, len(ratio))
+
+
+def _shadow_db(world: SynthWorld, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Bilinear shadowing of every tower at points ``(x, y)``, shape (points, towers)."""
+    v = world._shadow
+    _, ny, nx = v.shape
+    h = world.pathloss.shadow_grid_spacing
+    gx = (x - (world.bounds[0] - h)) / h
+    gy = (y - (world.bounds[1] - h)) / h
+    i = np.clip(np.floor(gx).astype(np.int64), 0, nx - 2)
+    j = np.clip(np.floor(gy).astype(np.int64), 0, ny - 2)
+    fx = np.clip(gx - i, 0.0, 1.0)[:, None]
+    fy = np.clip(gy - j, 0.0, 1.0)[:, None]
+    return (1 - fy) * ((1 - fx) * v[:, j, i].T + fx * v[:, j, i + 1].T) + fy * (
+        (1 - fx) * v[:, j + 1, i].T + fx * v[:, j + 1, i + 1].T
+    )
+
+
 def _field_dbm(world: SynthWorld, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Static received power in dBm at points ``(x, y)``, shape (points, towers).
 
-    Uses ``math.hypot`` and ``math.log10``: numpy's differ in the last bit on
-    about 1% and 3% of inputs, enough to move a reading across an ASU boundary.
+    Every pair gets the exact path loss of :func:`_exact_loss_db`, audible or
+    not; trace synthesis computes it only on the pairs it may hear.
     """
     pl = world.pathloss
-    tx, ty, power = np.array([(t.location.x, t.location.y, t.tx_power_dbm) for t in world.towers]).T
+    tx, ty, power = _tower_columns(world)
     dx = tx - x[:, None]
     dy = ty - y[:, None]
-    d = np.fromiter(map(math.hypot, dx.flat, dy.flat), float, dx.size)
-    ratio = np.maximum(d, pl.d0) / pl.d0
-    log_ratio = np.fromiter(map(math.log10, ratio), float, ratio.size).reshape(dx.shape)
-    dbm = power - (pl.p0_dbm + 10.0 * pl.exponent * log_ratio)
+    dbm = power - _exact_loss_db(pl, dx.ravel(), dy.ravel()).reshape(dx.shape)
     if pl.shadow_sigma_db > 0:
-        v = world._shadow
-        _, ny, nx = v.shape
-        h = pl.shadow_grid_spacing
-        gx = (x - (world.bounds[0] - h)) / h
-        gy = (y - (world.bounds[1] - h)) / h
-        i = np.clip(np.floor(gx).astype(np.int64), 0, nx - 2)
-        j = np.clip(np.floor(gy).astype(np.int64), 0, ny - 2)
-        fx = np.clip(gx - i, 0.0, 1.0)[:, None]
-        fy = np.clip(gy - j, 0.0, 1.0)[:, None]
-        dbm += (1 - fy) * ((1 - fx) * v[:, j, i].T + fx * v[:, j, i + 1].T) + fy * (
-            (1 - fx) * v[:, j + 1, i].T + fx * v[:, j + 1, i + 1].T
-        )
+        dbm += _shadow_db(world, x, y)
     return dbm
 
 
@@ -179,18 +209,71 @@ def received_dbm(world: SynthWorld, tower: Tower, p: PlanarPoint) -> float:
     return float(_field_dbm(world, np.array([p.x]), np.array([p.y]))[0, rank])
 
 
-def _scans(
-    world: SynthWorld, times: Sequence[float], x: np.ndarray, y: np.ndarray, dbm: np.ndarray
+def _heard_dbm(
+    world: SynthWorld, x: np.ndarray, y: np.ndarray, noise: np.ndarray | None
+) -> np.ndarray:
+    """:func:`_field_dbm` plus ``noise`` on the pairs that can be heard, -inf elsewhere.
+
+    A numpy estimate of each pair's power keeps the pairs within
+    ``_PRUNE_MARGIN_DB`` of the sensitivity; only those get the exact path
+    loss, in :func:`_field_dbm`'s order of operations, so every audible pair
+    is bit-identical to the full field.
+    """
+    pl = world.pathloss
+    tx, ty, power = _tower_columns(world)
+    dx = tx - x[:, None]
+    dy = ty - y[:, None]
+    log_ratio = np.log10(np.maximum(np.hypot(dx, dy), pl.d0) / pl.d0)
+    dbm = power - (pl.p0_dbm + 10.0 * pl.exponent * log_ratio)
+    terms = [_shadow_db(world, x, y)] if pl.shadow_sigma_db > 0 else []
+    if noise is not None:
+        terms.append(noise)
+    for term in terms:
+        dbm += term
+    rows, cols = np.nonzero(dbm >= SENSITIVITY_DBM - _PRUNE_MARGIN_DB)
+    heard = power[cols] - _exact_loss_db(pl, dx[rows, cols], dy[rows, cols])
+    for term in terms:
+        heard += term[rows, cols]
+    dbm.fill(-np.inf)
+    dbm[rows, cols] = heard
+    return dbm
+
+
+def _block_scans(
+    world: SynthWorld,
+    times: Sequence[float],
+    x: np.ndarray,
+    y: np.ndarray,
+    noise_rng: np.random.Generator | None,
+    noise_sigma_db: float,
 ) -> list[ScanVector]:
-    """A :func:`scan_at` scan per row of ``dbm``; raises at the first silent row."""
+    """A :func:`scan_at` scan at each ``(times[k], x[k], y[k])``; raises at the first silent one.
+
+    The noise is one (points, towers) draw from ``noise_rng``.
+    """
+    noise = None
+    if noise_rng is not None and noise_sigma_db > 0:
+        noise = noise_rng.normal(0.0, noise_sigma_db, size=(len(x), len(world.towers)))
+    dbm = _heard_dbm(world, x, y, noise)
+
+    # strongest first, ties by tower id: a stable sort over columns in id order
     ids = [t.tower_id for t in world.towers]
+    by_id = sorted(range(len(ids)), key=ids.__getitem__)
+    ranked = dbm[:, by_id]
+    top = np.argsort(-ranked, axis=1, kind="stable")[:, :MAX_READINGS]
+    top_dbm = np.take_along_axis(ranked, top, axis=1)
+    counts = (top_dbm >= SENSITIVITY_DBM).sum(axis=1)
+    silent = np.flatnonzero(counts == 0)
+    if len(silent):
+        raise ValueError(f"no tower audible at ({x[silent[0]]:.1f}, {y[silent[0]]:.1f})")
+    # dbm_to_asu's arithmetic; -inf past a row's count clamps to ASU 0 and is never read
+    asu = np.clip(np.floor((top_dbm - SENSITIVITY_DBM) / 2.0 + 0.5), ASU_MIN, ASU_MAX)
+    names = [ids[k] for k in by_id]
     scans: list[ScanVector] = []
-    for t, px, py, row in zip(times, x.tolist(), y.tolist(), dbm.tolist()):
-        audible = [(v, tid) for v, tid in zip(row, ids) if v >= SENSITIVITY_DBM]
-        if not audible:
-            raise ValueError(f"no tower audible at ({px:.1f}, {py:.1f})")
-        audible.sort(key=lambda it: (-it[0], it[1]))
-        readings = {tid: dbm_to_asu(v) for v, tid in audible[:MAX_READINGS]}
+    for t, px, py, n, kept, levels in zip(
+        times, x.tolist(), y.tolist(), counts.tolist(), top.tolist(), asu.astype(int).tolist()
+    ):
+        readings = {names[k]: level for k, level in zip(kept[:n], levels[:n])}
         truth = unproject(world.geo_origin, PlanarPoint(px, py))
         scans.append(ScanVector(t, readings, truth=truth))
     return scans
@@ -214,11 +297,7 @@ def scan_at(
     Raises:
         ValueError: if no tower is audible at ``p``.
     """
-    x, y = np.array([p.x]), np.array([p.y])
-    dbm = _field_dbm(world, x, y)
-    if noise_rng is not None and noise_sigma_db > 0:
-        dbm += noise_rng.normal(0.0, noise_sigma_db, size=len(world.towers))
-    return _scans(world, [t], x, y, dbm)[0]
+    return _block_scans(world, [t], np.array([p.x]), np.array([p.y]), noise_rng, noise_sigma_db)[0]
 
 
 def _route_noise_seed(world: SynthWorld, route: Route) -> np.random.SeedSequence:
@@ -259,15 +338,19 @@ def generate_trace(
     frac = (dist - cumulative[seg]) / seg_lengths[seg]
     w = np.array([(p.x, p.y) for p in pts])
     x, y = (w[seg] + frac[:, None] * (w[seg + 1] - w[seg])).T
-    dbm = _field_dbm(world, x, y)
+    rng = None
     if noise_sigma_db > 0:
         seed = (
             np.random.SeedSequence([world.seed, 2, noise_seed])
             if noise_seed is not None
             else _route_noise_seed(world, route)
         )
-        dbm += np.random.default_rng(seed).normal(0.0, noise_sigma_db, size=dbm.shape)
-    return _scans(world, t.tolist(), x, y, dbm)
+        rng = np.random.default_rng(seed)
+    scans: list[ScanVector] = []
+    for start in range(0, len(t), _BLOCK_SCANS):
+        block = slice(start, start + _BLOCK_SCANS)
+        scans += _block_scans(world, t[block].tolist(), x[block], y[block], rng, noise_sigma_db)
+    return scans
 
 
 # ---------------------------------------------------------------------------

@@ -240,8 +240,10 @@ def eigh_spectral_lmls(d2: np.ndarray, yc: np.ndarray, candidates) -> np.ndarray
 
     With R = V diag(lambda) V^T, sigma_f^2 R + sigma_n^2 I has eigenvalues
     sigma_f^2 lambda + sigma_n^2 on the same eigenvectors, so the quadratic
-    form is sum((V^T yc)^2 / eig).  A spectrum whose minimum is <= 1e-6
-    sigma_f^2 gives +inf, the package's rule for "score exactly instead".
+    form is sum((V^T yc)^2 / eig), and the log-determinant is sum(log(eig)).
+    A spectrum whose minimum is <= 1e-6 sigma_f^2 gives +inf, "score exactly
+    instead".  As lambda >= 0, such a candidate has sigma_n^2 <= 1e-6
+    sigma_f^2, the package's rule, which can flag more candidates than this.
     """
     lmls = np.full(len(candidates), np.inf)
     spectra: dict = {}

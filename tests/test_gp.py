@@ -235,6 +235,21 @@ class TestSelection:
         assert np.isinf(want).tolist() == [True, False, True, False]
         self._assert_lmls_agree(got, want)
 
+    def test_tiny_noise_scored_exactly_even_when_well_conditioned(self):
+        # Far-apart points make R close to I, so the spectrum stays positive,
+        # but sigma_n^2 <= 1e-6 sigma_f^2 alone sends a candidate to Cholesky.
+        rng = np.random.default_rng(26)
+        x, y = random_training(rng, n=12, side=5000.0)
+        grid = [GpHyperparams(100.0, sn2, 50.0) for sn2 in (1e-5, 1e-3, 4.0)]
+        got, want = self._spectral_pair(x, y, grid)
+        assert np.isinf(got).tolist() == [True, False, False]
+        assert np.isfinite(want).all()
+        self._assert_lmls_agree(got[1:], want[1:])
+        exact = [gp_log_marginal_likelihood(x, y, h) for h in grid]
+        model = gp_fit(x, y, grid)
+        assert model.hyper is grid[exact.index(max(exact))]
+        assert model.log_marginal == max(exact)
+
     def test_rural_preset_fit_picks_the_eigh_ranking_choice(self):
         # Every tower of rural seed 0, re-ranked by the oracle under the same
         # rule: the near-best candidates are scored exactly, first max wins.

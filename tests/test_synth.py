@@ -7,10 +7,12 @@ import pytest
 
 from gsmloc.geo import SENSITIVITY_DBM, PlanarPoint, dbm_to_asu, project, write_trace
 from gsmloc.synth import (
+    _BLOCK_SCANS,
     PathLossParams,
     Route,
     SynthWorld,
     Tower,
+    _heard_dbm,
     generate_trace,
     make_preset,
     received_dbm,
@@ -82,6 +84,19 @@ class TestScanAt:
         kept = sorted(sv.readings, key=lambda tid: (-strengths[tid], tid))
         expected = sorted(strengths, key=lambda tid: (-strengths[tid], tid))[:7]
         assert sorted(kept) == sorted(expected)
+
+    def test_ties_broken_by_tower_id(self):
+        # 20 towers exactly 100 m away, listed in reverse id order: all tie
+        offsets = [(sx * a, sy * b) for a, b in ((28, 96), (96, 28), (60, 80), (80, 60))
+                   for sx in (1, -1) for sy in (1, -1)]
+        offsets += [(100, 0), (-100, 0), (0, 100), (0, -100)]
+        ids = [f"T{i:02d}" for i in reversed(range(len(offsets)))]
+        towers = [Tower(tid, PlanarPoint(500.0 + dx, 500.0 + dy), -20.0)
+                  for tid, (dx, dy) in zip(ids, offsets)]
+        world = flat_world(towers)
+        sv = scan_at(world, PlanarPoint(500.0, 500.0), 0.0)
+        assert list(sv.readings) == [f"T{i:02d}" for i in range(7)]
+        assert list(sv.readings.items()) == scalar_scan(world, PlanarPoint(500.0, 500.0))
 
     def test_exact_threshold_included_as_asu_zero(self):
         # tx - p0 - 10*3*log10(100/10) = tx - 60; tx = -53 lands exactly at -113
@@ -295,6 +310,68 @@ class TestFieldOracle:
         world = _oracle_world(6.0)
         with pytest.raises(ValueError):
             received_dbm(world, Tower("X", PlanarPoint(1.0, 1.0), -20.0), PlanarPoint(2.0, 2.0))
+
+
+class TestPrunedFieldOracle:
+    """Trace synthesis computes the exact path loss only where a tower may be heard."""
+
+    @staticmethod
+    def _assert_heard_pairs_exact(world, points, noise):
+        x = np.array([p.x for p in points])
+        y = np.array([p.y for p in points])
+        got = _heard_dbm(world, x, y, noise)
+        kept = 0
+        for k, p in enumerate(points):
+            for rank in range(len(world.towers)):
+                want = scalar_received_dbm(world, rank, p)
+                if noise is not None:
+                    want += noise[k, rank]
+                if want >= SENSITIVITY_DBM:
+                    assert got[k, rank] == want, (k, rank)
+                else:
+                    assert got[k, rank] in (want, -math.inf), (k, rank)
+                kept += got[k, rank] != -math.inf
+        return kept
+
+    @pytest.mark.parametrize("sigma", [0.0, 4.0])
+    @pytest.mark.parametrize("shadow", [0.0, 6.0])
+    def test_heard_pairs_bit_identical(self, shadow, sigma):
+        world = _oracle_world(shadow)
+        tower = world.towers[4].location
+        points = _ORACLE_POINTS + [tower, PlanarPoint(tower.x + 3.0, tower.y - 4.0)]
+        noise = None
+        if sigma:
+            noise = np.random.default_rng(6).normal(0.0, sigma, (len(points), len(world.towers)))
+        kept = self._assert_heard_pairs_exact(world, points, noise)
+        assert 0 < kept < len(points) * len(world.towers)  # some pairs are pruned
+
+    def test_reading_exactly_at_the_threshold_kept(self):
+        # tx - p0 - 10*3*log10(100/10) = -53 - 30 - 30 = -113 exactly
+        world = flat_world([Tower("T0", PlanarPoint(0.0, 0.0), -53.0)])
+        got = _heard_dbm(world, np.array([100.0]), np.array([0.0]), None)
+        assert got.tolist() == [[SENSITIVITY_DBM]]
+        assert self._assert_heard_pairs_exact(world, [PlanarPoint(100.0, 0.0)], None) == 1
+
+    def test_route_over_blocks_matches_stepwise_oracle(self):
+        world = _oracle_world(6.0)
+        waypoints = (PlanarPoint(-30.0, 20.0), PlanarPoint(500.0, 60.0), PlanarPoint(40.0, 300.0))
+        route = Route(waypoints, 1.9)
+        trace = generate_trace(world, route, noise_sigma_db=3.0, noise_seed=8)
+        expected = scalar_trace(world, route, 3.0, 8)
+        assert len(trace) > 2 * _BLOCK_SCANS
+        assert [list(sv.readings.items()) for sv in trace] == [r for _, _, r in expected]
+
+    def test_silent_spot_past_the_first_block(self):
+        # audible out to about 1259 m without noise; at 2 m/s that is past the first block
+        tower = Tower("T0", PlanarPoint(0.0, 0.0), -20.0)
+        world = flat_world([tower], bounds=(0.0, 0.0, 2000.0, 100.0))
+        route = Route((PlanarPoint(0.0, 0.0), PlanarPoint(2000.0, 0.0)), 2.0)
+        expected = scalar_trace(world, route, 2.0, 4)
+        first_silent = next(k for k, (_, _, r) in enumerate(expected) if r is None)
+        assert first_silent > _BLOCK_SCANS
+        x, y, _ = expected[first_silent]
+        with pytest.raises(ValueError, match=rf"^no tower audible at \({x:.1f}, {y:.1f}\)$"):
+            generate_trace(world, route, noise_sigma_db=2.0, noise_seed=4)
 
 
 #: sha256 of the write_trace file for each preset and route at world seed 0.

@@ -57,7 +57,9 @@ _IMPORT_PROBE = "import gsmloc, resource; print(resource.getrusage(resource.RUSA
 
 BLIND_SPOTS = [
     "gp.lml_evals reports towers x 45 candidates, not the factorizations the fit runs",
-    "urban-track setup_s has an IQR/median of about 0.28 over ten runs, wider than its 0.25 bound",
+    "urban-track setup_s read an IQR/median of 0.24 at the parent and 0.23 with block synthesis "
+    "over the ten pairs CHANGES.md quotes for BENCH_17.json, just inside its 0.25 bound "
+    "(earlier pair runs: 0.24-0.35)",
     "radiomap.mean_asu_s and radiomap.point_arrays_s time plain accessors: the map builds "
     "those arrays at construction, so their work is in radiomap.build_s",
     "radiomap.table_bytes counts the log table's floor row for unknown towers, one row more "
@@ -65,6 +67,9 @@ BLIND_SPOTS = [
     "estimators.det.cells_compared counts n_cells per call, but the screen reads only the "
     "window's heard towers per cell and then re-scores about k cells over all towers "
     "(from BENCH_14.json on)",
+    "synth.tower_evals counts scans x towers, but synthesis runs the exact path loss only on "
+    "the pairs a numpy estimate finds audible (seed 0: 9.9% urban, 16.7% rural), more than "
+    "synth.useful_frac's readings, as a scan keeps at most 7 (from BENCH_17.json on)",
 ]
 
 

@@ -1,23 +1,27 @@
-"""Print sha256 digests of histogram-technique estimates and saved maps on fixed worlds.
+"""Print sha256 digests of synthetic traces, histogram-technique estimates and saved maps.
 
 Run from a checkout's root:
 
     python3 tools/estimate_digests.py
 
-For rural seeds 0-2 and urban seeds 0-1, it builds the 70 m map from the
-training trace and slides each technique's preset window over the test
-trace, on the full map and on ``ablate_towers(map, 0.4, 7)``.  Each line
-is ``preset seed map technique digest``, where the digest is the sha256 of
-``repr((x, y, log_score, contributing_cells))`` over every window, in
-order.  On rural and urban seed 0 it also prints ``preset seed map
-saved-map digest`` for the full map, the ablated map and the map built
-with ``strip_points=True``, where the digest is the sha256 of the file
-:func:`gsmloc.save_radio_map` writes: 36 lines in all.  Two checkouts
-that print the same lines give bit-identical probabilistic, hybrid and
-deterministic estimates and byte-identical saved maps on these worlds, so
-diffing the output of a parent and a change checks a refactor that claims
-to move no estimate and no saved byte.  ``tools/estimate_digests.txt``
-holds the committed output, and CI diffs a fresh run against it:
+For rural seeds 0-2 and urban seeds 0-1, it first prints ``preset seed
+route trace digest`` for the training and the test route, where the digest
+is the sha256 of the file :func:`gsmloc.write_trace` writes for the trace
+that :func:`gsmloc.generate_trace` synthesizes.  It then builds the 70 m
+map from the training trace and slides each technique's preset window over
+the test trace, on the full map and on ``ablate_towers(map, 0.4, 7)``.
+Each of these lines is ``preset seed map technique digest``, where the
+digest is the sha256 of ``repr((x, y, log_score, contributing_cells))`` over
+every window, in order.  On rural and urban seed 0 it also prints ``preset
+seed map saved-map digest`` for the full map, the ablated map and the map
+built with ``strip_points=True``, where the digest is the sha256 of the file
+:func:`gsmloc.save_radio_map` writes: 46 lines in all.  Two checkouts that
+print the same lines synthesize byte-identical traces, give bit-identical
+probabilistic, hybrid and deterministic estimates and write byte-identical
+maps on these worlds, so diffing the output of a parent and a change checks
+a refactor that claims to move no trace, no estimate and no saved byte.
+``tools/estimate_digests.txt`` holds the committed output, and CI diffs a
+fresh run against it:
 
     python3 tools/estimate_digests.py | diff tools/estimate_digests.txt -
 """
@@ -42,6 +46,7 @@ from gsmloc import (  # noqa: E402
     preset_params,
     save_radio_map,
     window_at,
+    write_trace,
 )
 
 WORLDS = (("rural", 0), ("rural", 1), ("rural", 2), ("urban", 0), ("urban", 1))
@@ -49,10 +54,10 @@ TECHNIQUE_NAMES = ("probabilistic", "hybrid", "deterministic")
 SAVED_WORLDS = (("rural", 0), ("urban", 0))
 
 
-def saved_digest(radio_map, workdir: str) -> str:
-    """The sha256 of the bytes ``save_radio_map`` writes for ``radio_map``."""
-    path = os.path.join(workdir, "map.json")
-    save_radio_map(radio_map, path)
+def file_digest(save, obj, workdir: str) -> str:
+    """The sha256 of the bytes ``save(obj, path)`` writes."""
+    path = os.path.join(workdir, "out")
+    save(obj, path)
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
@@ -61,6 +66,10 @@ def main() -> int:
         world, routes = make_preset(preset, seed)
         train = generate_trace(world, routes["train"])
         test = generate_trace(world, routes["test"])
+        with tempfile.TemporaryDirectory() as workdir:
+            for route, trace in (("train", train), ("test", test)):
+                print(preset, seed, route, "trace", file_digest(write_trace, trace, workdir),
+                      flush=True)
         towers = world.tower_locations_geo()
         full = build_radio_map(train, DEFAULT_GRID_M, tower_locations=towers)
         maps = {"full": full, "ablated": ablate_towers(full, 0.4, 7)}
@@ -80,8 +89,8 @@ def main() -> int:
             )
             with tempfile.TemporaryDirectory() as workdir:
                 for label, radio_map in maps.items():
-                    print(preset, seed, label, "saved-map", saved_digest(radio_map, workdir),
-                          flush=True)
+                    print(preset, seed, label, "saved-map",
+                          file_digest(save_radio_map, radio_map, workdir), flush=True)
     return 0
 
 
