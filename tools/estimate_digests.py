@@ -13,12 +13,14 @@ the test trace, on the full map and on ``ablate_towers(map, 0.4, 7)``.
 Each of these lines is ``preset seed map technique digest``, where the
 digest is the sha256 of ``repr((x, y, log_score, contributing_cells))`` over
 every window, in order.  On rural and urban seed 0 it also prints ``preset
-seed map saved-map digest`` for the full map, the ablated map and the map
-built with ``strip_points=True``, where the digest is the sha256 of the file
-:func:`gsmloc.save_radio_map` writes: 46 lines in all.  Two checkouts that
-print the same lines synthesize byte-identical traces, give bit-identical
-probabilistic, hybrid and deterministic estimates and write byte-identical
-maps on these worlds, so diffing the output of a parent and a change checks
+seed map saved-map digest`` for the full map, the ablated map, the map
+built with ``strip_points=True`` and the full maps at the sweep's other
+grid lengths, 50 m (``full-50m``) and 110 m (``full-110m``), where the
+digest is the sha256 of the file :func:`gsmloc.save_radio_map` writes: 50
+lines in all.  Two checkouts that print the same lines synthesize
+byte-identical traces, give bit-identical probabilistic, hybrid and
+deterministic estimates and write byte-identical maps on these worlds at
+these grid lengths, so diffing the output of a parent and a change checks
 a refactor that claims to move no trace, no estimate and no saved byte.
 ``tools/estimate_digests.txt`` holds the committed output, and CI diffs a
 fresh run against it:
@@ -52,6 +54,7 @@ from gsmloc import (  # noqa: E402
 WORLDS = (("rural", 0), ("rural", 1), ("rural", 2), ("urban", 0), ("urban", 1))
 TECHNIQUE_NAMES = ("probabilistic", "hybrid", "deterministic")
 SAVED_WORLDS = (("rural", 0), ("urban", 0))
+SAVED_GRID_M = (50.0, 110.0)
 
 
 def file_digest(save, obj, workdir: str) -> str:
@@ -87,6 +90,8 @@ def main() -> int:
             maps["stripped"] = build_radio_map(
                 train, DEFAULT_GRID_M, tower_locations=towers, strip_points=True
             )
+            for grid_m in SAVED_GRID_M:
+                maps[f"full-{grid_m:g}m"] = build_radio_map(train, grid_m, tower_locations=towers)
             with tempfile.TemporaryDirectory() as workdir:
                 for label, radio_map in maps.items():
                     print(preset, seed, label, "saved-map",
