@@ -52,6 +52,7 @@ from .geo import (
     asu_to_dbm,
     dbm_to_asu,
     project,
+    project_array,
     read_tower_locations,
     read_trace,
     unproject,

@@ -31,7 +31,7 @@ from .estimators import (
     hybrid_locate,
     probabilistic_locate,
 )
-from .geo import GeoPoint, ScanVector, project
+from .geo import GeoPoint, PlanarPoint, ScanVector, project_array
 from .gp import PrecomputedGrid, gp_locate
 from .radiomap import RadioMap, ablate_towers, build_radio_map
 
@@ -142,7 +142,7 @@ def evaluate(
         locate = TECHNIQUES[technique]
     else:
         raise ValueError(f"unknown technique {technique!r}; expected one of {tuple(TECHNIQUES)}")
-    origin = model.origin
+    truths = project_array(model.origin, [scan.truth for scan in test_scans]).tolist()
 
     errors: list[float] = []
     times_s: list[float] = []
@@ -154,8 +154,7 @@ def evaluate(
             t0 = time.perf_counter()
             est = locate(model, window, params)
             reps.append(time.perf_counter() - t0)
-        truth = project(origin, test_scans[i].truth)
-        errors.append(est.location.distance_to(truth))
+        errors.append(est.location.distance_to(PlanarPoint(*truths[i])))
         times_s.append(statistics.median(reps))
 
     ordered = sorted(errors)

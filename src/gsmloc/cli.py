@@ -16,7 +16,7 @@ from typing import Sequence
 from . import bench, gp
 from .estimators import EstimatorParams
 from .geo import (
-    project,
+    project_array,
     read_tower_locations,
     read_trace,
     unproject,
@@ -126,9 +126,9 @@ def _cmd_build(args: argparse.Namespace) -> int:
     else:
         origin = default_origin(scans)
         models = gp.fit_tower_models(scans, origin)
-        pts = [project(origin, s.truth) for s in scans]
-        xs, ys = [p.x for p in pts], [p.y for p in pts]
-        grid = gp.gp_build_grid(models, (min(xs), min(ys), max(xs), max(ys)), args.spacing, origin)
+        xy = project_array(origin, [s.truth for s in scans])
+        bounds = (*xy.min(axis=0).tolist(), *xy.max(axis=0).tolist())
+        grid = gp.gp_build_grid(models, bounds, args.spacing, origin)
         gp.save_grid(grid, args.out)
         print(f"built GP grid: {grid.n_points} points, {len(grid.towers)} towers")
     return 0

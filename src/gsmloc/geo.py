@@ -13,6 +13,8 @@ All distance math in this package runs in a local planar frame obtained by
 an equirectangular projection about a fixed origin.  At the areas this
 toolkit targets (a few km across) the projection round-trips within 0.1 m,
 so Euclidean geometry on (x, y) is exact for every practical purpose.
+:func:`project` maps one point; :func:`project_array` maps a whole trace's
+points in numpy with the same arithmetic, and is bit-equal to it.
 """
 
 from __future__ import annotations
@@ -22,7 +24,10 @@ import io
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from operator import attrgetter
+from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 EARTH_RADIUS_M = 6_371_000.0
 
@@ -107,6 +112,33 @@ def project(origin: GeoPoint, p: GeoPoint) -> PlanarPoint:
             stacklevel=2,
         )
     return PlanarPoint(x, y)
+
+
+def project_array(origin: GeoPoint, points: Sequence[GeoPoint]) -> np.ndarray:
+    """:func:`project` applied to every point: an (n, 2) array of (x, y), bit-equal to it.
+
+    Emits one :class:`ProjectionRangeWarning` per call, naming how many
+    points lie beyond ``PROJECTION_RANGE_M`` and the farthest distance, when
+    :func:`project` would warn on at least one of them.
+    """
+    lat, lon = (np.fromiter(map(attrgetter(name), points), float, len(points))
+                for name in ("lat", "lon"))
+    # The order of operations of project(), so every product rounds the same way.
+    x = EARTH_RADIUS_M * math.cos(math.radians(origin.lat)) * np.radians(lon - origin.lon)
+    y = EARTH_RADIUS_M * np.radians(lat - origin.lat)
+    # np.hypot may differ from math.hypot in the last place: screen with a margin, then
+    # decide each candidate with math.hypot, the rule project() applies.
+    near_edge = np.flatnonzero(np.hypot(x, y) > PROJECTION_RANGE_M * (1.0 - 1e-9))
+    far = [d for d in map(math.hypot, x[near_edge].tolist(), y[near_edge].tolist())
+           if d > PROJECTION_RANGE_M]
+    if far:
+        warnings.warn(
+            f"{len(far)} of {len(points)} points lie beyond 10 km of the projection origin, "
+            f"the farthest {max(far) / 1000.0:.1f} km; planar distances degrade beyond 10 km",
+            ProjectionRangeWarning,
+            stacklevel=2,
+        )
+    return np.stack((x, y), axis=1)
 
 
 def unproject(origin: GeoPoint, p: PlanarPoint) -> GeoPoint:

@@ -42,9 +42,9 @@ from scipy.linalg import cholesky, solve_triangular
 from scipy.linalg.lapack import dptsv, dsytrd, dsytrd_lwork
 
 from .estimators import LocationEstimate, _check_scans
-from .geo import GeoPoint, PlanarPoint, ScanVector, project
+from .geo import GeoPoint, PlanarPoint, ScanVector, project_array
 from .radiomap import (MAP_FORMAT_VERSION, MapFormatError, ground_truths, json_floats,
-                       json_value, load_document)
+                       json_value, load_document, reading_arrays)
 
 GP_GRID_KIND = "gp_grid"
 
@@ -274,19 +274,21 @@ def fit_tower_models(
     than 2 positions are skipped.  Per-tower subsampling seeds derive from
     (seed, tower rank), so results do not depend on fit order.
     """
-    by_tower: dict[str, list[tuple[tuple[float, float], float]]] = {}
-    for scan, truth in zip(scans, ground_truths(scans)):
-        p = project(origin, truth)
-        for tower_id, asu in scan.readings.items():
-            by_tower.setdefault(tower_id, []).append(((p.x, p.y), float(asu)))
+    xy = project_array(origin, ground_truths(scans))
+    towers, n_read, reading_tower, reading_asu = reading_arrays(scans)
+    # Readings grouped by tower; the stable sort keeps each tower's in scan order.
+    order = np.argsort(reading_tower, kind="stable")
+    reading_point = np.repeat(np.arange(len(scans)), n_read)[order]
+    values = reading_asu[order]
+    bounds = np.searchsorted(reading_tower[order], np.arange(len(towers) + 1)).tolist()
 
     models: dict[str, GpTowerModel] = {}
-    for rank, tower_id in enumerate(sorted(by_tower)):
-        data = by_tower[tower_id]
-        if len(data) < 2:
+    for rank, tower_id in enumerate(towers):
+        a, b = bounds[rank], bounds[rank + 1]
+        if b - a < 2:
             continue
         tower_seed = int(np.random.SeedSequence([seed, rank]).generate_state(1)[0])
-        models[tower_id] = gp_fit(np.array([xy for xy, _ in data]), np.array([v for _, v in data]),
+        models[tower_id] = gp_fit(xy[reading_point[a:b]], values[a:b],
                                   max_points=max_points, seed=tower_seed)
     return models
 

@@ -21,7 +21,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass, field, fields
-from itertools import compress
+from itertools import chain, compress
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -32,7 +32,7 @@ from .geo import (
     GeoPoint,
     PlanarPoint,
     ScanVector,
-    project,
+    project_array,
 )
 
 N_ASU_BINS = ASU_MAX + 1
@@ -327,6 +327,24 @@ def default_origin(scans: Sequence[ScanVector]) -> GeoPoint:
     )
 
 
+def reading_arrays(scans: Sequence[ScanVector]):
+    """Every reading of ``scans`` in one flat pass: the heard towers and four arrays.
+
+    Returns ``(towers, n_read, reading_tower, reading_asu)``: the sorted
+    tower ids, each scan's number of readings, and per reading, in scan
+    order and each scan's dict order, its tower's position in ``towers``
+    and its ASU as a float (exact for ASUs; a float lets a GP fit see and
+    reject a non-finite value).
+    """
+    readings = [scan.readings for scan in scans]
+    names = list(chain.from_iterable(readings))
+    towers = sorted(set(names))
+    column = dict(zip(towers, range(len(towers))))
+    return (towers, np.fromiter(map(len, readings), np.intp, len(readings)),
+            np.fromiter(map(column.__getitem__, names), np.intp, len(names)),
+            np.fromiter(chain.from_iterable(map(dict.values, readings)), float, len(names)))
+
+
 def _point_means(point_cell: np.ndarray, xy: np.ndarray, n_cells: int):
     """Per cell, the mean location of its points (NaN if none) and their number.
 
@@ -355,6 +373,8 @@ def build_radio_map(
     Points are bucketed into grid cells of side ``grid_length`` anchored at
     the minimum x/y of the data, histograms accumulate one count per
     reading, and each cell's centroid is the mean of its member points.
+    The trace is read once into arrays (:func:`~gsmloc.geo.project_array`
+    and :func:`reading_arrays`); everything after that is array work.
 
     Args:
         scans: training scans; every one must carry ground truth.
@@ -377,35 +397,40 @@ def build_radio_map(
     if origin is None:
         origin = default_origin(scans)
 
-    xy = np.array([(p.x, p.y) for p in (project(origin, truth) for truth in truths)])
+    xy = project_array(origin, truths)
     anchor = xy.min(axis=0)
     col, row = np.floor((xy - anchor) / grid_length).astype(np.int64).T
     width = int(col.max()) + 1
     cells, point_cell = np.unique(row * width + col, return_inverse=True)
     keys = tuple(zip((cells // width).tolist(), (cells % width).tolist()))
 
-    towers = sorted({tid for scan in scans for tid in scan.readings})
-    column = {tid: i for i, tid in enumerate(towers)}
-    n_read = np.array([len(scan.readings) for scan in scans])
-    reading_tower = np.array([column[tid] for scan in scans for tid in scan.readings], np.intp)
-    reading_asu = np.array([asu for scan in scans for asu in scan.readings.values()], np.intp)
+    towers, n_read, reading_tower, reading_asu = reading_arrays(scans)
+    reading_asu = reading_asu.astype(np.intp)
+    n_towers = len(towers)
     reading_point = np.repeat(np.arange(len(scans)), n_read)
     # One histogram per heard (cell, tower) pair, all counted by one bincount.
-    pairs, hist = np.unique(point_cell[reading_point] * len(towers) + reading_tower,
+    pairs, hist = np.unique(point_cell[reading_point] * n_towers + reading_tower,
                             return_inverse=True)
     counts = np.bincount(hist * N_ASU_BINS + reading_asu, minlength=len(pairs) * N_ASU_BINS)
-    # Points cell by cell in scan order; each point's readings in column order.
+    # Points cell by cell in scan order; each point's readings in column order.  A
+    # reading's key, its point's rank in that order times n_towers plus its column, is
+    # unique, so any sort of the keys gives the one reading order.
     order = np.argsort(point_cell, kind="stable")
-    reading_order = np.lexsort((reading_tower, reading_point, point_cell[reading_point]))
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    reading_order = np.argsort(rank[reading_point] * n_towers + reading_tower)
     if strip_points:
         order = reading_order = order[:0]
 
-    planar_towers = None if tower_locations is None else {
-        tid: project(origin, gp) for tid, gp in sorted(tower_locations.items())}
+    planar_towers = None
+    if tower_locations is not None:
+        ids = sorted(tower_locations)
+        tower_xy = project_array(origin, [tower_locations[tid] for tid in ids]).tolist()
+        planar_towers = {tid: PlanarPoint(x, y) for tid, (x, y) in zip(ids, tower_xy)}
     return RadioMap(
         origin, float(grid_length), float(anchor[0]), float(anchor[1]), keys,
         centroids=_point_means(point_cell, xy, len(keys))[0],
-        hist_cell=pairs // len(towers), hist_tower=pairs % len(towers),
+        hist_cell=pairs // n_towers, hist_tower=pairs % n_towers,
         counts=counts.reshape(-1, N_ASU_BINS), point_xy=xy[order],
         point_offsets=_offsets(np.bincount(point_cell[order], minlength=len(keys))),
         reading_offsets=_offsets(n_read[order]),

@@ -5,8 +5,9 @@ Everything here works in plain probability space with exhaustive
 enumeration and naive dense linear algebra, re-deriving likelihoods from
 raw histogram counts rather than calling the package's fast paths.  Tests
 compare the package output against these on instances small enough that
-probabilities do not underflow.  The synthetic-world references evaluate
-the RF field one tower and one point at a time, in plain Python floats.
+probabilities do not underflow.  The map-build and synthetic-world
+references work one scan, reading, tower or point at a time, in plain
+Python floats.
 """
 
 from __future__ import annotations
@@ -297,6 +298,73 @@ def random_instance(
         readings = {towers[t]: int(rng.integers(0, 32)) for t in sorted(chosen)}
         window.append(ScanVector(float(1000 + j), readings))
     return rm, window
+
+
+def scalar_radio_map(scans, grid_length: float, *, origin=None, tower_locations=None,
+                     strip_points: bool = False, dropped=frozenset()) -> RadioMap:
+    """The map ``build_radio_map`` builds, one scan and one reading at a time.
+
+    Each truth is projected with ``project``, histograms are counted in
+    dicts, and each centroid is a left-to-right Python-float sum over the
+    cell's points in scan order.  ``dropped`` names towers removed as
+    ``ablate_towers`` removes them: their readings go, then points left
+    without readings and cells left without histograms.  The grid keeps the
+    anchor of the whole trace, and a cell of a stripped map keeps the
+    centroid of all its points.
+    """
+    from gsmloc.geo import GeoPoint, project
+
+    if origin is None:
+        origin = GeoPoint(sum(s.truth.lat for s in scans) / len(scans),
+                          sum(s.truth.lon for s in scans) / len(scans))
+    pts = [project(origin, s.truth) for s in scans]
+    ax, ay = min(p.x for p in pts), min(p.y for p in pts)
+    towers = sorted({tid for s in scans for tid in s.readings} - set(dropped))
+    column = {tid: i for i, tid in enumerate(towers)}
+    members: dict = {}  # (row, col) -> [(point, [(column, asu), ...] sorted by column)]
+    for scan, p in zip(scans, pts):
+        key = (math.floor((p.y - ay) / grid_length), math.floor((p.x - ax) / grid_length))
+        kept = sorted((column[tid], asu) for tid, asu in scan.readings.items() if tid in column)
+        members.setdefault(key, []).append((p, kept))
+
+    keys, centroids, hist_cell, hist_tower, counts = [], [], [], [], []
+    point_xy, point_offsets, reading_offsets, reading_tower, reading_asu = [], [0], [0], [], []
+    for key in sorted(members):
+        kept_points = [(p, r) for p, r in members[key] if r]
+        if not kept_points:
+            continue
+        averaged = members[key] if strip_points else kept_points
+        sx = sy = 0.0
+        for p, _ in averaged:
+            sx += p.x
+            sy += p.y
+        centroids.append((sx / len(averaged), sy / len(averaged)))
+        hists: dict = {}
+        for _, r in kept_points:
+            for t, asu in r:
+                hists.setdefault(t, [0] * N_ASU_BINS)[asu] += 1
+        for t in sorted(hists):
+            hist_cell.append(len(keys))
+            hist_tower.append(t)
+            counts.append(hists[t])
+        keys.append(key)
+        if not strip_points:
+            for p, r in kept_points:
+                point_xy.append((p.x, p.y))
+                reading_tower.extend(t for t, _ in r)
+                reading_asu.extend(asu for _, asu in r)
+                reading_offsets.append(len(reading_tower))
+        point_offsets.append(len(point_xy))
+
+    planar_towers = None if tower_locations is None else {
+        tid: project(origin, gp) for tid, gp in sorted(tower_locations.items())
+        if tid not in dropped}
+    return RadioMap(
+        origin, float(grid_length), ax, ay, tuple(keys), centroids=centroids,
+        hist_cell=hist_cell, hist_tower=hist_tower, counts=np.reshape(counts, (-1, N_ASU_BINS)),
+        point_xy=np.reshape(point_xy, (-1, 2)), point_offsets=point_offsets,
+        reading_offsets=reading_offsets, reading_tower=reading_tower, reading_asu=reading_asu,
+        tower_ids=frozenset(towers), tower_locations=planar_towers)
 
 
 # ---------------------------------------------------------------------------

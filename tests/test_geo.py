@@ -1,5 +1,7 @@
 import math
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from gsmloc.geo import (
     asu_to_dbm,
     dbm_to_asu,
     project,
+    project_array,
     read_tower_locations,
     read_trace,
     unproject,
@@ -76,11 +79,67 @@ class TestProjection:
         with pytest.warns(ProjectionRangeWarning):
             project(origin, GeoPoint(origin.lat + 0.2, origin.lon))
 
+    @settings(max_examples=300)
+    @given(
+        st.floats(min_value=-80.0, max_value=80.0),
+        st.floats(min_value=-179.0, max_value=179.0),
+        st.lists(st.tuples(st.floats(min_value=-0.2, max_value=0.2),
+                           st.floats(min_value=-0.3, max_value=0.3)), max_size=12),
+    )
+    def test_array_form_equals_scalar_form(self, lat0, lon0, offsets):
+        # Offsets up to 0.2 deg of latitude and 0.3 of longitude reach past 10 km.
+        origin = GeoPoint(lat0, lon0)
+        points = [GeoPoint(lat0 + dlat, lon0 + dlon) for dlat, dlon in offsets]
+        assert_array_form_equals_scalar_form(origin, points)
+
+    def test_array_form_at_the_range_edge(self, origin):
+        # Points a few ulps either side of PROJECTION_RANGE_M, where np.hypot and
+        # math.hypot could disagree in the last place.
+        edge = []
+        for angle in np.linspace(0.0, 2.0 * math.pi, 37):
+            p = unproject(origin, PlanarPoint(1e4 * math.cos(angle), 1e4 * math.sin(angle)))
+            lat, lon = p.lat, p.lon
+            for _ in range(4):
+                edge.append(GeoPoint(lat, lon))
+                lat, lon = np.nextafter(lat, -math.inf), np.nextafter(lon, math.inf)
+        beyond = [math.hypot(q.x, q.y) > 1e4 for q in (project_quiet(origin, p) for p in edge)]
+        assert 0 < sum(beyond) < len(edge)
+        for p in edge:
+            assert_array_form_equals_scalar_form(origin, [p])
+        assert_array_form_equals_scalar_form(origin, edge)
+
+    def test_array_form_of_no_points(self, origin):
+        assert project_array(origin, []).shape == (0, 2)
+
     def test_geopoint_validation(self):
         with pytest.raises(ValueError):
             GeoPoint(91.0, 0.0)
         with pytest.raises(ValueError):
             GeoPoint(0.0, 181.0)
+
+
+def project_quiet(origin, p):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ProjectionRangeWarning)
+        return project(origin, p)
+
+
+def _range_warnings(call) -> tuple[list, int]:
+    """``call()``'s result and how many ProjectionRangeWarnings it emitted."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = call()
+    return result, sum(issubclass(w.category, ProjectionRangeWarning) for w in caught)
+
+
+def assert_array_form_equals_scalar_form(origin, points):
+    """project_array equals project bit for bit and warns once exactly when project warns."""
+    xy, n_array = _range_warnings(lambda: project_array(origin, points))
+    scalar, n_scalar = _range_warnings(lambda: [project(origin, p) for p in points])
+    assert xy.shape == (len(points), 2) and xy.dtype == np.float64
+    expected = np.array([(q.x, q.y) for q in scalar], dtype=float).reshape(-1, 2)
+    assert xy.tobytes() == expected.tobytes()
+    assert n_array == (1 if n_scalar else 0)
 
 
 def _trace(tmp_path, *rows):

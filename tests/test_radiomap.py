@@ -2,19 +2,22 @@ import dataclasses
 import json
 import math
 import random
+import warnings
 
 import pytest
 
 from conftest import ORIGIN, scan_at_planar
-from gsmloc.geo import GeoPoint, PlanarPoint
+from gsmloc.geo import GeoPoint, PlanarPoint, ProjectionRangeWarning, ScanVector, unproject
 from gsmloc.radiomap import (
     MapFormatError,
     SmoothingParams,
+    ablate_towers,
     build_radio_map,
     load_radio_map,
     save_radio_map,
 )
-from oracles import likelihood_from_counts, random_instance
+from gsmloc.synth import generate_trace, make_preset
+from oracles import likelihood_from_counts, random_instance, scalar_radio_map
 
 import numpy as np
 
@@ -124,6 +127,74 @@ class TestBuild:
         lons = [s.truth.lon for s in scans]
         assert rm.origin.lat == pytest.approx(sum(lats) / 2)
         assert rm.origin.lon == pytest.approx(sum(lons) / 2)
+
+
+    def test_far_trace_warns_once(self):
+        # 351 scans about 11 km east of the origin, each at its own distance.
+        scans = [scan_at_planar(t, 11_000.0 + 3.0 * t, 5.0 * (t % 20), {"A": 10})
+                 for t in range(351)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            build_radio_map(scans, 70.0, origin=ORIGIN)
+        ranged = [w for w in caught if issubclass(w.category, ProjectionRangeWarning)]
+        assert len(ranged) == 1
+        assert "351 of 351 points" in str(ranged[0].message)
+
+
+def _oracle_trace(seed: int, n_scans: int = 240) -> list[ScanVector]:
+    """A random trace over a 600 x 250 m strip: readings in random tower order, ASU 0 common."""
+    rng = np.random.default_rng(seed)
+    towers = [f"T{i:02d}" for i in range(12)]
+    scans = []
+    for t in range(n_scans):
+        p = PlanarPoint(rng.uniform(0.0, 600.0), rng.uniform(0.0, 250.0))
+        chosen = rng.choice(len(towers), size=int(rng.integers(1, 8)), replace=False)
+        readings = {towers[c]: 0 if rng.random() < 0.2 else int(rng.integers(1, 32))
+                    for c in chosen}
+        scans.append(ScanVector(float(t), readings, truth=unproject(ORIGIN, p)))
+    return scans
+
+
+class TestScalarOracle:
+    """``build_radio_map`` and ``ablate_towers`` equal the one-scan-at-a-time oracle."""
+
+    def test_random_traces_hold_what_the_cases_need(self):
+        scans = _oracle_trace(0)
+        assert any(list(s.readings) != sorted(s.readings) for s in scans)
+        assert sum(asu == 0 for s in scans for asu in s.readings.values()) > 50
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("grid_length", [50.0, 70.0, 110.0])
+    @pytest.mark.parametrize("strip_points", [False, True])
+    def test_build(self, seed, grid_length, strip_points):
+        scans = _oracle_trace(seed)
+        towers = {f"T{i:02d}": unproject(ORIGIN, PlanarPoint(50.0 * i, 20.0 * i))
+                  for i in range(12)}
+        for origin in (ORIGIN, None):
+            built = build_radio_map(scans, grid_length, origin=origin, tower_locations=towers,
+                                    strip_points=strip_points)
+            assert built == scalar_radio_map(scans, grid_length, origin=origin,
+                                             tower_locations=towers, strip_points=strip_points)
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    @pytest.mark.parametrize("grid_length", [50.0, 110.0])
+    @pytest.mark.parametrize("strip_points", [False, True])
+    def test_after_ablate_towers(self, seed, grid_length, strip_points):
+        scans = _oracle_trace(seed)
+        built = build_radio_map(scans, grid_length, origin=ORIGIN, strip_points=strip_points)
+        ablated = ablate_towers(built, 0.5, seed)
+        dropped = built.tower_ids - ablated.tower_ids
+        assert len(dropped) == 6
+        assert ablated == scalar_radio_map(scans, grid_length, origin=ORIGIN,
+                                           strip_points=strip_points, dropped=dropped)
+
+    @pytest.mark.parametrize("preset", ["rural", "urban"])
+    def test_preset_seed_0(self, preset):
+        world, routes = make_preset(preset, 0)
+        train = generate_trace(world, routes["train"])
+        towers = world.tower_locations_geo()
+        assert build_radio_map(train, 70.0, tower_locations=towers) == scalar_radio_map(
+            train, 70.0, tower_locations=towers)
 
 
 def _base_map():
