@@ -90,7 +90,7 @@ class TestProjection:
         # Offsets up to 0.2 deg of latitude and 0.3 of longitude reach past 10 km.
         origin = GeoPoint(lat0, lon0)
         points = [GeoPoint(lat0 + dlat, lon0 + dlon) for dlat, dlon in offsets]
-        assert_array_form_equals_scalar_form(origin, points)
+        _assert_array_form_equals_scalar_form(origin, points)
 
     def test_array_form_at_the_range_edge(self, origin):
         # Points a few ulps either side of PROJECTION_RANGE_M, where np.hypot and
@@ -102,11 +102,11 @@ class TestProjection:
             for _ in range(4):
                 edge.append(GeoPoint(lat, lon))
                 lat, lon = np.nextafter(lat, -math.inf), np.nextafter(lon, math.inf)
-        beyond = [math.hypot(q.x, q.y) > 1e4 for q in (project_quiet(origin, p) for p in edge)]
+        beyond = [math.hypot(q.x, q.y) > 1e4 for q in (_project_quiet(origin, p) for p in edge)]
         assert 0 < sum(beyond) < len(edge)
         for p in edge:
-            assert_array_form_equals_scalar_form(origin, [p])
-        assert_array_form_equals_scalar_form(origin, edge)
+            _assert_array_form_equals_scalar_form(origin, [p])
+        _assert_array_form_equals_scalar_form(origin, edge)
 
     def test_array_form_of_no_points(self, origin):
         assert project_array(origin, []).shape == (0, 2)
@@ -118,7 +118,7 @@ class TestProjection:
             GeoPoint(0.0, 181.0)
 
 
-def project_quiet(origin, p):
+def _project_quiet(origin, p):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ProjectionRangeWarning)
         return project(origin, p)
@@ -132,7 +132,7 @@ def _range_warnings(call) -> tuple[list, int]:
     return result, sum(issubclass(w.category, ProjectionRangeWarning) for w in caught)
 
 
-def assert_array_form_equals_scalar_form(origin, points):
+def _assert_array_form_equals_scalar_form(origin, points):
     """project_array equals project bit for bit and warns once exactly when project warns."""
     xy, n_array = _range_warnings(lambda: project_array(origin, points))
     scalar, n_scalar = _range_warnings(lambda: [project(origin, p) for p in points])
