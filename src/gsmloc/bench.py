@@ -33,7 +33,7 @@ from .estimators import (
 )
 from .geo import GeoPoint, PlanarPoint, ScanVector, project_array
 from .gp import PrecomputedGrid, gp_locate
-from .radiomap import RadioMap, ablate_towers, build_radio_map
+from .radiomap import RadioMap, ablate_towers, build_radio_map, ground_truths
 
 REPORT_HEADER = ("technique", "grid_m", "ns", "k", "median_err_m", "p95_err_m", "mean_ms")
 CDF_HEADER = ("error_m", "cum_frac")
@@ -133,16 +133,13 @@ def evaluate(
     """
     if not test_scans:
         raise ValueError("empty test set")
-    for scan in test_scans:
-        if scan.truth is None:
-            raise ValueError(f"test scan at t={scan.timestamp} has no ground truth")
+    truths = project_array(model.origin, ground_truths(test_scans)).tolist()
     if callable(technique):
         locate = lambda m, window, p: technique(m, window)
     elif technique in TECHNIQUES:
         locate = TECHNIQUES[technique]
     else:
         raise ValueError(f"unknown technique {technique!r}; expected one of {tuple(TECHNIQUES)}")
-    truths = project_array(model.origin, [scan.truth for scan in test_scans]).tolist()
 
     errors: list[float] = []
     times_s: list[float] = []

@@ -55,7 +55,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--towers", help="tower_id,lat,lon CSV to embed (cell-ID needs it)")
     p.add_argument("--strip-points", action="store_true", help="drop raw fingerprint points")
     p.add_argument("--kind", choices=("map", "gp"), default="map")
-    p.add_argument("--spacing", type=float, default=50.0, help="GP lattice spacing (kind=gp)")
+    p.add_argument("--spacing", type=float, default=bench.PRESET_GP_SPACING_M["rural"],
+                   help="GP lattice spacing, kind=gp (default: %(default)g m, the rural preset's)")
 
     for name, needs_truth in (("locate", False), ("evaluate", True)):
         p = sub.add_parser(

@@ -32,7 +32,6 @@ first GP estimate, once (about 43 MB and 0.9 s), and never in other processes.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -43,8 +42,8 @@ from scipy.linalg.lapack import dptsv, dsytrd, dsytrd_lwork
 
 from .estimators import LocationEstimate, _check_scans
 from .geo import GeoPoint, PlanarPoint, ScanVector, project_array
-from .radiomap import (MAP_FORMAT_VERSION, MapFormatError, ground_truths, json_floats,
-                       json_value, load_document, reading_arrays)
+from .radiomap import (check_positive_finite, ground_truths, json_floats, json_value,
+                       load_document, reading_arrays, save_document)
 
 GP_GRID_KIND = "gp_grid"
 
@@ -312,8 +311,7 @@ class PrecomputedGrid:
     noise_vars: dict[str, float]
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.spacing < math.inf:
-            raise ValueError(f"spacing {self.spacing} is not a positive finite number")
+        check_positive_finite("spacing", self.spacing)
         if self.n_points == 0:
             raise ValueError("precomputed grid has no points")
         if not self.means:
@@ -351,8 +349,7 @@ def gp_build_grid(
     The lattice includes both edges of each axis: a span of exactly
     ``k * spacing`` yields k + 1 points per axis.
     """
-    if spacing <= 0:
-        raise ValueError("spacing must be > 0")
+    check_positive_finite("spacing", spacing)
     x_min, y_min, x_max, y_max = bounds
     if x_max < x_min or y_max < y_min:
         raise ValueError("bounds must not be empty")
@@ -417,10 +414,7 @@ def gp_locate(grid: PrecomputedGrid, window: Sequence[ScanVector]) -> LocationEs
 
 def save_grid(grid: PrecomputedGrid, path: str) -> None:
     """Serialize a precomputed grid to versioned JSON."""
-    doc = {
-        "version": MAP_FORMAT_VERSION,
-        "kind": GP_GRID_KIND,
-        "origin": {"lat": grid.origin.lat, "lon": grid.origin.lon},
+    save_document(path, GP_GRID_KIND, grid.origin, {
         "spacing_m": grid.spacing,
         "points": [{"x": float(x), "y": float(y)} for x, y in grid.points],
         "towers": {
@@ -431,9 +425,7 @@ def save_grid(grid: PrecomputedGrid, path: str) -> None:
             }
             for tid in grid.towers
         },
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True)
+    })
 
 
 def load_grid(path: str) -> PrecomputedGrid:
@@ -448,22 +440,22 @@ def load_grid(path: str) -> PrecomputedGrid:
             mean, a negative or non-finite variance, or a ``noise_var`` that
             is not a positive finite number.
     """
-    doc = load_document(path, GP_GRID_KIND)
-    try:
-        xy = [json_floats(p, "x", "y") for p in json_value(doc["points"], list)]
-        points = np.array(xy, dtype=float).reshape(len(xy), 2)
-        towers = json_value(doc["towers"], dict)
-        series = {k: {tid: np.array([json_value(v, float) for v in json_value(entry[k], list)])
-                      for tid, entry in towers.items()} for k in ("mean", "var")}
-        for array in (points, *series["mean"].values(), *series["var"].values()):
-            array.setflags(write=False)
-        return PrecomputedGrid(
-            origin=GeoPoint(*json_floats(doc["origin"], "lat", "lon")),
-            spacing=json_value(doc["spacing_m"], float),
-            points=points,
-            means=series["mean"],
-            variances=series["var"],
-            noise_vars={tid: json_value(e["noise_var"], float) for tid, e in towers.items()},
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise MapFormatError(f"{path}: malformed GP grid ({exc})") from exc
+    return load_document(path, GP_GRID_KIND, "GP grid", _parse_grid)
+
+
+def _parse_grid(doc: dict, origin: GeoPoint) -> PrecomputedGrid:
+    xy = [json_floats(p, "x", "y") for p in json_value(doc["points"], list)]
+    points = np.array(xy, dtype=float).reshape(len(xy), 2)
+    towers = json_value(doc["towers"], dict)
+    series = {k: {tid: np.array([json_value(v, float) for v in json_value(entry[k], list)])
+                  for tid, entry in towers.items()} for k in ("mean", "var")}
+    for array in (points, *series["mean"].values(), *series["var"].values()):
+        array.setflags(write=False)
+    return PrecomputedGrid(
+        origin=origin,
+        spacing=json_value(doc["spacing_m"], float),
+        points=points,
+        means=series["mean"],
+        variances=series["var"],
+        noise_vars={tid: json_value(e["noise_var"], float) for tid, e in towers.items()},
+    )

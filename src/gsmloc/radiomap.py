@@ -22,7 +22,7 @@ import json
 import math
 from dataclasses import dataclass, field, fields
 from itertools import chain, compress
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -39,6 +39,8 @@ N_ASU_BINS = ASU_MAX + 1
 
 MAP_FORMAT_VERSION = 1
 RADIO_MAP_KIND = "radio_map"
+
+_T = TypeVar("_T")
 
 
 class MapFormatError(ValueError):
@@ -92,6 +94,12 @@ class GridCell:
 _ARRAYS = dict(centroids=np.float64, hist_cell=np.intp, hist_tower=np.intp, counts=np.int64,
                point_xy=np.float64, point_offsets=np.intp, reading_offsets=np.intp,
                reading_tower=np.intp, reading_asu=np.uint8)
+
+
+def check_positive_finite(name: str, value: float) -> None:
+    """``ValueError`` naming ``name`` unless ``value`` is a positive finite number."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} {value} is not a positive finite number")
 
 
 def _offsets(sizes: np.ndarray) -> np.ndarray:
@@ -161,8 +169,7 @@ class RadioMap:
         cell_points, point_reads = self.point_offsets, self.reading_offsets
         if not keys:
             raise ValueError("radio map has no cells")
-        if not 0.0 < self.grid_length < math.inf:
-            raise ValueError(f"grid_length {self.grid_length} is not a positive finite number")
+        check_positive_finite("grid_length", self.grid_length)
         if counts.ndim != 2 or counts.shape[1] != N_ASU_BINS:
             raise ValueError(f"histograms must have {N_ASU_BINS} bins")
         n_cells, n_points, n_reads = len(keys), len(self.point_xy), len(self.reading_tower)
@@ -378,7 +385,7 @@ def build_radio_map(
 
     Args:
         scans: training scans; every one must carry ground truth.
-        grid_length: cell side in meters (> 0).
+        grid_length: cell side in meters, positive and finite.
         origin: projection origin; defaults to the centroid of the truths.
         tower_locations: optional geodetic tower positions to embed (the
             cell-ID baseline needs them).
@@ -386,11 +393,10 @@ def build_radio_map(
             for deployments that never run the hybrid refinement phase.
 
     Raises:
-        ValueError: on empty input, non-positive grid length, or a scan
-            without ground truth (the error names its timestamp).
+        ValueError: on a bad or too fine grid length, empty input, or a
+            scan without ground truth (the error names its timestamp).
     """
-    if grid_length <= 0:
-        raise ValueError("grid_length must be > 0")
+    check_positive_finite("grid_length", grid_length)
     if not scans:
         raise ValueError("cannot build a radio map from an empty trace")
     truths = ground_truths(scans)
@@ -399,7 +405,11 @@ def build_radio_map(
 
     xy = project_array(origin, truths)
     anchor = xy.min(axis=0)
-    col, row = np.floor((xy - anchor) / grid_length).astype(np.int64).T
+    with np.errstate(over="ignore"):
+        cell = np.floor((xy - anchor) / grid_length)
+    if cell.max() >= 2**31:  # keeps the int64 key row * width + col from wrapping
+        raise ValueError(f"grid_length {grid_length} puts a cell index at 2**31 or more")
+    col, row = cell.astype(np.int64).T
     width = int(col.max()) + 1
     cells, point_cell = np.unique(row * width + col, return_inverse=True)
     keys = tuple(zip((cells // width).tolist(), (cells % width).tolist()))
@@ -496,25 +506,33 @@ def ablate_towers(radio_map: RadioMap, drop_fraction: float, seed: int) -> Radio
 
 def save_radio_map(radio_map: RadioMap, path: str) -> None:
     """Serialize a map to versioned JSON.  Byte-identical for equal maps."""
-    doc: dict = {
-        "version": MAP_FORMAT_VERSION,
-        "kind": RADIO_MAP_KIND,
-        "origin": {"lat": radio_map.origin.lat, "lon": radio_map.origin.lon},
+    body: dict = {
         "grid_length_m": radio_map.grid_length,
         "grid_anchor": {"x": radio_map.anchor_x, "y": radio_map.anchor_y},
         "towers": sorted(radio_map.tower_ids),
         "cells": list(radio_map._cell_entries()),
     }
     if radio_map.tower_locations is not None:
-        doc["tower_locations"] = {
+        body["tower_locations"] = {
             tid: {"x": p.x, "y": p.y} for tid, p in radio_map.tower_locations.items()
         }
+    save_document(path, RADIO_MAP_KIND, radio_map.origin, body)
+
+
+def save_document(path: str, kind: str, origin: GeoPoint, body: dict) -> None:
+    """Write ``body`` in the versioned JSON envelope (version, kind, origin), keys sorted."""
+    doc = {"version": MAP_FORMAT_VERSION, "kind": kind,
+           "origin": {"lat": origin.lat, "lon": origin.lon}, **body}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True)
 
 
-def load_document(path: str, expected_kind: str) -> dict:
-    """Load a versioned JSON envelope, checking version and kind."""
+def load_document(path: str, kind: str, label: str, parse: Callable[[dict, GeoPoint], _T]) -> _T:
+    """``parse(doc, origin)`` of a :func:`save_document` file of ``kind``.
+
+    ``MapFormatError`` on bad JSON, another version or kind, or an error of
+    the origin or of ``parse``, which it reports as a malformed ``label``.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -522,15 +540,15 @@ def load_document(path: str, expected_kind: str) -> dict:
         raise MapFormatError(f"{path}: not valid UTF-8 JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise MapFormatError(f"{path}: expected a JSON object at top level")
-    version = doc.get("version")
-    if version != MAP_FORMAT_VERSION:
-        raise MapFormatError(
-            f"{path}: unsupported format version {version!r} (expected {MAP_FORMAT_VERSION})"
-        )
-    kind = doc.get("kind")
-    if kind != expected_kind:
-        raise MapFormatError(f"{path}: kind {kind!r}, expected {expected_kind!r}")
-    return doc
+    if doc.get("version") != MAP_FORMAT_VERSION:
+        raise MapFormatError(f"{path}: unsupported format version {doc.get('version')!r} "
+                             f"(expected {MAP_FORMAT_VERSION})")
+    if doc.get("kind") != kind:
+        raise MapFormatError(f"{path}: kind {doc.get('kind')!r}, expected {kind!r}")
+    try:
+        return parse(doc, GeoPoint(*json_floats(doc["origin"], "lat", "lon")))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise MapFormatError(f"{path}: malformed {label} ({exc})") from exc
 
 
 def json_value(value, kind: type):
@@ -561,54 +579,53 @@ def load_radio_map(path: str) -> RadioMap:
             origin outside the lat/lon range, or any other :class:`RadioMap`
             rule broken.  No partial map is ever returned.
     """
-    doc = load_document(path, RADIO_MAP_KIND)
-    try:
-        entries: dict[tuple[int, int], dict] = {}
-        for entry in json_value(doc["cells"], list):
-            key = (json_value(entry["row"], int), json_value(entry["col"], int))
-            if key in entries:
-                raise ValueError(f"cell {key} appears more than once")
-            entries[key] = entry
-        tower_ids = frozenset(json_value(doc["towers"], list))
-        column = {tid: i for i, tid in enumerate(sorted(tower_ids))}
-        keys = sorted(entries)
-        centroids, hist_cell, hist_tower, counts, point_xy = [], [], [], [], []
-        point_offsets, reading_offsets, reading_tower, reading_asu = [0], [0], [], []
-        named: set[str] = set()
-        for c, key in enumerate(keys):
-            centroids.append(json_floats(entries[key]["centroid"], "x", "y"))
-            histograms = json_value(entries[key]["histograms"], dict)
-            for tid in sorted(histograms):
-                row = json_value(histograms[tid], list)
-                if len(row) != N_ASU_BINS:
-                    raise ValueError(f"histograms must have {N_ASU_BINS} bins")
-                for n in row:
-                    json_value(n, int)
-                hist_cell.append(c)
-                hist_tower.append(column.get(tid, -1))
-                counts.append(row)
-            for p in json_value(entries[key].get("points", []), list):
-                point_xy.append(json_floats(p, "x", "y"))
-                readings = json_value(p["readings"], dict)
-                for tid in sorted(readings):
-                    reading_tower.append(column.get(tid, -1))
-                    reading_asu.append(json_value(readings[tid], int))
-                named.update(readings)
-                reading_offsets.append(len(reading_tower))
-            named.update(histograms)
-            point_offsets.append(len(point_xy))
-        if not named <= tower_ids:
-            raise ValueError(f"map names towers not in 'towers': {sorted(named - tower_ids)}")
-        tower_locations = None if "tower_locations" not in doc else {
-            tid: PlanarPoint(*json_floats(p, "x", "y"))
-            for tid, p in json_value(doc["tower_locations"], dict).items()}
-        return RadioMap(
-            GeoPoint(*json_floats(doc["origin"], "lat", "lon")),
-            json_value(doc["grid_length_m"], float), *json_floats(doc["grid_anchor"], "x", "y"),
-            tuple(keys), centroids=centroids, hist_cell=hist_cell, hist_tower=hist_tower,
-            counts=np.reshape(counts, (-1, N_ASU_BINS)), point_xy=np.reshape(point_xy, (-1, 2)),
-            point_offsets=point_offsets, reading_offsets=reading_offsets,
-            reading_tower=reading_tower, reading_asu=reading_asu,
-            tower_ids=tower_ids, tower_locations=tower_locations)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise MapFormatError(f"{path}: malformed radio map ({exc})") from exc
+    return load_document(path, RADIO_MAP_KIND, "radio map", _parse_radio_map)
+
+
+def _parse_radio_map(doc: dict, origin: GeoPoint) -> RadioMap:
+    entries: dict[tuple[int, int], dict] = {}
+    for entry in json_value(doc["cells"], list):
+        key = (json_value(entry["row"], int), json_value(entry["col"], int))
+        if key in entries:
+            raise ValueError(f"cell {key} appears more than once")
+        entries[key] = entry
+    tower_ids = frozenset(json_value(doc["towers"], list))
+    column = {tid: i for i, tid in enumerate(sorted(tower_ids))}
+    keys = sorted(entries)
+    centroids, hist_cell, hist_tower, counts, point_xy = [], [], [], [], []
+    point_offsets, reading_offsets, reading_tower, reading_asu = [0], [0], [], []
+    named: set[str] = set()
+    for c, key in enumerate(keys):
+        centroids.append(json_floats(entries[key]["centroid"], "x", "y"))
+        histograms = json_value(entries[key]["histograms"], dict)
+        for tid in sorted(histograms):
+            row = json_value(histograms[tid], list)
+            if len(row) != N_ASU_BINS:
+                raise ValueError(f"histograms must have {N_ASU_BINS} bins")
+            for n in row:
+                json_value(n, int)
+            hist_cell.append(c)
+            hist_tower.append(column.get(tid, -1))
+            counts.append(row)
+        for p in json_value(entries[key].get("points", []), list):
+            point_xy.append(json_floats(p, "x", "y"))
+            readings = json_value(p["readings"], dict)
+            for tid in sorted(readings):
+                reading_tower.append(column.get(tid, -1))
+                reading_asu.append(json_value(readings[tid], int))
+            named.update(readings)
+            reading_offsets.append(len(reading_tower))
+        named.update(histograms)
+        point_offsets.append(len(point_xy))
+    if not named <= tower_ids:
+        raise ValueError(f"map names towers not in 'towers': {sorted(named - tower_ids)}")
+    tower_locations = None if "tower_locations" not in doc else {
+        tid: PlanarPoint(*json_floats(p, "x", "y"))
+        for tid, p in json_value(doc["tower_locations"], dict).items()}
+    return RadioMap(
+        origin, json_value(doc["grid_length_m"], float), *json_floats(doc["grid_anchor"], "x", "y"),
+        tuple(keys), centroids=centroids, hist_cell=hist_cell, hist_tower=hist_tower,
+        counts=np.reshape(counts, (-1, N_ASU_BINS)), point_xy=np.reshape(point_xy, (-1, 2)),
+        point_offsets=point_offsets, reading_offsets=reading_offsets,
+        reading_tower=reading_tower, reading_asu=reading_asu,
+        tower_ids=tower_ids, tower_locations=tower_locations)

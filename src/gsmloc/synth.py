@@ -15,7 +15,9 @@ in fixed blocks of scans; each block draws its (scans, towers) noise from the
 trace's one generator, the same stream as one draw per tower per scan.  A
 numpy estimate of each block's field picks the pairs that can be heard, and
 only those get the exact path loss (``math.hypot``, ``math.log10``), so a
-trace matches the all-pairs field bit for bit.
+trace matches the all-pairs field bit for bit.  One tower's exact power at
+one point, :func:`received_dbm`, comes from the same path-loss and shadowing
+helpers, audible or not.
 
 Everything is deterministic given (world seed, route): regenerating a trace
 yields identical bytes.
@@ -119,6 +121,9 @@ class SynthWorld:
     geo_origin: GeoPoint = GeoPoint(30.0, 31.0)
     measurement_noise_db: float = 2.0
     _shadow: np.ndarray = field(init=False, repr=False)
+    _xyp: np.ndarray = field(init=False, repr=False)  # (3, towers): x, y, transmit power
+    _by_id: np.ndarray = field(init=False, repr=False)  # tower ranks in tower-id order
+    _ids: tuple[str, ...] = field(init=False, repr=False)  # tower ids in that order
 
     def __post_init__(self) -> None:
         x_min, y_min, x_max, y_max = self.bounds
@@ -126,12 +131,9 @@ class SynthWorld:
             raise ValueError("bounds must have positive extent")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        inside = [
-            t
-            for t in self.towers
-            if x_min <= t.location.x <= x_max and y_min <= t.location.y <= y_max
-        ]
-        if not inside:
+        columns = [(t.location.x, t.location.y, t.tx_power_dbm) for t in self.towers]
+        x, y, _ = xyp = np.reshape(columns, (-1, 3)).T
+        if not ((x_min <= x) & (x <= x_max) & (y_min <= y) & (y <= y_max)).any():
             raise ValueError("at least one tower must lie inside the bounds")
         h = self.pathloss.shadow_grid_spacing
         nx = int(math.ceil((x_max - x_min + 2 * h) / h)) + 1
@@ -144,16 +146,16 @@ class SynthWorld:
                 for rank in range(len(self.towers))
             ]
         )
-        object.__setattr__(self, "_shadow", shadow)
+        ids = [t.tower_id for t in self.towers]
+        by_id = np.array(sorted(range(len(ids)), key=ids.__getitem__))
+        for name, array in (("_shadow", shadow), ("_xyp", xyp), ("_by_id", by_id)):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
+        object.__setattr__(self, "_ids", tuple(ids[k] for k in by_id.tolist()))
 
     def tower_locations_geo(self) -> dict[str, GeoPoint]:
         """Tower positions as geodetic points (for the tower CSV)."""
         return {t.tower_id: unproject(self.geo_origin, t.location) for t in self.towers}
-
-
-def _tower_columns(world: SynthWorld) -> np.ndarray:
-    """Tower x, y and transmit power, shape (3, towers), in world order."""
-    return np.array([(t.location.x, t.location.y, t.tx_power_dbm) for t in world.towers]).T
 
 
 def _exact_loss_db(pl: PathLossParams, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
@@ -183,44 +185,35 @@ def _shadow_db(world: SynthWorld, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     )
 
 
-def _field_dbm(world: SynthWorld, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Static received power in dBm at points ``(x, y)``, shape (points, towers).
-
-    Every pair gets the exact path loss of :func:`_exact_loss_db`, audible or
-    not; trace synthesis computes it only on the pairs it may hear.
-    """
-    pl = world.pathloss
-    tx, ty, power = _tower_columns(world)
-    dx = tx - x[:, None]
-    dy = ty - y[:, None]
-    dbm = power - _exact_loss_db(pl, dx.ravel(), dy.ravel()).reshape(dx.shape)
-    if pl.shadow_sigma_db > 0:
-        dbm += _shadow_db(world, x, y)
-    return dbm
-
-
 def received_dbm(world: SynthWorld, tower: Tower, p: PlanarPoint) -> float:
     """Static received power at a position: path loss plus shadowing.
 
     Deterministic in (world seed, tower, position); repeated calls at the
     same point return the same value.  ``tower`` must be in ``world.towers``.
+    Audible or not, it comes from the trace path's helpers in
+    :func:`_heard_dbm`'s order: the very value a noiseless scan quantizes.
     """
     rank = world.towers.index(tower)
-    return float(_field_dbm(world, np.array([p.x]), np.array([p.y]))[0, rank])
+    pl = world.pathloss
+    tx, ty, power = world._xyp[:, rank]
+    dbm = power - _exact_loss_db(pl, np.array([tx - p.x]), np.array([ty - p.y]))[0]
+    if pl.shadow_sigma_db > 0:
+        dbm += _shadow_db(world, np.array([p.x]), np.array([p.y]))[0, rank]
+    return float(dbm)
 
 
 def _heard_dbm(
     world: SynthWorld, x: np.ndarray, y: np.ndarray, noise: np.ndarray | None
 ) -> np.ndarray:
-    """:func:`_field_dbm` plus ``noise`` on the pairs that can be heard, -inf elsewhere.
+    """Static received power plus ``noise`` on the pairs that can be heard, -inf elsewhere.
 
     A numpy estimate of each pair's power keeps the pairs within
-    ``_PRUNE_MARGIN_DB`` of the sensitivity; only those get the exact path
-    loss, in :func:`_field_dbm`'s order of operations, so every audible pair
-    is bit-identical to the full field.
+    ``_PRUNE_MARGIN_DB`` of the sensitivity; only those get transmit power
+    less :func:`_exact_loss_db`, plus :func:`_shadow_db` and then the noise,
+    so every audible pair is bit-identical to :func:`received_dbm` plus noise.
     """
     pl = world.pathloss
-    tx, ty, power = _tower_columns(world)
+    tx, ty, power = world._xyp
     dx = tx - x[:, None]
     dy = ty - y[:, None]
     log_ratio = np.log10(np.maximum(np.hypot(dx, dy), pl.d0) / pl.d0)
@@ -257,9 +250,7 @@ def _block_scans(
     dbm = _heard_dbm(world, x, y, noise)
 
     # strongest first, ties by tower id: a stable sort over columns in id order
-    ids = [t.tower_id for t in world.towers]
-    by_id = sorted(range(len(ids)), key=ids.__getitem__)
-    ranked = dbm[:, by_id]
+    ranked = dbm[:, world._by_id]
     top = np.argsort(-ranked, axis=1, kind="stable")[:, :MAX_READINGS]
     top_dbm = np.take_along_axis(ranked, top, axis=1)
     counts = (top_dbm >= SENSITIVITY_DBM).sum(axis=1)
@@ -268,7 +259,7 @@ def _block_scans(
         raise ValueError(f"no tower audible at ({x[silent[0]]:.1f}, {y[silent[0]]:.1f})")
     # dbm_to_asu's arithmetic; -inf past a row's count clamps to ASU 0 and is never read
     asu = np.clip(np.floor((top_dbm - SENSITIVITY_DBM) / 2.0 + 0.5), ASU_MIN, ASU_MAX)
-    names = [ids[k] for k in by_id]
+    names = world._ids
     scans: list[ScanVector] = []
     for t, px, py, n, kept, levels in zip(
         times, x.tolist(), y.tolist(), counts.tolist(), top.tolist(), asu.astype(int).tolist()

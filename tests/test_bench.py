@@ -19,7 +19,7 @@ from gsmloc.bench import (
     write_report_csv,
 )
 from gsmloc.estimators import EstimatorParams, LocationEstimate, probabilistic_locate
-from gsmloc.geo import PlanarPoint, project, read_trace, unproject
+from gsmloc.geo import PlanarPoint, ScanVector, project, read_trace, unproject
 from gsmloc.radiomap import SmoothingParams, build_radio_map, load_radio_map, save_radio_map
 
 
@@ -56,6 +56,12 @@ def perfect_estimator(model, window):
 
 
 class TestEvaluate:
+    def test_scan_without_truth_named(self, training_scans, test_scans):
+        rm = build_radio_map(training_scans, 70.0, origin=ORIGIN)
+        scans = list(test_scans[:3]) + [ScanVector(17.5, {"T0": 10})]
+        with pytest.raises(ValueError, match=r"^scan at t=17\.5 has no ground truth$"):
+            evaluate(rm, scans, "probabilistic", time_repeats=1)
+
     def test_perfect_estimator_zero_error(self, training_scans, test_scans):
         rm = build_radio_map(training_scans, 70.0, origin=ORIGIN)
         report = evaluate(rm, test_scans, perfect_estimator, time_repeats=1)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import scan_at_planar
+from gsmloc.bench import PRESET_GP_SPACING_M
 from gsmloc.cli import main
 from gsmloc.geo import write_trace, write_tower_locations, GeoPoint
 
@@ -193,6 +194,12 @@ class TestBuildLocateEvaluate:
                    "--technique", "gp", "--out", str(out_path)])
         assert rc == 0
         assert len(list(csv.DictReader(out_path.open()))) == 60
+
+    def test_build_gp_spacing_defaults_to_the_rural_preset(self, tmp_path, tiny_trace):
+        trace, _ = tiny_trace
+        grid_path = tmp_path / "grid.json"
+        assert main(["build", "--traces", str(trace), "--kind", "gp", "--out", str(grid_path)]) == 0
+        assert json.loads(grid_path.read_text())["spacing_m"] == PRESET_GP_SPACING_M["rural"] == 42.0
 
 
 class TestSynthAndSweep:

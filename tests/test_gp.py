@@ -2,9 +2,11 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -584,6 +586,15 @@ class TestGridRules:
         assert dataclasses.replace(grid).n_points == 16
         with pytest.raises(ValueError, match=message):
             dataclasses.replace(grid, **edit(grid))
+
+    @pytest.mark.parametrize("spacing", [math.nan, math.inf, 0.0, -1.0])
+    def test_build_refuses_spacing_not_positive_finite_before_array_work(self, spacing):
+        models = {"A": gp_fit(*random_training(np.random.default_rng(19), n=20), [HYPER])}
+        message = rf"^spacing {re.escape(str(spacing))} is not a positive finite number$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                gp_build_grid(models, (0.0, 0.0, 300.0, 300.0), spacing, ORIGIN)
 
 
 class TestGridPersistence:

@@ -2,12 +2,13 @@ import dataclasses
 import json
 import math
 import random
+import re
 import warnings
 
 import pytest
 
 from conftest import ORIGIN, scan_at_planar
-from gsmloc.geo import GeoPoint, PlanarPoint, ProjectionRangeWarning, ScanVector, unproject
+from gsmloc.geo import GeoPoint, PlanarPoint, ProjectionRangeWarning, ScanVector, project, unproject
 from gsmloc.radiomap import (
     MapFormatError,
     SmoothingParams,
@@ -59,6 +60,35 @@ class TestBuild:
     def test_bad_grid_length(self):
         with pytest.raises(ValueError):
             build_radio_map([scan_at_planar(0, 1.0, 1.0, {"A": 5})], 0.0)
+
+    @staticmethod
+    def _corner_scans():
+        return [scan_at_planar(t, x, y, {"A": 5})
+                for t, (x, y) in enumerate([(0.0, 0.0), (100.0, 0.0), (0.0, 100.0)])]
+
+    @pytest.mark.parametrize("grid_length", [1e-9, 1e-300])
+    def test_grid_length_whose_cell_keys_overflow_refused(self, grid_length):
+        # at 1e-9 the int64 key row * width + col would wrap: 1e11 rows times 1e11 columns
+        message = rf"^grid_length {re.escape(str(grid_length))} puts a cell index at 2\*\*31 or more$"
+        with pytest.raises(ValueError, match=message):
+            build_radio_map(self._corner_scans(), grid_length, origin=ORIGIN)
+
+    def test_fine_grid_keys_exact(self):
+        scans = self._corner_scans()
+        xy = [project(ORIGIN, s.truth) for s in scans]
+        ax, ay = min(p.x for p in xy), min(p.y for p in xy)
+        want = sorted((math.floor((p.y - ay) / 1e-6), math.floor((p.x - ax) / 1e-6)) for p in xy)
+        rm = build_radio_map(scans, 1e-6, origin=ORIGIN)
+        assert list(rm.keys) == want == [(0, 0), (0, want[1][1]), (want[2][0], 0)]
+        assert min(want[1][1], want[2][0]) >= 99_999_999  # about 100 m / 1e-6 m
+
+    @pytest.mark.parametrize("grid_length", [math.nan, math.inf, 0.0, -1.0])
+    def test_grid_length_not_positive_finite_refused_before_array_work(self, grid_length):
+        message = rf"^grid_length {re.escape(str(grid_length))} is not a positive finite number$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                build_radio_map(self._corner_scans(), grid_length, origin=ORIGIN)
 
     def test_total_points_equals_scan_count(self):
         rng = np.random.default_rng(3)
