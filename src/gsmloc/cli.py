@@ -79,7 +79,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("sweep", help="run a parameter sweep on a synthetic preset")
     p.add_argument("--param", required=True, choices=("grid", "ns", "k", "towers", "density"))
-    p.add_argument("--values", required=True, nargs="+")
+    p.add_argument("--values", required=True, nargs="+", help="integers for ns and k")
     p.add_argument("--preset", default="rural", choices=("rural", "urban"))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output directory")
@@ -182,12 +182,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     train = generate_trace(world, routes["train"])
     test = generate_trace(world, routes["test"])
     params = _params(args, args.preset)
-
-    if args.param in ("ns", "k"):
-        values = [int(v) for v in args.values]
-    else:
-        values = [float(v) for v in args.values]
-
+    values = args.values
     towers = world.tower_locations_geo()
     if args.param == "grid":
         reports = bench.sweep_grid_length(
@@ -234,7 +229,14 @@ _COMMANDS = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "sweep":
+        kind = int if args.param in ("ns", "k") else float
+        try:
+            args.values = [kind(v) for v in args.values]
+        except ValueError:
+            parser.error(f"--param {args.param} takes {kind.__name__} values: {args.values}")
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:

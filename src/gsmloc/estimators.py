@@ -25,6 +25,7 @@ only the per-smoothing log-likelihood table is built on first use.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -36,17 +37,17 @@ from .radiomap import N_ASU_BINS, RadioMap, SmoothingParams
 
 @dataclass(frozen=True)
 class EstimatorParams:
-    """Online-phase knobs: window length, averaging count, smoothing."""
+    """Online-phase knobs: window length and averaging count (ints >= 1, no bools), smoothing."""
 
     n_samples: int = 4
     k: int = 2
     smoothing: SmoothingParams = SmoothingParams()
 
     def __post_init__(self) -> None:
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be >= 1")
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
+        for name in ("n_samples", "k"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,10 @@ The area covered by a training trace is divided into square cells of side
 its ground-truth position; all points falling in a cell are pooled into one
 per-tower ASU histogram, and the cell is represented by the center of mass
 of its points.  Cells with no points are simply absent.  A
-:class:`RadioMap` stores all of this as arrays.  Its ``cells`` view of
-:class:`GridCell` objects is built on first access, for the benchmark's
-brute-force reference alone.
+:class:`RadioMap` stores all of this as arrays, each point as one row of a
+(points x towers) ASU matrix, the form the hybrid phase searches.  Its
+``cells`` view of :class:`GridCell` objects is built on first access, for
+the benchmark's brute-force reference alone.
 
 Histograms turn into likelihoods through Laplace smoothing over the 32-bin
 ASU support, with a small floor probability for towers that were never
@@ -51,8 +52,9 @@ class MapFormatError(ValueError):
 class SmoothingParams:
     """Histogram smoothing constants for likelihood evaluation.
 
-    alpha: Laplace constant added to every ASU bin.  Zero-count bins would
-        otherwise zero out the whole likelihood product on any unseen ASU.
+    alpha: Laplace constant added to every ASU bin, finite and >= 0.
+        Zero-count bins would otherwise zero out the whole likelihood
+        product on any unseen ASU.
     p_min: floor probability for a tower with no histogram in a cell.
     """
 
@@ -60,8 +62,8 @@ class SmoothingParams:
     p_min: float = 1e-4
 
     def __post_init__(self) -> None:
-        if self.alpha < 0.0:
-            raise ValueError("alpha must be >= 0")
+        if not 0.0 <= self.alpha < math.inf:
+            raise ValueError(f"alpha must be a finite number >= 0, got {self.alpha}")
         if not 0.0 < self.p_min <= 1.0:
             raise ValueError("p_min must be in (0, 1]")
 
@@ -92,8 +94,7 @@ class GridCell:
 
 #: The dtype each array field of :class:`RadioMap` is stored in.
 _ARRAYS = dict(centroids=np.float64, hist_cell=np.intp, hist_tower=np.intp, counts=np.int64,
-               point_xy=np.float64, point_offsets=np.intp, reading_offsets=np.intp,
-               reading_tower=np.intp, reading_asu=np.uint8)
+               point_xy=np.float64, point_offsets=np.intp, point_asu=np.int8)
 
 
 def check_positive_finite(name: str, value: float) -> None:
@@ -117,22 +118,22 @@ class RadioMap:
     ``keys``, in increasing (row, col) order, and towers by column, their
     position in ``sorted(tower_ids)``.  Each heard (cell, tower) pair, in
     that order, has a ``hist_cell``, ``hist_tower`` and 32 ``counts``.
-    Cell c's points are ``point_xy[point_offsets[c]:point_offsets[c+1]]``
-    (none with ``strip_points``), and point i's readings, in column order,
-    are ``reading_tower`` and ``reading_asu`` (ASU 0 included) over
-    ``reading_offsets[i]:reading_offsets[i+1]``.
+    Cell c's points are rows ``point_offsets[c]:point_offsets[c+1]`` of
+    ``point_xy`` and ``point_asu`` (none with ``strip_points``).  Row i of
+    the (n_points, n_towers) ``point_asu`` holds point i's ASU per tower
+    column, ASU 0 included, and -1 where the point heard nothing.
 
     Construction stores read-only copies in fixed dtypes, derives the
-    mean-ASU matrix, its row norms and hybrid's dense readings, and raises
-    ``ValueError`` on the first rule broken: at least one cell, each with
-    a histogram; 32 bins, counts >= 0 and one reading or more per
-    histogram; histogram and point towers in ``tower_ids``; 1..7 readings
-    per point, each in ASU 0..31; a positive finite ``grid_length``; a
-    finite anchor, centroids, point and tower locations; arrays agreeing in
-    shape, offsets and order.  The log-likelihood table is built on first
-    use per :class:`SmoothingParams`, and :attr:`cells`, a view of the
-    arrays as :class:`GridCell` objects kept for the benchmark's reference,
-    on first access.  Equal maps have equal fields, arrays equal in dtype
+    mean-ASU matrix, its row norms and hybrid's readings (``point_asu``
+    with -1 as 0), and raises ``ValueError`` on the first rule broken: at
+    least one cell, each with a histogram; 32 bins, counts >= 0 and one
+    reading or more per histogram; histogram towers in ``tower_ids``; 1..7
+    readings per point, each in ASU 0..31; a positive finite
+    ``grid_length``; a finite anchor, centroids, point and tower locations;
+    arrays agreeing in shape, offsets and order.  The log-likelihood table
+    is built on first use per :class:`SmoothingParams`, and :attr:`cells`,
+    a view of the arrays as :class:`GridCell` objects kept for the
+    benchmark's reference, on first access.  Equal maps have equal fields, arrays equal in dtype
     and value.
     """
 
@@ -147,9 +148,7 @@ class RadioMap:
     counts: np.ndarray
     point_xy: np.ndarray
     point_offsets: np.ndarray
-    reading_offsets: np.ndarray
-    reading_tower: np.ndarray
-    reading_asu: np.ndarray
+    point_asu: np.ndarray
     tower_ids: frozenset[str]
     tower_locations: dict[str, PlanarPoint] | None = None
     _tower_index: dict[str, int] = field(init=False, repr=False, compare=False)
@@ -159,31 +158,29 @@ class RadioMap:
     _loglik: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        asu = np.asarray(self.reading_asu)
-        if asu.size and not 0 <= asu.min() <= asu.max() <= ASU_MAX:  # before the uint8 store
-            raise ValueError(f"a point reading is outside ASU 0..{ASU_MAX}")
+        asu = np.asarray(self.point_asu)
+        if asu.size and not -1 <= asu.min() <= asu.max() <= ASU_MAX:  # before the int8 store
+            raise ValueError(f"a point reading is outside ASU 0..{ASU_MAX} (-1: not heard)")
         for name, dtype in _ARRAYS.items():
             object.__setattr__(self, name, np.array(getattr(self, name), dtype=dtype))
             getattr(self, name).setflags(write=False)
-        keys, counts = self.keys, self.counts
-        cell_points, point_reads = self.point_offsets, self.reading_offsets
+        keys, counts, cell_points = self.keys, self.counts, self.point_offsets
         if not keys:
             raise ValueError("radio map has no cells")
         check_positive_finite("grid_length", self.grid_length)
         if counts.ndim != 2 or counts.shape[1] != N_ASU_BINS:
             raise ValueError(f"histograms must have {N_ASU_BINS} bins")
-        n_cells, n_points, n_reads = len(keys), len(self.point_xy), len(self.reading_tower)
-        shapes = [a.shape for a in (self.centroids, self.point_xy, self.hist_cell, self.hist_tower,
-                                    self.reading_tower, self.reading_asu, cell_points, point_reads)]
-        if (shapes != [(n_cells, 2), (n_points, 2), counts.shape[:1], counts.shape[:1],
-                       (n_reads,), (n_reads,), (n_cells + 1,), (n_points + 1,)]
-                or [cell_points[0], cell_points[-1], point_reads[0], point_reads[-1]]
-                != [0, n_points, 0, n_reads] or (np.diff(cell_points) < 0).any()
+        tower_index = {tid: i for i, tid in enumerate(sorted(self.tower_ids))}
+        n_cells, n_points, n_towers = len(keys), len(self.point_xy), len(tower_index)
+        shapes = [a.shape for a in (self.centroids, self.point_xy, self.point_asu, self.hist_cell,
+                                    self.hist_tower, cell_points)]
+        if (shapes != [(n_cells, 2), (n_points, 2), (n_points, n_towers), counts.shape[:1],
+                       counts.shape[:1], (n_cells + 1,)]
+                or [cell_points[0], cell_points[-1]] != [0, n_points]
+                or (np.diff(cell_points) < 0).any()
                 or not all(a < b for a, b in zip(keys, keys[1:]))):
             raise ValueError("map arrays disagree in shape or offsets, or keys are not sorted")
-        tower_index = {tid: i for i, tid in enumerate(sorted(self.tower_ids))}
-        n_towers = len(tower_index)
-        columns = np.concatenate((self.hist_tower, self.reading_tower))
+        columns = self.hist_tower
         if unknown := sorted(set(columns[(columns < 0) | (columns >= n_towers)].tolist())):
             raise ValueError(f"map names towers not in 'towers': columns {unknown}")
         if (((self.hist_cell < 0) | (self.hist_cell >= n_cells)).any()
@@ -197,12 +194,9 @@ class RadioMap:
         totals = counts.sum(axis=1)
         if totals.min() < 1:
             raise ValueError("stored histograms must hold at least one reading")
-        per_point = np.diff(point_reads)
+        per_point = (self.point_asu >= 0).sum(axis=1)
         if ((per_point < 1) | (per_point > MAX_READINGS)).any():
             raise ValueError(f"fingerprint points must have 1..{MAX_READINGS} readings")
-        reading_point = np.repeat(np.arange(n_points), per_point)
-        if (np.diff(reading_point * n_towers + self.reading_tower) <= 0).any():
-            raise ValueError("a point's readings must name each tower once, in column order")
         planar = [(self.anchor_x, self.anchor_y), self.centroids, self.point_xy,
                   [[p.x, p.y] for p in (self.tower_locations or {}).values()]]
         if not all(np.isfinite(a).all() for a in planar):
@@ -211,12 +205,11 @@ class RadioMap:
         # An exact integer sum, then one division: the mean ASU of each histogram.
         mean_asu[self.hist_cell, self.hist_tower] = (counts @ np.arange(N_ASU_BINS)) / totals
         norm2 = (mean_asu * mean_asu).sum(axis=1)
-        dense = np.zeros((n_points, n_towers), dtype=np.uint8)
-        dense[reading_point, self.reading_tower] = self.reading_asu
-        for array in (mean_asu, norm2, dense):
+        readings = np.maximum(self.point_asu, 0)
+        for array in (mean_asu, norm2, readings):
             array.setflags(write=False)
         bounds = cell_points.tolist()
-        points = {key: (self.point_xy[a:b], dense[a:b])
+        points = {key: (self.point_xy[a:b], readings[a:b])
                   for key, a, b in zip(keys, bounds, bounds[1:])}
         for name, value in (("_tower_index", tower_index), ("_mean_asu", mean_asu),
                             ("_mean_asu_norm2", norm2), ("_points", points)):
@@ -234,9 +227,11 @@ class RadioMap:
         """Each cell, in key order, as the JSON object :func:`save_radio_map` writes."""
         towers = sorted(self.tower_ids)
         hist_towers = [towers[t] for t in self.hist_tower.tolist()]
-        names, asus = [towers[t] for t in self.reading_tower.tolist()], self.reading_asu.tolist()
+        heard = self.point_asu >= 0
+        names = [towers[t] for t in np.nonzero(heard)[1].tolist()]
+        asus = self.point_asu[heard].tolist()
         h = np.searchsorted(self.hist_cell, np.arange(self.n_cells + 1)).tolist()
-        p, r = self.point_offsets.tolist(), self.reading_offsets.tolist()
+        p, r = self.point_offsets.tolist(), _offsets(heard.sum(axis=1)).tolist()
         for c, ((row, col), (x, y)) in enumerate(zip(self.keys, self.centroids.tolist())):
             entry = {"row": row, "col": col, "centroid": {"x": x, "y": y}, "histograms": dict(
                 zip(hist_towers[h[c]:h[c + 1]], self.counts[h[c]:h[c + 1]].tolist()))}
@@ -310,8 +305,8 @@ class RadioMap:
     def cell_point_arrays(self, key: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
         """One cell's points as arrays: locations (P, 2) and readings (P, n_towers).
 
-        The ``uint8`` readings matrix is indexed per :meth:`tower_index`
-        with ASU 0 for towers a point did not hear, which matches the "not
+        The readings matrix is indexed per :meth:`tower_index` with ASU 0
+        for towers a point did not hear, which matches the "not
         heard is at the sensitivity floor" imputation of RSSI-space distances.
         """
         return self._points[key]
@@ -422,15 +417,12 @@ def build_radio_map(
     pairs, hist = np.unique(point_cell[reading_point] * n_towers + reading_tower,
                             return_inverse=True)
     counts = np.bincount(hist * N_ASU_BINS + reading_asu, minlength=len(pairs) * N_ASU_BINS)
-    # Points cell by cell in scan order; each point's readings in column order.  A
-    # reading's key, its point's rank in that order times n_towers plus its column, is
-    # unique, so any sort of the keys gives the one reading order.
+    point_asu = np.full((len(scans), n_towers), -1, dtype=np.int8)
+    point_asu[reading_point, reading_tower] = reading_asu  # ScanVector checked ASU 0..31
+    # Points cell by cell, in scan order within a cell.
     order = np.argsort(point_cell, kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    reading_order = np.argsort(rank[reading_point] * n_towers + reading_tower)
     if strip_points:
-        order = reading_order = order[:0]
+        order = order[:0]
 
     planar_towers = None
     if tower_locations is not None:
@@ -443,9 +435,7 @@ def build_radio_map(
         hist_cell=pairs // n_towers, hist_tower=pairs % n_towers,
         counts=counts.reshape(-1, N_ASU_BINS), point_xy=xy[order],
         point_offsets=_offsets(np.bincount(point_cell[order], minlength=len(keys))),
-        reading_offsets=_offsets(n_read[order]),
-        reading_tower=reading_tower[reading_order], reading_asu=reading_asu[reading_order],
-        tower_ids=frozenset(towers), tower_locations=planar_towers,
+        point_asu=point_asu[order], tower_ids=frozenset(towers), tower_locations=planar_towers,
     )
 
 
@@ -474,15 +464,11 @@ def ablate_towers(radio_map: RadioMap, drop_fraction: float, seed: int) -> Radio
 
     rm = radio_map
     kept = np.array([tid not in dropped for tid in towers])
-    new_column = np.cumsum(kept) - 1
     hist = kept[rm.hist_tower]
     live = np.bincount(rm.hist_cell[hist], minlength=rm.n_cells) > 0
-    n_points = len(rm.point_xy)
     point_cell = np.repeat(np.arange(rm.n_cells), np.diff(rm.point_offsets))
-    reading_point = np.repeat(np.arange(n_points), np.diff(rm.reading_offsets))
-    reading = kept[rm.reading_tower]
-    point = (np.bincount(reading_point[reading], minlength=n_points) > 0) & live[point_cell]
-    reading &= point[reading_point]
+    point_asu = rm.point_asu[:, kept]
+    point = (point_asu >= 0).any(axis=1) & live[point_cell]
     means, n_kept = _point_means(point_cell[point], rm.point_xy[point], rm.n_cells)
 
     tower_locations = None if rm.tower_locations is None else {
@@ -491,11 +477,10 @@ def ablate_towers(radio_map: RadioMap, drop_fraction: float, seed: int) -> Radio
         rm.origin, rm.grid_length, rm.anchor_x, rm.anchor_y, tuple(compress(rm.keys, live)),
         centroids=np.where(n_kept[:, None] > 0, means, rm.centroids)[live],
         hist_cell=(np.cumsum(live) - 1)[rm.hist_cell[hist]],
-        hist_tower=new_column[rm.hist_tower[hist]], counts=rm.counts[hist],
+        hist_tower=(np.cumsum(kept) - 1)[rm.hist_tower[hist]], counts=rm.counts[hist],
         point_xy=rm.point_xy[point], point_offsets=_offsets(n_kept[live]),
-        reading_offsets=_offsets(np.bincount(reading_point[reading], minlength=n_points)[point]),
-        reading_tower=new_column[rm.reading_tower[reading]], reading_asu=rm.reading_asu[reading],
-        tower_ids=rm.tower_ids - dropped, tower_locations=tower_locations,
+        point_asu=point_asu[point], tower_ids=rm.tower_ids - dropped,
+        tower_locations=tower_locations,
     )
 
 
@@ -593,7 +578,7 @@ def _parse_radio_map(doc: dict, origin: GeoPoint) -> RadioMap:
     column = {tid: i for i, tid in enumerate(sorted(tower_ids))}
     keys = sorted(entries)
     centroids, hist_cell, hist_tower, counts, point_xy = [], [], [], [], []
-    point_offsets, reading_offsets, reading_tower, reading_asu = [0], [0], [], []
+    point_offsets, n_read, reading_tower, reading_asu = [0], [], [], []
     named: set[str] = set()
     for c, key in enumerate(keys):
         centroids.append(json_floats(entries[key]["centroid"], "x", "y"))
@@ -610,15 +595,19 @@ def _parse_radio_map(doc: dict, origin: GeoPoint) -> RadioMap:
         for p in json_value(entries[key].get("points", []), list):
             point_xy.append(json_floats(p, "x", "y"))
             readings = json_value(p["readings"], dict)
-            for tid in sorted(readings):
+            for tid, asu in readings.items():
                 reading_tower.append(column.get(tid, -1))
-                reading_asu.append(json_value(readings[tid], int))
+                reading_asu.append(json_value(asu, int))
             named.update(readings)
-            reading_offsets.append(len(reading_tower))
+            n_read.append(len(readings))
         named.update(histograms)
         point_offsets.append(len(point_xy))
     if not named <= tower_ids:
         raise ValueError(f"map names towers not in 'towers': {sorted(named - tower_ids)}")
+    if reading_asu and not 0 <= min(reading_asu) <= max(reading_asu) <= ASU_MAX:
+        raise ValueError(f"a point reading is outside ASU 0..{ASU_MAX}")
+    point_asu = np.full((len(point_xy), len(tower_ids)), -1, dtype=np.int8)
+    point_asu[np.repeat(np.arange(len(point_xy)), n_read), reading_tower] = reading_asu
     tower_locations = None if "tower_locations" not in doc else {
         tid: PlanarPoint(*json_floats(p, "x", "y"))
         for tid, p in json_value(doc["tower_locations"], dict).items()}
@@ -626,6 +615,5 @@ def _parse_radio_map(doc: dict, origin: GeoPoint) -> RadioMap:
         origin, json_value(doc["grid_length_m"], float), *json_floats(doc["grid_anchor"], "x", "y"),
         tuple(keys), centroids=centroids, hist_cell=hist_cell, hist_tower=hist_tower,
         counts=np.reshape(counts, (-1, N_ASU_BINS)), point_xy=np.reshape(point_xy, (-1, 2)),
-        point_offsets=point_offsets, reading_offsets=reading_offsets,
-        reading_tower=reading_tower, reading_asu=reading_asu,
-        tower_ids=tower_ids, tower_locations=tower_locations)
+        point_offsets=point_offsets, point_asu=point_asu, tower_ids=tower_ids,
+        tower_locations=tower_locations)

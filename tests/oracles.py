@@ -328,7 +328,7 @@ def scalar_radio_map(scans, grid_length: float, *, origin=None, tower_locations=
         members.setdefault(key, []).append((p, kept))
 
     keys, centroids, hist_cell, hist_tower, counts = [], [], [], [], []
-    point_xy, point_offsets, reading_offsets, reading_tower, reading_asu = [], [0], [0], [], []
+    point_xy, point_offsets, point_asu = [], [0], []
     for key in sorted(members):
         kept_points = [(p, r) for p, r in members[key] if r]
         if not kept_points:
@@ -351,9 +351,10 @@ def scalar_radio_map(scans, grid_length: float, *, origin=None, tower_locations=
         if not strip_points:
             for p, r in kept_points:
                 point_xy.append((p.x, p.y))
-                reading_tower.extend(t for t, _ in r)
-                reading_asu.extend(asu for _, asu in r)
-                reading_offsets.append(len(reading_tower))
+                row = [-1] * len(towers)
+                for t, asu in r:
+                    row[t] = asu
+                point_asu.append(row)
         point_offsets.append(len(point_xy))
 
     planar_towers = None if tower_locations is None else {
@@ -363,7 +364,7 @@ def scalar_radio_map(scans, grid_length: float, *, origin=None, tower_locations=
         origin, float(grid_length), ax, ay, tuple(keys), centroids=centroids,
         hist_cell=hist_cell, hist_tower=hist_tower, counts=np.reshape(counts, (-1, N_ASU_BINS)),
         point_xy=np.reshape(point_xy, (-1, 2)), point_offsets=point_offsets,
-        reading_offsets=reading_offsets, reading_tower=reading_tower, reading_asu=reading_asu,
+        point_asu=np.reshape(point_asu, (-1, len(towers))),
         tower_ids=frozenset(towers), tower_locations=planar_towers)
 
 

@@ -37,6 +37,13 @@ class TestExitCodes:
             main(["locate", "--scans", "x.csv"])  # --map and --technique missing
         assert exc.value.code == 1
 
+    @pytest.mark.parametrize("param,value", [("ns", "x"), ("k", "2.5")])
+    def test_unparsable_sweep_value_is_1(self, tmp_path, capsys, param, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--param", param, "--values", "1", value, "--out", str(tmp_path)])
+        assert exc.value.code == 1
+        assert f"--param {param} takes int values" in capsys.readouterr().err
+
     def test_unknown_command_is_1(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

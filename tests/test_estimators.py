@@ -59,6 +59,25 @@ def remake(request, tmp_path):
     return {"loaded": loaded, "ablated": lambda rm: ablate_towers(rm, 0.5, 11)}[request.param]
 
 
+class TestParams:
+    """Parameters the estimators cannot use are refused at construction."""
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    def test_alpha_must_be_finite(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be a finite number"):
+            SmoothingParams(alpha=alpha)
+
+    @pytest.mark.parametrize("name,value", [("k", 1.5), ("n_samples", 2.5),
+                                            ("k", True), ("n_samples", True)])
+    def test_counts_must_be_integers(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            EstimatorParams(**{name: value})
+
+    def test_numpy_integers_accepted(self):
+        params = EstimatorParams(n_samples=np.int64(3), k=np.intp(2))
+        assert (params.n_samples, params.k) == (3, 2)
+
+
 class TestLogPosterior:
     def test_single_cell_map_gets_finite_score(self):
         rm = build_radio_map([scan_at_planar(0, 1.0, 1.0, {"A": 10})], 70.0, origin=ORIGIN)

@@ -143,7 +143,7 @@ class TestBuild:
     def test_strip_points(self):
         scans = [scan_at_planar(0, 1.0, 1.0, {"A": 5})]
         rm = build_radio_map(scans, 70.0, origin=ORIGIN, strip_points=True)
-        assert rm.point_xy.shape == (0, 2) and rm.reading_asu.shape == (0,)
+        assert rm.point_xy.shape == (0, 2) and rm.point_asu.shape == (0, len(rm.tower_ids))
         assert rm.point_offsets.tolist() == [0, 0]
         assert all(c.points == () for c in rm.cells.values())
 
@@ -240,7 +240,7 @@ def _map_with(**fields):
 
     The base arrays: keys ((0, 0), (0, 1)); towers A and B in columns 0 and
     1; histograms (0, 0)/A at ASU 10, (0, 0)/B at 4 and (0, 1)/A at 7; one
-    point per cell, reading {A: 10, B: 4} and {A: 7}.
+    point per cell, reading {A: 10, B: 4} and {A: 7}: ``point_asu`` [[10, 4], [7, -1]].
     """
     return dataclasses.replace(_base_map(), **fields)
 
@@ -272,14 +272,11 @@ class TestRules:
                      "non-negative", id="negative_count"),
         pytest.param(dict(hist_tower=[0, 2, 0]), r"not in 'towers'.*columns \[2\]",
                      id="unknown_histogram_tower"),
-        pytest.param(dict(reading_tower=[0, 2, 0]), r"not in 'towers'.*columns \[2\]",
-                     id="unknown_point_tower"),
-        pytest.param(dict(reading_asu=[-1, 4, 7]), "outside ASU", id="asu_minus_1"),
-        pytest.param(dict(reading_asu=[32, 4, 7]), "outside ASU", id="asu_32"),
-        pytest.param(dict(reading_offsets=[0, 0, 1], reading_tower=[0], reading_asu=[7]),
-                     r"1\.\.7 readings", id="no_readings"),
-        pytest.param(dict(tower_ids=frozenset(["A", "B", *EIGHT]), reading_offsets=[0, 8, 9],
-                          reading_tower=[*range(2, 10), 0], reading_asu=[5] * 8 + [7]),
+        pytest.param(dict(point_asu=[[-2, 4], [7, -1]]), "outside ASU", id="asu_minus_2"),
+        pytest.param(dict(point_asu=[[32, 4], [7, -1]]), "outside ASU", id="asu_32"),
+        pytest.param(dict(point_asu=[[-1, -1], [7, -1]]), r"1\.\.7 readings", id="no_readings"),
+        pytest.param(dict(tower_ids=frozenset(["A", "B", *EIGHT]),
+                          point_asu=[[10, 4, *[5] * 6, -1, -1], [7, *[-1] * 9]]),
                      r"1\.\.7 readings", id="eight_readings"),
         pytest.param(dict(centroids=[[math.nan, 1.0], [101.0, 1.0]]), "finite",
                      id="nan_centroid"),
@@ -293,10 +290,10 @@ class TestRules:
                      r"one per \(cell, tower\) pair", id="histograms_unsorted"),
         pytest.param(dict(hist_cell=[0, 1, 2]), r"one per \(cell, tower\) pair",
                      id="histogram_cell_outside_keys"),
-        pytest.param(dict(reading_tower=[1, 0, 0], reading_asu=[4, 10, 7]), "column order",
-                     id="readings_unsorted"),
         pytest.param(dict(point_offsets=[0, 1, 3]), "shape or offsets", id="offsets_past_end"),
         pytest.param(dict(centroids=[[1.0, 1.0]]), "shape or offsets", id="centroid_missing"),
+        pytest.param(dict(point_asu=[[10, 4, -1], [7, -1, -1]]), "shape or offsets",
+                     id="point_asu_extra_column"),
     ])
     def test_broken_rule_raises(self, fields, message):
         with pytest.raises(ValueError, match=message):
@@ -314,7 +311,7 @@ class TestEquality:
     @pytest.mark.parametrize("edit", [
         pytest.param(lambda rm: dict(counts=[_counts(a10=2), _counts(a4=1), _counts(a7=1)]),
                      id="one_count"),
-        pytest.param(lambda rm: dict(reading_asu=[11, 4, 7]), id="one_point_asu"),
+        pytest.param(lambda rm: dict(point_asu=[[11, 4], [7, -1]]), id="one_point_asu"),
         pytest.param(lambda rm: dict(centroids=[[np.nextafter(rm.centroids[0, 0], np.inf),
                                                  rm.centroids[0, 1]], rm.centroids[1]]),
                      id="one_centroid_ulp"),
@@ -353,6 +350,17 @@ class TestAsuZero:
         _, readings = back.cell_point_arrays(key)
         a, b = back.tower_index()["A"], back.tower_index()["B"]
         assert readings[:, a].tolist() == [0, 0] and readings[:, b].tolist() == [5, 0]
+
+    def test_survives_ablate_towers(self):
+        scans = [scan_at_planar(0, 1.0, 1.0, {"A": 0, "B": 0, "C": 0, "D": 0}),
+                 scan_at_planar(1, 2.0, 1.0, {"A": 3, "B": 0, "C": 6, "D": 0})]
+        rm = ablate_towers(build_radio_map(scans, 70.0, origin=ORIGIN), 0.5, 0)
+        kept = sorted(rm.tower_ids)
+        assert len(kept) == 2
+        ((key, cell),) = rm.cells.items()
+        assert cell.points[0].readings == dict.fromkeys(kept, 0)
+        assert rm.point_asu[0].tolist() == [0, 0]
+        assert [sum(cell.histograms[t].counts) for t in kept] == [2, 2]
 
 
 class TestHistogram:
