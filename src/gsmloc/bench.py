@@ -40,8 +40,8 @@ CDF_HEADER = ("error_m", "cum_frac")
 
 #: Best-performing configuration per synthetic preset, found by sweeping the
 #: presets themselves: grid 70 m throughout; the faster rural drive favors a
-#: shorter window.  The hybrid technique always scores cells with a single
-#: fresh scan, that is its defining trade.
+#: shorter window.  The hybrid technique scores cells with the window's
+#: freshest scan alone, its defining trade, so its window is one scan long.
 DEFAULT_GRID_M = 70.0
 PRESET_PARAMS: dict[str, dict[str, EstimatorParams]] = {
     "rural": {

@@ -237,6 +237,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             args.values = [kind(v) for v in args.values]
         except ValueError:
             parser.error(f"--param {args.param} takes {kind.__name__} values: {args.values}")
+        if kind is int and min(args.values) < 1:
+            parser.error(f"--param {args.param} takes values >= 1: {args.values}")
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:

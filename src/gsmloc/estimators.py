@@ -8,7 +8,7 @@ Four techniques share the :class:`~gsmloc.radiomap.RadioMap` fingerprint:
   centroids.  A window is scored by one gather of the map's log-likelihood
   table, whose floor row scores towers the map never heard.
 * :func:`hybrid_locate` runs two phases: a rough pass that picks the most
-  probable cell from the window's first scan only, then a K-nearest-neighbor
+  probable cell from the window's freshest scan only, then a K-nearest-neighbor
   refinement in ASU space over that cell's raw fingerprint points.
 * :func:`deterministic_locate` is the classic KNN baseline: cells are
   summarized by their mean ASU per tower and the nearest cells in RSSI
@@ -155,10 +155,10 @@ def hybrid_locate(
 ) -> LocationEstimate:
     """Two-phase estimate: rough probabilistic cell pick, then KNN refinement.
 
-    Phase one scores cells with only the first scan of the window (one
-    sample keeps the rough pass cheap) and takes the most probable cell.
-    Phase two runs K-nearest-neighbor in ASU space over that cell's raw
-    fingerprint points against the same scan and returns the unweighted
+    Phase one scores cells with only the freshest (last) scan of the window
+    (one sample keeps the rough pass cheap) and takes the most probable
+    cell.  Phase two runs K-nearest-neighbor in ASU space over that cell's
+    raw fingerprint points against the same scan and returns the unweighted
     mean of the ``k_refine`` nearest point locations.
 
     Raises:
@@ -166,10 +166,9 @@ def hybrid_locate(
     """
     if k_refine < 1:
         raise ValueError("k_refine must be >= 1")
-    scans = _check_scans(window)
-    first = scans[0]
+    freshest = _check_scans(window)[-1]
 
-    scores = _posterior_vector(radio_map, [first], smoothing)
+    scores = _posterior_vector(radio_map, [freshest], smoothing)
     best = int(np.argmax(scores))  # ties resolve to the lowest (row, col)
     key = radio_map.cell_keys()[best]
     locations, readings = radio_map.cell_point_arrays(key)
@@ -182,7 +181,7 @@ def hybrid_locate(
     # so they land in a spare last slot that the distance leaves out).
     tower_index = radio_map.tower_index()
     v = np.zeros(len(tower_index) + 1)
-    for tower_id, asu in first.readings.items():
+    for tower_id, asu in freshest.readings.items():
         v[tower_index.get(tower_id, -1)] = asu
     diff = readings - v[:-1]
     sq_dists = (diff * diff).sum(axis=1)

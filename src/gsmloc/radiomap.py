@@ -414,8 +414,9 @@ def build_radio_map(
     n_towers = len(towers)
     reading_point = np.repeat(np.arange(len(scans)), n_read)
     # One histogram per heard (cell, tower) pair, all counted by one bincount.
-    pairs, hist = np.unique(point_cell[reading_point] * n_towers + reading_tower,
-                            return_inverse=True)
+    pair = point_cell[reading_point] * n_towers + reading_tower
+    heard = np.bincount(pair) > 0
+    pairs, hist = np.flatnonzero(heard), (np.cumsum(heard) - 1)[pair]
     counts = np.bincount(hist * N_ASU_BINS + reading_asu, minlength=len(pairs) * N_ASU_BINS)
     point_asu = np.full((len(scans), n_towers), -1, dtype=np.int8)
     point_asu[reading_point, reading_tower] = reading_asu  # ScanVector checked ASU 0..31

@@ -19,27 +19,55 @@ from scipy.linalg import solve_triangular
 
 from gsmloc.geo import PlanarPoint, ScanVector
 from gsmloc.gp import GpHyperparams, GpTowerModel, PrecomputedGrid
-from gsmloc.radiomap import N_ASU_BINS, GridCell, RadioMap, SmoothingParams
+from gsmloc.radiomap import N_ASU_BINS, RadioMap, SmoothingParams
 
 
-def likelihood_from_counts(cell: GridCell, tower_id: str, asu: int, sm: SmoothingParams) -> float:
-    hist = cell.histograms.get(tower_id)
-    if hist is None:
+def map_cells(rm: RadioMap) -> dict:
+    """The map's arrays as plain dicts, one per cell, keyed by (row, col) in key order.
+
+    Each cell is ``{"centroid": (x, y), "histograms": {tower_id: [32 counts]},
+    "points": [(x, y, {tower_id: asu}), ...]}``, its points in stored order.
+    Read from the array fields with plain loops, through none of the map's
+    own accessors and not through its save path.
+    """
+    towers = sorted(rm.tower_ids)
+    cells = {key: {"centroid": (x, y), "histograms": {}, "points": []}
+             for key, (x, y) in zip(rm.keys, rm.centroids.tolist())}
+    for c, t, counts in zip(rm.hist_cell.tolist(), rm.hist_tower.tolist(), rm.counts.tolist()):
+        cells[rm.keys[c]]["histograms"][towers[t]] = counts
+    offsets, xy, asus = rm.point_offsets.tolist(), rm.point_xy.tolist(), rm.point_asu.tolist()
+    for c, key in enumerate(rm.keys):
+        for i in range(offsets[c], offsets[c + 1]):
+            readings = {towers[t]: asu for t, asu in enumerate(asus[i]) if asu >= 0}
+            cells[key]["points"].append((*xy[i], readings))
+    return cells
+
+
+def likelihood_from_counts(cell: dict, tower_id: str, asu: int, sm: SmoothingParams) -> float:
+    """P(asu | cell) for one tower of a :func:`map_cells` cell, from its raw counts."""
+    counts = cell["histograms"].get(tower_id)
+    if counts is None:
         return sm.p_min
-    total = sum(hist.counts)
-    return (hist.counts[asu] + sm.alpha) / (total + N_ASU_BINS * sm.alpha)
+    return (counts[asu] + sm.alpha) / (sum(counts) + N_ASU_BINS * sm.alpha)
 
 
 def cell_probabilities(rm: RadioMap, scans, sm: SmoothingParams) -> dict:
     """P(window | cell) per cell, plain product in probability space."""
     out = {}
-    for key, cell in rm.cells.items():
+    for key, cell in map_cells(rm).items():
         p = 1.0
         for scan in scans:
             for tower_id, asu in scan.readings.items():
                 p *= likelihood_from_counts(cell, tower_id, asu, sm)
         out[key] = p
     return out
+
+
+def _weighted_centroid(rm: RadioMap, top, weights) -> tuple[float, float]:
+    cells = map_cells(rm)
+    x = sum(w * cells[key]["centroid"][0] for key, w in zip(top, weights))
+    y = sum(w * cells[key]["centroid"][1] for key, w in zip(top, weights))
+    return x, y
 
 
 def brute_probabilistic(rm: RadioMap, scans, k: int, sm: SmoothingParams) -> tuple[float, float]:
@@ -52,9 +80,7 @@ def brute_probabilistic(rm: RadioMap, scans, k: int, sm: SmoothingParams) -> tup
         weights = [1.0 / len(top)] * len(top)
     else:
         weights = [w / total for w in weights]
-    x = sum(w * rm.cells[key].centroid.x for key, w in zip(top, weights))
-    y = sum(w * rm.cells[key].centroid.y for key, w in zip(top, weights))
-    return x, y
+    return _weighted_centroid(rm, top, weights)
 
 
 def brute_rssi_distance(a: dict, b: dict) -> float:
@@ -63,17 +89,18 @@ def brute_rssi_distance(a: dict, b: dict) -> float:
 
 
 def brute_hybrid(rm: RadioMap, scans, k_refine: int, sm: SmoothingParams) -> tuple[float, float]:
-    first = scans[0]
-    probs = cell_probabilities(rm, [first], sm)
+    """Most probable cell under the window's freshest scan, then its k_refine nearest points."""
+    freshest = scans[-1]
+    probs = cell_probabilities(rm, [freshest], sm)
     best = sorted(probs, key=lambda key: (-probs[key], key))[0]
-    cell = rm.cells[best]
+    points = map_cells(rm)[best]["points"]
     order = sorted(
-        range(len(cell.points)),
-        key=lambda i: (brute_rssi_distance(cell.points[i].readings, first.readings), i),
+        range(len(points)),
+        key=lambda i: (brute_rssi_distance(points[i][2], freshest.readings), i),
     )
     chosen = order[: min(k_refine, len(order))]
-    x = sum(cell.points[i].location.x for i in chosen) / len(chosen)
-    y = sum(cell.points[i].location.y for i in chosen) / len(chosen)
+    x = sum(points[i][0] for i in chosen) / len(chosen)
+    y = sum(points[i][1] for i in chosen) / len(chosen)
     return x, y
 
 
@@ -88,13 +115,12 @@ def deterministic_distances(rm: RadioMap, scans) -> dict:
     query = {t: sums[t] / counts[t] for t in sums}
 
     cell_means = {}
-    for key, cell in rm.cells.items():
+    for key, cell in map_cells(rm).items():
         means = {}
-        for tower_id, hist in cell.histograms.items():
-            total = sum(hist.counts)
-            means[tower_id] = sum(a * c for a, c in enumerate(hist.counts)) / total
+        for tower_id, hist in cell["histograms"].items():
+            means[tower_id] = sum(a * c for a, c in enumerate(hist)) / sum(hist)
         cell_means[key] = means
-    return {key: brute_rssi_distance(query, cell_means[key]) for key in rm.cells}
+    return {key: brute_rssi_distance(query, means) for key, means in cell_means.items()}
 
 
 def brute_deterministic(rm: RadioMap, scans, k: int) -> tuple[float, float]:
@@ -104,9 +130,7 @@ def brute_deterministic(rm: RadioMap, scans, k: int) -> tuple[float, float]:
     weights = [1.0 / (dists[key] + 1e-6) for key in top]
     total = sum(weights)
     weights = [w / total for w in weights]
-    x = sum(w * rm.cells[key].centroid.x for key, w in zip(top, weights))
-    y = sum(w * rm.cells[key].centroid.y for key, w in zip(top, weights))
-    return x, y
+    return _weighted_centroid(rm, top, weights)
 
 
 def dense_deterministic(rm: RadioMap, scans, k: int) -> tuple[PlanarPoint, tuple]:

@@ -15,19 +15,18 @@ Numbered criteria:
 """
 
 import dataclasses
-import hashlib
 import math
 import time
 from contextlib import contextmanager
+from itertools import islice
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from estimate_digests import COMMITTED, TECHNIQUE_NAMES, world_lines
 from gsmloc.bench import (
-    DEFAULT_GRID_M,
-    TECHNIQUES,
     ablate_towers,
     evaluate,
     preset_params,
@@ -71,9 +70,11 @@ from oracles import (
     brute_gp_locate,
     brute_hybrid,
     brute_probabilistic,
+    brute_rssi_distance,
     cell_probabilities,
     deterministic_distances,
     likelihood_from_counts,
+    map_cells,
     naive_gp_posterior,
     naive_log_marginal,
     random_instance,
@@ -220,15 +221,13 @@ def test_criterion_2_oracle_equivalence():
         while checked < 200:
             rm, window = random_instance(rng)
             k = int(rng.integers(1, 4))
-            if boundary_tie(cell_probabilities(rm, [window[0]], sm), 1, descending=True):
+            if boundary_tie(cell_probabilities(rm, [window[-1]], sm), 1, descending=True):
                 continue
             est = hybrid_locate(rm, window, k, sm)
             key = est.contributing_cells[0][0]
-            from oracles import brute_rssi_distance
-
             dists = {
-                i: brute_rssi_distance(p.readings, window[0].readings)
-                for i, p in enumerate(rm.cells[key].points)
+                i: brute_rssi_distance(readings, window[-1].readings)
+                for i, (_, _, readings) in enumerate(map_cells(rm)[key]["points"])
             }
             if boundary_tie(dists, k, descending=False):
                 continue
@@ -291,8 +290,8 @@ def test_criterion_3_probabilistic_correctness():
         for _ in range(50):
             rm, _ = random_instance(rng)
             zero = SmoothingParams(alpha=0.0)
-            for cell in rm.cells.values():
-                for tid in cell.histograms:
+            for cell in map_cells(rm).values():
+                for tid in cell["histograms"]:
                     total = math.fsum(
                         likelihood_from_counts(cell, tid, a, zero) for a in range(32)
                     )
@@ -601,38 +600,15 @@ def test_criterion_9_determinism_and_persistence(rural, tmp_path):
         assert r1.error_cdf == r2.error_cdf
 
 
-#: sha256 of ``repr((x, y, log_score, contributing_cells))`` over every sliding
-#: window of the rural seed-0 test trace, per technique, on the full map and
-#: on ``ablate_towers(map, 0.4, 7)``.  They pin every estimate bit for bit, so
-#: a refactor of the estimators or of the map that moves one estimate fails.
-GOLDEN_ESTIMATE_SHA256 = {
-    "full": {
-        "probabilistic": "e5128f0a006486e52eb5f0fa466f0ee4ec565db6915c4d169223a58837b9e8a5",
-        "hybrid": "7b9e7bab8077a9c556c87c0cee556cba74a24f2a2080d430ccd2611bb083cdfd",
-        "deterministic": "022a2ade03dd5259737aa9e01d1c0fa9307ba28a5e82975c6a830f9b54f16c27",
-    },
-    "ablated": {
-        "probabilistic": "1ab423f06607c73bcc098982e9c8984e6df0f8cc22df6e97e7a77db5eb57a2f7",
-        "hybrid": "90103ee904a8fb577ef62f716b6949dc57b94e4687033962b5df2411b68d4a8f",
-        "deterministic": "aa508b9b3b45e7c580a92c8c7eb411fbd381c9e2ea5ff7ac69e6dad09d87e0e9",
-    },
-}
-
-
-def test_criterion_9a_golden_estimate_hashes(rural):
+def test_criterion_9a_golden_estimate_hashes():
     with criterion("9a", "every rural seed-0 estimate is bit-identical to the pinned digests"):
-        _, _, test, radio_map = rural
-        assert radio_map.grid_length == DEFAULT_GRID_M
-        maps = {"full": radio_map, "ablated": ablate_towers(radio_map, 0.4, 7)}
-        digests = {label: {} for label in maps}
-        for label, m in maps.items():
-            for technique in GOLDEN_ESTIMATE_SHA256[label]:
-                params = preset_params("rural", technique)
-                h = hashlib.sha256()
-                for i in range(len(test)):
-                    window = test[max(0, i + 1 - params.n_samples) : i + 1]
-                    est = TECHNIQUES[technique](m, window, params)
-                    loc = est.location
-                    h.update(repr((loc.x, loc.y, est.log_score, est.contributing_cells)).encode())
-                digests[label][technique] = h.hexdigest()
-        assert digests == GOLDEN_ESTIMATE_SHA256
+        # Per technique, on the 70 m map and on ablate_towers(map, 0.4, 7),
+        # the sha256 of repr((x, y, log_score, contributing_cells)) over
+        # every sliding window of the test trace.  They pin every estimate
+        # bit for bit, so a refactor that moves one estimate fails.
+        fresh = [line for line in islice(world_lines("rural", 0), 8)
+                 if line.split()[3] in TECHNIQUE_NAMES]
+        committed = [line for line in COMMITTED.read_text().splitlines()
+                     if line.startswith("rural 0 ") and line.split()[3] in TECHNIQUE_NAMES]
+        assert [line.split()[2] for line in committed] == ["full"] * 3 + ["ablated"] * 3
+        assert fresh == committed

@@ -21,6 +21,7 @@ from gsmloc.bench import (
 from gsmloc.estimators import EstimatorParams, LocationEstimate, probabilistic_locate
 from gsmloc.geo import PlanarPoint, ScanVector, project, read_trace, unproject
 from gsmloc.radiomap import SmoothingParams, build_radio_map, load_radio_map, save_radio_map
+from oracles import map_cells
 
 
 @pytest.fixture
@@ -218,20 +219,19 @@ class TestAblateTowers:
     def test_histograms_and_points_filtered(self, training_scans):
         rm = build_radio_map(training_scans, 70.0, origin=ORIGIN)
         out = ablate_towers(rm, 0.5, seed=3)
-        for cell in out.cells.values():
-            assert set(cell.histograms) <= out.tower_ids
-            for p in cell.points:
-                assert set(p.readings) <= out.tower_ids
-                assert p.readings
+        for cell in map_cells(out).values():
+            assert set(cell["histograms"]) <= out.tower_ids
+            for _, _, readings in cell["points"]:
+                assert set(readings) <= out.tower_ids
+                assert readings
 
     def test_centroids_recomputed(self, training_scans):
         rm = build_radio_map(training_scans, 70.0, origin=ORIGIN)
         out = ablate_towers(rm, 0.5, seed=4)
-        for key, cell in out.cells.items():
-            xs = [p.location.x for p in cell.points]
-            ys = [p.location.y for p in cell.points]
-            assert cell.centroid.x == pytest.approx(sum(xs) / len(xs))
-            assert cell.centroid.y == pytest.approx(sum(ys) / len(ys))
+        for cell in map_cells(out).values():
+            xs = [x for x, _, _ in cell["points"]]
+            ys = [y for _, y, _ in cell["points"]]
+            assert cell["centroid"] == pytest.approx((sum(xs) / len(xs), sum(ys) / len(ys)))
 
     def test_cannot_drop_everything(self, training_scans):
         rm = build_radio_map(training_scans, 70.0, origin=ORIGIN)
@@ -267,17 +267,17 @@ class TestAblateTowers:
         # either tower empties one point; the cell keeps the other tower.
         scans = [scan_at_planar(0, 1.0, 1.0, {"A": 5}), scan_at_planar(1, 41.0, 21.0, {"B": 7})]
         rm = build_radio_map(scans, 70.0, origin=ORIGIN)
-        ((key, cell),) = rm.cells.items()
+        ((key, cell),) = map_cells(rm).items()
         seen = set()
         for seed in range(8):
             out = ablate_towers(rm, 0.5, seed=seed)
             ((kept,),) = [out.tower_ids]
             seen.add(kept)
-            (survivor,) = [p for p in cell.points if kept in p.readings]
+            (survivor,) = [p for p in cell["points"] if kept in p[2]]
             assert out.cell_keys() == (key,)
-            assert out.cells[key].points == (survivor,)
-            assert out.cells[key].centroid == survivor.location
-            assert out.cells[key].centroid != cell.centroid
+            out_cell = map_cells(out)[key]
+            assert out_cell["points"] == [survivor]
+            assert out_cell["centroid"] == survivor[:2] != cell["centroid"]
         assert seen == {"A", "B"}
 
 

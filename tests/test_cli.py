@@ -44,6 +44,14 @@ class TestExitCodes:
         assert exc.value.code == 1
         assert f"--param {param} takes int values" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("param", ["ns", "k"])
+    def test_sweep_value_below_1_is_1(self, tmp_path, capsys, param):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--param", param, "--values", "1", "0", "--out", str(tmp_path)])
+        assert exc.value.code == 1
+        assert f"--param {param} takes values >= 1: [1, 0]" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_command_is_1(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
@@ -77,6 +85,17 @@ class TestExitCodes:
                    "--technique", "probabilistic"])
         assert rc == 2
         assert f"{bad}:9:" in capsys.readouterr().err
+
+    def test_locate_on_a_trace_without_scans_is_2(self, tmp_path, tiny_trace, capsys):
+        trace, _ = tiny_trace
+        map_path = tmp_path / "map.json"
+        assert main(["build", "--traces", str(trace), "--out", str(map_path)]) == 0
+        header_only = tmp_path / "empty.csv"
+        header_only.write_text("timestamp,lat,lon,tower_id,asu\n")
+        rc = main(["locate", "--map", str(map_path), "--scans", str(header_only),
+                   "--technique", "probabilistic"])
+        assert rc == 2
+        assert f"{header_only}: no scans" in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind,technique,edit,message", [
         pytest.param("map", "probabilistic", lambda d: d.update(cells=[]),
@@ -141,7 +160,7 @@ class TestBuildLocateEvaluate:
         assert report_path.exists() and cdf_path.exists()
 
     def test_evaluate_defaults_to_tuned_params(self, tmp_path, tiny_trace, capsys):
-        # Hybrid scores the window's first scan, so it must default to a
+        # Hybrid scores the window's freshest scan, so it must default to a
         # one-scan window rather than the probabilistic technique's four.
         trace, _ = tiny_trace
         map_path = tmp_path / "map.json"

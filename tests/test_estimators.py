@@ -35,6 +35,7 @@ from oracles import (
     cell_probabilities,
     dense_deterministic,
     deterministic_distances as _oracle_cell_distances,
+    map_cells,
     random_instance,
 )
 
@@ -76,6 +77,11 @@ class TestParams:
     def test_numpy_integers_accepted(self):
         params = EstimatorParams(n_samples=np.int64(3), k=np.intp(2))
         assert (params.n_samples, params.k) == (3, 2)
+
+    @pytest.mark.parametrize("p_min", [0.0, 1.5])
+    def test_p_min_must_be_a_probability(self, p_min):
+        with pytest.raises(ValueError, match=r"p_min must be in \(0, 1\]"):
+            SmoothingParams(p_min=p_min)
 
 
 class TestLogPosterior:
@@ -127,7 +133,7 @@ class TestProbabilisticLocate:
         est = probabilistic_locate(small_map, window, EstimatorParams(n_samples=1, k=1))
         scores = cell_log_posterior(small_map, window)
         best = min(scores, key=lambda key: (-scores[key], key))
-        assert est.location == small_map.cells[best].centroid
+        assert est.location == PlanarPoint(*map_cells(small_map)[best]["centroid"])
         assert est.contributing_cells == ((best, 1.0),)
 
     def test_equal_cells_k2_gives_midpoint(self):
@@ -137,9 +143,9 @@ class TestProbabilisticLocate:
         ]
         rm = build_radio_map(scans, 70.0, origin=ORIGIN)
         est = probabilistic_locate(rm, [scan({"T": 15})], EstimatorParams(k=2))
-        cents = [c.centroid for c in rm.cells.values()]
-        assert est.location.x == pytest.approx(sum(c.x for c in cents) / 2, abs=1e-9)
-        assert est.location.y == pytest.approx(sum(c.y for c in cents) / 2, abs=1e-9)
+        cents = [c["centroid"] for c in map_cells(rm).values()]
+        assert est.location.x == pytest.approx(sum(x for x, _ in cents) / 2, abs=1e-9)
+        assert est.location.y == pytest.approx(sum(y for _, y in cents) / 2, abs=1e-9)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_matches_brute_force(self, k):
@@ -178,7 +184,7 @@ class TestProbabilisticLocate:
         window = [scan({"A": 20, "B": 12})]
         est = probabilistic_locate(rm, window, EstimatorParams(k=k, smoothing=sm))
         assert est.log_score == -math.inf
-        assert [key for key, _ in est.contributing_cells] == sorted(rm.cells)[:k]
+        assert [key for key, _ in est.contributing_cells] == sorted(rm.keys)[:k]
         assert [w for _, w in est.contributing_cells] == [1.0 / k] * k
         bx, by = brute_probabilistic(rm, window, k, sm)
         assert est.location.x == pytest.approx(bx, abs=1e-9)
@@ -192,8 +198,9 @@ class TestProbabilisticLocate:
             weights = [w for _, w in est.contributing_cells]
             assert sum(weights) == pytest.approx(1.0, abs=1e-12)
             assert all(w >= 0 for w in weights)
-            xs = [rm.cells[key].centroid.x for key, _ in est.contributing_cells]
-            ys = [rm.cells[key].centroid.y for key, _ in est.contributing_cells]
+            cells = map_cells(rm)
+            xs = [cells[key]["centroid"][0] for key, _ in est.contributing_cells]
+            ys = [cells[key]["centroid"][1] for key, _ in est.contributing_cells]
             assert min(xs) - 1e-9 <= est.location.x <= max(xs) + 1e-9
             assert min(ys) - 1e-9 <= est.location.y <= max(ys) + 1e-9
 
@@ -293,6 +300,16 @@ class TestHybridLocate:
         assert est.location.x == pytest.approx(60.0, abs=1e-9)
         assert est.location.y == pytest.approx(60.0, abs=1e-9)
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_window_placed_by_its_freshest_scan(self, small_map, k):
+        # A drive from the first cell to the last: the window is placed
+        # where its last scan is, the position evaluate measures it against.
+        s0, s1, s2 = (scan({"A": a, "B": b}, float(t))
+                      for t, (a, b) in enumerate([(10, 4), (20, 10), (30, 22)]))
+        est = hybrid_locate(small_map, [s0, s1, s2], k)
+        assert est == hybrid_locate(small_map, [s2], k)
+        assert est != hybrid_locate(small_map, [s0], k)
+
     def test_matches_brute_force(self):
         self._check_brute_force(as_built)
 
@@ -307,15 +324,15 @@ class TestHybridLocate:
         while checked < 40:
             rm, window = random_instance(rng)
             rm = remake(rm)
-            if boundary_tie(cell_probabilities(rm, [window[0]], sm), 1, descending=True):
+            freshest = window[-1]
+            if boundary_tie(cell_probabilities(rm, [freshest], sm), 1, descending=True):
                 continue  # phase-1 argmax tie: domain-dependent
-            first = window[0]
             for k in (1, 2, 3):
                 est = hybrid_locate(rm, window, k, sm)
                 key = est.contributing_cells[0][0]
                 dists = {
-                    i: brute_rssi_distance(p.readings, first.readings)
-                    for i, p in enumerate(rm.cells[key].points)
+                    i: brute_rssi_distance(readings, freshest.readings)
+                    for i, (_, _, readings) in enumerate(map_cells(rm)[key]["points"])
                 }
                 if boundary_tie(dists, k, descending=False):
                     continue
@@ -330,8 +347,9 @@ class TestHybridLocate:
             rm, window = random_instance(rng)
             est = hybrid_locate(rm, window, 3)
             ((key, _),) = est.contributing_cells
-            xs = [p.location.x for p in rm.cells[key].points]
-            ys = [p.location.y for p in rm.cells[key].points]
+            points = map_cells(rm)[key]["points"]
+            xs = [x for x, _, _ in points]
+            ys = [y for _, y, _ in points]
             assert min(xs) - 1e-9 <= est.location.x <= max(xs) + 1e-9
             assert min(ys) - 1e-9 <= est.location.y <= max(ys) + 1e-9
 
@@ -342,14 +360,18 @@ class TestHybridLocate:
         with pytest.raises(ValueError, match="strip"):
             hybrid_locate(rm, [scan({"A": 10})], 1)
 
+    def test_k_refine_below_1_rejected(self, small_map):
+        with pytest.raises(ValueError, match="k_refine must be >= 1"):
+            hybrid_locate(small_map, [scan({"A": 10})], k_refine=0)
+
 
 class TestDeterministicLocate:
     def test_single_cell_returns_centroid(self):
         scans = [scan_at_planar(0, 5.0, 5.0, {"A": 10}), scan_at_planar(1, 15.0, 25.0, {"A": 12})]
         rm = build_radio_map(scans, 70.0, origin=ORIGIN)
         est = deterministic_locate(rm, [scan({"A": 11})], EstimatorParams(k=1))
-        ((_, cell),) = rm.cells.items()
-        assert est.location == cell.centroid
+        (cell,) = map_cells(rm).values()
+        assert est.location == PlanarPoint(*cell["centroid"])
 
     def test_equidistant_cells_k2_gives_midpoint(self):
         scans = [
@@ -358,8 +380,8 @@ class TestDeterministicLocate:
         ]
         rm = build_radio_map(scans, 70.0, origin=ORIGIN)
         est = deterministic_locate(rm, [scan({"T": 15})], EstimatorParams(k=2))
-        cents = [c.centroid for c in rm.cells.values()]
-        assert est.location.x == pytest.approx(sum(c.x for c in cents) / 2, abs=1e-9)
+        cents = [c["centroid"] for c in map_cells(rm).values()]
+        assert est.location.x == pytest.approx(sum(x for x, _ in cents) / 2, abs=1e-9)
 
     def test_matches_brute_force(self):
         self._check_brute_force(as_built)

@@ -166,6 +166,10 @@ class TestScanTypes:
         with pytest.raises(ValueError):
             ScanVector(0.0, {})
 
+    def test_scan_vector_rejects_empty_tower_id(self):
+        with pytest.raises(ValueError, match="tower_id must be non-empty"):
+            ScanVector(0.0, {"A": 5, "": 7})
+
     @pytest.mark.parametrize("asu", [True, 5.0])
     def test_scan_vector_rejects_non_int_asu(self, asu):
         with pytest.raises(TypeError, match="ASU reading must be an int"):

@@ -18,7 +18,7 @@ from gsmloc.radiomap import (
     save_radio_map,
 )
 from gsmloc.synth import generate_trace, make_preset
-from oracles import likelihood_from_counts, random_instance, scalar_radio_map
+from oracles import likelihood_from_counts, map_cells, random_instance, scalar_radio_map
 
 import numpy as np
 
@@ -31,11 +31,10 @@ class TestBuild:
         ]
         rm = build_radio_map(scans, 70.0, origin=ORIGIN)
         assert rm.n_cells == 1
-        ((key, cell),) = rm.cells.items()
-        assert cell.centroid.x == pytest.approx(35.0, abs=1e-9)
-        assert cell.centroid.y == pytest.approx(35.0, abs=1e-9)
-        assert cell.histograms["A"].counts[10] == 4
-        assert sum(cell.histograms["A"].counts) == 4
+        (cell,) = map_cells(rm).values()
+        assert cell["centroid"] == pytest.approx((35.0, 35.0), abs=1e-9)
+        assert cell["histograms"]["A"][10] == 4
+        assert sum(cell["histograms"]["A"]) == 4
 
     def test_two_points_two_cells(self):
         scans = [
@@ -44,7 +43,7 @@ class TestBuild:
         ]
         rm = build_radio_map(scans, 70.0, origin=ORIGIN)
         assert rm.n_cells == 2
-        assert all(len(c.points) == 1 for c in rm.cells.values())
+        assert all(len(c["points"]) == 1 for c in map_cells(rm).values())
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
@@ -93,13 +92,10 @@ class TestBuild:
     def test_total_points_equals_scan_count(self):
         rng = np.random.default_rng(3)
         rm, _ = random_instance(rng)
-        n_scans = sum(len(c.points) for c in rm.cells.values())
-        rebuilt_total = sum(
-            sum(sum(h.counts) for h in c.histograms.values()) for c in rm.cells.values()
-        )
-        readings_total = sum(
-            len(p.readings) for c in rm.cells.values() for p in c.points
-        )
+        cells = map_cells(rm).values()
+        n_scans = sum(len(c["points"]) for c in cells)
+        rebuilt_total = sum(sum(sum(h) for h in c["histograms"].values()) for c in cells)
+        readings_total = sum(len(readings) for c in cells for _, _, readings in c["points"])
         assert rebuilt_total == readings_total
         assert n_scans >= rm.n_cells  # every cell holds at least one point
 
@@ -108,24 +104,24 @@ class TestBuild:
         for _ in range(10):
             rm, _ = random_instance(rng)
             g = rm.grid_length
-            for (row, col), cell in rm.cells.items():
-                for p in cell.points:
-                    assert rm.anchor_x + col * g <= p.location.x < rm.anchor_x + (col + 1) * g
-                    assert rm.anchor_y + row * g <= p.location.y < rm.anchor_y + (row + 1) * g
+            for (row, col), cell in map_cells(rm).items():
+                for x, y, _ in cell["points"]:
+                    assert rm.anchor_x + col * g <= x < rm.anchor_x + (col + 1) * g
+                    assert rm.anchor_y + row * g <= y < rm.anchor_y + (row + 1) * g
 
     def test_histograms_match_member_readings(self):
         rng = np.random.default_rng(5)
         rm, _ = random_instance(rng)
-        for cell in rm.cells.values():
+        for cell in map_cells(rm).values():
             per_tower = {}
-            for p in cell.points:
-                for tid, asu in p.readings.items():
+            for _, _, readings in cell["points"]:
+                for tid, asu in readings.items():
                     per_tower.setdefault(tid, []).append(asu)
-            assert set(per_tower) == set(cell.histograms)
+            assert set(per_tower) == set(cell["histograms"])
             for tid, values in per_tower.items():
-                assert sum(cell.histograms[tid].counts) == len(values)
+                assert sum(cell["histograms"][tid]) == len(values)
                 for asu in values:
-                    assert cell.histograms[tid].counts[asu] >= 1
+                    assert cell["histograms"][tid][asu] >= 1
 
     def test_shuffled_rebuild_identical(self):
         rng = np.random.default_rng(7)
@@ -145,7 +141,7 @@ class TestBuild:
         rm = build_radio_map(scans, 70.0, origin=ORIGIN, strip_points=True)
         assert rm.point_xy.shape == (0, 2) and rm.point_asu.shape == (0, len(rm.tower_ids))
         assert rm.point_offsets.tolist() == [0, 0]
-        assert all(c.points == () for c in rm.cells.values())
+        assert all(c["points"] == [] for c in map_cells(rm).values())
 
     def test_default_origin_is_truth_centroid(self):
         scans = [
@@ -227,6 +223,23 @@ class TestScalarOracle:
             train, 70.0, tower_locations=towers)
 
 
+def test_cells_view_equals_the_oracle_reader(tmp_path):
+    """The GridCell view holds what the arrays hold, as ``map_cells`` reads them."""
+    scans = _oracle_trace(0)
+    built = build_radio_map(scans, 70.0, origin=ORIGIN)
+    path = str(tmp_path / "map.json")
+    save_radio_map(built, path)
+    stripped = build_radio_map(scans, 70.0, origin=ORIGIN, strip_points=True)
+    for rm in (built, load_radio_map(path), ablate_towers(built, 0.5, 1), stripped):
+        view = {key: {"centroid": (c.centroid.x, c.centroid.y),
+                      "histograms": {tid: list(h.counts) for tid, h in c.histograms.items()},
+                      "points": [(p.location.x, p.location.y, p.readings) for p in c.points]}
+                for key, c in rm.cells.items()}
+        assert list(view) == list(rm.keys)
+        assert view == map_cells(rm)
+    assert len(stripped.point_xy) == 0 < len(built.point_xy)
+
+
 def _base_map():
     """Two cells, (0, 0) hearing towers A and B and (0, 1) hearing A, with points kept."""
     scans = [scan_at_planar(0, 1.0, 1.0, {"A": 10, "B": 4}),
@@ -262,7 +275,7 @@ class TestRules:
     def test_unbroken_map_constructs(self):
         rm = _map_with()
         assert rm == _base_map()
-        assert sorted(rm.cells) == [(0, 0), (0, 1)]
+        assert list(rm.keys) == [(0, 0), (0, 1)]
 
     @pytest.mark.parametrize("fields,message", [
         pytest.param(dict(counts=[[1] * 31] * 3), "32 bins", id="31_bins"),
@@ -344,9 +357,9 @@ class TestAsuZero:
         save_radio_map(rm, str(path))
         back = load_radio_map(str(path))
         assert back == rm
-        ((key, cell),) = back.cells.items()
-        assert [p.readings for p in cell.points] == [{"A": 0, "B": 5}, {"A": 0}]
-        assert cell.histograms["A"].counts[0] == 2
+        ((key, cell),) = map_cells(back).items()
+        assert [readings for _, _, readings in cell["points"]] == [{"A": 0, "B": 5}, {"A": 0}]
+        assert cell["histograms"]["A"][0] == 2
         _, readings = back.cell_point_arrays(key)
         a, b = back.tower_index()["A"], back.tower_index()["B"]
         assert readings[:, a].tolist() == [0, 0] and readings[:, b].tolist() == [5, 0]
@@ -357,10 +370,10 @@ class TestAsuZero:
         rm = ablate_towers(build_radio_map(scans, 70.0, origin=ORIGIN), 0.5, 0)
         kept = sorted(rm.tower_ids)
         assert len(kept) == 2
-        ((key, cell),) = rm.cells.items()
-        assert cell.points[0].readings == dict.fromkeys(kept, 0)
+        (cell,) = map_cells(rm).values()
+        assert cell["points"][0][2] == dict.fromkeys(kept, 0)
         assert rm.point_asu[0].tolist() == [0, 0]
-        assert [sum(cell.histograms[t].counts) for t in kept] == [2, 2]
+        assert [sum(cell["histograms"][t]) for t in kept] == [2, 2]
 
 
 class TestHistogram:
@@ -399,7 +412,7 @@ class TestCellLikelihood:
                 scans.append(scan_at_planar(t, 1.0, 1.0, {"A": asu}))
                 t += 1
         rm = build_radio_map(scans, 70.0, origin=ORIGIN)
-        return next(iter(rm.cells.values()))
+        return next(iter(map_cells(rm).values()))
 
     def test_laplace_smoothing_value(self):
         cell = self._cell_with({10: 4})
@@ -435,9 +448,9 @@ class TestCellLikelihood:
         sm = SmoothingParams()
         table = rm.log_likelihood_table(sm)
         tower_index = rm.tower_index()
-        keys = rm.cell_keys()
-        for ci, key in enumerate(keys):
-            cell = rm.cells[key]
+        cells = map_cells(rm)
+        for ci, key in enumerate(rm.cell_keys()):
+            cell = cells[key]
             for tid, t in tower_index.items():
                 for asu in range(32):
                     expected = math.log(likelihood_from_counts(cell, tid, asu, sm))
@@ -446,11 +459,12 @@ class TestCellLikelihood:
     def test_one_table_per_smoothing(self):
         rm, _ = random_instance(np.random.default_rng(3))
         first = rm.log_likelihood_table(SmoothingParams())
+        cells = map_cells(rm)
         for sm in (SmoothingParams(alpha=2.0, p_min=1e-3), SmoothingParams(alpha=0.1)):
             table = rm.log_likelihood_table(sm)
             for ci, key in enumerate(rm.cell_keys()):
                 for tid, t in rm.tower_index().items():
-                    expected = [math.log(likelihood_from_counts(rm.cells[key], tid, a, sm)) for a in range(32)]
+                    expected = [math.log(likelihood_from_counts(cells[key], tid, a, sm)) for a in range(32)]
                     assert table[t, :, ci].tolist() == pytest.approx(expected, rel=1e-12)
             assert table.shape == (len(rm.tower_index()) + 1, 32, rm.n_cells)
             assert (table[-1] == math.log(sm.p_min)).all()
@@ -544,7 +558,7 @@ class TestPersistence:
     def test_cell_without_histograms_rejected(self, tmp_path):
         path, doc = self._saved_doc(tmp_path)
         rm = load_radio_map(str(path))
-        assert (5, 5) not in rm.cells
+        assert (5, 5) not in rm.keys
         doc["cells"].append({"row": 5, "col": 5, "centroid": {"x": 360.0, "y": 360.0},
                              "histograms": {}})
         path.write_text(json.dumps(doc))
@@ -628,6 +642,19 @@ class TestPersistence:
         path = tmp_path / "map.json"
         path.write_text(json.dumps({"version": 1, "kind": "gp_grid"}))
         with pytest.raises(MapFormatError, match="kind"):
+            load_radio_map(str(path))
+
+    def test_histogram_of_31_counts_rejected(self, tmp_path):
+        path, doc = self._saved_doc(tmp_path)
+        _first_counts(doc).pop()
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MapFormatError, match="histograms must have 32 bins"):
+            load_radio_map(str(path))
+
+    def test_top_level_array_rejected(self, tmp_path):
+        path, doc = self._saved_doc(tmp_path)
+        path.write_text(json.dumps([doc]))
+        with pytest.raises(MapFormatError, match="expected a JSON object at top level"):
             load_radio_map(str(path))
 
     def test_stripped_map_round_trip(self, tmp_path):

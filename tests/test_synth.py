@@ -1,11 +1,12 @@
-import hashlib
 import io
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
 
-from gsmloc.geo import SENSITIVITY_DBM, PlanarPoint, dbm_to_asu, project, write_trace
+from estimate_digests import COMMITTED, world_lines
+from gsmloc.geo import SENSITIVITY_DBM, PlanarPoint, dbm_to_asu, project
 from gsmloc.synth import (
     _BLOCK_SCANS,
     PathLossParams,
@@ -63,6 +64,8 @@ class TestReceivedPower:
             PathLossParams(exponent=1.5)
         with pytest.raises(ValueError):
             PathLossParams(shadow_sigma_db=-1.0)
+        with pytest.raises(ValueError, match="d0 and shadow_grid_spacing must be > 0"):
+            PathLossParams(d0=0.0)
         with pytest.raises(ValueError):
             flat_world([Tower("T0", PlanarPoint(5000.0, 0.0), 0.0)])  # outside bounds
 
@@ -195,6 +198,26 @@ def _point_segment_distance(p, a, b):
     L2 = dx * dx + dy * dy
     t = 0.0 if L2 == 0 else max(0.0, min(1.0, ((p.x - ax) * dx + (p.y - ay) * dy) / L2))
     return math.hypot(p.x - (ax + t * dx), p.y - (ay + t * dy))
+
+
+_T0 = Tower("T0", PlanarPoint(0.0, 0.0), -20.0)
+_ORIGIN_XY = PlanarPoint(0.0, 0.0)
+
+
+@pytest.mark.parametrize("make,message", [
+    pytest.param(lambda: Route((_ORIGIN_XY,), 10.0), "at least 2 waypoints", id="one_waypoint"),
+    pytest.param(lambda: Route((_ORIGIN_XY, PlanarPoint(100.0, 0.0)), 0.0),
+                 "speed must be > 0", id="speed_0"),
+    pytest.param(lambda: flat_world([_T0], bounds=(0.0, 0.0, 1000.0, 0.0)),
+                 "bounds must have positive extent", id="zero_extent_bounds"),
+    pytest.param(lambda: flat_world([_T0], seed=-1), "seed must be non-negative",
+                 id="negative_seed"),
+    pytest.param(lambda: generate_trace(flat_world([_T0]), Route((_ORIGIN_XY, _ORIGIN_XY), 10.0)),
+                 "route has zero length", id="equal_waypoints"),
+])
+def test_bad_route_or_world_refused(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
 
 
 class TestPresets:
@@ -374,23 +397,16 @@ class TestPrunedFieldOracle:
             generate_trace(world, route, noise_sigma_db=2.0, noise_seed=4)
 
 
-#: sha256 of the write_trace file for each preset and route at world seed 0.
-_GOLDEN_TRACES = {
-    ("rural", "train"): "5893596fe616d548a881917df5f39ddede7ae26d4d1e604074800aa5357db77f",
-    ("rural", "test"): "1286bd3c9e2107e8de752a2bee9699d654023a86f5910366223009965b7f2406",
-    ("urban", "train"): "3f70257b92e70cbd519fcdf81379295001755034d54d70237089218c066d34d4",
-    ("urban", "test"): "d06a9e9f6403340973b9b9fb9f271106fdc290669d4672cfd85e011fe02b3e74",
-}
-
-
 class TestGoldenTraces:
     @pytest.mark.parametrize("preset", ["rural", "urban"])
-    def test_seed0_trace_bytes_pinned(self, preset, tmp_path):
-        world, routes = make_preset(preset, seed=0)
-        for name in ("train", "test"):
-            path = tmp_path / f"{name}.csv"
-            write_trace(generate_trace(world, routes[name]), str(path))
-            assert hashlib.sha256(path.read_bytes()).hexdigest() == _GOLDEN_TRACES[preset, name]
+    def test_seed0_trace_bytes_pinned(self, preset):
+        # The sha256 of each route's write_trace file, as the committed
+        # estimate digests list them.
+        fresh = list(islice(world_lines(preset, 0), 2))
+        committed = [line for line in COMMITTED.read_text().splitlines()
+                     if line.startswith(f"{preset} 0 ") and line.split()[3] == "trace"]
+        assert [line.split()[2] for line in committed] == ["train", "test"]
+        assert fresh == committed
 
     def test_rural_seed5_has_a_silent_spot(self):
         world, routes = make_preset("rural", seed=5)

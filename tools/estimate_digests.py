@@ -26,6 +26,10 @@ a refactor that claims to move no trace, no estimate and no saved byte.
 fresh run against it:
 
     python3 tools/estimate_digests.py | diff tools/estimate_digests.txt -
+
+The tier-1 tests pin the seed-0 traces and the rural seed-0 estimates by
+comparing what :func:`world_lines` yields with the committed lines, so that
+file is the only copy of these digests.
 """
 
 from __future__ import annotations
@@ -55,6 +59,8 @@ WORLDS = (("rural", 0), ("rural", 1), ("rural", 2), ("urban", 0), ("urban", 1))
 TECHNIQUE_NAMES = ("probabilistic", "hybrid", "deterministic")
 SAVED_WORLDS = (("rural", 0), ("urban", 0))
 SAVED_GRID_M = (50.0, 110.0)
+#: The committed output that CI diffs a fresh run against.
+COMMITTED = Path(__file__).with_suffix(".txt")
 
 
 def file_digest(save, obj, workdir: str) -> str:
@@ -64,38 +70,47 @@ def file_digest(save, obj, workdir: str) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def world_lines(preset: str, seed: int):
+    """Yield the output lines of one world, in the order :func:`main` prints them.
+
+    Lazily: a caller that stops after the two trace lines builds no map, and
+    one that stops after the estimate lines saves no map.
+    """
+    world, routes = make_preset(preset, seed)
+    train = generate_trace(world, routes["train"])
+    test = generate_trace(world, routes["test"])
+    with tempfile.TemporaryDirectory() as workdir:
+        for route, trace in (("train", train), ("test", test)):
+            yield f"{preset} {seed} {route} trace {file_digest(write_trace, trace, workdir)}"
+    towers = world.tower_locations_geo()
+    full = build_radio_map(train, DEFAULT_GRID_M, tower_locations=towers)
+    maps = {"full": full, "ablated": ablate_towers(full, 0.4, 7)}
+    for label, radio_map in maps.items():
+        for technique in TECHNIQUE_NAMES:
+            params = preset_params(preset, technique)
+            h = hashlib.sha256()
+            for i in range(len(test)):
+                window = window_at(test, i, params.n_samples)
+                est = TECHNIQUES[technique](radio_map, window, params)
+                loc = est.location
+                h.update(repr((loc.x, loc.y, est.log_score, est.contributing_cells)).encode())
+            yield f"{preset} {seed} {label} {technique} {h.hexdigest()}"
+    if (preset, seed) in SAVED_WORLDS:
+        maps["stripped"] = build_radio_map(
+            train, DEFAULT_GRID_M, tower_locations=towers, strip_points=True
+        )
+        for grid_m in SAVED_GRID_M:
+            maps[f"full-{grid_m:g}m"] = build_radio_map(train, grid_m, tower_locations=towers)
+        with tempfile.TemporaryDirectory() as workdir:
+            for label, radio_map in maps.items():
+                digest = file_digest(save_radio_map, radio_map, workdir)
+                yield f"{preset} {seed} {label} saved-map {digest}"
+
+
 def main() -> int:
     for preset, seed in WORLDS:
-        world, routes = make_preset(preset, seed)
-        train = generate_trace(world, routes["train"])
-        test = generate_trace(world, routes["test"])
-        with tempfile.TemporaryDirectory() as workdir:
-            for route, trace in (("train", train), ("test", test)):
-                print(preset, seed, route, "trace", file_digest(write_trace, trace, workdir),
-                      flush=True)
-        towers = world.tower_locations_geo()
-        full = build_radio_map(train, DEFAULT_GRID_M, tower_locations=towers)
-        maps = {"full": full, "ablated": ablate_towers(full, 0.4, 7)}
-        for label, radio_map in maps.items():
-            for technique in TECHNIQUE_NAMES:
-                params = preset_params(preset, technique)
-                h = hashlib.sha256()
-                for i in range(len(test)):
-                    window = window_at(test, i, params.n_samples)
-                    est = TECHNIQUES[technique](radio_map, window, params)
-                    loc = est.location
-                    h.update(repr((loc.x, loc.y, est.log_score, est.contributing_cells)).encode())
-                print(preset, seed, label, technique, h.hexdigest(), flush=True)
-        if (preset, seed) in SAVED_WORLDS:
-            maps["stripped"] = build_radio_map(
-                train, DEFAULT_GRID_M, tower_locations=towers, strip_points=True
-            )
-            for grid_m in SAVED_GRID_M:
-                maps[f"full-{grid_m:g}m"] = build_radio_map(train, grid_m, tower_locations=towers)
-            with tempfile.TemporaryDirectory() as workdir:
-                for label, radio_map in maps.items():
-                    print(preset, seed, label, "saved-map",
-                          file_digest(save_radio_map, radio_map, workdir), flush=True)
+        for line in world_lines(preset, seed):
+            print(line, flush=True)
     return 0
 
 
