@@ -10,7 +10,8 @@ time.
 
 Sweeps rebuild or re-evaluate per parameter value on fixed seeds, one
 report row per value; randomized configurations derive their seed from
-(base seed, configuration index) so results are order-independent.
+(base seed, configuration index) so results are order-independent.  A
+sweep takes ``technique`` as :func:`evaluate` does.
 """
 
 from __future__ import annotations
@@ -99,8 +100,9 @@ class EvalReport:
 
 
 #: Every technique by name, as ``(model, window, params) -> LocationEstimate``.
-#: GP takes a :class:`PrecomputedGrid`, the others a :class:`RadioMap`;
-#: cell-ID places the window by its last (freshest) scan.
+#: GP takes a :class:`PrecomputedGrid`, the others a :class:`RadioMap`.
+#: Hybrid and cell-ID read only the window's last (freshest) scan, so
+#: ``params.n_samples`` does not change their estimates.
 TECHNIQUES: dict[str, Callable[..., LocationEstimate]] = {
     "probabilistic": probabilistic_locate,
     "hybrid": lambda m, window, p: hybrid_locate(m, window, p.k, p.smoothing),
@@ -125,20 +127,17 @@ def evaluate(
 ) -> EvalReport:
     """Run one technique over a test trace and aggregate an :class:`EvalReport`.
 
-    ``technique`` is one of :data:`TECHNIQUES` or a callable
-    ``(model, window) -> LocationEstimate`` for custom estimators.  Every
-    test scan must carry ground truth.  Windows at the start of the trace
-    are shorter than ``n_samples``; tracking produces an estimate from the
-    first scan on.
+    ``technique`` names one of :data:`TECHNIQUES` or is a custom estimator
+    with their signature, ``(model, window, params) -> LocationEstimate``.
+    Every test scan must carry ground truth.  Windows at the start of the
+    trace are shorter than ``n_samples``; tracking produces an estimate from
+    the first scan on.
     """
     if not test_scans:
         raise ValueError("empty test set")
     truths = project_array(model.origin, ground_truths(test_scans)).tolist()
-    if callable(technique):
-        locate = lambda m, window, p: technique(m, window)
-    elif technique in TECHNIQUES:
-        locate = TECHNIQUES[technique]
-    else:
+    locate = TECHNIQUES.get(technique, technique)
+    if not callable(locate):
         raise ValueError(f"unknown technique {technique!r}; expected one of {tuple(TECHNIQUES)}")
 
     errors: list[float] = []

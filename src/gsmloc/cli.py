@@ -14,7 +14,6 @@ import sys
 from typing import Sequence
 
 from . import bench, gp
-from .estimators import EstimatorParams
 from .geo import (
     project_array,
     read_tower_locations,
@@ -94,15 +93,9 @@ def _build_parser() -> _Parser:
 
 def _add_params(p: argparse.ArgumentParser, preset: str) -> None:
     tuned = f"default: the technique's value tuned on {preset}"
-    p.add_argument("--ns", type=int, help=f"window length in scans ({tuned})")
+    p.add_argument("--ns", type=int, help=f"window length in scans ({tuned}); hybrid and "
+                   "cellid read only the window's freshest scan, so it does not change them")
     p.add_argument("--k", type=int, help=f"top-K / KNN size ({tuned})")
-
-
-def _params(args: argparse.Namespace, preset: str = "rural") -> EstimatorParams:
-    """The preset's tuned parameters for the technique, overridden by --ns/--k."""
-    tuned = bench.preset_params(preset, args.technique)
-    ns = tuned.n_samples if args.ns is None else args.ns
-    return dataclasses.replace(tuned, n_samples=ns, k=tuned.k if args.k is None else args.k)
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
@@ -146,15 +139,14 @@ def _cmd_locate(args: argparse.Namespace) -> int:
     scans = read_trace(args.scans)
     if not scans:
         raise ValueError(f"{args.scans}: no scans")
-    params = _params(args)
     locate = bench.TECHNIQUES[args.technique]
     out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
     try:
         writer = csv.writer(out)
         writer.writerow(("timestamp", "lat", "lon"))
         for i in range(len(scans)):
-            window = bench.window_at(scans, i, params.n_samples)
-            est = locate(model, window, params)
+            window = bench.window_at(scans, i, args.params.n_samples)
+            est = locate(model, window, args.params)
             geo = unproject(model.origin, est.location)
             writer.writerow([repr(scans[i].timestamp), repr(geo.lat), repr(geo.lon)])
     finally:
@@ -166,7 +158,7 @@ def _cmd_locate(args: argparse.Namespace) -> int:
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     model = _load_model(args)
     scans = read_trace(args.scans)
-    report = bench.evaluate(model, scans, args.technique, _params(args))
+    report = bench.evaluate(model, scans, args.technique, args.params)
     writer = csv.writer(sys.stdout)
     writer.writerow(bench.REPORT_HEADER)
     writer.writerow(bench.report_row(report))
@@ -181,8 +173,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     world, routes = make_preset(args.preset, args.seed)
     train = generate_trace(world, routes["train"])
     test = generate_trace(world, routes["test"])
-    params = _params(args, args.preset)
-    values = args.values
+    params, values = args.params, args.values
     towers = world.tower_locations_geo()
     if args.param == "grid":
         reports = bench.sweep_grid_length(
@@ -207,9 +198,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 base_seed=args.seed,
             )
         else:
-            field = {"ns": "n_samples", "k": "k"}[args.param]
-            configs = [dataclasses.replace(params, **{field: v}) for v in values]
-            reports = bench.sweep_params(radio_map, test, configs, technique=args.technique)
+            reports = bench.sweep_params(radio_map, test, values, technique=args.technique)
 
     os.makedirs(args.out, exist_ok=True)
     bench.write_report_csv(reports, os.path.join(args.out, "report.csv"))
@@ -237,8 +226,20 @@ def main(argv: Sequence[str] | None = None) -> int:
             args.values = [kind(v) for v in args.values]
         except ValueError:
             parser.error(f"--param {args.param} takes {kind.__name__} values: {args.values}")
-        if kind is int and min(args.values) < 1:
-            parser.error(f"--param {args.param} takes values >= 1: {args.values}")
+    if "technique" in args:
+        # The preset's tuned parameters for the technique, overridden by --ns/--k;
+        # an ns or k sweep's values become one copy each.  EstimatorParams states
+        # the count rule: what it refuses is a usage error, before any file is read.
+        tuned = bench.preset_params(getattr(args, "preset", "rural"), args.technique)
+        counts = {"n_samples": args.ns, "k": args.k}
+        try:
+            args.params = dataclasses.replace(
+                tuned, **{name: v for name, v in counts.items() if v is not None})
+            if args.command == "sweep" and args.param in ("ns", "k"):
+                field = "n_samples" if args.param == "ns" else "k"
+                args.values = [dataclasses.replace(args.params, **{field: v}) for v in args.values]
+        except ValueError as exc:
+            parser.error(str(exc))
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:

@@ -109,13 +109,22 @@ def cell_log_posterior(
 
 
 def _weighted_estimate(
-    radio_map: RadioMap, cells: np.ndarray, weights: np.ndarray, log_score: float | None
+    radio_map: RadioMap, cells: np.ndarray, weights: list[float], log_score: float | None
 ) -> LocationEstimate:
-    """The weighted mean of the chosen cells' centroids, the cells as contributors."""
-    x, y = weights @ radio_map.centroid_array()[cells]
+    """The weighted mean of the chosen cells' centroids, the cells as contributors.
+
+    A plain-float sum over the K rows that starts from the first product, as
+    a numpy sum does (starting from 0.0 would turn a -0.0 into 0.0).  Unlike
+    a BLAS product, its bits do not depend on the CPU's kernels.
+    """
+    rows = radio_map.centroid_array()[cells].tolist()
+    x, y = weights[0] * rows[0][0], weights[0] * rows[0][1]
+    for w, (cx, cy) in zip(weights[1:], rows[1:]):
+        x += w * cx
+        y += w * cy
     keys = radio_map.cell_keys()
-    contributing = tuple((keys[i], float(w)) for i, w in zip(cells, weights))
-    return LocationEstimate(PlanarPoint(float(x), float(y)), log_score, contributing)
+    contributing = tuple((keys[i], w) for i, w in zip(cells.tolist(), weights))
+    return LocationEstimate(PlanarPoint(x, y), log_score, contributing)
 
 
 def probabilistic_locate(
@@ -135,16 +144,18 @@ def probabilistic_locate(
 
     k = min(params.k, radio_map.n_cells)
     top = np.argsort(-scores, kind="stable")[:k]  # ties resolve to the lowest index
-    top_scores = scores[top]
+    top_scores = scores[top].tolist()
     m = top_scores[0]
     if math.isfinite(m):
-        weights = np.exp(top_scores - m)
-        weights /= weights.sum()
+        # libm's exp, not np.exp, whose last bit moves with the SIMD level.
+        weights = [math.exp(s - m) for s in top_scores]
+        total = sum(weights)
+        weights = [w / total for w in weights]
     else:
         # Every candidate has zero likelihood (possible only with alpha=0);
         # fall back to uniform weights over the K for determinism.
-        weights = np.full(k, 1.0 / k)
-    return _weighted_estimate(radio_map, top, weights, float(m))
+        weights = [1.0 / k] * k
+    return _weighted_estimate(radio_map, top, weights, m)
 
 
 def hybrid_locate(
@@ -159,7 +170,8 @@ def hybrid_locate(
     (one sample keeps the rough pass cheap) and takes the most probable
     cell.  Phase two runs K-nearest-neighbor in ASU space over that cell's
     raw fingerprint points against the same scan and returns the unweighted
-    mean of the ``k_refine`` nearest point locations.
+    mean of the ``k_refine`` nearest point locations.  Older scans are only
+    checked for time order, so the window length does not change the estimate.
 
     Raises:
         ValueError: if the map was built with ``strip_points=True``.
@@ -240,7 +252,7 @@ def deterministic_locate(
     order = np.argsort(dists, kind="stable")[:k]
     weights = 1.0 / (dists[order] + 1e-6)
     weights /= weights.sum()
-    return _weighted_estimate(radio_map, kept[order], weights, None)
+    return _weighted_estimate(radio_map, kept[order], weights.tolist(), None)
 
 
 def cellid_locate(radio_map: RadioMap, scan: ScanVector) -> LocationEstimate:

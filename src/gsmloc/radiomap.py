@@ -205,6 +205,10 @@ class RadioMap:
         # An exact integer sum, then one division: the mean ASU of each histogram.
         mean_asu[self.hist_cell, self.hist_tower] = (counts @ np.arange(N_ASU_BINS)) / totals
         norm2 = (mean_asu * mean_asu).sum(axis=1)
+        # Hybrid's clipped copy of the point matrix costs 0.47 MB on urban seed 0 but
+        # is faster than either way without it: clipping the cell's rows per call
+        # (29.5 -> 32.4 us rural, 32.3 -> 36.5 us urban per estimate) or ranking by
+        # |r|^2 - 2 r.v over the scan's heard towers (35.4 / 35.0 us).
         readings = np.maximum(self.point_asu, 0)
         for array in (mean_asu, norm2, readings):
             array.setflags(write=False)

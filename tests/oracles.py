@@ -165,9 +165,14 @@ def dense_deterministic(rm: RadioMap, scans, k: int) -> tuple[PlanarPoint, tuple
     nearest = np.argsort(dists, kind="stable")[:k]
     weights = 1.0 / (dists[nearest] + 1e-6)
     weights /= weights.sum()
-    x, y = weights @ rm.centroid_array()[nearest]
-    contributing = tuple((rm.cell_keys()[i], float(w)) for i, w in zip(nearest, weights))
-    return PlanarPoint(float(x), float(y)), contributing
+    # The package's centroid rule: a plain-float sum from the first product.
+    weights, rows = weights.tolist(), rm.centroid_array()[nearest].tolist()
+    x, y = weights[0] * rows[0][0], weights[0] * rows[0][1]
+    for w, (cx, cy) in zip(weights[1:], rows[1:]):
+        x += w * cx
+        y += w * cy
+    contributing = tuple((rm.cell_keys()[i], w) for i, w in zip(nearest, weights))
+    return PlanarPoint(x, y), contributing
 
 
 def brute_gp_locate(grid: PrecomputedGrid, scans) -> tuple[float, float]:

@@ -11,21 +11,26 @@ Numbered criteria:
   6  parameter trends (grid length, K, tower density, fingerprint density)
   7  runtime contract (hybrid cheaper, GP much dearer than probabilistic)
   8  probabilistic estimator time grows at most linearly in the cell count
-  9  determinism and persistence round trips
+  9  determinism and persistence round trips (9a: every pinned digest, on
+     this CPU's kernels and on others)
 """
 
 import dataclasses
 import math
+import os
+import platform
+import subprocess
+import sys
 import time
 from contextlib import contextmanager
-from itertools import islice
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from estimate_digests import COMMITTED, TECHNIQUE_NAMES, world_lines
+import estimate_digests
 from gsmloc.bench import (
     ablate_towers,
     evaluate,
@@ -600,15 +605,44 @@ def test_criterion_9_determinism_and_persistence(rural, tmp_path):
         assert r1.error_cdf == r2.error_cdf
 
 
-def test_criterion_9a_golden_estimate_hashes():
-    with criterion("9a", "every rural seed-0 estimate is bit-identical to the pinned digests"):
-        # Per technique, on the 70 m map and on ablate_towers(map, 0.4, 7),
-        # the sha256 of repr((x, y, log_score, contributing_cells)) over
-        # every sliding window of the test trace.  They pin every estimate
-        # bit for bit, so a refactor that moves one estimate fails.
-        fresh = [line for line in islice(world_lines("rural", 0), 8)
-                 if line.split()[3] in TECHNIQUE_NAMES]
-        committed = [line for line in COMMITTED.read_text().splitlines()
-                     if line.startswith("rural 0 ") and line.split()[3] in TECHNIQUE_NAMES]
-        assert [line.split()[2] for line in committed] == ["full"] * 3 + ["ablated"] * 3
-        assert fresh == committed
+@pytest.fixture(scope="module")
+def digest_lines():
+    return list(estimate_digests.lines())
+
+
+def test_criterion_9a_golden_estimate_hashes(digest_lines):
+    with criterion("9a", "every trace, estimate and saved map matches its pinned digest"):
+        # Every line tools/estimate_digests.py prints: the sha256 of each
+        # synthesized trace file, of repr((x, y, log_score,
+        # contributing_cells)) over every window per technique and map, and
+        # of each saved map file.  A change that moves one of them fails.
+        assert digest_lines == estimate_digests.COMMITTED.read_text().splitlines()
+
+
+#: Fresh-interpreter environments that pick other x86-64 kernels: OpenBLAS's
+#: Haswell kernels, and numpy without its AVX-512 code paths.  numpy carries
+#: on when a disabled feature is one it never dispatches to on this CPU.
+CPU_MODES = {
+    "haswell-blas": {"OPENBLAS_CORETYPE": "Haswell"},
+    "no-avx512": {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4"},
+}
+_SEED0_DIGESTS = """
+from estimate_digests import SAVED_WORLDS, lines
+print(*lines(SAVED_WORLDS), sep="\\n")
+"""
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="the modes select x86-64 kernels")
+@pytest.mark.parametrize("mode", CPU_MODES)
+def test_criterion_9a_digests_equal_on_other_kernels(digest_lines, mode):
+    with criterion("9a", f"the seed-0 digests hold under {mode}"):
+        tools = str(Path(estimate_digests.__file__).parent)
+        path = os.pathsep.join(filter(None, (tools, os.environ.get("PYTHONPATH"))))
+        env = {**os.environ, **CPU_MODES[mode], "PYTHONPATH": path}
+        proc = subprocess.run([sys.executable, "-c", _SEED0_DIGESTS], env=env,
+                              capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        seed0 = tuple(f"{preset} {seed} " for preset, seed in estimate_digests.SAVED_WORLDS)
+        assert proc.stdout.splitlines() == [line for line in digest_lines
+                                            if line.startswith(seed0)]

@@ -52,7 +52,7 @@ def test_scans():
     return scans
 
 
-def perfect_estimator(model, window):
+def perfect_estimator(model, window, params):
     return LocationEstimate(project(model.origin, window[-1].truth))
 
 
@@ -69,12 +69,24 @@ class TestEvaluate:
         assert report.median_error_m == pytest.approx(0.0, abs=1e-9)
         assert report.p95_error_m == pytest.approx(0.0, abs=1e-9)
 
+    def test_custom_technique_gets_the_run_params(self, training_scans, test_scans):
+        rm = build_radio_map(training_scans, 70.0, origin=ORIGIN)
+        params = EstimatorParams(n_samples=3, k=5)
+        calls = []
+
+        def recording(model, window, p):
+            calls.append((len(window), p))
+            return perfect_estimator(model, window, p)
+
+        evaluate(rm, test_scans, recording, params, time_repeats=1)
+        assert calls == [(min(i + 1, 3), params) for i in range(len(test_scans))]
+
     def test_uniform_errors_order_statistics(self, training_scans):
         rm = build_radio_map(training_scans, 70.0, origin=ORIGIN)
         scans = [scan_at_planar(1000 + i, 150.0, 150.0, {"T0": 10}) for i in range(100)]
         offsets = {s.timestamp: float(i + 1) for i, s in enumerate(scans)}
 
-        def offset_estimator(model, window):
+        def offset_estimator(model, window, params):
             truth = project(model.origin, window[-1].truth)
             return LocationEstimate(PlanarPoint(truth.x + offsets[window[-1].timestamp], truth.y))
 
@@ -297,9 +309,9 @@ def test_cells_view_stays_unbuilt(tmp_path, training_scans, test_scans):
         for m in (rm, loaded) if technique == "cellid" else (rm, loaded, ablated):
             evaluate(m, test_scans, technique, EstimatorParams(k=2), time_repeats=1)
 
-    def recording(model, window):
+    def recording(model, window, params):
         maps[id(model)] = model
-        return probabilistic_locate(model, window)
+        return probabilistic_locate(model, window, params)
 
     kw = dict(technique=recording, time_repeats=1)
     sweep_grid_length(training_scans, test_scans, [50.0, 70.0], origin=ORIGIN, **kw)

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import scan_at_planar
 from gsmloc.bench import PRESET_GP_SPACING_M
+from gsmloc import cli
 from gsmloc.cli import main
 from gsmloc.geo import write_trace, write_tower_locations, GeoPoint
 
@@ -49,8 +50,32 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--param", param, "--values", "1", "0", "--out", str(tmp_path)])
         assert exc.value.code == 1
-        assert f"--param {param} takes values >= 1: [1, 0]" in capsys.readouterr().err
+        field = {"ns": "n_samples", "k": "k"}[param]
+        assert f"{field} must be an integer >= 1, got 0" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["locate", "evaluate"])
+    @pytest.mark.parametrize("flag, field", [("--ns", "n_samples"), ("--k", "k")])
+    def test_count_below_1_is_1_before_any_file_is_read(self, tmp_path, capsys, command, flag,
+                                                         field):
+        missing = str(tmp_path / "missing.csv")
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--map", missing, "--scans", missing, "--technique", "probabilistic",
+                  flag, "0"])
+        assert exc.value.code == 1
+        assert f"{field} must be an integer >= 1, got 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--param", "grid", "--values", "70", "--ns", "0"],
+                                      ["--param", "towers", "--values", "0", "--k", "0"],
+                                      ["--param", "ns", "--values", "0"]])
+    def test_sweep_count_below_1_is_1_before_synthesis(self, tmp_path, monkeypatch, argv):
+        def no_synthesis(*args, **kwargs):
+            raise AssertionError("synthesized before checking the counts")
+
+        monkeypatch.setattr(cli, "make_preset", no_synthesis)
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", *argv, "--out", str(tmp_path / "out")])
+        assert exc.value.code == 1
 
     def test_unknown_command_is_1(self):
         with pytest.raises(SystemExit) as exc:

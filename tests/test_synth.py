@@ -1,11 +1,9 @@
 import io
 import math
-from itertools import islice
 
 import numpy as np
 import pytest
 
-from estimate_digests import COMMITTED, world_lines
 from gsmloc.geo import SENSITIVITY_DBM, PlanarPoint, dbm_to_asu, project
 from gsmloc.synth import (
     _BLOCK_SCANS,
@@ -398,16 +396,6 @@ class TestPrunedFieldOracle:
 
 
 class TestGoldenTraces:
-    @pytest.mark.parametrize("preset", ["rural", "urban"])
-    def test_seed0_trace_bytes_pinned(self, preset):
-        # The sha256 of each route's write_trace file, as the committed
-        # estimate digests list them.
-        fresh = list(islice(world_lines(preset, 0), 2))
-        committed = [line for line in COMMITTED.read_text().splitlines()
-                     if line.startswith(f"{preset} 0 ") and line.split()[3] == "trace"]
-        assert [line.split()[2] for line in committed] == ["train", "test"]
-        assert fresh == committed
-
     def test_rural_seed5_has_a_silent_spot(self):
         world, routes = make_preset("rural", seed=5)
         with pytest.raises(ValueError, match=r"^no tower audible at \(62\.0, 50\.0\)$"):
