@@ -4,9 +4,9 @@ An evaluation slides a window of up to ``n_samples`` consecutive scans
 (stride 1) over a ground-truthed test trace.  Each window yields one
 estimate, whose planar error is measured against the truth of the window's
 last scan, the freshest position.  Per-estimate wall-clock time is the
-median of repeated calls to the estimate alone (no I/O, no map loading),
-and the report aggregates the error CDF, median, 95th percentile and mean
-time.
+median of repeated calls to the estimate alone (no I/O, no map loading).
+The report keeps every window's error and the mean time; the error CDF,
+median and 95th percentile are derived from the errors.
 
 Sweeps rebuild or re-evaluate per parameter value on fixed seeds, one
 report row per value; randomized configurations derive their seed from
@@ -34,7 +34,8 @@ from .estimators import (
 )
 from .geo import GeoPoint, PlanarPoint, ScanVector, project_array
 from .gp import PrecomputedGrid, gp_locate
-from .radiomap import RadioMap, ablate_towers, build_radio_map, ground_truths
+from .radiomap import (RadioMap, ablate_towers, build_radio_map, check_keep_fraction,
+                       ground_truths)
 
 REPORT_HEADER = ("technique", "grid_m", "ns", "k", "median_err_m", "p95_err_m", "mean_ms")
 CDF_HEADER = ("error_m", "cum_frac")
@@ -79,24 +80,37 @@ def preset_params(preset: str, technique: str) -> EstimatorParams:
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Accuracy and runtime of one technique under one configuration."""
+    """Accuracy and runtime of one technique under one configuration.
+
+    Stored: the configuration, the mean time per estimate and every
+    window's error, ``errors_m``, which construction puts in increasing
+    order.  Derived from those errors: the median, the 95th percentile and
+    the empirical CDF, so a report cannot disagree with itself.
+    """
 
     technique: str
     grid_m: float
     n_samples: int
     k: int
-    median_error_m: float
-    p95_error_m: float
     mean_time_per_estimate_ms: float
-    error_cdf: tuple[tuple[float, float], ...]
+    errors_m: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        fracs = [f for _, f in self.error_cdf]
-        errs = [e for e, _ in self.error_cdf]
-        if fracs and (fracs[-1] != 1.0 or any(b < a for a, b in zip(fracs, fracs[1:]))):
-            raise ValueError("error CDF must be non-decreasing and end at 1.0")
-        if any(b < a for a, b in zip(errs, errs[1:])):
-            raise ValueError("error CDF abscissae must be sorted")
+        object.__setattr__(self, "errors_m", tuple(sorted(self.errors_m)))
+
+    @property
+    def median_error_m(self) -> float:
+        return float(np.percentile(self.errors_m, 50))
+
+    @property
+    def p95_error_m(self) -> float:
+        return float(np.percentile(self.errors_m, 95))
+
+    @property
+    def error_cdf(self) -> tuple[tuple[float, float], ...]:
+        """``(error, fraction of windows with that error or less)``, one pair per window."""
+        n = len(self.errors_m)
+        return tuple((e, (j + 1) / n) for j, e in enumerate(self.errors_m))
 
 
 #: Every technique by name, as ``(model, window, params) -> LocationEstimate``.
@@ -153,9 +167,6 @@ def evaluate(
         errors.append(est.location.distance_to(PlanarPoint(*truths[i])))
         times_s.append(statistics.median(reps))
 
-    ordered = sorted(errors)
-    n = len(ordered)
-    cdf = tuple((float(e), (j + 1) / n) for j, e in enumerate(ordered))
     grid_m = model.grid_length if isinstance(model, RadioMap) else model.spacing
     name = technique if isinstance(technique, str) else getattr(technique, "__name__", "custom")
     return EvalReport(
@@ -163,10 +174,8 @@ def evaluate(
         grid_m=float(grid_m),
         n_samples=params.n_samples,
         k=params.k,
-        median_error_m=float(np.percentile(ordered, 50)),
-        p95_error_m=float(np.percentile(ordered, 95)),
-        mean_time_per_estimate_ms=1e3 * sum(times_s) / n,
-        error_cdf=cdf,
+        mean_time_per_estimate_ms=1e3 * sum(times_s) / len(times_s),
+        errors_m=tuple(errors),
     )
 
 
@@ -184,10 +193,9 @@ def _sweep(
     runs: Iterable[tuple[RadioMap, EstimatorParams]],
     test_scans: Sequence[ScanVector],
     technique: str | Callable,
-    time_repeats: int,
 ) -> list[EvalReport]:
     """Evaluate each (map, params) pair as ``runs`` yields it, one report each."""
-    reports = [evaluate(m, test_scans, technique, p, time_repeats=time_repeats) for m, p in runs]
+    reports = [evaluate(m, test_scans, technique, p) for m, p in runs]
     if not reports:
         raise ValueError("a sweep needs at least one value")
     return reports
@@ -200,14 +208,12 @@ def sweep_grid_length(
     *,
     params: EstimatorParams = EstimatorParams(),
     technique: str | Callable = "probabilistic",
-    origin: GeoPoint | None = None,
     tower_locations: Mapping[str, GeoPoint] | None = None,
-    time_repeats: int = TIME_REPEATS,
 ) -> list[EvalReport]:
     """Rebuild the map at each grid length and evaluate on the same trace."""
-    runs = ((build_radio_map(train_scans, g, origin=origin, tower_locations=tower_locations),
-             params) for g in grid_lengths)
-    return _sweep(runs, test_scans, technique, time_repeats)
+    runs = ((build_radio_map(train_scans, g, tower_locations=tower_locations), params)
+            for g in grid_lengths)
+    return _sweep(runs, test_scans, technique)
 
 
 def sweep_params(
@@ -216,10 +222,9 @@ def sweep_params(
     configs: Sequence[EstimatorParams],
     *,
     technique: str | Callable = "probabilistic",
-    time_repeats: int = TIME_REPEATS,
 ) -> list[EvalReport]:
     """Evaluate one map under each estimator configuration, one report each."""
-    return _sweep(((radio_map, p) for p in configs), test_scans, technique, time_repeats)
+    return _sweep(((radio_map, p) for p in configs), test_scans, technique)
 
 
 def sweep_tower_drop(
@@ -230,12 +235,11 @@ def sweep_tower_drop(
     params: EstimatorParams = EstimatorParams(),
     technique: str | Callable = "probabilistic",
     base_seed: int = 0,
-    time_repeats: int = TIME_REPEATS,
 ) -> list[EvalReport]:
     """Evaluate maps with a random subset of towers removed."""
     runs = ((ablate_towers(radio_map, f, _config_seed(base_seed, i)), params)
             for i, f in enumerate(drop_fractions))
-    return _sweep(runs, test_scans, technique, time_repeats)
+    return _sweep(runs, test_scans, technique)
 
 
 def sweep_density(
@@ -246,16 +250,14 @@ def sweep_density(
     grid_length: float,
     params: EstimatorParams = EstimatorParams(),
     technique: str | Callable = "probabilistic",
-    origin: GeoPoint | None = None,
     tower_locations: Mapping[str, GeoPoint] | None = None,
     base_seed: int = 0,
-    time_repeats: int = TIME_REPEATS,
 ) -> list[EvalReport]:
     """Thin the training trace before the map build and evaluate each map."""
     runs = ((build_radio_map(thin_fingerprint(train_scans, f, _config_seed(base_seed, i)),
-                             grid_length, origin=origin, tower_locations=tower_locations), params)
+                             grid_length, tower_locations=tower_locations), params)
             for i, f in enumerate(keep_fractions))
-    return _sweep(runs, test_scans, technique, time_repeats)
+    return _sweep(runs, test_scans, technique)
 
 
 # ---------------------------------------------------------------------------
@@ -266,9 +268,12 @@ def sweep_density(
 def thin_fingerprint(
     scans: Sequence[ScanVector], keep_fraction: float, seed: int
 ) -> list[ScanVector]:
-    """Seeded uniform subsample of training scans (time order preserved)."""
-    if not 0.0 < keep_fraction <= 1.0:
-        raise ValueError("keep_fraction must be in (0, 1]")
+    """Seeded uniform subsample of training scans (time order preserved).
+
+    Raises:
+        ValueError: if ``keep_fraction`` breaks :func:`~gsmloc.radiomap.check_keep_fraction`.
+    """
+    check_keep_fraction(keep_fraction)
     n_keep = int(round(keep_fraction * len(scans)))
     rng = np.random.default_rng(seed)
     idx = np.sort(rng.choice(len(scans), size=n_keep, replace=False))

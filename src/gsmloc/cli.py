@@ -22,7 +22,8 @@ from .geo import (
     write_tower_locations,
     write_trace,
 )
-from .radiomap import build_radio_map, default_origin, load_radio_map, save_radio_map
+from .radiomap import (build_radio_map, check_drop_fraction, check_keep_fraction,
+                       check_positive_finite, default_origin, load_radio_map, save_radio_map)
 from .synth import generate_trace, make_preset
 
 USAGE_ERROR = 1
@@ -208,6 +209,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+#: The range rule of each float sweep's values, as the library states it.
+_SWEEP_VALUE_CHECKS = {
+    "grid": lambda v: check_positive_finite("grid_length", v),
+    "density": check_keep_fraction,
+    "towers": check_drop_fraction,
+}
+
 _COMMANDS = {
     "synth": _cmd_synth,
     "build": _cmd_build,
@@ -229,7 +237,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     if "technique" in args:
         # The preset's tuned parameters for the technique, overridden by --ns/--k;
         # an ns or k sweep's values become one copy each.  EstimatorParams states
-        # the count rule: what it refuses is a usage error, before any file is read.
+        # the count rule and the library the other sweeps' ranges: what they
+        # refuse is a usage error, before any file is read or trace synthesized.
         tuned = bench.preset_params(getattr(args, "preset", "rural"), args.technique)
         counts = {"n_samples": args.ns, "k": args.k}
         try:
@@ -238,6 +247,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             if args.command == "sweep" and args.param in ("ns", "k"):
                 field = "n_samples" if args.param == "ns" else "k"
                 args.values = [dataclasses.replace(args.params, **{field: v}) for v in args.values]
+            elif args.command == "sweep":
+                for v in args.values:
+                    _SWEEP_VALUE_CHECKS[args.param](v)
         except ValueError as exc:
             parser.error(str(exc))
     try:

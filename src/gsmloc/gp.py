@@ -265,13 +265,12 @@ def fit_tower_models(
     origin: GeoPoint,
     *,
     max_points: int = FIT_MAX_POINTS,
-    seed: int = FIT_SEED,
 ) -> dict[str, GpTowerModel]:
     """Fit one GP per tower from a ground-truthed trace.
 
     Each tower searches :func:`default_hyper_grid`, and towers heard at fewer
     than 2 positions are skipped.  Per-tower subsampling seeds derive from
-    (seed, tower rank), so results do not depend on fit order.
+    (``FIT_SEED``, tower rank), so results do not depend on fit order.
     """
     xy = project_array(origin, ground_truths(scans))
     towers, n_read, reading_tower, reading_asu = reading_arrays(scans)
@@ -286,7 +285,7 @@ def fit_tower_models(
         a, b = bounds[rank], bounds[rank + 1]
         if b - a < 2:
             continue
-        tower_seed = int(np.random.SeedSequence([seed, rank]).generate_state(1)[0])
+        tower_seed = int(np.random.SeedSequence([FIT_SEED, rank]).generate_state(1)[0])
         models[tower_id] = gp_fit(xy[reading_point[a:b]], values[a:b],
                                   max_points=max_points, seed=tower_seed)
     return models
@@ -298,7 +297,8 @@ class PrecomputedGrid:
 
     Construction checks every rule of a grid and raises ``ValueError`` on the
     first one broken: ``spacing`` is positive and finite; there is at least
-    one point and one tower; each tower's mean and variance arrays have one
+    one point and one tower; ``means``, ``variances`` and ``noise_vars``
+    name the same towers; each tower's mean and variance arrays have one
     entry per point; points and means are finite; variances are in [0, inf)
     and each ``noise_var`` is in (0, inf).
     """
@@ -316,6 +316,8 @@ class PrecomputedGrid:
             raise ValueError("precomputed grid has no points")
         if not self.means:
             raise ValueError("precomputed grid has no towers")
+        if not self.means.keys() == self.variances.keys() == self.noise_vars.keys():
+            raise ValueError("means, variances and noise_vars must name the same towers")
         if not np.isfinite(self.points).all():
             raise ValueError("precomputed grid points must be finite")
         for tid, mean in self.means.items():

@@ -103,6 +103,18 @@ def check_positive_finite(name: str, value: float) -> None:
         raise ValueError(f"{name} {value} is not a positive finite number")
 
 
+def check_keep_fraction(value: float) -> None:
+    """``ValueError`` unless ``value`` is a fraction of scans to keep, in (0, 1]."""
+    if not 0.0 < value <= 1.0:
+        raise ValueError(f"keep_fraction must be in (0, 1], got {value}")
+
+
+def check_drop_fraction(value: float) -> None:
+    """``ValueError`` unless ``value`` is a fraction of towers to drop, in [0, 1)."""
+    if not 0.0 <= value < 1.0:
+        raise ValueError(f"drop_fraction must be in [0, 1), got {value}")
+
+
 def _offsets(sizes: np.ndarray) -> np.ndarray:
     """Where consecutive runs of ``sizes`` items start, and the total: run i is out[i]:out[i+1]."""
     return np.concatenate(([0], np.cumsum(sizes)))
@@ -453,11 +465,10 @@ def ablate_towers(radio_map: RadioMap, drop_fraction: float, seed: int) -> Radio
     own), and cells left with no towers are removed.
 
     Raises:
-        ValueError: if drop_fraction is outside [0, 1) or rounding would
-            drop every tower.
+        ValueError: if drop_fraction breaks :func:`check_drop_fraction` or
+            rounding would drop every tower.
     """
-    if not 0.0 <= drop_fraction < 1.0:
-        raise ValueError("drop_fraction must be in [0, 1)")
+    check_drop_fraction(drop_fraction)
     towers = sorted(radio_map.tower_ids)
     n_drop = int(round(drop_fraction * len(towers)))
     if n_drop == 0:

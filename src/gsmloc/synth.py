@@ -9,18 +9,18 @@ observe correlated signal strengths.  All lattices are drawn when the world
 is constructed.
 
 On top of the static field, trace generation adds small i.i.d. per-reading
-measurement noise (seeded per trace), so independently generated training
-and test traces differ the way two real drives would.  A trace is synthesized
-in fixed blocks of scans; each block draws its (scans, towers) noise from the
-trace's one generator, the same stream as one draw per tower per scan.  A
-numpy estimate of each block's field picks the pairs that can be heard, and
-only those get the exact path loss (``math.hypot``, ``math.log10``), so a
-trace matches the all-pairs field bit for bit.  One tower's exact power at
-one point, :func:`received_dbm`, comes from the same path-loss and shadowing
-helpers, audible or not.
+measurement noise, the world's ``measurement_noise_db``, seeded from (world
+seed, route), so the training and test traces differ the way two real drives
+would.  A trace is synthesized in fixed blocks of scans; each block draws its
+(scans, towers) noise from the trace's one generator, the same stream as one
+draw per tower per scan.  A numpy estimate of each block's field picks the
+pairs that can be heard, and only those get the exact path loss
+(``math.hypot``, ``math.log10``), so a trace matches the all-pairs field bit
+for bit.  One tower's exact power at one point, :func:`received_dbm`, comes
+from the same path-loss and shadowing helpers, audible or not.
 
-Everything is deterministic given (world seed, route): regenerating a trace
-yields identical bytes.
+A trace is a function of (world, route) alone: regenerating it yields
+identical bytes.
 """
 
 from __future__ import annotations
@@ -106,12 +106,12 @@ class Route:
 class SynthWorld:
     """Immutable tower layout plus propagation parameters and master seed.
 
-    ``measurement_noise_db`` is the default per-reading jitter added on top
-    of the static field when generating traces; it models the second-scale
-    RSSI fluctuation a stationary phone reports.  The shadowing lattice,
-    drawn at construction, has one layer per tower, seeded from (seed, 1,
-    tower index), with nodes one ``shadow_grid_spacing`` apart and beyond
-    the bounds.
+    ``measurement_noise_db`` is the standard deviation of the per-reading
+    jitter that :func:`generate_trace` adds on top of the static field; it
+    models the second-scale RSSI fluctuation a stationary phone reports.
+    The shadowing lattice, drawn at construction, has one layer per tower,
+    seeded from (seed, 1, tower index), with nodes one
+    ``shadow_grid_spacing`` apart and beyond the bounds.
     """
 
     bounds: tuple[float, float, float, float]  # (x_min, y_min, x_max, y_max)
@@ -297,24 +297,16 @@ def _route_noise_seed(world: SynthWorld, route: Route) -> np.random.SeedSequence
     return np.random.SeedSequence([world.seed, 2, digest])
 
 
-def generate_trace(
-    world: SynthWorld,
-    route: Route,
-    *,
-    noise_sigma_db: float | None = None,
-    noise_seed: int | None = None,
-) -> list[ScanVector]:
+def generate_trace(world: SynthWorld, route: Route) -> list[ScanVector]:
     """Drive the route at 1 scan per second; ground truth rides along.
 
     The position advances along the waypoints at the route speed; the trace
     ends at the last waypoint, so a route of length L yields
-    ceil(L / speed) + 1 scans.  Measurement noise defaults to the world's
-    ``measurement_noise_db`` and is seeded from (world seed, route) unless
-    ``noise_seed`` overrides it, so distinct routes give independent traces
-    while regeneration is byte-identical.
+    ceil(L / speed) + 1 scans.  The measurement noise is the world's
+    ``measurement_noise_db``, seeded from (world seed, route): the trace is a
+    function of (world, route) alone, distinct routes give independent
+    traces, and regeneration is byte-identical.
     """
-    if noise_sigma_db is None:
-        noise_sigma_db = world.measurement_noise_db
     pts = route.waypoints
     seg_lengths = np.array([a.distance_to(b) for a, b in zip(pts, pts[1:])])
     cumulative = np.concatenate([[0.0], np.cumsum(seg_lengths)])
@@ -329,18 +321,12 @@ def generate_trace(
     frac = (dist - cumulative[seg]) / seg_lengths[seg]
     w = np.array([(p.x, p.y) for p in pts])
     x, y = (w[seg] + frac[:, None] * (w[seg + 1] - w[seg])).T
-    rng = None
-    if noise_sigma_db > 0:
-        seed = (
-            np.random.SeedSequence([world.seed, 2, noise_seed])
-            if noise_seed is not None
-            else _route_noise_seed(world, route)
-        )
-        rng = np.random.default_rng(seed)
+    sigma = world.measurement_noise_db
+    rng = np.random.default_rng(_route_noise_seed(world, route)) if sigma > 0 else None
     scans: list[ScanVector] = []
     for start in range(0, len(t), _BLOCK_SCANS):
         block = slice(start, start + _BLOCK_SCANS)
-        scans += _block_scans(world, t[block].tolist(), x[block], y[block], rng, noise_sigma_db)
+        scans += _block_scans(world, t[block].tolist(), x[block], y[block], rng, sigma)
     return scans
 
 

@@ -451,14 +451,18 @@ def scalar_scan(world, p: PlanarPoint, noise_rng=None, noise_sigma_db: float = 0
     return [(tid, dbm_to_asu(dbm)) for dbm, tid in audible[:7]]
 
 
-def scalar_trace(world, route, noise_sigma_db: float, noise_seed: int):
-    """``(x, y, readings)`` per 1 Hz step along the route, stepped one at a time."""
+def scalar_trace(world, route, seed: np.random.SeedSequence):
+    """``(x, y, readings)`` per 1 Hz step along the route, stepped one at a time.
+
+    The noise is the world's ``measurement_noise_db``, drawn from ``seed``,
+    the route's seed sequence.
+    """
     pts = route.waypoints
     seg_lengths = [math.hypot(b.x - a.x, b.y - a.y) for a, b in zip(pts, pts[1:])]
     cumulative = [0.0]
     for length in seg_lengths:
         cumulative.append(cumulative[-1] + length)
-    rng = np.random.default_rng(np.random.SeedSequence([world.seed, 2, noise_seed]))
+    rng = np.random.default_rng(seed)
     out = []
     for t in range(int(math.ceil(cumulative[-1] / route.speed - 1e-9)) + 1):
         dist = min(t * route.speed, cumulative[-1])
@@ -466,5 +470,5 @@ def scalar_trace(world, route, noise_sigma_db: float, noise_seed: int):
         frac = (dist - cumulative[seg]) / seg_lengths[seg]
         x = pts[seg].x + frac * (pts[seg + 1].x - pts[seg].x)
         y = pts[seg].y + frac * (pts[seg + 1].y - pts[seg].y)
-        out.append((x, y, scalar_scan(world, PlanarPoint(x, y), rng, noise_sigma_db)))
+        out.append((x, y, scalar_scan(world, PlanarPoint(x, y), rng, world.measurement_noise_db)))
     return out

@@ -143,28 +143,24 @@ class TestEvaluate:
 
 class TestSweeps:
     def test_single_value_equals_plain_evaluate(self, training_scans, test_scans):
-        reports = sweep_grid_length(
-            training_scans, test_scans, [70.0], origin=ORIGIN, time_repeats=1
-        )
-        rm = build_radio_map(training_scans, 70.0, origin=ORIGIN)
+        reports = sweep_grid_length(training_scans, test_scans, [70.0])
+        rm = build_radio_map(training_scans, 70.0)
         single = evaluate(rm, test_scans, "probabilistic", time_repeats=1)
         assert len(reports) == 1
         assert reports[0].median_error_m == single.median_error_m
         assert reports[0].error_cdf == single.error_cdf
 
     def test_grid_sweep_rows(self, training_scans, test_scans):
-        reports = sweep_grid_length(
-            training_scans, test_scans, [50.0, 150.0], origin=ORIGIN, time_repeats=1
-        )
+        reports = sweep_grid_length(training_scans, test_scans, [50.0, 150.0])
         assert [r.grid_m for r in reports] == [50.0, 150.0]
 
     def test_ns_and_k_sweeps(self, training_scans, test_scans):
         rm = build_radio_map(training_scans, 70.0, origin=ORIGIN)
         ns_configs = [EstimatorParams(n_samples=ns) for ns in (1, 3)]
-        ns_reports = sweep_params(rm, test_scans, ns_configs, time_repeats=1)
+        ns_reports = sweep_params(rm, test_scans, ns_configs)
         assert [r.n_samples for r in ns_reports] == [1, 3]
         k_configs = [EstimatorParams(k=k) for k in (1, 2, 4)]
-        k_reports = sweep_params(rm, test_scans, k_configs, time_repeats=1)
+        k_reports = sweep_params(rm, test_scans, k_configs)
         assert [r.k for r in k_reports] == [1, 2, 4]
 
     def test_empty_values_rejected(self, training_scans, test_scans):
@@ -177,12 +173,10 @@ class TestSweeps:
     def test_tower_drop_and_density_single_value_equal_plain_evaluate(
         self, training_scans, test_scans
     ):
-        rm = build_radio_map(training_scans, 70.0, origin=ORIGIN)
+        rm = build_radio_map(training_scans, 70.0)
         single = evaluate(rm, test_scans, "probabilistic", time_repeats=1)
-        dropped = sweep_tower_drop(rm, test_scans, [0.0], time_repeats=1)
-        kept = sweep_density(
-            training_scans, test_scans, [1.0], grid_length=70.0, origin=ORIGIN, time_repeats=1
-        )
+        dropped = sweep_tower_drop(rm, test_scans, [0.0])
+        kept = sweep_density(training_scans, test_scans, [1.0], grid_length=70.0)
         for reports in (dropped, kept):
             assert len(reports) == 1
             assert reports[0].error_cdf == single.error_cdf
@@ -190,14 +184,12 @@ class TestSweeps:
     def test_tower_drop_and_density_seed_per_value(self, training_scans, test_scans):
         rm = build_radio_map(training_scans, 70.0, origin=ORIGIN)
         seeds = [int(np.random.SeedSequence([9, i]).generate_state(1)[0]) for i in range(2)]
-        dropped = sweep_tower_drop(rm, test_scans, [0.5, 0.25], base_seed=9, time_repeats=1)
+        dropped = sweep_tower_drop(rm, test_scans, [0.5, 0.25], base_seed=9)
         kept = sweep_density(training_scans, test_scans, [0.5, 0.6], grid_length=70.0,
-                             origin=ORIGIN, base_seed=9, time_repeats=1)
+                             base_seed=9)
         for i, (drop, keep) in enumerate(zip((0.5, 0.25), (0.5, 0.6))):
             ablated = ablate_towers(rm, drop, seeds[i])
-            thinned = build_radio_map(
-                thin_fingerprint(training_scans, keep, seeds[i]), 70.0, origin=ORIGIN
-            )
+            thinned = build_radio_map(thin_fingerprint(training_scans, keep, seeds[i]), 70.0)
             for report, radio_map in ((dropped[i], ablated), (kept[i], thinned)):
                 direct = evaluate(radio_map, test_scans, "probabilistic", time_repeats=1)
                 assert report.error_cdf == direct.error_cdf
@@ -313,9 +305,9 @@ def test_cells_view_stays_unbuilt(tmp_path, training_scans, test_scans):
         maps[id(model)] = model
         return probabilistic_locate(model, window, params)
 
-    kw = dict(technique=recording, time_repeats=1)
-    sweep_grid_length(training_scans, test_scans, [50.0, 70.0], origin=ORIGIN, **kw)
-    sweep_density(training_scans, test_scans, [0.5], grid_length=70.0, origin=ORIGIN, **kw)
+    kw = dict(technique=recording)
+    sweep_grid_length(training_scans, test_scans, [50.0, 70.0], **kw)
+    sweep_density(training_scans, test_scans, [0.5], grid_length=70.0, **kw)
     sweep_tower_drop(rm, test_scans, [0.0, 0.5], **kw)
     sweep_params(rm, test_scans, [EstimatorParams(k=1)], **kw)
     assert len(maps) == 7  # plus two grid lengths, one density and one drop of 0.5
@@ -364,11 +356,12 @@ class TestCsvOutput:
         assert len(lines) == 1 + len(report.error_cdf)
         assert float(lines[-1].split(",")[1]) == 1.0
 
-    def test_report_invariants_enforced(self):
-        with pytest.raises(ValueError):
-            EvalReport("x", 70.0, 1, 1, 1.0, 2.0, 0.1, error_cdf=((1.0, 0.5),))
-        with pytest.raises(ValueError, match="abscissae must be sorted"):
-            EvalReport("x", 70.0, 1, 1, 1.0, 2.0, 0.1, error_cdf=((2.0, 0.5), (1.0, 1.0)))
+    def test_report_statistics_derive_from_its_sorted_errors(self):
+        report = EvalReport("x", 70.0, 1, 1, 0.1, errors_m=(3.0, 1.0, 10.0, 2.0))
+        assert report.errors_m == (1.0, 2.0, 3.0, 10.0)
+        assert report.error_cdf == ((1.0, 0.25), (2.0, 0.5), (3.0, 0.75), (10.0, 1.0))
+        assert report.median_error_m == 2.5
+        assert report.p95_error_m == pytest.approx(3.0 + 0.85 * 7.0)
 
 
 def test_window_at_ends_at_the_scan_and_holds_up_to_n_samples():

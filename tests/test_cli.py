@@ -32,6 +32,15 @@ def tiny_trace(tmp_path):
     return path, towers
 
 
+@pytest.fixture
+def no_synthesis(monkeypatch):
+    """Fails the test if the CLI synthesizes a world."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("synthesized before checking the arguments")
+
+    monkeypatch.setattr(cli, "make_preset", refuse)
+
+
 class TestExitCodes:
     def test_usage_error_is_1(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -68,14 +77,31 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [["--param", "grid", "--values", "70", "--ns", "0"],
                                       ["--param", "towers", "--values", "0", "--k", "0"],
                                       ["--param", "ns", "--values", "0"]])
-    def test_sweep_count_below_1_is_1_before_synthesis(self, tmp_path, monkeypatch, argv):
-        def no_synthesis(*args, **kwargs):
-            raise AssertionError("synthesized before checking the counts")
-
-        monkeypatch.setattr(cli, "make_preset", no_synthesis)
+    def test_sweep_count_below_1_is_1_before_synthesis(self, tmp_path, no_synthesis, argv):
         with pytest.raises(SystemExit) as exc:
             main(["sweep", *argv, "--out", str(tmp_path / "out")])
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize("param, values, message", [
+        pytest.param("grid", ["70", "0"], "grid_length 0.0 is not a positive finite number",
+                     id="grid_0"),
+        pytest.param("grid", ["nan"], "grid_length nan is not a positive finite number",
+                     id="grid_nan"),
+        pytest.param("density", ["0.5", "0"], "keep_fraction must be in (0, 1], got 0.0",
+                     id="density_0"),
+        pytest.param("density", ["1.5"], "keep_fraction must be in (0, 1], got 1.5",
+                     id="density_1.5"),
+        pytest.param("towers", ["0.2", "1"], "drop_fraction must be in [0, 1), got 1.0",
+                     id="towers_1"),
+        pytest.param("towers", ["-0.1"], "drop_fraction must be in [0, 1), got -0.1",
+                     id="towers_-0.1"),
+    ])
+    def test_sweep_value_out_of_range_is_1_before_synthesis(self, tmp_path, capsys, no_synthesis,
+                                                             param, values, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--param", param, "--values", *values, "--out", str(tmp_path / "out")])
+        assert exc.value.code == 1
+        assert message in capsys.readouterr().err
 
     def test_unknown_command_is_1(self):
         with pytest.raises(SystemExit) as exc:

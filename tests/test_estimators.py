@@ -19,6 +19,7 @@ from gsmloc.estimators import (
 )
 from gsmloc.geo import GeoPoint, PlanarPoint, ScanVector
 from gsmloc.radiomap import (
+    N_ASU_BINS,
     MapFormatError,
     SmoothingParams,
     build_radio_map,
@@ -361,8 +362,14 @@ class TestHybridLocate:
             hybrid_locate(rm, [scan({"A": 10})], 1)
 
     def test_k_refine_below_1_rejected(self, small_map):
-        with pytest.raises(ValueError, match="k_refine must be >= 1"):
+        with pytest.raises(ValueError, match=r"^k_refine must be an integer >= 1, got 0$"):
             hybrid_locate(small_map, [scan({"A": 10})], k_refine=0)
+
+    @pytest.mark.parametrize("k_refine", [True, 1.5, 2.0])
+    def test_k_refine_that_is_not_an_integer_rejected(self, small_map, k_refine):
+        # EstimatorParams' count rule: a bool or a float is not a count.
+        with pytest.raises(ValueError, match=rf"^k_refine must be an integer >= 1, got {k_refine}$"):
+            hybrid_locate(small_map, [scan({"A": 10})], k_refine=k_refine)
 
 
 class TestDeterministicLocate:
@@ -422,6 +429,22 @@ def preset_maps():
         out[preset] = (generate_trace(world, routes["test"]),
                        build_radio_map(generate_trace(world, routes["train"]), DEFAULT_GRID_M))
     return out
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.1, 1.0])
+@pytest.mark.parametrize("preset", ["rural", "urban"])
+def test_log_table_equals_a_math_log_table_bit_for_bit(preset_maps, preset, alpha):
+    """The table takes ``np.log``, whose last bit may move with the CPU's SIMD
+    level, as ``np.exp``'s did; on these maps it equals libm's ``math.log``.
+    Should it differ on some machine, the table takes ``math.log``."""
+    _, rm = preset_maps[preset]
+    smoothing = SmoothingParams(alpha=alpha)
+    table = rm.log_likelihood_table(smoothing)
+    expected = np.full(table.shape, math.log(smoothing.p_min))
+    for t, c, counts in zip(rm.hist_tower.tolist(), rm.hist_cell.tolist(), rm.counts.tolist()):
+        total = sum(counts) + N_ASU_BINS * alpha
+        expected[t, :, c] = [math.log((n + alpha) / total) for n in counts]
+    assert table.tobytes() == expected.tobytes()
 
 
 class TestDeterministicScreen:

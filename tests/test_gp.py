@@ -418,7 +418,9 @@ class TestGrid:
         rng = np.random.default_rng(13)
         grid = gp_build_grid(self._models(rng), (0.0, 0.0, 100.0, 100.0), 50.0, ORIGIN)
         assert grid.towers == ("A", "B")
-        assert dataclasses.replace(grid, means={"B": grid.means["B"]}).towers == ("B",)
+        only_b = {name: {"B": getattr(grid, name)["B"]}
+                  for name in ("means", "variances", "noise_vars")}
+        assert dataclasses.replace(grid, **only_b).towers == ("B",)
 
 
 class TestGpLocate:
@@ -579,6 +581,12 @@ class TestGridRules:
                      id="zero_noise_var"),
         pytest.param(lambda g: dict(spacing=math.inf), "spacing inf is not a positive finite",
                      id="inf_spacing"),
+        pytest.param(lambda g: dict(variances={}), "name the same towers", id="variance_missing"),
+        pytest.param(lambda g: dict(noise_vars={}), "name the same towers", id="noise_var_missing"),
+        pytest.param(lambda g: dict(variances={**g.variances, "B": g.variances["A"]}),
+                     "name the same towers", id="variance_extra"),
+        pytest.param(lambda g: dict(noise_vars={**g.noise_vars, "B": 1.0}),
+                     "name the same towers", id="noise_var_extra"),
     ])
     def test_broken_rule_raises(self, edit, message):
         models = {"A": gp_fit(*random_training(np.random.default_rng(19), n=20), [HYPER])}

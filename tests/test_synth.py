@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 
@@ -12,6 +13,7 @@ from gsmloc.synth import (
     SynthWorld,
     Tower,
     _heard_dbm,
+    _route_noise_seed,
     generate_trace,
     make_preset,
     received_dbm,
@@ -154,13 +156,6 @@ class TestGenerateTrace:
         t2 = generate_trace(world, route)
         assert t1 == t2
 
-    def test_noise_seed_changes_trace(self):
-        world = self._world()
-        route = Route((PlanarPoint(0.0, 0.0), PlanarPoint(300.0, 400.0)), 7.0)
-        t1 = generate_trace(world, route, noise_seed=1)
-        t2 = generate_trace(world, route, noise_seed=2)
-        assert t1 != t2
-
     def test_truth_on_polyline(self):
         world = self._world()
         waypoints = (PlanarPoint(0.0, 0.0), PlanarPoint(100.0, 0.0), PlanarPoint(100.0, 80.0))
@@ -176,15 +171,16 @@ class TestGenerateTrace:
 
     def test_monotone_audibility_under_power_increase(self):
         towers = [Tower(f"T{i}", PlanarPoint(123.0 * i, 77.0 * i), -45.0) for i in range(8)]
-        world_lo = flat_world(towers, shadow=4.0, seed=9)
+        noiseless = dict(measurement_noise_db=0.0)
+        world_lo = dataclasses.replace(flat_world(towers, shadow=4.0, seed=9), **noiseless)
         boosted = [
             Tower(t.tower_id, t.location, t.tx_power_dbm + (6.0 if t.tower_id == "T3" else 0.0))
             for t in towers
         ]
-        world_hi = flat_world(boosted, shadow=4.0, seed=9)
+        world_hi = dataclasses.replace(flat_world(boosted, shadow=4.0, seed=9), **noiseless)
         route = Route((PlanarPoint(0.0, 0.0), PlanarPoint(600.0, 500.0)), 25.0)
-        lo = generate_trace(world_lo, route, noise_sigma_db=0.0)
-        hi = generate_trace(world_hi, route, noise_sigma_db=0.0)
+        lo = generate_trace(world_lo, route)
+        hi = generate_trace(world_hi, route)
         for a, b in zip(lo, hi):
             if "T3" in a.readings:
                 assert "T3" in b.readings
@@ -310,7 +306,7 @@ class TestFieldOracle:
         assert ours.normal() == ref.normal()  # both consumed one draw per tower per scan
 
     def test_generate_trace_matches_stepwise_oracle(self):
-        world = _oracle_world(6.0)
+        world = dataclasses.replace(_oracle_world(6.0), measurement_noise_db=3.0)
         waypoints = (
             PlanarPoint(-30.0, 20.0),
             PlanarPoint(500.0, 60.0),
@@ -318,8 +314,8 @@ class TestFieldOracle:
             PlanarPoint(40.0, 300.0),
         )
         route = Route(waypoints, 11.0)
-        trace = generate_trace(world, route, noise_sigma_db=3.0, noise_seed=8)
-        expected = scalar_trace(world, route, 3.0, 8)
+        trace = generate_trace(world, route)
+        expected = scalar_trace(world, route, _route_noise_seed(world, route))
         assert len(trace) == len(expected)
         for t, (sv, (x, y, readings)) in enumerate(zip(trace, expected)):
             assert sv.timestamp == float(t)
@@ -374,11 +370,11 @@ class TestPrunedFieldOracle:
         assert self._assert_heard_pairs_exact(world, [PlanarPoint(100.0, 0.0)], None) == 1
 
     def test_route_over_blocks_matches_stepwise_oracle(self):
-        world = _oracle_world(6.0)
+        world = dataclasses.replace(_oracle_world(6.0), measurement_noise_db=3.0)
         waypoints = (PlanarPoint(-30.0, 20.0), PlanarPoint(500.0, 60.0), PlanarPoint(40.0, 300.0))
         route = Route(waypoints, 1.9)
-        trace = generate_trace(world, route, noise_sigma_db=3.0, noise_seed=8)
-        expected = scalar_trace(world, route, 3.0, 8)
+        trace = generate_trace(world, route)
+        expected = scalar_trace(world, route, _route_noise_seed(world, route))
         assert len(trace) > 2 * _BLOCK_SCANS
         assert [list(sv.readings.items()) for sv in trace] == [r for _, _, r in expected]
 
@@ -387,12 +383,12 @@ class TestPrunedFieldOracle:
         tower = Tower("T0", PlanarPoint(0.0, 0.0), -20.0)
         world = flat_world([tower], bounds=(0.0, 0.0, 2000.0, 100.0))
         route = Route((PlanarPoint(0.0, 0.0), PlanarPoint(2000.0, 0.0)), 2.0)
-        expected = scalar_trace(world, route, 2.0, 4)
+        expected = scalar_trace(world, route, _route_noise_seed(world, route))
         first_silent = next(k for k, (_, _, r) in enumerate(expected) if r is None)
         assert first_silent > _BLOCK_SCANS
         x, y, _ = expected[first_silent]
         with pytest.raises(ValueError, match=rf"^no tower audible at \({x:.1f}, {y:.1f}\)$"):
-            generate_trace(world, route, noise_sigma_db=2.0, noise_seed=4)
+            generate_trace(world, route)
 
 
 class TestGoldenTraces:
