@@ -1,19 +1,21 @@
 """Command-line surface: synth, build, locate, evaluate, sweep.
 
-Exit codes: 0 on success, 1 on usage errors, 2 on data errors (bad files,
-missing ground truth, unknown towers and the like).
-"""
+Exit codes: 0 on success; 1 on usage errors, every value outside its rule
+included, before any file is read or work is done; 2 on data errors (bad
+files, missing ground truth, unknown towers and the like)."""
 
 from __future__ import annotations
 
 import argparse
 import csv
 import dataclasses
+import functools
 import os
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import bench, gp
+from .estimators import check_count
 from .geo import (
     project_array,
     read_tower_locations,
@@ -28,6 +30,32 @@ from .synth import generate_trace, make_preset
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
+
+
+def _checked(kind: type, check: Callable[[object], None]) -> Callable[[str], object]:
+    """argparse ``type=``: ``kind(text)``, then the library's rule ``check`` as a usage error."""
+    def convert(text: str):
+        value = kind(text)  # a ValueError here reads "invalid <kind> value"
+        try:
+            check(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+
+    convert.__name__ = kind.__name__
+    return convert
+
+
+#: Each count option's name and the EstimatorParams field it sets.
+_COUNTS = {"ns": "n_samples", "k": "k"}
+#: The type of each sweep's --values; the keys are --param's choices.
+_SWEEP_VALUES = {
+    "grid": _checked(float, functools.partial(check_positive_finite, "grid_length")),
+    "ns": _checked(int, functools.partial(check_count, "n_samples")),
+    "k": _checked(int, functools.partial(check_count, "k")),
+    "towers": _checked(float, check_drop_fraction),
+    "density": _checked(float, check_keep_fraction),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -50,23 +78,19 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("build", help="build a radio map (or GP grid) from a trace")
     p.add_argument("--traces", required=True, help="training trace CSV")
-    p.add_argument("--grid-length", type=float, default=bench.DEFAULT_GRID_M)
+    p.add_argument("--grid-length", type=_SWEEP_VALUES["grid"], default=bench.DEFAULT_GRID_M)
     p.add_argument("--out", required=True, help="output JSON path")
     p.add_argument("--towers", help="tower_id,lat,lon CSV to embed (cell-ID needs it)")
     p.add_argument("--strip-points", action="store_true", help="drop raw fingerprint points")
     p.add_argument("--kind", choices=("map", "gp"), default="map")
-    p.add_argument("--spacing", type=float, default=bench.PRESET_GP_SPACING_M["rural"],
+    p.add_argument("--spacing", type=_checked(float, functools.partial(check_positive_finite,
+                   "spacing")), default=bench.PRESET_GP_SPACING_M["rural"],
                    help="GP lattice spacing, kind=gp (default: %(default)g m, the rural preset's)")
 
-    for name, needs_truth in (("locate", False), ("evaluate", True)):
-        p = sub.add_parser(
-            name,
-            help=(
-                "estimate positions for a trace"
-                if not needs_truth
-                else "evaluate a technique against ground truth"
-            ),
-        )
+    for name, needs_truth, about in (
+            ("locate", False, "estimate positions for a trace"),
+            ("evaluate", True, "evaluate a technique against ground truth")):
+        p = sub.add_parser(name, help=about)
         p.add_argument("--map", required=True, dest="map_path")
         p.add_argument("--scans", required=True, help="trace CSV")
         p.add_argument("--technique", required=True, choices=bench.TECHNIQUES)
@@ -78,7 +102,7 @@ def _build_parser() -> _Parser:
             p.add_argument("--out", help="write estimates CSV here (default stdout)")
 
     p = sub.add_parser("sweep", help="run a parameter sweep on a synthetic preset")
-    p.add_argument("--param", required=True, choices=("grid", "ns", "k", "towers", "density"))
+    p.add_argument("--param", required=True, choices=_SWEEP_VALUES)
     p.add_argument("--values", required=True, nargs="+", help="integers for ns and k")
     p.add_argument("--preset", default="rural", choices=("rural", "urban"))
     p.add_argument("--seed", type=int, default=0)
@@ -87,16 +111,17 @@ def _build_parser() -> _Parser:
     p.add_argument(
         "--technique", default="probabilistic", choices=[t for t in bench.TECHNIQUES if t != "gp"]
     )
-    p.add_argument("--grid-length", type=float, default=bench.DEFAULT_GRID_M)
+    p.add_argument("--grid-length", type=_SWEEP_VALUES["grid"], default=bench.DEFAULT_GRID_M)
     _add_params(p, "--preset")
     return parser
 
 
 def _add_params(p: argparse.ArgumentParser, preset: str) -> None:
     tuned = f"default: the technique's value tuned on {preset}"
-    p.add_argument("--ns", type=int, help=f"window length in scans ({tuned}); hybrid and "
-                   "cellid read only the window's freshest scan, so it does not change them")
-    p.add_argument("--k", type=int, help=f"top-K / KNN size ({tuned})")
+    p.add_argument("--ns", type=_SWEEP_VALUES["ns"], help=f"window length in scans ({tuned}); "
+                   "hybrid and cellid read only the window's freshest scan, so it does not "
+                   "change them")
+    p.add_argument("--k", type=_SWEEP_VALUES["k"], help=f"top-K / KNN size ({tuned})")
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
@@ -182,22 +207,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         )
     elif args.param == "density":
         reports = bench.sweep_density(
-            train,
-            test,
-            values,
-            grid_length=args.grid_length,
-            params=params,
-            technique=args.technique,
-            tower_locations=towers,
-            base_seed=args.seed,
-        )
+            train, test, values, grid_length=args.grid_length, params=params,
+            technique=args.technique, tower_locations=towers, base_seed=args.seed)
     else:
         radio_map = build_radio_map(train, args.grid_length, tower_locations=towers)
         if args.param == "towers":
-            reports = bench.sweep_tower_drop(
-                radio_map, test, values, params=params, technique=args.technique,
-                base_seed=args.seed,
-            )
+            reports = bench.sweep_tower_drop(radio_map, test, values, params=params,
+                                             technique=args.technique, base_seed=args.seed)
         else:
             reports = bench.sweep_params(radio_map, test, values, technique=args.technique)
 
@@ -208,13 +224,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     print(f"wrote report.csv and {len(reports)} CDF files to {args.out}")
     return 0
 
-
-#: The range rule of each float sweep's values, as the library states it.
-_SWEEP_VALUE_CHECKS = {
-    "grid": lambda v: check_positive_finite("grid_length", v),
-    "density": check_keep_fraction,
-    "towers": check_drop_fraction,
-}
 
 _COMMANDS = {
     "synth": _cmd_synth,
@@ -228,30 +237,20 @@ _COMMANDS = {
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "sweep":
-        kind = int if args.param in ("ns", "k") else float
-        try:
-            args.values = [kind(v) for v in args.values]
-        except ValueError:
-            parser.error(f"--param {args.param} takes {kind.__name__} values: {args.values}")
     if "technique" in args:
-        # The preset's tuned parameters for the technique, overridden by --ns/--k;
-        # an ns or k sweep's values become one copy each.  EstimatorParams states
-        # the count rule and the library the other sweeps' ranges: what they
-        # refuse is a usage error, before any file is read or trace synthesized.
+        # The preset's tuned parameters for the technique, overridden by --ns/--k.
         tuned = bench.preset_params(getattr(args, "preset", "rural"), args.technique)
-        counts = {"n_samples": args.ns, "k": args.k}
+        given = {f: getattr(args, o) for o, f in _COUNTS.items() if getattr(args, o) is not None}
+        args.params = dataclasses.replace(tuned, **given)
+    if args.command == "sweep":
+        convert = _SWEEP_VALUES[args.param]
         try:
-            args.params = dataclasses.replace(
-                tuned, **{name: v for name, v in counts.items() if v is not None})
-            if args.command == "sweep" and args.param in ("ns", "k"):
-                field = "n_samples" if args.param == "ns" else "k"
-                args.values = [dataclasses.replace(args.params, **{field: v}) for v in args.values]
-            elif args.command == "sweep":
-                for v in args.values:
-                    _SWEEP_VALUE_CHECKS[args.param](v)
-        except ValueError as exc:
-            parser.error(str(exc))
+            args.values = [convert(v) for v in args.values]
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            parser.error(f"--param {args.param} takes {convert.__name__} values: {exc}")
+        if args.param in _COUNTS:  # one copy of the parameters per value
+            args.values = [dataclasses.replace(args.params, **{_COUNTS[args.param]: v})
+                           for v in args.values]
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:

@@ -103,6 +103,43 @@ class TestExitCodes:
         assert exc.value.code == 1
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spacing", ["0", "nan", "-1"])
+    def test_gp_spacing_out_of_range_is_1_before_fitting(self, tiny_trace, tmp_path, capsys,
+                                                          monkeypatch, spacing):
+        def refuse(*args, **kwargs):
+            raise AssertionError("fitted GPs before checking the arguments")
+
+        monkeypatch.setattr(cli.gp, "fit_tower_models", refuse)
+        trace, _ = tiny_trace
+        with pytest.raises(SystemExit) as exc:
+            main(["build", "--traces", str(trace), "--kind", "gp", "--spacing", spacing,
+                  "--out", str(tmp_path / "grid.json")])
+        assert exc.value.code == 1
+        assert "is not a positive finite number" in capsys.readouterr().err
+
+    def test_build_grid_length_0_is_1_before_reading_the_trace(self, tiny_trace, tmp_path,
+                                                               capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("read the trace before checking the arguments")
+
+        monkeypatch.setattr(cli, "read_trace", refuse)
+        trace, _ = tiny_trace
+        with pytest.raises(SystemExit) as exc:
+            main(["build", "--traces", str(trace), "--grid-length", "0",
+                  "--out", str(tmp_path / "map.json")])
+        assert exc.value.code == 1
+        assert "grid_length 0.0 is not a positive finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("param, values", [("density", "1"), ("towers", "0"), ("ns", "2"),
+                                               ("k", "2")])
+    def test_sweep_grid_length_0_is_1_before_synthesis(self, tmp_path, capsys, no_synthesis,
+                                                        param, values):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--param", param, "--values", values, "--grid-length", "0",
+                  "--out", str(tmp_path / "out")])
+        assert exc.value.code == 1
+        assert "grid_length 0.0 is not a positive finite number" in capsys.readouterr().err
+
     def test_unknown_command_is_1(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
