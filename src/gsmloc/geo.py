@@ -191,7 +191,12 @@ TOWER_HEADER = ("tower_id", "lat", "lon")
 
 
 def write_trace(scans: Iterable[ScanVector], path: str) -> None:
-    """Write scans as a trace CSV, one row per tower (sorted per scan)."""
+    """Write scans as a trace CSV, one row per reading in the scan's own order.
+
+    :func:`read_trace` gives back each scan's readings in that order, which
+    the probabilistic posterior sums in, so estimates from a written trace
+    equal those from the scans in memory.
+    """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRACE_HEADER)
@@ -200,8 +205,8 @@ def write_trace(scans: Iterable[ScanVector], path: str) -> None:
                 lat, lon = repr(scan.truth.lat), repr(scan.truth.lon)
             else:
                 lat, lon = "", ""
-            for tower_id in sorted(scan.readings):
-                writer.writerow([repr(scan.timestamp), lat, lon, tower_id, scan.readings[tower_id]])
+            for tower_id, asu in scan.readings.items():
+                writer.writerow([repr(scan.timestamp), lat, lon, tower_id, asu])
 
 
 def _read_records(path: str, header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:

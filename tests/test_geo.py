@@ -233,6 +233,15 @@ class TestTraceFiles:
         write_trace(scans, str(path))
         assert read_trace(str(path)) == scans
 
+    def test_round_trip_keeps_each_scans_reading_order(self, tmp_path):
+        # The probabilistic posterior sums in reading order, so a sorted
+        # file would move estimates in the last bits.
+        scans = [ScanVector(0.0, {"T7": 3, "T1": 17, "T4": 9}), ScanVector(1.0, {"B": 1, "A": 2})]
+        path = tmp_path / "trace.csv"
+        write_trace(scans, str(path))
+        assert [list(s.readings.items()) for s in read_trace(str(path))] == [
+            list(s.readings.items()) for s in scans]
+
     def test_round_trip_without_truth(self, tmp_path):
         scans = [ScanVector(3.5, {"A": 9})]
         path = tmp_path / "trace.csv"
