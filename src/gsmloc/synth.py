@@ -238,15 +238,16 @@ def _block_scans(
     x: np.ndarray,
     y: np.ndarray,
     noise_rng: np.random.Generator | None,
-    noise_sigma_db: float,
 ) -> list[ScanVector]:
     """A :func:`scan_at` scan at each ``(times[k], x[k], y[k])``; raises at the first silent one.
 
-    The noise is one (points, towers) draw from ``noise_rng``.
+    The noise is one (points, towers) draw from ``noise_rng`` with the
+    world's ``measurement_noise_db``.
     """
     noise = None
-    if noise_rng is not None and noise_sigma_db > 0:
-        noise = noise_rng.normal(0.0, noise_sigma_db, size=(len(x), len(world.towers)))
+    sigma = world.measurement_noise_db
+    if noise_rng is not None and sigma > 0:
+        noise = noise_rng.normal(0.0, sigma, size=(len(x), len(world.towers)))
     dbm = _heard_dbm(world, x, y, noise)
 
     # strongest first, ties by tower id: a stable sort over columns in id order
@@ -276,19 +277,19 @@ def scan_at(
     t: float,
     *,
     noise_rng: np.random.Generator | None = None,
-    noise_sigma_db: float = 0.0,
 ) -> ScanVector:
     """One scan at a position: the up-to-7 strongest audible towers.
 
     Towers below the receiver sensitivity (-113 dBm, ASU 0) are dropped,
     the rest sorted by decreasing power (ties by tower id), truncated to 7
     and quantized to ASU.  When ``noise_rng`` is given, one Gaussian draw
-    per tower (in world order, audible or not) perturbs each reading.
+    per tower (in world order, audible or not) with the world's
+    ``measurement_noise_db`` perturbs each reading.
 
     Raises:
         ValueError: if no tower is audible at ``p``.
     """
-    return _block_scans(world, [t], np.array([p.x]), np.array([p.y]), noise_rng, noise_sigma_db)[0]
+    return _block_scans(world, [t], np.array([p.x]), np.array([p.y]), noise_rng)[0]
 
 
 def _route_noise_seed(world: SynthWorld, route: Route) -> np.random.SeedSequence:
@@ -321,12 +322,11 @@ def generate_trace(world: SynthWorld, route: Route) -> list[ScanVector]:
     frac = (dist - cumulative[seg]) / seg_lengths[seg]
     w = np.array([(p.x, p.y) for p in pts])
     x, y = (w[seg] + frac[:, None] * (w[seg + 1] - w[seg])).T
-    sigma = world.measurement_noise_db
-    rng = np.random.default_rng(_route_noise_seed(world, route)) if sigma > 0 else None
+    rng = np.random.default_rng(_route_noise_seed(world, route))
     scans: list[ScanVector] = []
     for start in range(0, len(t), _BLOCK_SCANS):
         block = slice(start, start + _BLOCK_SCANS)
-        scans += _block_scans(world, t[block].tolist(), x[block], y[block], rng, sigma)
+        scans += _block_scans(world, t[block].tolist(), x[block], y[block], rng)
     return scans
 
 

@@ -430,11 +430,12 @@ def scalar_received_dbm(world, rank: int, p: PlanarPoint) -> float:
     return dbm
 
 
-def scalar_scan(world, p: PlanarPoint, noise_rng=None, noise_sigma_db: float = 0.0):
+def scalar_scan(world, p: PlanarPoint, noise_rng=None):
     """Readings at ``p`` as ``[(tower_id, asu), ...]``, strongest first.
 
-    One scalar noise draw per tower in world order when ``noise_rng`` is
-    given; ``None`` when no tower is audible.
+    One scalar noise draw per tower in world order, with the world's
+    ``measurement_noise_db``, when ``noise_rng`` is given; ``None`` when no
+    tower is audible.
     """
     from gsmloc.geo import SENSITIVITY_DBM, dbm_to_asu
 
@@ -442,7 +443,7 @@ def scalar_scan(world, p: PlanarPoint, noise_rng=None, noise_sigma_db: float = 0
     for rank, tower in enumerate(world.towers):
         dbm = scalar_received_dbm(world, rank, p)
         if noise_rng is not None:
-            dbm += noise_rng.normal(0.0, noise_sigma_db)
+            dbm += noise_rng.normal(0.0, world.measurement_noise_db)
         if dbm >= SENSITIVITY_DBM:
             audible.append((dbm, tower.tower_id))
     if not audible:
@@ -470,5 +471,5 @@ def scalar_trace(world, route, seed: np.random.SeedSequence):
         frac = (dist - cumulative[seg]) / seg_lengths[seg]
         x = pts[seg].x + frac * (pts[seg + 1].x - pts[seg].x)
         y = pts[seg].y + frac * (pts[seg + 1].y - pts[seg].y)
-        out.append((x, y, scalar_scan(world, PlanarPoint(x, y), rng, world.measurement_noise_db)))
+        out.append((x, y, scalar_scan(world, PlanarPoint(x, y), rng)))
     return out

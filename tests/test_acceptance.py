@@ -130,7 +130,7 @@ def timing_bed():
     grid_rng = np.random.default_rng(1)
     pts = [PlanarPoint(x, y) for y in np.arange(20, side, 35.0) for x in np.arange(20, side, 35.0)]
     scans = [
-        scan_at(world, p, float(i), noise_rng=grid_rng, noise_sigma_db=4.5)
+        scan_at(world, p, float(i), noise_rng=grid_rng)
         for i, p in enumerate(pts)
     ]
     radio_map = build_radio_map(scans, 70.0)
@@ -145,7 +145,7 @@ def timing_bed():
     drive_rng = np.random.default_rng(2)
     drive = [PlanarPoint(50 + 8.0 * i, side / 2) for i in range(150)]
     drive_scans = [
-        scan_at(world, p, float(i), noise_rng=drive_rng, noise_sigma_db=4.5)
+        scan_at(world, p, float(i), noise_rng=drive_rng)
         for i, p in enumerate(drive)
     ]
     return world, radio_map, gp_grid, drive_scans
@@ -512,7 +512,8 @@ def test_criterion_8_linear_scaling():
                 for i in range(40)
             )
             world = SynthWorld(
-                (0, 0, side, side), towers, PathLossParams(shadow_grid_spacing=60.0), seed=9
+                (0, 0, side, side), towers, PathLossParams(shadow_grid_spacing=60.0), seed=9,
+                measurement_noise_db=3.0,
             )
             srng = np.random.default_rng(3)
             pts = [
@@ -521,14 +522,14 @@ def test_criterion_8_linear_scaling():
                 for x in np.arange(15, side, 35.0)
             ]
             scans = [
-                scan_at(world, p, float(i), noise_rng=srng, noise_sigma_db=3.0)
+                scan_at(world, p, float(i), noise_rng=srng)
                 for i, p in enumerate(pts)
             ]
             radio_map = build_radio_map(scans, 70.0)
             drng = np.random.default_rng(4)
             drive = [PlanarPoint(30 + 3.0 * i, side / 2) for i in range(130)]
             dscans = [
-                scan_at(world, p, float(i), noise_rng=drng, noise_sigma_db=3.0)
+                scan_at(world, p, float(i), noise_rng=drng)
                 for i, p in enumerate(drive)
             ]
             beds.append((radio_map, dscans))

@@ -292,15 +292,15 @@ class TestFieldOracle:
 
     @pytest.mark.parametrize("shadow", [0.0, 6.0])
     def test_scan_at_matches_oracle(self, shadow):
-        world = _oracle_world(shadow)
+        world = dataclasses.replace(_oracle_world(shadow), measurement_noise_db=4.0)
         ours, ref = np.random.default_rng(5), np.random.default_rng(5)
         for t, p in enumerate(_ORACLE_POINTS):
-            expected = scalar_scan(world, p, ref, 4.0)
+            expected = scalar_scan(world, p, ref)
             if expected is None:
                 with pytest.raises(ValueError, match="no tower audible"):
-                    scan_at(world, p, float(t), noise_rng=ours, noise_sigma_db=4.0)
+                    scan_at(world, p, float(t), noise_rng=ours)
                 continue
-            sv = scan_at(world, p, float(t), noise_rng=ours, noise_sigma_db=4.0)
+            sv = scan_at(world, p, float(t), noise_rng=ours)
             assert list(sv.readings.items()) == expected
             assert sv.timestamp == float(t)
         assert ours.normal() == ref.normal()  # both consumed one draw per tower per scan
