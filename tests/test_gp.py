@@ -15,7 +15,9 @@ import pytest
 import gsmloc
 from conftest import ORIGIN, scan_at_planar
 from gsmloc.geo import PlanarPoint, ProjectionRangeWarning, ScanVector
+from gsmloc import gp
 from gsmloc.gp import (
+    GpFitError,
     GpHyperparams,
     _spectral_lmls,
     default_hyper_grid,
@@ -127,6 +129,19 @@ class TestFit:
         assert np.array_equal(m1.locations, m2.locations)
         assert not np.array_equal(m1.locations, m3.locations)
         assert m1.n_training == 40
+
+    def test_gp_fit_error_after_the_jitter_retries(self, monkeypatch):
+        calls = []
+
+        def never_positive_definite(matrix, **kwargs):
+            calls.append(matrix)
+            raise np.linalg.LinAlgError("not positive definite")
+
+        monkeypatch.setattr(gp, "cholesky", never_positive_definite)
+        x, y = random_training(np.random.default_rng(6), n=20)
+        with pytest.raises(GpFitError, match="not positive definite even after jitter"):
+            gp_fit(x, y, [HYPER])
+        assert len(calls) == 4  # the plain matrix, then three jitters
 
     def test_factorization_reproduces_kernel_matrix(self):
         rng = np.random.default_rng(4)

@@ -14,6 +14,7 @@ from gsmloc.synth import (
     Tower,
     _heard_dbm,
     _route_noise_seed,
+    _trim_polyline,
     generate_trace,
     make_preset,
     received_dbm,
@@ -215,6 +216,12 @@ def test_bad_route_or_world_refused(make, message):
 
 
 class TestPresets:
+    def test_trim_polyline_refuses_a_target_past_its_end(self):
+        path = [PlanarPoint(0.0, 0.0), PlanarPoint(100.0, 0.0), PlanarPoint(100.0, 50.0)]
+        assert _trim_polyline(path, 120.0) == [*path[:2], PlanarPoint(100.0, 20.0)]
+        with pytest.raises(ValueError, match=r"^polyline shorter \(150 m\) than requested 200 m$"):
+            _trim_polyline(path, 200.0)
+
     def test_unknown_preset(self):
         with pytest.raises(ValueError, match="unknown preset"):
             make_preset("suburban", 0)
