@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success; 1 on usage errors, every value outside its rule
 included, before any file is read or work is done; 2 on data errors (bad
-files, missing ground truth, unknown towers and the like)."""
+files, missing ground truth, unknown towers and the like).
+"""
 
 from __future__ import annotations
 
@@ -83,8 +84,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--towers", help="tower_id,lat,lon CSV to embed (cell-ID needs it)")
     p.add_argument("--strip-points", action="store_true", help="drop raw fingerprint points")
     p.add_argument("--kind", choices=("map", "gp"), default="map")
-    p.add_argument("--spacing", type=_checked(float, functools.partial(check_positive_finite,
-                   "spacing")), default=bench.PRESET_GP_SPACING_M["rural"],
+    spacing = _checked(float, functools.partial(check_positive_finite, "spacing"))
+    p.add_argument("--spacing", type=spacing, default=bench.PRESET_GP_SPACING_M["rural"],
                    help="GP lattice spacing, kind=gp (default: %(default)g m, the rural preset's)")
 
     for name, needs_truth, about in (

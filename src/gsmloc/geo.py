@@ -191,12 +191,8 @@ TOWER_HEADER = ("tower_id", "lat", "lon")
 
 
 def write_trace(scans: Iterable[ScanVector], path: str) -> None:
-    """Write scans as a trace CSV, one row per reading in the scan's own order.
-
-    :func:`read_trace` gives back each scan's readings in that order, which
-    the probabilistic posterior sums in, so estimates from a written trace
-    equal those from the scans in memory.
-    """
+    """Write scans as a trace CSV, one row per reading in the scan's own order, which
+    :func:`read_trace` keeps and the probabilistic posterior sums in."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRACE_HEADER)

@@ -241,13 +241,11 @@ def _block_scans(
 ) -> list[ScanVector]:
     """A :func:`scan_at` scan at each ``(times[k], x[k], y[k])``; raises at the first silent one.
 
-    The noise is one (points, towers) draw from ``noise_rng`` with the
-    world's ``measurement_noise_db``.
+    The noise is one (points, towers) draw of the world's ``measurement_noise_db``.
     """
     noise = None
-    sigma = world.measurement_noise_db
-    if noise_rng is not None and sigma > 0:
-        noise = noise_rng.normal(0.0, sigma, size=(len(x), len(world.towers)))
+    if noise_rng is not None and world.measurement_noise_db > 0:
+        noise = noise_rng.normal(0.0, world.measurement_noise_db, size=(len(x), len(world.towers)))
     dbm = _heard_dbm(world, x, y, noise)
 
     # strongest first, ties by tower id: a stable sort over columns in id order
@@ -282,9 +280,8 @@ def scan_at(
 
     Towers below the receiver sensitivity (-113 dBm, ASU 0) are dropped,
     the rest sorted by decreasing power (ties by tower id), truncated to 7
-    and quantized to ASU.  When ``noise_rng`` is given, one Gaussian draw
-    per tower (in world order, audible or not) with the world's
-    ``measurement_noise_db`` perturbs each reading.
+    and quantized to ASU.  With ``noise_rng``, one draw of the world's
+    ``measurement_noise_db`` per tower (in world order, audible or not) perturbs each reading.
 
     Raises:
         ValueError: if no tower is audible at ``p``.
