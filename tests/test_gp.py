@@ -14,8 +14,8 @@ import pytest
 
 import gsmloc
 from conftest import ORIGIN, scan_at_planar
-from gsmloc.geo import PlanarPoint, ProjectionRangeWarning, ScanVector
 from gsmloc import gp
+from gsmloc.geo import PlanarPoint, ProjectionRangeWarning, ScanVector
 from gsmloc.gp import (
     GpFitError,
     GpHyperparams,
