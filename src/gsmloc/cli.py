@@ -27,7 +27,7 @@ from .geo import (
 )
 from .radiomap import (build_radio_map, check_drop_fraction, check_keep_fraction,
                        check_positive_finite, default_origin, load_radio_map, save_radio_map)
-from .synth import generate_trace, make_preset
+from .synth import PRESETS, generate_trace, make_preset
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -73,7 +73,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate synthetic training/test traces")
-    p.add_argument("--preset", required=True, choices=("rural", "urban"))
+    p.add_argument("--preset", required=True, choices=PRESETS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output directory")
 
@@ -105,7 +105,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("sweep", help="run a parameter sweep on a synthetic preset")
     p.add_argument("--param", required=True, choices=_SWEEP_VALUES)
     p.add_argument("--values", required=True, nargs="+", help="integers for ns and k")
-    p.add_argument("--preset", default="rural", choices=("rural", "urban"))
+    p.add_argument("--preset", default="rural", choices=PRESETS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output directory")
     # Sweeps build radio maps, which the GP technique cannot use.
@@ -114,6 +114,7 @@ def _build_parser() -> _Parser:
     )
     p.add_argument("--grid-length", type=_SWEEP_VALUES["grid"], default=bench.DEFAULT_GRID_M)
     _add_params(p, "--preset")
+    p.set_defaults(subparser=p)  # --values' type depends on --param: checked after parsing
     return parser
 
 
@@ -248,7 +249,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         try:
             args.values = [convert(v) for v in args.values]
         except (ValueError, argparse.ArgumentTypeError) as exc:
-            parser.error(f"--param {args.param} takes {convert.__name__} values: {exc}")
+            args.subparser.error(f"--param {args.param} takes {convert.__name__} values: {exc}")
         if args.param in _COUNTS:  # one copy of the parameters per value
             args.values = [dataclasses.replace(args.params, **{_COUNTS[args.param]: v})
                            for v in args.values]

@@ -42,7 +42,7 @@ from scipy.linalg.lapack import dptsv, dsytrd, dsytrd_lwork
 
 from .estimators import LocationEstimate, _check_scans
 from .geo import GeoPoint, PlanarPoint, ScanVector, project_array
-from .radiomap import (check_positive_finite, ground_truths, json_floats, json_value,
+from .radiomap import (check_positive_finite, ground_truths, json_array, json_value,
                        load_document, reading_arrays, save_document)
 
 GP_GRID_KIND = "gp_grid"
@@ -418,15 +418,9 @@ def save_grid(grid: PrecomputedGrid, path: str) -> None:
     """Serialize a precomputed grid to versioned JSON."""
     save_document(path, GP_GRID_KIND, grid.origin, {
         "spacing_m": grid.spacing,
-        "points": [{"x": float(x), "y": float(y)} for x, y in grid.points],
-        "towers": {
-            tid: {
-                "mean": [float(v) for v in grid.means[tid]],
-                "var": [float(v) for v in grid.variances[tid]],
-                "noise_var": grid.noise_vars[tid],
-            }
-            for tid in grid.towers
-        },
+        "points": grid.points.tolist(),
+        "towers": {tid: {"mean": grid.means[tid].tolist(), "var": grid.variances[tid].tolist(),
+                         "noise_var": grid.noise_vars[tid]} for tid in grid.towers},
     })
 
 
@@ -434,30 +428,24 @@ def load_grid(path: str) -> PrecomputedGrid:
     """Read a grid saved by :func:`save_grid`.
 
     Raises:
-        MapFormatError: on version mismatch, a malformed/truncated file, a
-            field of the wrong JSON type or too large for it, or an origin
-            outside the lat/lon range; and, as the value rules are :class:`PrecomputedGrid`'s, on
-            a spacing that is not a positive finite number, no points or no
-            towers, tower arrays not of the point count, a non-finite point or
-            mean, a negative or non-finite variance, or a ``noise_var`` that
-            is not a positive finite number.
+        MapFormatError: on another version, a malformed/truncated file, a
+            field that breaks :func:`~gsmloc.radiomap.json_value` or an array
+            that breaks :func:`~gsmloc.radiomap.json_array` (``points`` are
+            [x, y] pairs), an origin outside the lat/lon range, or any
+            :class:`PrecomputedGrid` rule broken.
     """
     return load_document(path, GP_GRID_KIND, "GP grid", _parse_grid)
 
 
 def _parse_grid(doc: dict, origin: GeoPoint) -> PrecomputedGrid:
-    xy = [json_floats(p, "x", "y") for p in json_value(doc["points"], list)]
-    points = np.array(xy, dtype=float).reshape(len(xy), 2)
     towers = json_value(doc["towers"], dict)
-    series = {k: {tid: np.array([json_value(v, float) for v in json_value(entry[k], list)])
-                  for tid, entry in towers.items()} for k in ("mean", "var")}
-    for array in (points, *series["mean"].values(), *series["var"].values()):
-        array.setflags(write=False)
+    means, variances = ({tid: json_array(entry[k], float) for tid, entry in towers.items()}
+                        for k in ("mean", "var"))
     return PrecomputedGrid(
         origin=origin,
         spacing=json_value(doc["spacing_m"], float),
-        points=points,
-        means=series["mean"],
-        variances=series["var"],
+        points=json_array(doc["points"], float, 2),
+        means=means,
+        variances=variances,
         noise_vars={tid: json_value(e["noise_var"], float) for tid, e in towers.items()},
     )

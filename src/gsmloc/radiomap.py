@@ -6,14 +6,18 @@ its ground-truth position; all points falling in a cell are pooled into one
 per-tower ASU histogram, and the cell is represented by the center of mass
 of its points.  Cells with no points are simply absent.  A
 :class:`RadioMap` stores all of this as arrays, each point as one row of a
-(points x towers) ASU matrix, the form the hybrid phase searches.  Its
-``cells`` view of :class:`GridCell` objects is built on first access, for
-the benchmark's brute-force reference alone.
+(points x towers) ASU matrix, the form the hybrid phase searches.
 
 Histograms turn into likelihoods through Laplace smoothing over the 32-bin
 ASU support, with a small floor probability for towers that were never
 heard in a cell, so an online observation can penalize but never veto a
 candidate cell.
+
+A saved map (format version 2) is its arrays: next to ``grid_length_m``,
+``grid_anchor``, the sorted ``towers`` and the optional ``tower_locations``
+it holds one JSON field per array of ``_MAP_FIELDS``, rows as arrays (keys
+as [row, col]), and the point readings flat and sparse, as
+:func:`reading_arrays` lays them out, not as the dense ``point_asu``.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from .geo import (
 
 N_ASU_BINS = ASU_MAX + 1
 
-MAP_FORMAT_VERSION = 1
+MAP_FORMAT_VERSION = 2
 RADIO_MAP_KIND = "radio_map"
 
 _T = TypeVar("_T")
@@ -95,6 +99,10 @@ class GridCell:
 #: The dtype each array field of :class:`RadioMap` is stored in.
 _ARRAYS = dict(centroids=np.float64, hist_cell=np.intp, hist_tower=np.intp, counts=np.int64,
                point_xy=np.float64, point_offsets=np.intp, point_asu=np.int8)
+#: The map file's arrays, one JSON field each: field -> (JSON number kind, row width or 0).
+_MAP_FIELDS = dict(keys=(int, 2), centroids=(float, 2), hist_cell=(int, 0), hist_tower=(int, 0),
+                   counts=(int, N_ASU_BINS), point_xy=(float, 2), point_offsets=(int, 0),
+                   n_read=(int, 0), reading_tower=(int, 0), reading_asu=(int, 0))
 
 
 def check_positive_finite(name: str, value: float) -> None:
@@ -120,6 +128,12 @@ def _offsets(sizes: np.ndarray) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(sizes)))
 
 
+def _check_columns(columns: np.ndarray, n_towers: int) -> None:
+    """``ValueError`` listing the tower columns outside 0..n_towers-1."""
+    if unknown := sorted(set(columns[(columns < 0) | (columns >= n_towers)].tolist())):
+        raise ValueError(f"map names towers not in 'towers': columns {unknown}")
+
+
 @dataclass(frozen=True, eq=False)
 class RadioMap:
     """The probabilistic fingerprint: grid geometry plus per-cell histograms, as arrays.
@@ -143,10 +157,8 @@ class RadioMap:
     readings per point, each in ASU 0..31; a positive finite
     ``grid_length``; a finite anchor, centroids, point and tower locations;
     arrays agreeing in shape, offsets and order.  The log-likelihood table
-    is built on first use per :class:`SmoothingParams`, and :attr:`cells`,
-    a view of the arrays as :class:`GridCell` objects kept for the
-    benchmark's reference, on first access.  Equal maps have equal fields, arrays equal in dtype
-    and value.
+    is built on first use per :class:`SmoothingParams`.  Equal maps have
+    equal fields, arrays equal in dtype and value.
     """
 
     origin: GeoPoint
@@ -192,9 +204,7 @@ class RadioMap:
                 or (np.diff(cell_points) < 0).any()
                 or not all(a < b for a, b in zip(keys, keys[1:]))):
             raise ValueError("map arrays disagree in shape or offsets, or keys are not sorted")
-        columns = self.hist_tower
-        if unknown := sorted(set(columns[(columns < 0) | (columns >= n_towers)].tolist())):
-            raise ValueError(f"map names towers not in 'towers': columns {unknown}")
+        _check_columns(self.hist_tower, n_towers)
         if (((self.hist_cell < 0) | (self.hist_cell >= n_cells)).any()
                 or (np.diff(self.hist_cell * n_towers + self.hist_tower) <= 0).any()):
             raise ValueError("histograms must be one per (cell, tower) pair, in that order")
@@ -239,25 +249,6 @@ class RadioMap:
         return all(a.dtype == b.dtype and np.array_equal(a, b) if isinstance(a, np.ndarray)
                    else a == b for a, b in pairs)
 
-    def _cell_entries(self):
-        """Each cell, in key order, as the JSON object :func:`save_radio_map` writes."""
-        towers = sorted(self.tower_ids)
-        hist_towers = [towers[t] for t in self.hist_tower.tolist()]
-        heard = self.point_asu >= 0
-        names = [towers[t] for t in np.nonzero(heard)[1].tolist()]
-        asus = self.point_asu[heard].tolist()
-        h = np.searchsorted(self.hist_cell, np.arange(self.n_cells + 1)).tolist()
-        p, r = self.point_offsets.tolist(), _offsets(heard.sum(axis=1)).tolist()
-        for c, ((row, col), (x, y)) in enumerate(zip(self.keys, self.centroids.tolist())):
-            entry = {"row": row, "col": col, "centroid": {"x": x, "y": y}, "histograms": dict(
-                zip(hist_towers[h[c]:h[c + 1]], self.counts[h[c]:h[c + 1]].tolist()))}
-            if p[c] < p[c + 1]:
-                entry["points"] = [
-                    {"x": px, "y": py, "readings": dict(zip(names[a:b], asus[a:b]))}
-                    for (px, py), a, b in zip(self.point_xy[p[c]:p[c + 1]].tolist(),
-                                              r[p[c]:p[c + 1]], r[p[c] + 1:p[c + 1] + 1])]
-            yield entry
-
     @functools.cached_property
     def cells(self) -> dict[tuple[int, int], GridCell]:
         """The map as :class:`GridCell` objects keyed by (row, col), built on first access.
@@ -265,12 +256,18 @@ class RadioMap:
         A read-only view that nothing in the package reads.  It remains for
         the benchmark's brute-force reference until that reads the arrays.
         """
-        return {(e["row"], e["col"]): GridCell(
-            PlanarPoint(e["centroid"]["x"], e["centroid"]["y"]),
-            tuple(FingerprintPoint(PlanarPoint(p["x"], p["y"]), p["readings"])
-                  for p in e.get("points", ())),
-            {tid: TowerHistogram(tuple(c)) for tid, c in e["histograms"].items()},
-        ) for e in self._cell_entries()}
+        towers = sorted(self.tower_ids)
+        hists = [(towers[t], TowerHistogram(tuple(c)))
+                 for t, c in zip(self.hist_tower.tolist(), self.counts.tolist())]
+        heard = self.point_asu >= 0
+        names = [towers[t] for t in np.nonzero(heard)[1].tolist()]
+        asus, r = self.point_asu[heard].tolist(), _offsets(heard.sum(axis=1)).tolist()
+        points = [FingerprintPoint(PlanarPoint(x, y), dict(zip(names[a:b], asus[a:b])))
+                  for (x, y), a, b in zip(self.point_xy.tolist(), r, r[1:])]
+        h, p = _offsets(np.bincount(self.hist_cell)).tolist(), self.point_offsets.tolist()
+        return {key: GridCell(PlanarPoint(x, y), tuple(points[p[c]:p[c + 1]]),
+                              dict(hists[h[c]:h[c + 1]]))
+                for c, (key, (x, y)) in enumerate(zip(self.keys, self.centroids.tolist()))}
 
     @property
     def n_cells(self) -> int:
@@ -506,17 +503,15 @@ def ablate_towers(radio_map: RadioMap, drop_fraction: float, seed: int) -> Radio
 
 
 def save_radio_map(radio_map: RadioMap, path: str) -> None:
-    """Serialize a map to versioned JSON.  Byte-identical for equal maps."""
-    body: dict = {
-        "grid_length_m": radio_map.grid_length,
-        "grid_anchor": {"x": radio_map.anchor_x, "y": radio_map.anchor_y},
-        "towers": sorted(radio_map.tower_ids),
-        "cells": list(radio_map._cell_entries()),
-    }
-    if radio_map.tower_locations is not None:
-        body["tower_locations"] = {
-            tid: {"x": p.x, "y": p.y} for tid, p in radio_map.tower_locations.items()
-        }
+    """Serialize a map to versioned JSON, one field per array.  Byte-identical for equal maps."""
+    heard = radio_map.point_asu >= 0  # the readings flat and sparse, in column order
+    arrays = {**vars(radio_map), "n_read": heard.sum(axis=1), "reading_tower": np.nonzero(heard)[1],
+              "reading_asu": radio_map.point_asu[heard]}
+    body: dict = {name: np.asarray(arrays[name]).tolist() for name in _MAP_FIELDS}
+    body.update(grid_length_m=radio_map.grid_length, towers=sorted(radio_map.tower_ids),
+                grid_anchor={"x": radio_map.anchor_x, "y": radio_map.anchor_y})
+    if (locations := radio_map.tower_locations) is not None:
+        body["tower_locations"] = {tid: {"x": p.x, "y": p.y} for tid, p in locations.items()}
     save_document(path, RADIO_MAP_KIND, radio_map.origin, body)
 
 
@@ -525,6 +520,7 @@ def save_document(path: str, kind: str, origin: GeoPoint, body: dict) -> None:
     doc = {"version": MAP_FORMAT_VERSION, "kind": kind,
            "origin": {"lat": origin.lat, "lon": origin.lon}, **body}
     with open(path, "w", encoding="utf-8") as fh:
+        # json.dumps is ~4x faster but holds the whole text: urban peak RSS 110 -> 112.7 MB.
         json.dump(doc, fh, sort_keys=True)
 
 
@@ -564,6 +560,23 @@ def json_value(value, kind: type):
     return float(value) if kind is float else value
 
 
+def json_array(value, kind: type, width: int = 0) -> np.ndarray:
+    """A JSON array of ``kind`` numbers, or of rows of ``width``, as a read-only array.
+
+    Each number obeys :func:`json_value`, tested once per Python type present;
+    ``OverflowError`` on one too large for float64 or, if ``kind`` is int, int64.
+    """
+    rows = json_value(value, list)
+    if width and any(len(json_value(row, list)) != width for row in rows):
+        raise ValueError(f"expected rows of {width} numbers")
+    flat = list(chain.from_iterable(rows)) if width else rows
+    for sample in {type(v): v for v in flat}.values():
+        json_value(sample, kind)
+    array = np.array(flat, dtype=np.float64 if kind is float else np.int64)
+    array.setflags(write=False)
+    return array.reshape(-1, width) if width else array
+
+
 def json_floats(obj: dict, *keys: str) -> list[float]:
     """The named fields of a JSON object, each a JSON number, as floats."""
     return [json_value(obj[k], float) for k in keys]
@@ -573,63 +586,36 @@ def load_radio_map(path: str) -> RadioMap:
     """Read a map saved by :func:`save_radio_map`.
 
     Raises:
-        MapFormatError: on version mismatch, a malformed/truncated file, a
-            field of the wrong JSON type (see :func:`json_value`) or too large
-            for it, two entries for one cell, a histogram not of 32 counts, a
-            histogram or point naming a tower missing from ``towers``, an
-            origin outside the lat/lon range, or any other :class:`RadioMap`
-            rule broken.  No partial map is ever returned.
+        MapFormatError: on another version (rebuild a version-1 file with
+            ``gsmloc build``), a malformed/truncated file, a missing field, an
+            array breaking :func:`json_array`, ``towers`` unsorted or repeated,
+            readings disagreeing with the points or ``towers``, an ASU outside
+            0..31, an origin outside the lat/lon range, or any :class:`RadioMap`
+            rule (a repeated cell breaks the key order); never a partial map.
     """
     return load_document(path, RADIO_MAP_KIND, "radio map", _parse_radio_map)
 
 
 def _parse_radio_map(doc: dict, origin: GeoPoint) -> RadioMap:
-    entries: dict[tuple[int, int], dict] = {}
-    for entry in json_value(doc["cells"], list):
-        key = (json_value(entry["row"], int), json_value(entry["col"], int))
-        if key in entries:
-            raise ValueError(f"cell {key} appears more than once")
-        entries[key] = entry
-    tower_ids = frozenset(json_value(doc["towers"], list))
-    column = {tid: i for i, tid in enumerate(sorted(tower_ids))}
-    keys = sorted(entries)
-    centroids, hist_cell, hist_tower, counts, point_xy = [], [], [], [], []
-    point_offsets, n_read, reading_tower, reading_asu = [0], [], [], []
-    named: set[str] = set()
-    for c, key in enumerate(keys):
-        centroids.append(json_floats(entries[key]["centroid"], "x", "y"))
-        histograms = json_value(entries[key]["histograms"], dict)
-        for tid in sorted(histograms):
-            row = json_value(histograms[tid], list)
-            if len(row) != N_ASU_BINS:
-                raise ValueError(f"histograms must have {N_ASU_BINS} bins")
-            for n in row:
-                json_value(n, int)
-            hist_cell.append(c)
-            hist_tower.append(column.get(tid, -1))
-            counts.append(row)
-        for p in json_value(entries[key].get("points", []), list):
-            point_xy.append(json_floats(p, "x", "y"))
-            readings = json_value(p["readings"], dict)
-            for tid, asu in readings.items():
-                reading_tower.append(column.get(tid, -1))
-                reading_asu.append(json_value(asu, int))
-            named.update(readings)
-            n_read.append(len(readings))
-        named.update(histograms)
-        point_offsets.append(len(point_xy))
-    if not named <= tower_ids:
-        raise ValueError(f"map names towers not in 'towers': {sorted(named - tower_ids)}")
-    if reading_asu and not 0 <= min(reading_asu) <= max(reading_asu) <= ASU_MAX:
+    arrays = {name: json_array(doc[name], *rule) for name, rule in _MAP_FIELDS.items()}
+    towers = json_value(doc["towers"], list)
+    if towers != sorted(set(towers)):
+        raise ValueError("'towers' must be sorted, each tower once")
+    n_read, columns, asus = (arrays.pop(k) for k in ("n_read", "reading_tower", "reading_asu"))
+    n_points = len(arrays["point_xy"])
+    if len(n_read) != n_points or not n_read.sum() == len(columns) == len(asus):
+        raise ValueError("reading counts disagree with point_xy or with the readings")
+    _check_columns(columns, len(towers))
+    if asus.size and not 0 <= asus.min() <= asus.max() <= ASU_MAX:  # before the int8 store
         raise ValueError(f"a point reading is outside ASU 0..{ASU_MAX}")
-    point_asu = np.full((len(point_xy), len(tower_ids)), -1, dtype=np.int8)
-    point_asu[np.repeat(np.arange(len(point_xy)), n_read), reading_tower] = reading_asu
+    point_asu = np.full((n_points, len(towers)), -1, dtype=np.int8)
+    point_asu[np.repeat(np.arange(n_points), n_read), columns] = asus
+    if ((point_asu >= 0).sum(axis=1) != n_read).any():
+        raise ValueError("a point reads one tower twice")
     tower_locations = None if "tower_locations" not in doc else {
         tid: PlanarPoint(*json_floats(p, "x", "y"))
         for tid, p in json_value(doc["tower_locations"], dict).items()}
     return RadioMap(
         origin, json_value(doc["grid_length_m"], float), *json_floats(doc["grid_anchor"], "x", "y"),
-        tuple(keys), centroids=centroids, hist_cell=hist_cell, hist_tower=hist_tower,
-        counts=np.reshape(counts, (-1, N_ASU_BINS)), point_xy=np.reshape(point_xy, (-1, 2)),
-        point_offsets=point_offsets, point_asu=point_asu, tower_ids=tower_ids,
-        tower_locations=tower_locations)
+        tuple(map(tuple, arrays.pop("keys").tolist())), **arrays, point_asu=point_asu,
+        tower_ids=frozenset(towers), tower_locations=tower_locations)

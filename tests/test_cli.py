@@ -54,6 +54,27 @@ class TestExitCodes:
         assert exc.value.code == 1
         assert f"--param {param} takes int values" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("values, message", [
+        pytest.param(["1", "x"], "invalid literal for int() with base 10: 'x'", id="unparsable"),
+        pytest.param(["0"], "n_samples must be an integer >= 1, got 0", id="below_1"),
+    ])
+    def test_sweep_value_error_comes_from_the_sweep_subcommand(self, tmp_path, capsys, values,
+                                                                 message):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--param", "ns", "--values", *values, "--out", str(tmp_path)])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: gsmloc sweep [-h] --param")
+        assert f"\ngsmloc sweep: error: --param ns takes int values: {message}\n" in err
+
+    @pytest.mark.parametrize("command", ["synth", "sweep"])
+    def test_preset_choices_are_the_synthesized_presets(self, monkeypatch, command):
+        monkeypatch.setitem(cli.PRESETS, "suburban", cli.PRESETS["rural"])
+        argv = [command, "--preset", "suburban", "--out", "out"]
+        if command == "sweep":
+            argv += ["--param", "k", "--values", "1"]
+        assert cli._build_parser().parse_args(argv).preset == "suburban"
+
     @pytest.mark.parametrize("param", ["ns", "k"])
     def test_sweep_value_below_1_is_1(self, tmp_path, capsys, param):
         with pytest.raises(SystemExit) as exc:
@@ -155,12 +176,12 @@ class TestExitCodes:
         map_path = tmp_path / "map.json"
         assert main(["build", "--traces", str(trace), "--out", str(map_path)]) == 0
         doc = json.loads(map_path.read_text())
-        doc["towers"].remove("T0")
+        doc["towers"].remove("T3")
         map_path.write_text(json.dumps(doc))
         rc = main(["locate", "--map", str(map_path), "--scans", str(trace),
                    "--technique", "probabilistic"])
         assert rc == 2
-        assert "T0" in capsys.readouterr().err
+        assert "not in 'towers': columns [3]" in capsys.readouterr().err
 
     def test_eighth_tower_in_a_scan_is_2_and_names_the_line(self, tmp_path, tiny_trace, capsys):
         trace, _ = tiny_trace
@@ -186,7 +207,7 @@ class TestExitCodes:
         assert f"{header_only}: no scans" in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind,technique,edit,message", [
-        pytest.param("map", "probabilistic", lambda d: d.update(cells=[]),
+        pytest.param("map", "probabilistic", lambda d: d.update(keys=[]),
                      "malformed radio map (radio map has no cells)", id="map_no_cells"),
         pytest.param("gp", "gp", lambda d: d.update(towers={}),
                      "malformed GP grid (precomputed grid has no towers)", id="grid_no_towers"),

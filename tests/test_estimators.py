@@ -221,7 +221,7 @@ class TestProbabilisticLocate:
         path = tmp_path / "map.json"
         save_radio_map(rm, str(path))
         doc = json.loads(path.read_text())
-        doc["cells"] = []
+        doc["keys"] = []
         path.write_text(json.dumps(doc))
         with pytest.raises(MapFormatError, match="radio map has no cells"):
             load_radio_map(str(path))

@@ -30,7 +30,7 @@ from gsmloc.gp import (
     load_grid,
     save_grid,
 )
-from gsmloc.radiomap import MapFormatError, build_radio_map
+from gsmloc.radiomap import MAP_FORMAT_VERSION, MapFormatError, build_radio_map
 from gsmloc.synth import generate_trace, make_preset
 from oracles import (
     brute_gp_locate,
@@ -645,7 +645,7 @@ class TestGridPersistence:
     @pytest.mark.parametrize("edit", [
         pytest.param(lambda d: d.update(spacing_m=0.0), id="spacing_zero"),
         pytest.param(lambda d: d.update(spacing_m=math.nan), id="spacing_nan"),
-        pytest.param(lambda d: d["points"][3].update(y=math.inf), id="point_inf"),
+        pytest.param(lambda d: d["points"][3].__setitem__(1, math.inf), id="point_inf"),
         pytest.param(lambda d: d["towers"]["A"]["mean"].__setitem__(2, math.nan), id="mean_nan"),
         pytest.param(lambda d: d["towers"]["A"]["var"].__setitem__(1, -1.0), id="var_negative"),
         pytest.param(lambda d: d["towers"]["A"]["var"].__setitem__(0, math.inf), id="var_inf"),
@@ -663,13 +663,14 @@ class TestGridPersistence:
     def test_number_too_large_rejected(self, tmp_path):
         _, path = self._saved_grid(tmp_path)
         doc = json.loads(path.read_text())
-        doc["points"][0]["x"] = 10**400
+        doc["points"][0][0] = 10**400
         path.write_text(json.dumps(doc))
         with pytest.raises(MapFormatError, match="too large"):
             load_grid(str(path))
 
     @pytest.mark.parametrize("edit", [
-        pytest.param(lambda d: d["points"][0].update(x="0.0"), id="point_string"),
+        pytest.param(lambda d: d["points"][0].__setitem__(0, "0.0"), id="point_string"),
+        pytest.param(lambda d: d["points"][0].pop(), id="point_of_one"),
         pytest.param(lambda d: d["towers"]["A"]["mean"].__setitem__(0, "10.0"), id="mean_string"),
         pytest.param(lambda d: d["towers"]["A"]["var"].__setitem__(0, True), id="var_bool"),
         pytest.param(lambda d: d["towers"]["A"].update(noise_var="4.0"), id="noise_var_string"),
@@ -700,18 +701,28 @@ class TestGridPersistence:
 
     def test_wrong_kind_rejected(self, tmp_path):
         path = tmp_path / "grid.json"
-        path.write_text(json.dumps({"version": 1, "kind": "radio_map"}))
-        with pytest.raises(MapFormatError, match="kind"):
+        path.write_text(json.dumps({"version": MAP_FORMAT_VERSION, "kind": "radio_map"}))
+        with pytest.raises(MapFormatError, match="kind 'radio_map', expected 'gp_grid'"):
+            load_grid(str(path))
+
+    def test_version_1_file_rejected(self, tmp_path):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({
+            "version": 1, "kind": "gp_grid", "origin": {"lat": 30.0, "lon": 31.0},
+            "spacing_m": 50.0, "points": [{"x": 0.0, "y": 0.0}],
+            "towers": {"A": {"mean": [10.0], "var": [1.0], "noise_var": 4.0}}}))
+        with pytest.raises(MapFormatError, match=r"unsupported format version 1 \(expected 2\)"):
             load_grid(str(path))
 
     def test_malformed_rejected(self, tmp_path):
         path = tmp_path / "grid.json"
-        path.write_text(json.dumps({"version": 1, "kind": "gp_grid", "points": [{"x": 1}]}))
+        path.write_text(json.dumps({"version": MAP_FORMAT_VERSION, "kind": "gp_grid",
+                                    "points": [{"x": 1}]}))
         with pytest.raises(MapFormatError):
             load_grid(str(path))
 
     def test_non_utf8_file_rejected(self, tmp_path):
         path = tmp_path / "grid.json"
-        path.write_bytes(b'{"version": 1, "kind": "gp_grid", "towers": {"\xe9": {}}}')
+        path.write_bytes(b'{"version": 2, "kind": "gp_grid", "towers": {"\xe9": {}}}')
         with pytest.raises(MapFormatError, match="UTF-8"):
             load_grid(str(path))

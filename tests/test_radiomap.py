@@ -10,6 +10,7 @@ import pytest
 from conftest import ORIGIN, scan_at_planar
 from gsmloc.geo import GeoPoint, PlanarPoint, ProjectionRangeWarning, ScanVector, project, unproject
 from gsmloc.radiomap import (
+    MAP_FORMAT_VERSION,
     MapFormatError,
     SmoothingParams,
     ablate_towers,
@@ -223,21 +224,36 @@ class TestScalarOracle:
             train, 70.0, tower_locations=towers)
 
 
-def test_cells_view_equals_the_oracle_reader(tmp_path):
+def _reloaded(rm, path):
+    save_radio_map(rm, path)
+    return load_radio_map(path)
+
+
+def _oracle_map(strip_points=False):
+    return build_radio_map(_oracle_trace(0), 70.0, origin=ORIGIN, strip_points=strip_points)
+
+
+@pytest.mark.parametrize("make,has_points", [
+    pytest.param(lambda path: _oracle_map(), True, id="built"),
+    pytest.param(lambda path: _reloaded(_oracle_map(), path), True, id="loaded"),
+    pytest.param(lambda path: ablate_towers(_oracle_map(), 0.5, 1), True, id="ablated_0.5_1"),
+    pytest.param(lambda path: ablate_towers(_oracle_map(), 0.4, 7), True, id="ablated_0.4_7"),
+    pytest.param(lambda path: _reloaded(ablate_towers(_oracle_map(), 0.4, 7), path), True,
+                 id="ablated_loaded"),
+    pytest.param(lambda path: _oracle_map(strip_points=True), False, id="stripped"),
+    pytest.param(lambda path: _reloaded(_oracle_map(strip_points=True), path), False,
+                 id="stripped_loaded"),
+])
+def test_cells_view_equals_the_oracle_reader(tmp_path, make, has_points):
     """The GridCell view holds what the arrays hold, as ``map_cells`` reads them."""
-    scans = _oracle_trace(0)
-    built = build_radio_map(scans, 70.0, origin=ORIGIN)
-    path = str(tmp_path / "map.json")
-    save_radio_map(built, path)
-    stripped = build_radio_map(scans, 70.0, origin=ORIGIN, strip_points=True)
-    for rm in (built, load_radio_map(path), ablate_towers(built, 0.5, 1), stripped):
-        view = {key: {"centroid": (c.centroid.x, c.centroid.y),
-                      "histograms": {tid: list(h.counts) for tid, h in c.histograms.items()},
-                      "points": [(p.location.x, p.location.y, p.readings) for p in c.points]}
-                for key, c in rm.cells.items()}
-        assert list(view) == list(rm.keys)
-        assert view == map_cells(rm)
-    assert len(stripped.point_xy) == 0 < len(built.point_xy)
+    rm = make(str(tmp_path / "map.json"))
+    view = {key: {"centroid": (c.centroid.x, c.centroid.y),
+                  "histograms": {tid: list(h.counts) for tid, h in c.histograms.items()},
+                  "points": [(p.location.x, p.location.y, p.readings) for p in c.points]}
+            for key, c in rm.cells.items()}
+    assert list(view) == list(rm.keys)
+    assert view == map_cells(rm)
+    assert (len(rm.point_xy) > 0) == has_points
 
 
 def _base_map():
@@ -472,12 +488,32 @@ class TestCellLikelihood:
 
 
 def _first_counts(doc):
-    return next(iter(doc["cells"][0]["histograms"].values()))
+    return doc["counts"][0]
 
 
 def _set_first_asu(doc, value):
-    readings = doc["cells"][0]["points"][0]["readings"]
-    readings[next(iter(readings))] = value
+    doc["reading_asu"][0] = value
+
+
+def _repeat_a_tower(doc):
+    """The first point with two readings or more reads its first tower twice."""
+    n_read = doc["n_read"]
+    first = sum(n_read[:next(i for i, n in enumerate(n_read) if n >= 2)])
+    doc["reading_tower"][first + 1] = doc["reading_tower"][first]
+
+
+def _negative_count(doc):
+    """Point 0 claims -1 readings and point 1 the rest, so the total still agrees."""
+    n_read = doc["n_read"]
+    n_read[0], n_read[1] = -1, n_read[0] + n_read[1] + 1
+
+
+#: A map file in the version-1 layout: one object per cell, readings keyed by tower id.
+V1_MAP = {"version": 1, "kind": "radio_map", "origin": {"lat": 30.0, "lon": 31.0},
+          "grid_length_m": 70.0, "grid_anchor": {"x": 0.0, "y": 0.0}, "towers": ["A"],
+          "cells": [{"row": 0, "col": 0, "centroid": {"x": 1.0, "y": 1.0},
+                     "histograms": {"A": [0] * 10 + [1] + [0] * 21},
+                     "points": [{"x": 1.0, "y": 1.0, "readings": {"A": 10}}]}]}
 
 
 class TestPersistence:
@@ -526,9 +562,15 @@ class TestPersistence:
         with pytest.raises(MapFormatError):
             load_radio_map(str(path))
 
+    def test_version_1_file_rejected(self, tmp_path):
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps(V1_MAP))
+        with pytest.raises(MapFormatError, match=r"unsupported format version 1 \(expected 2\)"):
+            load_radio_map(str(path))
+
     def test_non_utf8_file_rejected(self, tmp_path):
         path = tmp_path / "map.json"
-        path.write_bytes(b'{"version": 1, "kind": "radio_map", "cells": ["\xff\xfe"]}')
+        path.write_bytes(b'{"version": 2, "kind": "radio_map", "keys": ["\xff\xfe"]}')
         with pytest.raises(MapFormatError, match="UTF-8"):
             load_radio_map(str(path))
 
@@ -541,16 +583,54 @@ class TestPersistence:
 
     def test_tower_missing_from_towers_list_rejected(self, tmp_path):
         path, doc = self._saved_doc(tmp_path)
-        missing = doc["towers"].pop(0)
+        doc["towers"].pop()
         path.write_text(json.dumps(doc))
-        with pytest.raises(MapFormatError, match=f"not in 'towers'.*{missing}"):
+        column = len(doc["towers"])
+        with pytest.raises(MapFormatError, match=rf"not in 'towers': columns \[{column}\]"):
             load_radio_map(str(path))
 
-    @pytest.mark.parametrize("asu", [-1, 32])
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda d: d["towers"].reverse(), id="reversed"),
+        pytest.param(lambda d: d["towers"].append(d["towers"][-1]), id="repeated"),
+    ])
+    def test_towers_not_sorted_and_distinct_rejected(self, tmp_path, edit):
+        path, doc = self._saved_doc(tmp_path)
+        assert len(doc["towers"]) > 1
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MapFormatError, match="'towers' must be sorted, each tower once"):
+            load_radio_map(str(path))
+
+    @pytest.mark.parametrize("column", [-1, "n_towers"])
+    def test_reading_column_out_of_range_rejected(self, tmp_path, column):
+        path, doc = self._saved_doc(tmp_path)
+        column = len(doc["towers"]) if column == "n_towers" else column
+        doc["reading_tower"][0] = column
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MapFormatError, match=rf"not in 'towers': columns \[{column}\]"):
+            load_radio_map(str(path))
+
+    @pytest.mark.parametrize("edit,message", [
+        pytest.param(lambda d: d["n_read"].pop(), "reading counts disagree", id="count_missing"),
+        pytest.param(lambda d: d["n_read"].append(0), "reading counts disagree", id="count_extra"),
+        pytest.param(lambda d: d["n_read"].__setitem__(0, d["n_read"][0] + 1),
+                     "reading counts disagree", id="count_too_high"),
+        pytest.param(lambda d: d["reading_asu"].pop(), "reading counts disagree",
+                     id="asu_missing"),
+        pytest.param(_negative_count, "negative", id="count_negative"),
+        pytest.param(_repeat_a_tower, "reads one tower twice", id="tower_twice"),
+    ])
+    def test_reading_counts_disagreeing_with_the_points_rejected(self, tmp_path, edit, message):
+        path, doc = self._saved_doc(tmp_path)
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MapFormatError, match=message):
+            load_radio_map(str(path))
+
+    @pytest.mark.parametrize("asu", [-1, 32, 256])  # 256 would wrap to 0 in int8
     def test_point_reading_outside_asu_range_rejected(self, tmp_path, asu):
         path, doc = self._saved_doc(tmp_path)
-        readings = doc["cells"][0]["points"][0]["readings"]
-        readings[next(iter(readings))] = asu
+        _set_first_asu(doc, asu)
         path.write_text(json.dumps(doc))
         with pytest.raises(MapFormatError, match="outside ASU"):
             load_radio_map(str(path))
@@ -559,8 +639,9 @@ class TestPersistence:
         path, doc = self._saved_doc(tmp_path)
         rm = load_radio_map(str(path))
         assert (5, 5) not in rm.keys
-        doc["cells"].append({"row": 5, "col": 5, "centroid": {"x": 360.0, "y": 360.0},
-                             "histograms": {}})
+        doc["keys"].append([5, 5])
+        doc["centroids"].append([360.0, 360.0])
+        doc["point_offsets"].append(doc["point_offsets"][-1])
         path.write_text(json.dumps(doc))
         with pytest.raises(MapFormatError, match=r"cell \(5, 5\) holds no histogram"):
             load_radio_map(str(path))
@@ -571,10 +652,9 @@ class TestPersistence:
 
     def test_duplicate_cell_rejected(self, tmp_path):
         path, doc = self._saved_doc(tmp_path)
-        row, col = doc["cells"][0]["row"], doc["cells"][0]["col"]
-        doc["cells"].append(dict(doc["cells"][-1], row=row, col=col))
+        doc["keys"][1] = doc["keys"][0]
         path.write_text(json.dumps(doc))
-        with pytest.raises(MapFormatError, match=rf"cell \({row}, {col}\) appears more than once"):
+        with pytest.raises(MapFormatError, match="keys are not sorted"):
             load_radio_map(str(path))
 
     @pytest.mark.parametrize("edit", [
@@ -583,8 +663,8 @@ class TestPersistence:
         pytest.param(lambda d: d.update(grid_length_m=math.nan), id="grid_length_nan"),
         pytest.param(lambda d: d.update(grid_length_m=math.inf), id="grid_length_inf"),
         pytest.param(lambda d: d["grid_anchor"].update(y=math.nan), id="anchor_nan"),
-        pytest.param(lambda d: d["cells"][0]["centroid"].update(x=math.nan), id="centroid_nan"),
-        pytest.param(lambda d: d["cells"][-1]["points"][0].update(x=math.inf), id="point_inf"),
+        pytest.param(lambda d: d["centroids"][0].__setitem__(0, math.nan), id="centroid_nan"),
+        pytest.param(lambda d: d["point_xy"][-1].__setitem__(0, math.inf), id="point_inf"),
         pytest.param(
             lambda d: d.update(tower_locations={t: {"x": 0.0, "y": -math.inf} for t in d["towers"]}),
             id="tower_location_inf",
@@ -598,10 +678,10 @@ class TestPersistence:
             load_radio_map(str(path))
 
     @pytest.mark.parametrize("edit", [
-        pytest.param(lambda d: d["cells"][0]["centroid"].update(x="5.0"), id="centroid_string"),
-        pytest.param(lambda d: d["cells"][0]["points"][0].update(x="5.0"), id="point_string"),
-        pytest.param(lambda d: d["cells"][0].update(row=d["cells"][0]["row"] + 0.7), id="row_float"),
-        pytest.param(lambda d: d["cells"][0].update(row=str(d["cells"][0]["row"])), id="row_string"),
+        pytest.param(lambda d: d["centroids"][0].__setitem__(0, "5.0"), id="centroid_string"),
+        pytest.param(lambda d: d["point_xy"][0].__setitem__(0, "5.0"), id="point_string"),
+        pytest.param(lambda d: d["keys"][0].__setitem__(0, d["keys"][0][0] + 0.7), id="row_float"),
+        pytest.param(lambda d: d["keys"][0].__setitem__(0, str(d["keys"][0][0])), id="row_string"),
         pytest.param(lambda d: _first_counts(d).__setitem__(0, 2.6), id="count_float"),
         pytest.param(lambda d: _first_counts(d).__setitem__(0, "3"), id="count_string"),
         pytest.param(lambda d: _first_counts(d).__setitem__(0, True), id="count_bool"),
@@ -613,11 +693,14 @@ class TestPersistence:
         pytest.param(lambda d: d.update(tower_locations={t: {"x": "1.0", "y": 0.0}
                                                          for t in d["towers"]}),
                      id="tower_location_string"),
-        pytest.param(lambda d: d["cells"][0].update(histograms=[]), id="histograms_array"),
-        pytest.param(lambda d: d["cells"][0]["points"][0].update(readings=[]),
+        pytest.param(lambda d: d.update(counts=[n for row in d["counts"] for n in row]),
+                     id="histograms_array"),
+        pytest.param(lambda d: d.update(reading_asu=[[asu] for asu in d["reading_asu"]]),
                      id="readings_array"),
         pytest.param(lambda d: d.update(tower_locations=[]), id="tower_locations_array"),
-        pytest.param(lambda d: d.update(cells={}), id="cells_object"),
+        pytest.param(lambda d: d.update(keys={}), id="cells_object"),
+        pytest.param(lambda d: d.update(point_xy=[[x, y, 0.0] for x, y in d["point_xy"]]),
+                     id="point_of_three"),
     ])
     def test_wrongly_typed_field_rejected(self, tmp_path, edit):
         path, doc = self._saved_doc(tmp_path)
@@ -628,7 +711,7 @@ class TestPersistence:
 
     @pytest.mark.parametrize("edit", [
         pytest.param(lambda d: _first_counts(d).__setitem__(0, 2**70), id="count_beyond_int64"),
-        pytest.param(lambda d: d["cells"][0]["centroid"].update(x=10**400),
+        pytest.param(lambda d: d["centroids"][0].__setitem__(0, 10**400),
                      id="centroid_beyond_float"),
     ])
     def test_number_too_large_rejected(self, tmp_path, edit):
@@ -640,15 +723,15 @@ class TestPersistence:
 
     def test_wrong_kind_rejected(self, tmp_path):
         path = tmp_path / "map.json"
-        path.write_text(json.dumps({"version": 1, "kind": "gp_grid"}))
-        with pytest.raises(MapFormatError, match="kind"):
+        path.write_text(json.dumps({"version": MAP_FORMAT_VERSION, "kind": "gp_grid"}))
+        with pytest.raises(MapFormatError, match="kind 'gp_grid', expected 'radio_map'"):
             load_radio_map(str(path))
 
     def test_histogram_of_31_counts_rejected(self, tmp_path):
         path, doc = self._saved_doc(tmp_path)
         _first_counts(doc).pop()
         path.write_text(json.dumps(doc))
-        with pytest.raises(MapFormatError, match="histograms must have 32 bins"):
+        with pytest.raises(MapFormatError, match="expected rows of 32 numbers"):
             load_radio_map(str(path))
 
     def test_top_level_array_rejected(self, tmp_path):
