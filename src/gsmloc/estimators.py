@@ -82,22 +82,28 @@ def _check_scans(scans: Sequence[ScanVector]) -> Sequence[ScanVector]:
     return scans
 
 
+def _table_sum(radio_map: RadioMap, smoothing: SmoothingParams, rows: list[int]) -> np.ndarray:
+    """Per-cell sum of the log-likelihood table's ``rows`` (``N_ASU_BINS * column + asu``,
+    one per reading): one gather, then one reduction row by row in the given order."""
+    table = radio_map.log_likelihood_table(smoothing)
+    return np.add.reduce(table.reshape(len(table) * N_ASU_BINS, -1).take(rows, axis=0), axis=0)
+
+
 def _posterior_vector(
     radio_map: RadioMap, scans: Sequence[ScanVector], smoothing: SmoothingParams
 ) -> np.ndarray:
     """Unnormalized log posterior per cell, aligned with ``radio_map.cell_keys()``.
 
-    One gather takes the table row of every reading, in scan and reading
-    order, and one reduction sums them row by row in that order.  Towers
-    absent from the whole map read the table's floor row, a flat log(p_min)
-    in every cell, which can never change the ranking.
+    The table row of every reading, in scan and reading order, summed by
+    :func:`_table_sum`.  Towers absent from the whole map read the table's
+    floor row, a flat log(p_min) in every cell, which can never change the
+    ranking.
     """
-    table = radio_map.log_likelihood_table(smoothing)
     tower_index = radio_map.tower_index()
     floor = len(tower_index)
     rows = [N_ASU_BINS * tower_index.get(tower_id, floor) + asu
             for scan in scans for tower_id, asu in scan.readings.items()]
-    return np.add.reduce(table.reshape(len(table) * N_ASU_BINS, -1).take(rows, axis=0), axis=0)
+    return _table_sum(radio_map, smoothing, rows)
 
 
 def cell_log_posterior(
@@ -186,31 +192,34 @@ def hybrid_locate(
             built with ``strip_points=True``.
     """
     check_count("k_refine", k_refine)
-    freshest = _check_scans(window)[-1]
+    readings = _check_scans(window)[-1].readings
+    tower_index = radio_map.tower_index()
+    spare = len(tower_index)  # the floor row in phase one, a dropped slot in phase two
+    columns = [tower_index.get(tower_id, spare) for tower_id in readings]
+    asus = list(readings.values())
 
-    scores = _posterior_vector(radio_map, [freshest], smoothing)
-    best = int(np.argmax(scores))  # ties resolve to the lowest (row, col)
+    scores = _table_sum(radio_map, smoothing, [N_ASU_BINS * c + a for c, a in zip(columns, asus)])
+    best = int(scores.argmax())  # ties resolve to the lowest (row, col)
     key = radio_map.cell_keys()[best]
-    locations, readings = radio_map.cell_point_arrays(key)
+    locations, points = radio_map.cell_point_arrays(key)
     if len(locations) == 0:
         raise ValueError("hybrid refinement needs raw points; map was built with strip_points")
 
-    # Squared ASU-space distance against every point of the cell at once;
-    # ranks identically to the Euclidean distance over the union of tower ids
-    # with missing-as-0 (towers unknown to the map shift all points equally,
-    # so they land in a spare last slot that the distance leaves out).
-    tower_index = radio_map.tower_index()
-    v = np.zeros(len(tower_index) + 1)
-    for tower_id, asu in freshest.readings.items():
-        v[tower_index.get(tower_id, -1)] = asu
-    diff = readings - v[:-1]
-    sq_dists = (diff * diff).sum(axis=1)
+    # Squared ASU-space distance against every point of the cell at once, exact
+    # in int32 (at most 31^2 = 961 per tower, far below 2^31); ranks identically
+    # to the Euclidean distance over the union of tower ids with missing-as-0
+    # (towers unknown to the map shift all points equally, so they land in the
+    # spare last slot that the distance leaves out).
+    v = np.zeros(spare + 1, dtype=np.int32)
+    v[columns] = asus
+    diff = points - v[:-1]
+    sq_dists = np.add.reduce(diff * diff, axis=1, dtype=np.int32)
     if k_refine == 1:
-        x, y = locations[int(np.argmin(sq_dists))]  # first minimum, as below
+        x, y = locations[int(sq_dists.argmin())].tolist()  # first minimum, as below
     else:
-        nearest = np.argsort(sq_dists, kind="stable")[:k_refine]
-        x, y = locations[nearest].mean(axis=0)
-    return LocationEstimate(PlanarPoint(float(x), float(y)), float(scores[best]), ((key, 1.0),))
+        nearest = sq_dists.argsort(kind="stable")[:k_refine]
+        x, y = locations[nearest].mean(axis=0).tolist()
+    return LocationEstimate(PlanarPoint(x, y), float(scores[best]), ((key, 1.0),))
 
 
 def deterministic_locate(

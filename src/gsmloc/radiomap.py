@@ -227,10 +227,10 @@ class RadioMap:
         # An exact integer sum, then one division: the mean ASU of each histogram.
         mean_asu[self.hist_cell, self.hist_tower] = (counts @ np.arange(N_ASU_BINS)) / totals
         norm2 = (mean_asu * mean_asu).sum(axis=1)
-        # Hybrid's clipped copy of the point matrix costs 0.47 MB on urban seed 0 but
-        # is faster than either way without it: clipping the cell's rows per call
-        # (29.5 -> 32.4 us rural, 32.3 -> 36.5 us urban per estimate) or ranking by
-        # |r|^2 - 2 r.v over the scan's heard towers (35.4 / 35.0 us).
+        # Hybrid's clipped copy of the point matrix costs 0.40 MB on urban seed 0 but
+        # is faster than either way without it, all in int32: clipping the cell's rows
+        # per call (28.8 -> 31.3 us rural, 18.7 -> 20.7 us urban per estimate) or
+        # ranking by |r|^2 - 2 r.v over the scan's heard towers (35.6 / 21.9 us).
         readings = np.maximum(self.point_asu, 0)
         for array in (mean_asu, norm2, readings):
             array.setflags(write=False)
@@ -588,7 +588,7 @@ def load_radio_map(path: str) -> RadioMap:
     Raises:
         MapFormatError: on another version (rebuild a version-1 file with
             ``gsmloc build``), a malformed/truncated file, a missing field, an
-            array breaking :func:`json_array`, ``towers`` unsorted or repeated,
+            array breaking :func:`json_array`, ``towers`` not strings, unsorted or repeated,
             readings disagreeing with the points or ``towers``, an ASU outside
             0..31, an origin outside the lat/lon range, or any :class:`RadioMap`
             rule (a repeated cell breaks the key order); never a partial map.
@@ -598,7 +598,7 @@ def load_radio_map(path: str) -> RadioMap:
 
 def _parse_radio_map(doc: dict, origin: GeoPoint) -> RadioMap:
     arrays = {name: json_array(doc[name], *rule) for name, rule in _MAP_FIELDS.items()}
-    towers = json_value(doc["towers"], list)
+    towers = [json_value(t, str) for t in json_value(doc["towers"], list)]
     if towers != sorted(set(towers)):
         raise ValueError("'towers' must be sorted, each tower once")
     n_read, columns, asus = (arrays.pop(k) for k in ("n_read", "reading_tower", "reading_asu"))

@@ -342,6 +342,36 @@ class TestHybridLocate:
                 assert est.location.y == pytest.approx(by, abs=1e-9)
             checked += 1
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_towers_unknown_to_the_map_change_nothing(self, k):
+        # Every unknown tower lands in the one spare slot, whatever its ASU,
+        # so the strongest reading, unknown here, moves no point's rank.
+        rng = np.random.default_rng(89)
+        for _ in range(20):
+            rm, window = random_instance(rng)
+            known = window[-1].readings
+            mixed = {"U0": 31, **known, "U1": 0, "U2": 17}
+            est = hybrid_locate(rm, [scan(mixed)], k)
+            expected = hybrid_locate(rm, [scan(known)], k)
+            assert (est.location, est.contributing_cells) == (
+                expected.location, expected.contributing_cells)
+
+    def test_tied_points_resolve_to_the_lowest_index(self):
+        # One cell, its points in scan order; the last three read the same.
+        scans = [
+            scan_at_planar(0, 5.0, 5.0, {"A": 20, "B": 3}),
+            scan_at_planar(1, 35.0, 35.0, {"A": 10, "B": 3}),
+            scan_at_planar(2, 15.0, 25.0, {"A": 10, "B": 3}),
+            scan_at_planar(3, 25.0, 15.0, {"A": 10, "B": 3}),
+        ]
+        rm = build_radio_map(scans, 70.0, origin=ORIGIN)
+        assert rm.n_cells == 1
+        query = [scan({"A": 10, "B": 3})]
+        for k, (x, y) in [(1, (35.0, 35.0)), (2, (25.0, 30.0)), (4, (20.0, 20.0))]:
+            est = hybrid_locate(rm, query, k)  # k = 1: the first minimum; 2: points 1 and 2
+            assert (est.location.x, est.location.y) == (
+                pytest.approx(x, abs=1e-6), pytest.approx(y, abs=1e-6))
+
     def test_output_inside_map_cell_point_hull(self):
         rng = np.random.default_rng(71)
         for _ in range(20):

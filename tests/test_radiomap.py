@@ -601,6 +601,15 @@ class TestPersistence:
         with pytest.raises(MapFormatError, match="'towers' must be sorted, each tower once"):
             load_radio_map(str(path))
 
+    @pytest.mark.parametrize("kind", [int, float])
+    def test_towers_that_are_not_strings_rejected(self, tmp_path, kind):
+        # Sorted, so they pass the order check; loaded, every scan's tower would score at the floor.
+        path, doc = self._saved_doc(tmp_path)
+        doc["towers"] = [kind(i) for i in range(len(doc["towers"]))]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MapFormatError, match=rf"expected str, got {kind(0)}"):
+            load_radio_map(str(path))
+
     @pytest.mark.parametrize("column", [-1, "n_towers"])
     def test_reading_column_out_of_range_rejected(self, tmp_path, column):
         path, doc = self._saved_doc(tmp_path)
