@@ -81,7 +81,6 @@ from .radiomap import (
     save_radio_map,
 )
 from .synth import (
-    PathLossParams,
     Route,
     SynthWorld,
     Tower,

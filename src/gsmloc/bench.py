@@ -28,6 +28,7 @@ from .estimators import (
     EstimatorParams,
     LocationEstimate,
     cellid_locate,
+    check_count,
     deterministic_locate,
     hybrid_locate,
     probabilistic_locate,
@@ -145,10 +146,12 @@ def evaluate(
     with their signature, ``(model, window, params) -> LocationEstimate``.
     Every test scan must carry ground truth.  Windows at the start of the
     trace are shorter than ``n_samples``; tracking produces an estimate from
-    the first scan on.
+    the first scan on.  Each window's time is the median of ``time_repeats``
+    calls, a count that must pass :func:`~gsmloc.estimators.check_count`.
     """
     if not test_scans:
         raise ValueError("empty test set")
+    check_count("time_repeats", time_repeats)
     truths = project_array(model.origin, ground_truths(test_scans)).tolist()
     locate = TECHNIQUES.get(technique, technique)
     if not callable(locate):
@@ -160,7 +163,7 @@ def evaluate(
         window = list(window_at(test_scans, i, params.n_samples))
         reps = []
         est = None
-        for _ in range(max(1, time_repeats)):
+        for _ in range(time_repeats):
             t0 = time.perf_counter()
             est = locate(model, window, params)
             reps.append(time.perf_counter() - t0)

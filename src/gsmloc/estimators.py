@@ -157,7 +157,7 @@ def probabilistic_locate(
     scores = _posterior_vector(radio_map, scans, params.smoothing)
 
     k = min(params.k, radio_map.n_cells)
-    top = np.argsort(-scores, kind="stable")[:k]  # ties resolve to the lowest index
+    top = (-scores).argsort(kind="stable")[:k]  # ties resolve to the lowest index
     top_scores = scores[top].tolist()
     m = top_scores[0]
     if math.isfinite(m):
@@ -258,15 +258,17 @@ def deterministic_locate(
         else:
             v[t] = mean_asu
     means, norm2 = radio_map.mean_asu_matrix(), radio_map.mean_asu_norm2()
-    heard = np.flatnonzero(v)
+    heard = v.nonzero()[0]
     screen = norm2 - 2.0 * (means[:, heard] @ v[heard])
 
     k = min(params.k, radio_map.n_cells)
     tol = 1e-9 * (norm2.max() + v @ v + unknown_sq)  # |v|^2 over all towers, unknown too
-    kept = np.flatnonzero(screen <= np.partition(screen, k - 1)[k - 1] + tol)
+    kth = screen.copy()  # partition sorts in place, and screen is read below
+    kth.partition(k - 1)
+    kept = (screen <= kth[k - 1] + tol).nonzero()[0]
     diff = means[kept] - v
     dists = np.sqrt((diff * diff).sum(axis=1) + unknown_sq)
-    order = np.argsort(dists, kind="stable")[:k]
+    order = dists.argsort(kind="stable")[:k]
     weights = 1.0 / (dists[order] + 1e-6)
     weights /= weights.sum()
     return _weighted_estimate(radio_map, kept[order], weights.tolist(), None)

@@ -57,7 +57,7 @@ def asu_to_dbm(asu: int) -> float:
     """
     if not ASU_MIN <= asu <= ASU_MAX:
         raise ValueError(f"ASU reading {asu!r} outside [{ASU_MIN}, {ASU_MAX}]")
-    return 2.0 * asu - 113.0
+    return 2.0 * asu + SENSITIVITY_DBM
 
 
 def dbm_to_asu(dbm: float) -> int:
@@ -67,7 +67,7 @@ def dbm_to_asu(dbm: float) -> int:
     rounding half away from zero, and the quantizer is the exact inverse of
     :func:`asu_to_dbm` on the integer ASU range.
     """
-    return min(max(math.floor((dbm + 113.0) / 2.0 + 0.5), ASU_MIN), ASU_MAX)
+    return min(max(math.floor((dbm - SENSITIVITY_DBM) / 2.0 + 0.5), ASU_MIN), ASU_MAX)
 
 
 @dataclass(frozen=True)

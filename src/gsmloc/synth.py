@@ -1,12 +1,18 @@
 """Synthetic GSM world: towers, propagation, and 1 Hz war-drive traces.
 
 Received power follows a log-distance path-loss model plus spatially
-correlated shadowing.  Shadowing is a static field: per tower, a seeded
-lattice of Gaussian values is interpolated bilinearly, so the same position
-always sees the same shadowing.  Fingerprinting presupposes exactly this
-kind of repeatable RF environment; training and test visits to a spot must
-observe correlated signal strengths.  All lattices are drawn when the world
-is constructed.
+correlated shadowing.  The loss is ``P0_DBM`` out to the reference distance
+``D0_M``, which also clamps the near field, plus 10 times the world's
+``exponent`` dB per decade beyond it; both constants are the same for every
+world, and ``P0_DBM`` only offsets every tower's transmit power.  Planar
+positions map to geodetic ones about ``GEO_ORIGIN``.  Every other setting,
+and every rule for it, is a :class:`SynthWorld` field.
+
+Shadowing is a static field: per tower, a seeded lattice of Gaussian values
+is interpolated bilinearly, so the same position always sees the same
+shadowing.  Fingerprinting presupposes exactly this kind of repeatable RF
+environment; training and test visits to a spot must observe correlated
+signal strengths.  All lattices are drawn when the world is constructed.
 
 On top of the static field, trace generation adds small i.i.d. per-reading
 measurement noise, the world's ``measurement_noise_db``, seeded from (world
@@ -43,38 +49,15 @@ from .geo import (
     unproject,
 )
 
+P0_DBM = 30.0  # path loss (dB) at the reference distance D0_M
+D0_M = 10.0  # reference distance (m); nearer points get the loss at D0_M
+GEO_ORIGIN = GeoPoint(30.0, 31.0)  # where every world's planar origin lies
 #: Scans synthesized together: bounds the (scans, towers) working arrays.
 _BLOCK_SCANS = 256
 #: A pair whose numpy power estimate lies more than this below the
 #: sensitivity is never heard.  numpy's and math's hypot and log10 differ by
 #: a few ulp, about 1e-13 dB on these powers.
 _PRUNE_MARGIN_DB = 1e-6
-
-
-@dataclass(frozen=True)
-class PathLossParams:
-    """Log-distance propagation constants.
-
-    p0_dbm: loss at the reference distance d0.
-    exponent: path-loss exponent n (2 = free space, up to 5 dense urban).
-    shadow_sigma_db: standard deviation of the static shadowing field.
-    shadow_grid_spacing: lattice node spacing of the shadowing field;
-        controls its spatial correlation length.
-    """
-
-    p0_dbm: float = 30.0
-    d0: float = 10.0
-    exponent: float = 3.0
-    shadow_sigma_db: float = 6.0
-    shadow_grid_spacing: float = 50.0
-
-    def __post_init__(self) -> None:
-        if not 2.0 <= self.exponent <= 5.0:
-            raise ValueError("path-loss exponent must be in [2, 5]")
-        if self.shadow_sigma_db < 0:
-            raise ValueError("shadow_sigma_db must be >= 0")
-        if self.d0 <= 0 or self.shadow_grid_spacing <= 0:
-            raise ValueError("d0 and shadow_grid_spacing must be > 0")
 
 
 @dataclass(frozen=True)
@@ -106,20 +89,32 @@ class Route:
 class SynthWorld:
     """Immutable tower layout plus propagation parameters and master seed.
 
-    ``measurement_noise_db`` is the standard deviation of the per-reading
-    jitter that :func:`generate_trace` adds on top of the static field; it
-    models the second-scale RSSI fluctuation a stationary phone reports.
-    The shadowing lattice, drawn at construction, has one layer per tower,
-    seeded from (seed, 1, tower index), with nodes one
-    ``shadow_grid_spacing`` apart and beyond the bounds.
+    A tower of transmit power P is received at distance d with
+    ``P - (P0_DBM + 10 * exponent * log10(max(d, D0_M) / D0_M))`` dBm plus
+    the static shadowing; ``exponent`` is 2 in free space and up to 5 in
+    dense urban clutter.  The shadowing lattice, drawn at construction, has
+    one layer per tower, seeded from (seed, 1, tower index), with nodes one
+    ``shadow_grid_spacing`` apart and beyond the bounds, of standard
+    deviation ``shadow_sigma_db``; the spacing sets the field's correlation
+    length.  ``measurement_noise_db`` is the standard deviation of the
+    per-reading jitter that :func:`generate_trace` adds on top of the static
+    field; it models the second-scale RSSI fluctuation a stationary phone
+    reports.
+
+    Raises:
+        ValueError: naming the field, for bounds that are not finite or have
+            no extent, a negative seed, an exponent outside [2, 5], a noise
+            or shadowing sigma that is negative or not finite, a lattice
+            spacing that is not finite and > 0, or no tower inside the bounds.
     """
 
     bounds: tuple[float, float, float, float]  # (x_min, y_min, x_max, y_max)
     towers: tuple[Tower, ...]
-    pathloss: PathLossParams
     seed: int
-    geo_origin: GeoPoint = GeoPoint(30.0, 31.0)
     measurement_noise_db: float = 2.0
+    exponent: float = 3.0
+    shadow_sigma_db: float = 6.0
+    shadow_grid_spacing: float = 50.0
     _shadow: np.ndarray = field(init=False, repr=False)
     _xyp: np.ndarray = field(init=False, repr=False)  # (3, towers): x, y, transmit power
     _by_id: np.ndarray = field(init=False, repr=False)  # tower ranks in tower-id order
@@ -127,21 +122,31 @@ class SynthWorld:
 
     def __post_init__(self) -> None:
         x_min, y_min, x_max, y_max = self.bounds
+        if not all(map(math.isfinite, self.bounds)):
+            raise ValueError(f"bounds must be finite, got {self.bounds!r}")
         if x_max <= x_min or y_max <= y_min:
             raise ValueError("bounds must have positive extent")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
+        if not 2.0 <= self.exponent <= 5.0:
+            raise ValueError(f"exponent must be in [2, 5], got {self.exponent!r}")
+        for name in ("measurement_noise_db", "shadow_sigma_db"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)!r}")
+        if not 0.0 < self.shadow_grid_spacing < math.inf:
+            raise ValueError(
+                f"shadow_grid_spacing must be finite and > 0, got {self.shadow_grid_spacing!r}")
         columns = [(t.location.x, t.location.y, t.tx_power_dbm) for t in self.towers]
         x, y, _ = xyp = np.reshape(columns, (-1, 3)).T
         if not ((x_min <= x) & (x <= x_max) & (y_min <= y) & (y <= y_max)).any():
             raise ValueError("at least one tower must lie inside the bounds")
-        h = self.pathloss.shadow_grid_spacing
+        h = self.shadow_grid_spacing
         nx = int(math.ceil((x_max - x_min + 2 * h) / h)) + 1
         ny = int(math.ceil((y_max - y_min + 2 * h) / h)) + 1
         shadow = np.stack(
             [
                 np.random.default_rng(np.random.SeedSequence([self.seed, 1, rank])).normal(
-                    0.0, self.pathloss.shadow_sigma_db, size=(ny, nx)
+                    0.0, self.shadow_sigma_db, size=(ny, nx)
                 )
                 for rank in range(len(self.towers))
             ]
@@ -155,25 +160,25 @@ class SynthWorld:
 
     def tower_locations_geo(self) -> dict[str, GeoPoint]:
         """Tower positions as geodetic points (for the tower CSV)."""
-        return {t.tower_id: unproject(self.geo_origin, t.location) for t in self.towers}
+        return {t.tower_id: unproject(GEO_ORIGIN, t.location) for t in self.towers}
 
 
-def _exact_loss_db(pl: PathLossParams, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+def _exact_loss_db(exponent: float, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
     """Log-distance path loss at flat tower offsets, with ``math.hypot`` and ``math.log10``.
 
     numpy's hypot and log10 differ from these in the last bit on about 1% and
     3% of inputs, enough to move a reading across an ASU boundary.
     """
     d = np.fromiter(map(math.hypot, dx.tolist(), dy.tolist()), float, len(dx))
-    ratio = (np.maximum(d, pl.d0) / pl.d0).tolist()
-    return pl.p0_dbm + 10.0 * pl.exponent * np.fromiter(map(math.log10, ratio), float, len(ratio))
+    ratio = (np.maximum(d, D0_M) / D0_M).tolist()
+    return P0_DBM + 10.0 * exponent * np.fromiter(map(math.log10, ratio), float, len(ratio))
 
 
 def _shadow_db(world: SynthWorld, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Bilinear shadowing of every tower at points ``(x, y)``, shape (points, towers)."""
     v = world._shadow
     _, ny, nx = v.shape
-    h = world.pathloss.shadow_grid_spacing
+    h = world.shadow_grid_spacing
     gx = (x - (world.bounds[0] - h)) / h
     gy = (y - (world.bounds[1] - h)) / h
     i = np.clip(np.floor(gx).astype(np.int64), 0, nx - 2)
@@ -194,10 +199,9 @@ def received_dbm(world: SynthWorld, tower: Tower, p: PlanarPoint) -> float:
     :func:`_heard_dbm`'s order: the very value a noiseless scan quantizes.
     """
     rank = world.towers.index(tower)
-    pl = world.pathloss
     tx, ty, power = world._xyp[:, rank]
-    dbm = power - _exact_loss_db(pl, np.array([tx - p.x]), np.array([ty - p.y]))[0]
-    if pl.shadow_sigma_db > 0:
+    dbm = power - _exact_loss_db(world.exponent, np.array([tx - p.x]), np.array([ty - p.y]))[0]
+    if world.shadow_sigma_db > 0:
         dbm += _shadow_db(world, np.array([p.x]), np.array([p.y]))[0, rank]
     return float(dbm)
 
@@ -212,19 +216,18 @@ def _heard_dbm(
     less :func:`_exact_loss_db`, plus :func:`_shadow_db` and then the noise,
     so every audible pair is bit-identical to :func:`received_dbm` plus noise.
     """
-    pl = world.pathloss
     tx, ty, power = world._xyp
     dx = tx - x[:, None]
     dy = ty - y[:, None]
-    log_ratio = np.log10(np.maximum(np.hypot(dx, dy), pl.d0) / pl.d0)
-    dbm = power - (pl.p0_dbm + 10.0 * pl.exponent * log_ratio)
-    terms = [_shadow_db(world, x, y)] if pl.shadow_sigma_db > 0 else []
+    log_ratio = np.log10(np.maximum(np.hypot(dx, dy), D0_M) / D0_M)
+    dbm = power - (P0_DBM + 10.0 * world.exponent * log_ratio)
+    terms = [_shadow_db(world, x, y)] if world.shadow_sigma_db > 0 else []
     if noise is not None:
         terms.append(noise)
     for term in terms:
         dbm += term
     rows, cols = np.nonzero(dbm >= SENSITIVITY_DBM - _PRUNE_MARGIN_DB)
-    heard = power[cols] - _exact_loss_db(pl, dx[rows, cols], dy[rows, cols])
+    heard = power[cols] - _exact_loss_db(world.exponent, dx[rows, cols], dy[rows, cols])
     for term in terms:
         heard += term[rows, cols]
     dbm.fill(-np.inf)
@@ -264,7 +267,7 @@ def _block_scans(
         times, x.tolist(), y.tolist(), counts.tolist(), top.tolist(), asu.astype(int).tolist()
     ):
         readings = {names[k]: level for k, level in zip(kept[:n], levels[:n])}
-        truth = unproject(world.geo_origin, PlanarPoint(px, py))
+        truth = unproject(GEO_ORIGIN, PlanarPoint(px, py))
         scans.append(ScanVector(t, readings, truth=truth))
     return scans
 
@@ -427,13 +430,11 @@ def make_preset(name: str, seed: int = 0) -> tuple[SynthWorld, dict[str, Route]]
     world = SynthWorld(
         bounds=(0.0, 0.0, side, side),
         towers=towers,
-        pathloss=PathLossParams(
-            exponent=cfg["exponent"],
-            shadow_sigma_db=cfg["shadow_sigma_db"],
-            shadow_grid_spacing=cfg["shadow_grid_spacing"],
-        ),
         seed=seed,
         measurement_noise_db=cfg["measurement_noise_db"],
+        exponent=cfg["exponent"],
+        shadow_sigma_db=cfg["shadow_sigma_db"],
+        shadow_grid_spacing=cfg["shadow_grid_spacing"],
     )
 
     speed = cfg["speed"]

@@ -20,6 +20,7 @@ from scipy.linalg import solve_triangular
 from gsmloc.geo import PlanarPoint, ScanVector
 from gsmloc.gp import GpHyperparams, GpTowerModel, PrecomputedGrid
 from gsmloc.radiomap import N_ASU_BINS, RadioMap, SmoothingParams
+from gsmloc.synth import D0_M, P0_DBM
 
 
 def map_cells(rm: RadioMap) -> dict:
@@ -408,16 +409,15 @@ def scalar_received_dbm(world, rank: int, p: PlanarPoint) -> float:
     The tower's shadowing lattice is re-drawn from its seed on every call.
     """
     tower = world.towers[rank]
-    pl = world.pathloss
     d = math.hypot(tower.location.x - p.x, tower.location.y - p.y)
-    dbm = tower.tx_power_dbm - (pl.p0_dbm + 10.0 * pl.exponent * math.log10(max(d, pl.d0) / pl.d0))
-    if pl.shadow_sigma_db > 0:
+    dbm = tower.tx_power_dbm - (P0_DBM + 10.0 * world.exponent * math.log10(max(d, D0_M) / D0_M))
+    if world.shadow_sigma_db > 0:
         x_min, y_min, x_max, y_max = world.bounds
-        h = pl.shadow_grid_spacing
+        h = world.shadow_grid_spacing
         nx = int(math.ceil((x_max - x_min + 2 * h) / h)) + 1
         ny = int(math.ceil((y_max - y_min + 2 * h) / h)) + 1
         rng = np.random.default_rng(np.random.SeedSequence([world.seed, 1, rank]))
-        v = rng.normal(0.0, pl.shadow_sigma_db, size=(ny, nx)).tolist()
+        v = rng.normal(0.0, world.shadow_sigma_db, size=(ny, nx)).tolist()
         gx = (p.x - (x_min - h)) / h
         gy = (p.y - (y_min - h)) / h
         i = min(max(int(math.floor(gx)), 0), nx - 2)

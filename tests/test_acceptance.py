@@ -68,7 +68,7 @@ from gsmloc.radiomap import (
     load_radio_map,
     save_radio_map,
 )
-from gsmloc.synth import PathLossParams, SynthWorld, Tower, generate_trace, make_preset, scan_at
+from gsmloc.synth import SynthWorld, Tower, generate_trace, make_preset, scan_at
 from oracles import (
     boundary_tie,
     brute_deterministic,
@@ -124,8 +124,8 @@ def timing_bed():
         for i in range(60)
     )
     world = SynthWorld(
-        (0, 0, side, side), towers, PathLossParams(shadow_grid_spacing=60.0),
-        seed=7, measurement_noise_db=4.5,
+        (0, 0, side, side), towers, seed=7, measurement_noise_db=4.5,
+        shadow_grid_spacing=60.0,
     )
     grid_rng = np.random.default_rng(1)
     pts = [PlanarPoint(x, y) for y in np.arange(20, side, 35.0) for x in np.arange(20, side, 35.0)]
@@ -512,8 +512,8 @@ def test_criterion_8_linear_scaling():
                 for i in range(40)
             )
             world = SynthWorld(
-                (0, 0, side, side), towers, PathLossParams(shadow_grid_spacing=60.0), seed=9,
-                measurement_noise_db=3.0,
+                (0, 0, side, side), towers, seed=9, measurement_noise_db=3.0,
+                shadow_grid_spacing=60.0,
             )
             srng = np.random.default_rng(3)
             pts = [

@@ -135,6 +135,12 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="empty"):
             evaluate(rm, [], "probabilistic")
 
+    @pytest.mark.parametrize("time_repeats", [0, -3, 1.5, True])
+    def test_time_repeats_not_a_count_refused(self, training_scans, test_scans, time_repeats):
+        rm = build_radio_map(training_scans, 70.0, origin=ORIGIN)
+        with pytest.raises(ValueError, match=r"^time_repeats must be an integer >= 1, got "):
+            evaluate(rm, test_scans, perfect_estimator, time_repeats=time_repeats)
+
     def test_unknown_technique(self, training_scans, test_scans):
         rm = build_radio_map(training_scans, 70.0, origin=ORIGIN)
         with pytest.raises(ValueError, match="unknown technique"):

@@ -8,7 +8,7 @@ import pytest
 from gsmloc.geo import SENSITIVITY_DBM, PlanarPoint, dbm_to_asu, project
 from gsmloc.synth import (
     _BLOCK_SCANS,
-    PathLossParams,
+    GEO_ORIGIN,
     Route,
     SynthWorld,
     Tower,
@@ -27,8 +27,9 @@ def flat_world(towers, *, shadow=0.0, seed=0, bounds=(0.0, 0.0, 1000.0, 1000.0),
     return SynthWorld(
         bounds=bounds,
         towers=tuple(towers),
-        pathloss=PathLossParams(exponent=exponent, shadow_sigma_db=shadow),
         seed=seed,
+        exponent=exponent,
+        shadow_sigma_db=shadow,
     )
 
 
@@ -61,12 +62,13 @@ class TestReceivedPower:
         assert a != b
 
     def test_validation(self):
+        tower = Tower("T0", PlanarPoint(0.0, 0.0), 0.0)
         with pytest.raises(ValueError):
-            PathLossParams(exponent=1.5)
+            flat_world([tower], exponent=1.5)
         with pytest.raises(ValueError):
-            PathLossParams(shadow_sigma_db=-1.0)
-        with pytest.raises(ValueError, match="d0 and shadow_grid_spacing must be > 0"):
-            PathLossParams(d0=0.0)
+            flat_world([tower], shadow=-1.0)
+        with pytest.raises(ValueError, match="shadow_grid_spacing must be finite and > 0"):
+            SynthWorld((0.0, 0.0, 1000.0, 1000.0), (tower,), seed=0, shadow_grid_spacing=0.0)
         with pytest.raises(ValueError):
             flat_world([Tower("T0", PlanarPoint(5000.0, 0.0), 0.0)])  # outside bounds
 
@@ -129,7 +131,7 @@ class TestScanAt:
         world = flat_world([tower])
         p = PlanarPoint(25.0, 35.0)
         sv = scan_at(world, p, 7.0)
-        back = project(world.geo_origin, sv.truth)
+        back = project(GEO_ORIGIN, sv.truth)
         assert math.hypot(back.x - p.x, back.y - p.y) < 1e-6
 
 
@@ -163,7 +165,7 @@ class TestGenerateTrace:
         route = Route(waypoints, 9.0)
         trace = generate_trace(world, route)
         for sv in trace:
-            p = project(world.geo_origin, sv.truth)
+            p = project(GEO_ORIGIN, sv.truth)
             d = min(
                 _point_segment_distance(p, a, b)
                 for a, b in zip(waypoints, waypoints[1:])
@@ -213,6 +215,24 @@ _ORIGIN_XY = PlanarPoint(0.0, 0.0)
 def test_bad_route_or_world_refused(make, message):
     with pytest.raises(ValueError, match=message):
         make()
+
+
+@pytest.mark.parametrize("name,value", [
+    ("measurement_noise_db", -1.0),
+    ("measurement_noise_db", math.nan),
+    ("measurement_noise_db", math.inf),
+    ("shadow_sigma_db", math.nan),
+    ("shadow_sigma_db", math.inf),
+    ("shadow_grid_spacing", math.nan),
+    ("shadow_grid_spacing", math.inf),
+    ("bounds", (0.0, 0.0, math.inf, 1000.0)),
+    ("bounds", (-math.inf, 0.0, 1000.0, 1000.0)),
+    ("bounds", (0.0, 0.0, 1000.0, math.nan)),
+])
+def test_world_setting_not_finite_or_negative_refused(name, value):
+    settings = {"bounds": (0.0, 0.0, 1000.0, 1000.0), "towers": (_T0,), "seed": 0, name: value}
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        SynthWorld(**settings)
 
 
 class TestPresets:
@@ -268,8 +288,8 @@ def _oracle_world(shadow):
         Tower(f"T{i}", PlanarPoint(rng.uniform(0, 600), rng.uniform(0, 400)), rng.uniform(-50, -20))
         for i in range(9)
     )
-    pathloss = PathLossParams(shadow_sigma_db=shadow, shadow_grid_spacing=45.0)
-    return SynthWorld((0.0, 0.0, 600.0, 400.0), towers, pathloss, seed=3)
+    return SynthWorld((0.0, 0.0, 600.0, 400.0), towers, seed=3,
+                      shadow_sigma_db=shadow, shadow_grid_spacing=45.0)
 
 
 # Points inside and around the bounds, on lattice nodes, and far outside
@@ -327,7 +347,7 @@ class TestFieldOracle:
         for t, (sv, (x, y, readings)) in enumerate(zip(trace, expected)):
             assert sv.timestamp == float(t)
             assert list(sv.readings.items()) == readings
-            back = project(world.geo_origin, sv.truth)
+            back = project(GEO_ORIGIN, sv.truth)
             assert math.hypot(back.x - x, back.y - y) < 1e-6
 
     def test_tower_outside_world_rejected(self):

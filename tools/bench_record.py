@@ -8,11 +8,14 @@ Run from the repository root:
 
 ``run`` runs ``benchmark/run.py --seed 0 --seconds 6`` once per workload
 listed in ``BENCHMARK.json`` and writes each run record, gate result and
-end-to-end metrics, plus the ``src/`` line count, the start-up cost and the
-benchmark's known blind spots.  The start-up cost is ``import_s``, the
-median wall time of 5 fresh ``python -c "import gsmloc"`` processes, and
-``import_rss_mb``, the median of those processes' peak RSS (``ru_maxrss``).
-``compare`` prints both, without a bound, and then, per workload and
+end-to-end metrics, plus the ``src/`` line count, the public option count,
+the start-up cost and the benchmark's known blind spots.  The option count,
+``public_options``, is the number of parameters with a default over every
+public function and class that ``gsmloc`` exports.  The start-up cost is
+``import_s``, the median wall time of 5 fresh ``python -c "import gsmloc"``
+processes, and ``import_rss_mb``, the median of those processes' peak RSS
+(``ru_maxrss``).
+``compare`` prints these four, without a bound, and then, per workload and
 end-to-end metric, the change from the first file to the second, signed so
 that positive is worse, and flags every change beyond the metric's bound.
 One run per side is not enough to tell a change within the run-to-run
@@ -41,6 +44,7 @@ fails its gate or fails a larger share of its operations.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import statistics
@@ -104,6 +108,23 @@ def _import_cost() -> tuple[float, float]:
     return round(statistics.median(times), 4), round(statistics.median(rss_mb), 1)
 
 
+def _public_options() -> int:
+    """Parameters with a default over the functions and classes ``gsmloc`` exports."""
+    sys.path.insert(0, str(ROOT / "src"))
+    import gsmloc
+
+    count = 0
+    for name, obj in vars(gsmloc).items():
+        if name.startswith("_") or inspect.ismodule(obj) or not callable(obj):
+            continue
+        try:
+            params = inspect.signature(obj).parameters.values()
+        except ValueError:  # exception classes have no signature
+            continue
+        count += sum(p.default is not p.empty for p in params)
+    return count
+
+
 def record(out: Path) -> int:
     workloads = {}
     for workload in (w["name"] for w in _spec()["workloads"]):
@@ -114,6 +135,7 @@ def record(out: Path) -> int:
     bench = {
         "command": f"benchmark/run.py --seed {SEED} --seconds {SECONDS}",
         "src_lines": next(iter(workloads.values()))["run_record"]["src_lines"],
+        "public_options": _public_options(),
         "import_s": import_s,
         "import_rss_mb": import_rss_mb,
         "notes": BLIND_SPOTS,
@@ -130,7 +152,7 @@ def _failed_share(runs: list[dict]) -> float:
 def compare(old_path: Path, new_path: Path) -> int:
     old, new = (json.loads(p.read_text(encoding="utf-8")) for p in (old_path, new_path))
     end_to_end = _spec()["end_to_end"]
-    for key in ("src_lines", "import_s", "import_rss_mb"):
+    for key in ("src_lines", "public_options", "import_s", "import_rss_mb"):
         print(f"{key} {old.get(key, 'n/a')} -> {new.get(key, 'n/a')}")
     worse = 0
     for workload, after in new["workloads"].items():
