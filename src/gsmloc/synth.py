@@ -105,7 +105,9 @@ class SynthWorld:
         ValueError: naming the field, for bounds that are not finite or have
             no extent, a negative seed, an exponent outside [2, 5], a noise
             or shadowing sigma that is negative or not finite, a lattice
-            spacing that is not finite and > 0, or no tower inside the bounds.
+            spacing that is not finite and > 0, two towers with one
+            ``tower_id``, a tower whose location or ``tx_power_dbm`` is not
+            finite, or no tower inside the bounds.
     """
 
     bounds: tuple[float, float, float, float]  # (x_min, y_min, x_max, y_max)
@@ -136,8 +138,17 @@ class SynthWorld:
         if not 0.0 < self.shadow_grid_spacing < math.inf:
             raise ValueError(
                 f"shadow_grid_spacing must be finite and > 0, got {self.shadow_grid_spacing!r}")
+        ids = [t.tower_id for t in self.towers]
+        by_id = np.array(sorted(range(len(ids)), key=ids.__getitem__))
+        sorted_ids = tuple(ids[k] for k in by_id.tolist())
+        for a, b in zip(sorted_ids, sorted_ids[1:]):
+            if a == b:
+                raise ValueError(f"tower_id {a!r} names more than one tower")
         columns = [(t.location.x, t.location.y, t.tx_power_dbm) for t in self.towers]
         x, y, _ = xyp = np.reshape(columns, (-1, 3)).T
+        for tower, finite in zip(self.towers, np.isfinite(xyp).all(axis=0).tolist()):
+            if not finite:
+                raise ValueError(f"tower {tower.tower_id!r} location and tx_power_dbm must be finite")
         if not ((x_min <= x) & (x <= x_max) & (y_min <= y) & (y <= y_max)).any():
             raise ValueError("at least one tower must lie inside the bounds")
         h = self.shadow_grid_spacing
@@ -151,12 +162,10 @@ class SynthWorld:
                 for rank in range(len(self.towers))
             ]
         )
-        ids = [t.tower_id for t in self.towers]
-        by_id = np.array(sorted(range(len(ids)), key=ids.__getitem__))
         for name, array in (("_shadow", shadow), ("_xyp", xyp), ("_by_id", by_id)):
             array.setflags(write=False)
             object.__setattr__(self, name, array)
-        object.__setattr__(self, "_ids", tuple(ids[k] for k in by_id.tolist()))
+        object.__setattr__(self, "_ids", sorted_ids)
 
     def tower_locations_geo(self) -> dict[str, GeoPoint]:
         """Tower positions as geodetic points (for the tower CSV)."""

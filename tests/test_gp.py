@@ -1,3 +1,4 @@
+import ctypes
 import dataclasses
 import json
 import math
@@ -6,16 +7,18 @@ import re
 import subprocess
 import sys
 import textwrap
+import threading
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import cython_lapack
 
 import gsmloc
 from conftest import ORIGIN, scan_at_planar
 from gsmloc import gp
-from gsmloc.geo import PlanarPoint, ProjectionRangeWarning, ScanVector
+from gsmloc.geo import PlanarPoint, ProjectionRangeWarning, ScanVector, project_array
 from gsmloc.gp import (
     GpFitError,
     GpHyperparams,
@@ -566,6 +569,157 @@ class TestFitTowerModels:
         object.__setattr__(scans[4].truth, "lat", math.inf)
         with pytest.warns(ProjectionRangeWarning), pytest.raises(ValueError, match="finite"):
             fit_tower_models(scans, ORIGIN)
+
+
+@pytest.fixture
+def scipy_blas_threads():
+    """scipy's OpenBLAS thread count getter, the count set to 2 for the test."""
+    library = ctypes.CDLL(cython_lapack.__file__)
+    try:
+        get, set_ = library.scipy_openblas_get_num_threads, library.scipy_openblas_set_num_threads
+    except AttributeError:
+        pytest.skip("scipy's OpenBLAS exports no thread-count setter")
+    before = get()
+    set_(2)
+    yield get
+    set_(before)
+
+
+@pytest.fixture(scope="module")
+def rural_train():
+    world, routes = make_preset("rural", seed=0)
+    train = generate_trace(world, routes["train"])
+    return train, build_radio_map(train, 70.0).origin
+
+
+class TestConcurrentFit:
+    """fit_tower_models and gp_build_grid run the towers on a thread pool."""
+
+    def test_equals_a_serial_gp_fit_loop(self, rural_train):
+        train, origin = rural_train
+        models = fit_tower_models(train, origin)
+        xy = project_array(origin, [s.truth for s in train])
+        towers = sorted({tid for s in train for tid in s.readings})
+        for rank, tid in enumerate(towers):
+            heard = [(i, s.readings[tid]) for i, s in enumerate(train) if tid in s.readings]
+            if len(heard) < 2:
+                assert tid not in models
+                continue
+            seed = int(np.random.SeedSequence([gp.FIT_SEED, rank]).generate_state(1)[0])
+            serial = gp_fit(xy[[i for i, _ in heard]], [float(a) for _, a in heard], seed=seed)
+            model = models[tid]
+            assert model.hyper == serial.hyper, tid
+            assert model.log_marginal == serial.log_marginal, tid
+            for name in ("locations", "values", "chol", "alpha"):
+                assert np.array_equal(getattr(model, name), getattr(serial, name)), (tid, name)
+        assert list(models) == [t for t in towers if t in models]
+
+    def test_blas_count_pinned_inside_and_restored_after(self, scipy_blas_threads, monkeypatch):
+        seen = []
+
+        def recording_fit(*args, **kwargs):
+            seen.append(scipy_blas_threads())
+            return real_fit(*args, **kwargs)
+
+        real_fit = gp.gp_fit
+        monkeypatch.setattr(gp, "gp_fit", recording_fit)
+        threads = threading.active_count()
+        scans = [scan_at_planar(t, 10.0 * t, 5.0 * (t % 4), {"A": 10 + t % 3, "B": 20 - t % 5})
+                 for t in range(12)]
+        models = fit_tower_models(scans, ORIGIN)
+        assert list(models) == ["A", "B"]
+        assert seen == [1, 1]
+        assert scipy_blas_threads() == 2
+        gp_build_grid(models, (0.0, 0.0, 100.0, 20.0), 10.0, ORIGIN)
+        assert scipy_blas_threads() == 2
+        assert threading.active_count() == threads
+
+    def test_worker_error_reaches_the_caller_unchanged(self, scipy_blas_threads, monkeypatch):
+        threads = threading.active_count()
+        scans = TestFitTowerModels._scans()
+        scans[2].readings["A"] = math.nan
+        with pytest.raises(ValueError, match="^GP training locations and values must be finite$"):
+            fit_tower_models(scans, ORIGIN)
+        assert scipy_blas_threads() == 2
+
+        error = GpFitError("tower B failed")
+        real_fit = gp.gp_fit
+
+        def fail_on_b(locations, values, **kwargs):
+            if len(values) == 3:
+                raise error
+            return real_fit(locations, values, **kwargs)
+
+        monkeypatch.setattr(gp, "gp_fit", fail_on_b)
+        scans = [scan_at_planar(t, 10.0 * t, 0.0, {"A": 10 + t, "B": 5} if t < 3 else {"A": 10})
+                 for t in range(8)]
+        with pytest.raises(GpFitError) as raised:
+            fit_tower_models(scans, ORIGIN)
+        assert raised.value is error
+        assert scipy_blas_threads() == 2
+        assert threading.active_count() == threads
+
+    def test_pin_holds_under_many_threads_entering_at_once(self, scipy_blas_threads):
+        seen = set()
+
+        def enter_and_leave():
+            for _ in range(300):
+                with gp._ONE_BLAS_THREAD:
+                    with gp._ONE_BLAS_THREAD:
+                        seen.add(scipy_blas_threads())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=enter_and_leave) for _ in range(8)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert seen == {1}
+        assert scipy_blas_threads() == 2
+
+
+_THREAD_COUNT_SCRIPT = textwrap.dedent("""
+    import hashlib, os, tempfile
+    from gsmloc import (build_radio_map, fit_tower_models, generate_trace, gp_build_grid,
+                        make_preset, save_grid)
+    from gsmloc.geo import project_array
+
+    world, routes = make_preset("rural", seed=0)
+    train = generate_trace(world, routes["train"])
+    origin = build_radio_map(train, 70.0).origin
+    models = fit_tower_models(train, origin)
+    fit = hashlib.sha256()
+    for tid in sorted(models):
+        fit.update(models[tid].chol.tobytes())
+        fit.update(models[tid].alpha.tobytes())
+    xy = project_array(origin, [s.truth for s in train])
+    bounds = (*xy.min(axis=0).tolist(), *xy.max(axis=0).tolist())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "grid.json")
+        save_grid(gp_build_grid(models, bounds, 42.0, origin), path)
+        with open(path, "rb") as fh:
+            print(fit.hexdigest(), hashlib.sha256(fh.read()).hexdigest())
+""")
+
+
+@pytest.mark.skipif(len(gp._ONE_BLAS_THREAD._controls) < 2,
+                    reason="without both OpenBLAS thread-count setters the bits follow the count")
+def test_fit_and_grid_bits_do_not_depend_on_the_blas_thread_count():
+    src = str(Path(gsmloc.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    digests = set()
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-c", _THREAD_COUNT_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        digests.add(proc.stdout.strip())
+    assert len(digests) == 1, digests
 
 
 def _drop_points(doc):

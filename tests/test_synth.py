@@ -235,6 +235,26 @@ def test_world_setting_not_finite_or_negative_refused(name, value):
         SynthWorld(**settings)
 
 
+def test_two_towers_with_one_id_refused():
+    # Accepted, a scan would keep one reading for "T0" and lose the other tower.
+    twin = Tower("T0", PlanarPoint(5.0, 5.0), -20.0)
+    with pytest.raises(ValueError, match="^tower_id 'T0' names more than one tower$"):
+        flat_world([_T0, Tower("T1", PlanarPoint(9.0, 0.0), -20.0), twin])
+
+
+@pytest.mark.parametrize("location,tx_power_dbm", [
+    (PlanarPoint(math.nan, 0.0), -20.0),
+    (PlanarPoint(0.0, math.inf), -20.0),
+    (PlanarPoint(0.0, 0.0), math.nan),
+    (PlanarPoint(0.0, 0.0), -math.inf),
+])
+def test_tower_not_finite_refused(location, tx_power_dbm):
+    # Accepted, such a tower would never be heard, without an error.
+    bad = Tower("A", location, tx_power_dbm)
+    with pytest.raises(ValueError, match="^tower 'A' location and tx_power_dbm must be finite$"):
+        flat_world([bad, Tower("B", PlanarPoint(10.0, 10.0), -20.0)])
+
+
 class TestPresets:
     def test_trim_polyline_refuses_a_target_past_its_end(self):
         path = [PlanarPoint(0.0, 0.0), PlanarPoint(100.0, 0.0), PlanarPoint(100.0, 50.0)]

@@ -64,8 +64,6 @@ BLIND_SPOTS = [
     "setup_s cannot resolve its 0.25 bound: over the ten parent runs CHANGES.md quotes next "
     "to BENCH_21.json, its IQR/median read 0.426 on rural-gp (34 ms median) and 0.382 on "
     "urban-track (110 ms)",
-    "rural-gp build_s is bimodal: about one fresh process in 12 stalls in its first threaded "
-    "LAPACK dsytrd of the GP fit",
     "radiomap.mean_asu_s and radiomap.point_arrays_s time plain accessors: the map builds "
     "those arrays at construction, so their work is in radiomap.build_s",
     "radiomap.table_bytes counts the log table's floor row for unknown towers, one row more "
