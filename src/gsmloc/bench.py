@@ -36,7 +36,7 @@ from .estimators import (
 from .geo import GeoPoint, PlanarPoint, ScanVector, project_array
 from .gp import PrecomputedGrid, gp_locate
 from .radiomap import (RadioMap, ablate_towers, build_radio_map, check_keep_fraction,
-                       ground_truths)
+                       derived_seed, ground_truths)
 
 REPORT_HEADER = ("technique", "grid_m", "ns", "k", "median_err_m", "p95_err_m", "mean_ms")
 CDF_HEADER = ("error_m", "cum_frac")
@@ -187,11 +187,6 @@ def evaluate(
 # ---------------------------------------------------------------------------
 
 
-def _config_seed(base_seed: int, i: int) -> int:
-    """The seed of configuration ``i``: a function of (base seed, i) alone."""
-    return int(np.random.SeedSequence([base_seed, i]).generate_state(1)[0])
-
-
 def _sweep(
     runs: Iterable[tuple[RadioMap, EstimatorParams]],
     test_scans: Sequence[ScanVector],
@@ -240,7 +235,7 @@ def sweep_tower_drop(
     base_seed: int = 0,
 ) -> list[EvalReport]:
     """Evaluate maps with a random subset of towers removed."""
-    runs = ((ablate_towers(radio_map, f, _config_seed(base_seed, i)), params)
+    runs = ((ablate_towers(radio_map, f, derived_seed(base_seed, i)), params)
             for i, f in enumerate(drop_fractions))
     return _sweep(runs, test_scans, technique)
 
@@ -257,7 +252,7 @@ def sweep_density(
     base_seed: int = 0,
 ) -> list[EvalReport]:
     """Thin the training trace before the map build and evaluate each map."""
-    runs = ((build_radio_map(thin_fingerprint(train_scans, f, _config_seed(base_seed, i)),
+    runs = ((build_radio_map(thin_fingerprint(train_scans, f, derived_seed(base_seed, i)),
                              grid_length, tower_locations=tower_locations), params)
             for i, f in enumerate(keep_fractions))
     return _sweep(runs, test_scans, technique)

@@ -19,13 +19,13 @@ gives log|K| as the sum of log D.  The near-best candidates are scored
 exactly by Cholesky, so the chosen model equals that of a dense search.
 
 Towers are fitted, and gridded, concurrently, one thread per CPU the process
-may run on.  ``dsytrd``, ``dptsv`` and the grid's ``dtrtrs`` are called
-through the C pointers that ``scipy.linalg.cython_lapack`` exports, which
-ctypes calls without holding the GIL.  Every GP factorization and solve runs
-with scipy's and numpy's bundled OpenBLAS pinned to one thread, so GP arrays
-are bit-reproducible on one machine and numpy/scipy build at any BLAS thread
-count.  Where a library exports no thread-count setter, its pin does nothing,
-and the bits then depend on that library's thread count.
+may run on.  Every LAPACK call (``dsytrd``, ``dptsv``, ``dpotrf``, ``dtrtrs``)
+goes through one binding, ``_lapack``, to the C pointer that ``cython_lapack``
+exports, which ctypes calls without holding the GIL.  Every GP factorization
+and solve runs with scipy's and numpy's bundled OpenBLAS pinned to one thread,
+so GP arrays are bit-reproducible on one machine and numpy/scipy build at any
+BLAS thread count.  Where a library exports no thread-count setter, its pin
+does nothing, and the bits then depend on that library's thread count.
 
 For localization, posterior mean and variance are precomputed once on a dense
 lattice, where the kernel factors per axis, exp(-(dx^2 + dy^2) / (2 l^2)) =
@@ -51,11 +51,11 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
-from scipy.linalg import cholesky, cython_lapack, solve_triangular
+from scipy.linalg import cython_lapack
 
 from .estimators import LocationEstimate, _check_scans
 from .geo import GeoPoint, PlanarPoint, ScanVector, project_array
-from .radiomap import (check_positive_finite, ground_truths, json_array, json_value,
+from .radiomap import (check_positive_finite, derived_seed, ground_truths, json_array, json_value,
                        load_document, reading_arrays, save_document)
 
 GP_GRID_KIND = "gp_grid"
@@ -108,29 +108,36 @@ _capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c
     ("PyCapsule_GetPointer", ctypes.pythonapi))
 
 
-def _lapack_routine(name: str, n_args: int) -> Callable[..., None]:
-    """A LAPACK routine through the C pointer that ``scipy.linalg.cython_lapack`` exports.
-
-    ctypes releases the GIL for the call, which the f2py wrappers in
-    ``scipy.linalg.lapack`` hold.  Every argument is an address, as in
-    Fortran: ``ctypes.byref`` of a scalar or an array's ``.ctypes.data``.
-    """
+@functools.cache
+def _lapack_function(name: str, n_args: int) -> Callable[..., None]:
+    """The ctypes prototype of LAPACK routine ``name`` at ``cython_lapack``'s C pointer."""
     capsule = cython_lapack.__pyx_capi__[name]
     address = _capsule_pointer(capsule, _capsule_name(capsule))
     return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * n_args)(address)
 
 
-_dsytrd = _lapack_routine("dsytrd", 10)  # uplo n a lda d e tau work lwork info
-_dptsv = _lapack_routine("dptsv", 7)  # n nrhs d e b ldb info
-_dtrtrs = _lapack_routine("dtrtrs", 10)  # uplo trans diag n nrhs a lda b ldb info
-_LOWER, _NO_TRANSPOSE, _NON_UNIT = ctypes.c_char(b"L"), ctypes.c_char(b"N"), ctypes.c_char(b"N")
+def _lapack(name: str, *args: np.ndarray | bytes | int) -> int:
+    """``info`` of LAPACK routine ``name``, called without the GIL, which f2py wrappers hold.
 
-
-def _check_lapack_buffers(*arrays: np.ndarray) -> None:
-    """Refuse an array that LAPACK would misread: not float64 in Fortran order."""
-    for a in arrays:
-        if a.dtype != np.float64 or not a.flags.f_contiguous:
-            raise ValueError("LAPACK buffers must be float64 and in Fortran order")
+    As in Fortran, every argument goes by address: an array, float64 in
+    Fortran order, by its data pointer, a ``bytes`` flag or an ``int`` by
+    reference; ``info`` is appended.  Callers check shapes, since a wrong one
+    lets LAPACK read past a buffer.  ``info < 0`` raises ``ValueError``.
+    """
+    refs = []
+    for arg in args:
+        if isinstance(arg, np.ndarray):
+            if arg.dtype != np.float64 or not arg.flags.f_contiguous:
+                raise ValueError("LAPACK buffers must be float64 and in Fortran order")
+            refs.append(arg.ctypes.data)
+        else:
+            scalar = ctypes.c_char(arg) if isinstance(arg, bytes) else ctypes.c_int(arg)
+            refs.append(ctypes.byref(scalar))
+    info = ctypes.c_int()
+    _lapack_function(name, len(args) + 1)(*refs, ctypes.byref(info))
+    if info.value < 0:
+        raise ValueError(f"{name} rejected argument {-info.value}")
+    return info.value
 
 
 def _tridiagonal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -139,19 +146,13 @@ def _tridiagonal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``a`` is symmetric and in Fortran order; its lower triangle is read and
     overwritten with the reflectors.
     """
-    _check_lapack_buffers(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("dsytrd needs a square matrix")
-    n, lwork, info = ctypes.c_int(len(a)), ctypes.c_int(-1), ctypes.c_int()
-    d, e, tau, work = np.empty(len(a)), np.empty(len(a) - 1), np.empty(len(a) - 1), np.empty(1)
-    args = (ctypes.byref(_LOWER), ctypes.byref(n), a.ctypes.data, ctypes.byref(n),
-            d.ctypes.data, e.ctypes.data, tau.ctypes.data)
-    _dsytrd(*args, work.ctypes.data, ctypes.byref(lwork), ctypes.byref(info))  # workspace query
-    lwork.value = int(work[0])
-    work = np.empty(lwork.value)
-    _dsytrd(*args, work.ctypes.data, ctypes.byref(lwork), ctypes.byref(info))
-    if info.value:
-        raise ValueError(f"dsytrd rejected argument {-info.value}")
+    n = len(a)
+    d, e, tau, work = np.empty(n), np.empty(n - 1), np.empty(n - 1), np.empty(1)
+    _lapack("dsytrd", b"L", n, a, n, d, e, tau, work, -1)  # workspace query
+    work = np.empty(int(work[0]))
+    _lapack("dsytrd", b"L", n, a, n, d, e, tau, work, len(work))
     return d, e
 
 
@@ -161,29 +162,21 @@ def _tridiagonal_inverse_00(d: np.ndarray, e: np.ndarray) -> float | None:
     ``d`` is overwritten with the pivots D of T = L D L^T.  None when T is
     not positive definite.
     """
-    _check_lapack_buffers(d, e)
     if d.ndim != 1 or e.shape != (len(d) - 1,):
         raise ValueError("dptsv needs n diagonal and n - 1 subdiagonal entries")
-    n, nrhs, info = ctypes.c_int(len(d)), ctypes.c_int(1), ctypes.c_int()
     x = np.zeros(len(d))
     x[0] = 1.0
-    _dptsv(ctypes.byref(n), ctypes.byref(nrhs), d.ctypes.data, e.ctypes.data, x.ctypes.data,
-           ctypes.byref(n), ctypes.byref(info))
-    return float(x[0]) if info.value == 0 else None
+    return float(x[0]) if _lapack("dptsv", len(d), 1, d, e, x, len(d)) == 0 else None
 
 
-def _solve_lower_in_place(chol: np.ndarray, b: np.ndarray) -> None:
-    """Overwrite ``b``, (n, m) in Fortran order, with chol^-1 b by ``dtrtrs``."""
+def _solve_lower_in_place(chol: np.ndarray, b: np.ndarray, trans: bytes = b"N") -> None:
+    """Overwrite ``b``, (n, m) in Fortran order, with chol^-1 b (chol^-T b if ``trans`` is b"T")."""
     a = np.asfortranarray(chol)
-    _check_lapack_buffers(a, b)
     if b.ndim != 2 or a.shape != (len(b), len(b)):
         raise ValueError("dtrtrs needs an (n, n) factor and (n, m) right-hand sides")
-    n, m, info = ctypes.c_int(b.shape[0]), ctypes.c_int(b.shape[1]), ctypes.c_int()
-    _dtrtrs(ctypes.byref(_LOWER), ctypes.byref(_NO_TRANSPOSE), ctypes.byref(_NON_UNIT),
-            ctypes.byref(n), ctypes.byref(m), a.ctypes.data, ctypes.byref(n), b.ctypes.data,
-            ctypes.byref(n), ctypes.byref(info))
-    if info.value:
-        raise np.linalg.LinAlgError(f"dtrtrs failed with info {info.value}")
+    info = _lapack("dtrtrs", b"L", trans, b"N", len(b), b.shape[1], a, len(b), b, len(b))
+    if info:
+        raise np.linalg.LinAlgError(f"dtrtrs failed with info {info}")
 
 
 def _blas_thread_controls() -> list[tuple[Callable[[], int], Callable[[int], None]]]:
@@ -279,13 +272,17 @@ def _sq_dists(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
 
 
 def _cholesky_with_jitter(k_noisy: np.ndarray, sigma_f2: float) -> np.ndarray:
+    """Lower Cholesky factor, Fortran order, of the exactly symmetric ``k_noisy`` by ``dpotrf``."""
+    n = len(k_noisy)
+    if k_noisy.shape != (n, n):
+        raise ValueError("dpotrf needs a square matrix")
     jitter = 0.0
     for retry in range(_JITTER_RETRIES + 1):
-        try:
-            return cholesky(k_noisy + jitter * np.eye(len(k_noisy)) if retry else k_noisy,
-                            lower=True, check_finite=False)
-        except np.linalg.LinAlgError:
-            jitter = jitter * 10.0 if retry else _JITTER_START * sigma_f2
+        upper = np.triu(k_noisy)  # fresh per attempt; upper.T = tril(K), zeros above left by dpotrf
+        upper.flat[:: n + 1] += jitter
+        if _lapack("dpotrf", b"L", n, upper.T, n) == 0:
+            return upper.T
+        jitter = jitter * 10.0 if retry else _JITTER_START * sigma_f2
     raise GpFitError("kernel matrix is not positive definite even after jitter")
 
 
@@ -321,8 +318,9 @@ def _factorize(
     k_noisy *= hyper.sigma_f2
     k_noisy.flat[:: len(d2) + 1] += hyper.sigma_n2
     chol = _cholesky_with_jitter(k_noisy, hyper.sigma_f2)
-    half = solve_triangular(chol, yc, lower=True, check_finite=False)
-    alpha = solve_triangular(chol.T, half, lower=False, check_finite=False)
+    alpha = yc.copy()
+    for trans in (b"N", b"T"):  # alpha = chol^-T chol^-1 yc
+        _solve_lower_in_place(chol, alpha[:, None], trans)
     lml = float(
         -0.5 * yc @ alpha - np.log(np.diag(chol)).sum() - 0.5 * len(yc) * math.log(2.0 * math.pi)
     )
@@ -475,11 +473,11 @@ def fit_tower_models(
     (``FIT_SEED``, tower rank), so results do not depend on fit order.
 
     The towers are fitted concurrently, one thread per CPU the process may
-    run on, the largest first, with scipy's and numpy's OpenBLAS pinned to
-    one thread for the call and the callers' thread counts restored after
-    it.  The models equal those of a serial loop of :func:`gp_fit`, bit for
-    bit, at any BLAS thread count.  The first tower, in tower order, whose
-    fit fails raises its exception once the other fits have stopped.
+    run on, the largest first, with every LAPACK call releasing the GIL and
+    scipy's and numpy's OpenBLAS pinned to one thread (the callers' counts
+    restored after).  The models equal a serial loop of :func:`gp_fit`'s,
+    bit for bit, at any BLAS thread count.  The first tower, in tower order,
+    whose fit fails raises its exception once the other fits have stopped.
     """
     xy = project_array(origin, ground_truths(scans))
     towers, n_read, reading_tower, reading_asu = reading_arrays(scans)
@@ -495,9 +493,8 @@ def fit_tower_models(
         a, b = bounds[rank], bounds[rank + 1]
         if b - a < 2:
             continue
-        tower_seed = int(np.random.SeedSequence([FIT_SEED, rank]).generate_state(1)[0])
         fits[tower_id] = functools.partial(gp_fit, xy[reading_point[a:b]], values[a:b],
-                                           max_points=max_points, seed=tower_seed)
+                                           max_points=max_points, seed=derived_seed(FIT_SEED, rank))
         sizes[tower_id] = min(b - a, max_points)
     return _run_concurrently(fits, sizes)
 
@@ -557,7 +554,7 @@ def gp_build_grid(
     spacing: float,
     origin: GeoPoint,
 ) -> PrecomputedGrid:
-    """Evaluate every tower model on a regular lattice over ``bounds``.
+    """Evaluate every tower model on a regular lattice over finite, non-empty ``bounds``.
 
     The lattice includes both edges of each axis: a span of exactly
     ``k * spacing`` yields k + 1 points per axis.  Towers are evaluated
@@ -566,6 +563,8 @@ def gp_build_grid(
     """
     check_positive_finite("spacing", spacing)
     x_min, y_min, x_max, y_max = bounds
+    if not np.isfinite(bounds).all():
+        raise ValueError(f"bounds {tuple(bounds)} must be finite")
     if x_max < x_min or y_max < y_min:
         raise ValueError("bounds must not be empty")
     nx = int(math.floor((x_max - x_min) / spacing + 1e-9)) + 1

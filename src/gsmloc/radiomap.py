@@ -123,6 +123,11 @@ def check_drop_fraction(value: float) -> None:
         raise ValueError(f"drop_fraction must be in [0, 1), got {value}")
 
 
+def derived_seed(base_seed: int, i: int) -> int:
+    """The seed of the ``i``-th run under ``base_seed``: a function of (base seed, i) alone."""
+    return int(np.random.SeedSequence([base_seed, i]).generate_state(1)[0])
+
+
 def _offsets(sizes: np.ndarray) -> np.ndarray:
     """Where consecutive runs of ``sizes`` items start, and the total: run i is out[i]:out[i+1]."""
     return np.concatenate(([0], np.cumsum(sizes)))

@@ -33,7 +33,7 @@ from gsmloc.gp import (
     load_grid,
     save_grid,
 )
-from gsmloc.radiomap import MAP_FORMAT_VERSION, MapFormatError, build_radio_map
+from gsmloc.radiomap import MAP_FORMAT_VERSION, MapFormatError, build_radio_map, derived_seed
 from gsmloc.synth import generate_trace, make_preset
 from oracles import (
     brute_gp_locate,
@@ -134,17 +134,26 @@ class TestFit:
         assert m1.n_training == 40
 
     def test_gp_fit_error_after_the_jitter_retries(self, monkeypatch):
-        calls = []
+        attempts = []
 
-        def never_positive_definite(matrix, **kwargs):
-            calls.append(matrix)
-            raise np.linalg.LinAlgError("not positive definite")
+        def never_positive_definite(name, *args):
+            if name != "dpotrf":
+                return real_lapack(name, *args)
+            attempts.append(args[2].copy())
+            return 1  # info > 0: the leading minor of order 1 is not positive
 
-        monkeypatch.setattr(gp, "cholesky", never_positive_definite)
+        real_lapack = gp._lapack
+        monkeypatch.setattr(gp, "_lapack", never_positive_definite)
         x, y = random_training(np.random.default_rng(6), n=20)
         with pytest.raises(GpFitError, match="not positive definite even after jitter"):
             gp_fit(x, y, [HYPER])
-        assert len(calls) == 4  # the plain matrix, then three jitters
+        assert len(attempts) == 4  # the plain matrix, then three jitters
+        plain = attempts[0]
+        off_diagonal = ~np.eye(len(plain), dtype=bool)
+        for matrix, jitter in zip(attempts, (0.0, 1e-8, 1e-7, 1e-6)):
+            assert np.array_equal(matrix[off_diagonal], plain[off_diagonal])
+            added = np.diag(matrix) - np.diag(plain)
+            assert added == pytest.approx(np.full(len(plain), jitter * HYPER.sigma_f2), rel=1e-6)
 
     def test_factorization_reproduces_kernel_matrix(self):
         rng = np.random.default_rng(4)
@@ -156,9 +165,44 @@ class TestFit:
                 for a in model.locations
             ]
         ) + HYPER.sigma_n2 * np.eye(model.n_training)
+        assert np.array_equal(model.chol, np.tril(model.chol))
         rebuilt = model.chol @ model.chol.T
         rel = np.linalg.norm(rebuilt - k_noisy) / np.linalg.norm(k_noisy)
         assert rel < 1e-8
+
+
+class TestLapackBinding:
+    """``_lapack`` and its wrappers refuse a buffer LAPACK would misread, before calling it."""
+
+    @pytest.mark.parametrize("array", [
+        pytest.param(np.eye(3), id="c_order"),
+        pytest.param(np.asfortranarray(np.eye(3, dtype=np.float32)), id="float32"),
+        pytest.param(np.asfortranarray(np.eye(3, dtype=np.int64)), id="int64"),
+        pytest.param(np.asfortranarray(np.eye(6))[::2, ::2], id="strided"),
+    ])
+    def test_misread_buffer_refused(self, array, monkeypatch):
+        calls = []
+        monkeypatch.setattr(gp, "_lapack_function", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="float64 and in Fortran order"):
+            gp._lapack("dpotrf", b"L", 3, array, 3)
+        assert calls == []
+
+    @pytest.mark.parametrize("routine,call", [
+        ("dsytrd", lambda: gp._tridiagonal(np.ones((3, 2), order="F"))),
+        ("dptsv", lambda: gp._tridiagonal_inverse_00(np.ones(3), np.ones(3))),
+        ("dtrtrs", lambda: gp._solve_lower_in_place(np.eye(3), np.ones((2, 1), order="F"))),
+        ("dpotrf", lambda: gp._cholesky_with_jitter(np.ones((3, 2), order="F"), 1.0)),
+    ])
+    def test_mismatched_shape_refused(self, routine, call, monkeypatch):
+        calls = []
+        monkeypatch.setattr(gp, "_lapack", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match=f"{routine} needs"):
+            call()
+        assert calls == []
+
+    def test_rejected_argument_raises(self):
+        with pytest.raises(ValueError, match="dpotrf rejected argument 2"):
+            gp._lapack("dpotrf", b"L", -1, np.eye(3, order="F"), 3)
 
 
 class TestSelection:
@@ -426,6 +470,12 @@ class TestGrid:
         pytest.param((100.0, 0.0, 0.0, 100.0), ("A",), "bounds must not be empty", id="x_inverted"),
         pytest.param((0.0, 100.0, 100.0, 0.0), ("A",), "bounds must not be empty", id="y_inverted"),
         pytest.param((0.0, 0.0, 100.0, 100.0), (), "no towers", id="no_models"),
+        pytest.param((0.0, 0.0, math.inf, 100.0), ("A",),
+                     re.escape("bounds (0.0, 0.0, inf, 100.0) must be finite"), id="infinite"),
+        pytest.param((0.0, -math.inf, 100.0, 100.0), ("A",),
+                     re.escape("bounds (0.0, -inf, 100.0, 100.0) must be finite"), id="minus_infinite"),
+        pytest.param((0.0, 0.0, 100.0, math.nan), ("A",),
+                     re.escape("bounds (0.0, 0.0, 100.0, nan) must be finite"), id="nan"),
     ])
     def test_empty_lattice_or_no_models_rejected(self, bounds, towers, message):
         models = self._models(np.random.default_rng(13), towers)
@@ -605,8 +655,8 @@ class TestConcurrentFit:
             if len(heard) < 2:
                 assert tid not in models
                 continue
-            seed = int(np.random.SeedSequence([gp.FIT_SEED, rank]).generate_state(1)[0])
-            serial = gp_fit(xy[[i for i, _ in heard]], [float(a) for _, a in heard], seed=seed)
+            serial = gp_fit(xy[[i for i, _ in heard]], [float(a) for _, a in heard],
+                            seed=derived_seed(gp.FIT_SEED, rank))
             model = models[tid]
             assert model.hyper == serial.hyper, tid
             assert model.log_marginal == serial.log_marginal, tid
