@@ -35,14 +35,14 @@ from .geo import PlanarPoint, ScanVector
 from .radiomap import N_ASU_BINS, RadioMap, SmoothingParams
 
 
-def check_count(name: str, value: int) -> None:
-    """``ValueError`` naming ``name`` unless ``value`` is an integer >= 1 (a bool is not)."""
+def check_count(name: str, value: int, minimum: int = 1) -> None:
+    """``ValueError`` naming ``name`` unless ``value`` is an integer >= ``minimum``, not a bool."""
     # type() first: hybrid checks on every call, and the ABC isinstance costs
     # about 0.9 us (Python 3.11, Xeon), some 4% of a hybrid estimate.
     integral = type(value) is int or (
         isinstance(value, numbers.Integral) and not isinstance(value, bool))
-    if not integral or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    if not integral or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -53,7 +53,7 @@ from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 import numpy as np
 from scipy.linalg import cython_lapack
 
-from .estimators import LocationEstimate, _check_scans
+from .estimators import LocationEstimate, _check_scans, check_count
 from .geo import GeoPoint, PlanarPoint, ScanVector, project_array
 from .radiomap import (check_positive_finite, derived_seed, ground_truths, json_array, json_value,
                        load_document, reading_arrays, save_document)
@@ -83,8 +83,8 @@ class GpHyperparams:
     length_scale: float
 
     def __post_init__(self) -> None:
-        if self.sigma_f2 <= 0 or self.sigma_n2 <= 0 or self.length_scale <= 0:
-            raise ValueError("all GP hyperparameters must be strictly positive")
+        for name in ("sigma_f2", "sigma_n2", "length_scale"):
+            check_positive_finite(name, getattr(self, name))
 
 
 def default_hyper_grid() -> list[GpHyperparams]:
@@ -392,10 +392,11 @@ def gp_fit(
     ``max_points`` are subsampled uniformly at random with the given seed.
 
     Raises:
-        ValueError: on arrays not shaped (n, 2) and (n,), with fewer than 2
-            training points, or with a NaN or infinite location or value.
+        ValueError: on arrays not shaped (n, 2) and (n,), with fewer than 2 training
+            points or a NaN or infinite location or value, or ``max_points`` not an integer >= 2.
         GpFitError: if factorization fails even after jitter retries.
     """
+    check_count("max_points", max_points, minimum=2)
     x = np.asarray(locations, dtype=float)
     y = np.asarray(values, dtype=float)
     if x.ndim != 2 or x.shape[1] != 2 or len(x) != len(y):
@@ -563,12 +564,12 @@ def gp_build_grid(
     """
     check_positive_finite("spacing", spacing)
     x_min, y_min, x_max, y_max = bounds
-    if not np.isfinite(bounds).all():
-        raise ValueError(f"bounds {tuple(bounds)} must be finite")
+    steps = ((x_max - x_min) / spacing, (y_max - y_min) / spacing)
+    if not np.isfinite([*bounds, *steps]).all():  # finite bounds can span more than a float
+        raise ValueError(f"bounds {tuple(bounds)} must be finite, and so must their span")
     if x_max < x_min or y_max < y_min:
         raise ValueError("bounds must not be empty")
-    nx = int(math.floor((x_max - x_min) / spacing + 1e-9)) + 1
-    ny = int(math.floor((y_max - y_min) / spacing + 1e-9)) + 1
+    nx, ny = (int(math.floor(n + 1e-9)) + 1 for n in steps)
     xs = x_min + spacing * np.arange(nx)
     ys = y_min + spacing * np.arange(ny)
     gx, gy = np.meshgrid(xs, ys)

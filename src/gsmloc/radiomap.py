@@ -5,8 +5,8 @@ The area covered by a training trace is divided into square cells of side
 its ground-truth position; all points falling in a cell are pooled into one
 per-tower ASU histogram, and the cell is represented by the center of mass
 of its points.  Cells with no points are simply absent.  A
-:class:`RadioMap` stores all of this as arrays, each point as one row of a
-(points x towers) ASU matrix, the form the hybrid phase searches.
+:class:`RadioMap` stores all of this as arrays, each point's readings flat
+and sparse: a count per point, then a tower column and an ASU per reading.
 
 Histograms turn into likelihoods through Laplace smoothing over the 32-bin
 ASU support, with a small floor probability for towers that were never
@@ -15,9 +15,9 @@ candidate cell.
 
 A saved map (format version 2) is its arrays: next to ``grid_length_m``,
 ``grid_anchor``, the sorted ``towers`` and the optional ``tower_locations``
-it holds one JSON field per array of ``_MAP_FIELDS``, rows as arrays (keys
-as [row, col]), and the point readings flat and sparse, as
-:func:`reading_arrays` lays them out, not as the dense ``point_asu``.
+it holds one JSON field per array of ``_MAP_FIELDS``, as it is, rows as
+arrays (keys as [row, col]).  :class:`RadioMap` alone checks the rules, so
+built, ablated and loaded maps pass the same checks.
 """
 
 from __future__ import annotations
@@ -96,13 +96,13 @@ class GridCell:
     histograms: dict[str, TowerHistogram]
 
 
-#: The dtype each array field of :class:`RadioMap` is stored in.
-_ARRAYS = dict(centroids=np.float64, hist_cell=np.intp, hist_tower=np.intp, counts=np.int64,
-               point_xy=np.float64, point_offsets=np.intp, point_asu=np.int8)
-#: The map file's arrays, one JSON field each: field -> (JSON number kind, row width or 0).
-_MAP_FIELDS = dict(keys=(int, 2), centroids=(float, 2), hist_cell=(int, 0), hist_tower=(int, 0),
-                   counts=(int, N_ASU_BINS), point_xy=(float, 2), point_offsets=(int, 0),
-                   n_read=(int, 0), reading_tower=(int, 0), reading_asu=(int, 0))
+#: The array fields of :class:`RadioMap`, one JSON field each in a saved map:
+#: field -> (JSON number kind, row width or 0, dtype stored; None keeps ``keys`` a tuple).
+_MAP_FIELDS = dict(keys=(int, 2, None), centroids=(float, 2, np.float64),
+                   hist_cell=(int, 0, np.intp), hist_tower=(int, 0, np.intp),
+                   counts=(int, N_ASU_BINS, np.int64), point_xy=(float, 2, np.float64),
+                   point_offsets=(int, 0, np.intp), n_read=(int, 0, np.intp),
+                   reading_tower=(int, 0, np.intp), reading_asu=(int, 0, np.int8))
 
 
 def check_positive_finite(name: str, value: float) -> None:
@@ -133,12 +133,6 @@ def _offsets(sizes: np.ndarray) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(sizes)))
 
 
-def _check_columns(columns: np.ndarray, n_towers: int) -> None:
-    """``ValueError`` listing the tower columns outside 0..n_towers-1."""
-    if unknown := sorted(set(columns[(columns < 0) | (columns >= n_towers)].tolist())):
-        raise ValueError(f"map names towers not in 'towers': columns {unknown}")
-
-
 @dataclass(frozen=True, eq=False)
 class RadioMap:
     """The probabilistic fingerprint: grid geometry plus per-cell histograms, as arrays.
@@ -150,16 +144,17 @@ class RadioMap:
     position in ``sorted(tower_ids)``.  Each heard (cell, tower) pair, in
     that order, has a ``hist_cell``, ``hist_tower`` and 32 ``counts``.
     Cell c's points are rows ``point_offsets[c]:point_offsets[c+1]`` of
-    ``point_xy`` and ``point_asu`` (none with ``strip_points``).  Row i of
-    the (n_points, n_towers) ``point_asu`` holds point i's ASU per tower
-    column, ASU 0 included, and -1 where the point heard nothing.
+    ``point_xy`` and ``n_read`` (none with ``strip_points``).  The readings
+    follow flat, as a saved map holds them: point i's ``n_read[i]``, in
+    increasing tower column, each a ``reading_tower`` and a ``reading_asu``.
 
-    Construction stores read-only copies in fixed dtypes, derives the
-    mean-ASU matrix, its row norms and hybrid's readings (``point_asu``
-    with -1 as 0), and raises ``ValueError`` on the first rule broken: at
-    least one cell, each with a histogram; 32 bins, counts >= 0 and one
-    reading or more per histogram; histogram towers in ``tower_ids``; 1..7
-    readings per point, each in ASU 0..31; a positive finite
+    Construction stores read-only copies in the dtypes of ``_MAP_FIELDS``,
+    derives the mean-ASU matrix, its row norms and hybrid's dense readings
+    (ASU 0 where not heard), and raises ``ValueError`` on the first rule
+    broken: at least one cell, each with a histogram; 32 bins, counts >= 0
+    and one reading or more per histogram; histogram and reading towers in
+    ``tower_ids``; 1..7 readings per point, ``n_read`` summing to them, each
+    in ASU 0..31, each tower once, in column order; a positive finite
     ``grid_length``; a finite anchor, centroids, point and tower locations;
     arrays agreeing in shape, offsets and order.  The log-likelihood table
     is built on first use per :class:`SmoothingParams`.  Equal maps have
@@ -177,7 +172,9 @@ class RadioMap:
     counts: np.ndarray
     point_xy: np.ndarray
     point_offsets: np.ndarray
-    point_asu: np.ndarray
+    n_read: np.ndarray
+    reading_tower: np.ndarray
+    reading_asu: np.ndarray
     tower_ids: frozenset[str]
     tower_locations: dict[str, PlanarPoint] | None = None
     _tower_index: dict[str, int] = field(init=False, repr=False, compare=False)
@@ -187,13 +184,14 @@ class RadioMap:
     _loglik: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        asu = np.asarray(self.point_asu)
-        if asu.size and not -1 <= asu.min() <= asu.max() <= ASU_MAX:  # before the int8 store
-            raise ValueError(f"a point reading is outside ASU 0..{ASU_MAX} (-1: not heard)")
-        for name, dtype in _ARRAYS.items():
-            object.__setattr__(self, name, np.array(getattr(self, name), dtype=dtype))
-            getattr(self, name).setflags(write=False)
-        keys, counts, cell_points = self.keys, self.counts, self.point_offsets
+        asu = np.asarray(self.reading_asu)
+        if asu.size and not 0 <= asu.min() <= asu.max() <= ASU_MAX:  # before the int8 store
+            raise ValueError(f"a point reading is outside ASU 0..{ASU_MAX}")
+        for name, (_, _, dtype) in _MAP_FIELDS.items():
+            if dtype is not None:
+                object.__setattr__(self, name, np.array(getattr(self, name), dtype=dtype))
+                getattr(self, name).setflags(write=False)
+        keys, counts, cell_points, n_read = self.keys, self.counts, self.point_offsets, self.n_read
         if not keys:
             raise ValueError("radio map has no cells")
         check_positive_finite("grid_length", self.grid_length)
@@ -201,15 +199,19 @@ class RadioMap:
             raise ValueError(f"histograms must have {N_ASU_BINS} bins")
         tower_index = {tid: i for i, tid in enumerate(sorted(self.tower_ids))}
         n_cells, n_points, n_towers = len(keys), len(self.point_xy), len(tower_index)
-        shapes = [a.shape for a in (self.centroids, self.point_xy, self.point_asu, self.hist_cell,
-                                    self.hist_tower, cell_points)]
-        if (shapes != [(n_cells, 2), (n_points, 2), (n_points, n_towers), counts.shape[:1],
-                       counts.shape[:1], (n_cells + 1,)]
+        shapes = [a.shape for a in (self.centroids, self.point_xy, self.hist_cell, self.hist_tower,
+                                    cell_points)]
+        if (shapes != [(n_cells, 2), (n_points, 2), counts.shape[:1], counts.shape[:1],
+                       (n_cells + 1,)]
                 or [cell_points[0], cell_points[-1]] != [0, n_points]
                 or (np.diff(cell_points) < 0).any()
                 or not all(a < b for a, b in zip(keys, keys[1:]))):
             raise ValueError("map arrays disagree in shape or offsets, or keys are not sorted")
-        _check_columns(self.hist_tower, n_towers)
+        if [n_read.shape, self.reading_asu.shape] != [(n_points,), self.reading_tower.shape]:
+            raise ValueError("reading counts disagree with point_xy, or readings in length")
+        for columns in (self.hist_tower, self.reading_tower):
+            if unknown := sorted(set(columns[(columns < 0) | (columns >= n_towers)].tolist())):
+                raise ValueError(f"map names towers not in 'towers': columns {unknown}")
         if (((self.hist_cell < 0) | (self.hist_cell >= n_cells)).any()
                 or (np.diff(self.hist_cell * n_towers + self.hist_tower) <= 0).any()):
             raise ValueError("histograms must be one per (cell, tower) pair, in that order")
@@ -221,9 +223,13 @@ class RadioMap:
         totals = counts.sum(axis=1)
         if totals.min() < 1:
             raise ValueError("stored histograms must hold at least one reading")
-        per_point = (self.point_asu >= 0).sum(axis=1)
-        if ((per_point < 1) | (per_point > MAX_READINGS)).any():
+        if ((n_read < 1) | (n_read > MAX_READINGS)).any():  # first: 4 x 2**62 wraps the sum to 0
             raise ValueError(f"fingerprint points must have 1..{MAX_READINGS} readings")
+        if self.reading_tower.shape != (n_read.sum(),):
+            raise ValueError("reading counts disagree with the number of readings")
+        reading_point = np.repeat(np.arange(n_points), n_read)
+        if (np.diff(reading_point * n_towers + self.reading_tower) <= 0).any():
+            raise ValueError("a point reads one tower twice or out of column order")
         planar = [(self.anchor_x, self.anchor_y), self.centroids, self.point_xy,
                   [[p.x, p.y] for p in (self.tower_locations or {}).values()]]
         if not all(np.isfinite(a).all() for a in planar):
@@ -232,11 +238,12 @@ class RadioMap:
         # An exact integer sum, then one division: the mean ASU of each histogram.
         mean_asu[self.hist_cell, self.hist_tower] = (counts @ np.arange(N_ASU_BINS)) / totals
         norm2 = (mean_asu * mean_asu).sum(axis=1)
-        # Hybrid's clipped copy of the point matrix costs 0.40 MB on urban seed 0 but
-        # is faster than either way without it, all in int32: clipping the cell's rows
+        # Hybrid's dense copy of the readings costs 0.40 MB on urban seed 0 but is
+        # faster than either way without it, all in int32: clipping the cell's rows
         # per call (28.8 -> 31.3 us rural, 18.7 -> 20.7 us urban per estimate) or
         # ranking by |r|^2 - 2 r.v over the scan's heard towers (35.6 / 21.9 us).
-        readings = np.maximum(self.point_asu, 0)
+        readings = np.zeros((n_points, n_towers), dtype=np.int8)
+        readings[reading_point, self.reading_tower] = self.reading_asu
         for array in (mean_asu, norm2, readings):
             array.setflags(write=False)
         bounds = cell_points.tolist()
@@ -264,9 +271,8 @@ class RadioMap:
         towers = sorted(self.tower_ids)
         hists = [(towers[t], TowerHistogram(tuple(c)))
                  for t, c in zip(self.hist_tower.tolist(), self.counts.tolist())]
-        heard = self.point_asu >= 0
-        names = [towers[t] for t in np.nonzero(heard)[1].tolist()]
-        asus, r = self.point_asu[heard].tolist(), _offsets(heard.sum(axis=1)).tolist()
+        names = [towers[t] for t in self.reading_tower.tolist()]
+        asus, r = self.reading_asu.tolist(), _offsets(self.n_read).tolist()
         points = [FingerprintPoint(PlanarPoint(x, y), dict(zip(names[a:b], asus[a:b])))
                   for (x, y), a, b in zip(self.point_xy.tolist(), r, r[1:])]
         h, p = _offsets(np.bincount(self.hist_cell)).tolist(), self.point_offsets.tolist()
@@ -428,20 +434,20 @@ def build_radio_map(
     keys = tuple(zip((cells // width).tolist(), (cells % width).tolist()))
 
     towers, n_read, reading_tower, reading_asu = reading_arrays(scans)
-    reading_asu = reading_asu.astype(np.intp)
     n_towers = len(towers)
     reading_point = np.repeat(np.arange(len(scans)), n_read)
     # One histogram per heard (cell, tower) pair, all counted by one bincount.
     pair = point_cell[reading_point] * n_towers + reading_tower
     heard = np.bincount(pair) > 0
     pairs, hist = np.flatnonzero(heard), (np.cumsum(heard) - 1)[pair]
-    counts = np.bincount(hist * N_ASU_BINS + reading_asu, minlength=len(pairs) * N_ASU_BINS)
-    point_asu = np.full((len(scans), n_towers), -1, dtype=np.int8)
-    point_asu[reading_point, reading_tower] = reading_asu  # ScanVector checked ASU 0..31
-    # Points cell by cell, in scan order within a cell.
+    counts = np.bincount(hist * N_ASU_BINS + reading_asu.astype(np.intp),
+                         minlength=len(pairs) * N_ASU_BINS)
+    # Points cell by cell, in scan order within a cell; each point's readings in column order.
     order = np.argsort(point_cell, kind="stable")
+    rank = np.argsort(order)  # each point's position in order
+    by_point = np.argsort(rank[reading_point] * n_towers + reading_tower)
     if strip_points:
-        order = order[:0]
+        order, by_point = order[:0], by_point[:0]
 
     planar_towers = None
     if tower_locations is not None:
@@ -452,9 +458,10 @@ def build_radio_map(
         origin, float(grid_length), float(anchor[0]), float(anchor[1]), keys,
         centroids=_point_means(point_cell, xy, len(keys))[0],
         hist_cell=pairs // n_towers, hist_tower=pairs % n_towers,
-        counts=counts.reshape(-1, N_ASU_BINS), point_xy=xy[order],
+        counts=counts.reshape(-1, N_ASU_BINS), point_xy=xy[order], n_read=n_read[order],
         point_offsets=_offsets(np.bincount(point_cell[order], minlength=len(keys))),
-        point_asu=point_asu[order], tower_ids=frozenset(towers), tower_locations=planar_towers,
+        reading_tower=reading_tower[by_point], reading_asu=reading_asu[by_point],
+        tower_ids=frozenset(towers), tower_locations=planar_towers,
     )
 
 
@@ -485,9 +492,12 @@ def ablate_towers(radio_map: RadioMap, drop_fraction: float, seed: int) -> Radio
     hist = kept[rm.hist_tower]
     live = np.bincount(rm.hist_cell[hist], minlength=rm.n_cells) > 0
     point_cell = np.repeat(np.arange(rm.n_cells), np.diff(rm.point_offsets))
-    point_asu = rm.point_asu[:, kept]
-    point = (point_asu >= 0).any(axis=1) & live[point_cell]
+    reading_point = np.repeat(np.arange(len(rm.n_read)), rm.n_read)
+    reading = kept[rm.reading_tower] & live[point_cell[reading_point]]
+    n_read = np.bincount(reading_point[reading], minlength=len(rm.n_read))
+    point = n_read > 0
     means, n_kept = _point_means(point_cell[point], rm.point_xy[point], rm.n_cells)
+    column = np.cumsum(kept) - 1
 
     tower_locations = None if rm.tower_locations is None else {
         t: p for t, p in rm.tower_locations.items() if t not in dropped}
@@ -495,9 +505,10 @@ def ablate_towers(radio_map: RadioMap, drop_fraction: float, seed: int) -> Radio
         rm.origin, rm.grid_length, rm.anchor_x, rm.anchor_y, tuple(compress(rm.keys, live)),
         centroids=np.where(n_kept[:, None] > 0, means, rm.centroids)[live],
         hist_cell=(np.cumsum(live) - 1)[rm.hist_cell[hist]],
-        hist_tower=(np.cumsum(kept) - 1)[rm.hist_tower[hist]], counts=rm.counts[hist],
-        point_xy=rm.point_xy[point], point_offsets=_offsets(n_kept[live]),
-        point_asu=point_asu[point], tower_ids=rm.tower_ids - dropped,
+        hist_tower=column[rm.hist_tower[hist]], counts=rm.counts[hist],
+        point_xy=rm.point_xy[point], point_offsets=_offsets(n_kept[live]), n_read=n_read[point],
+        reading_tower=column[rm.reading_tower[reading]], reading_asu=rm.reading_asu[reading],
+        tower_ids=rm.tower_ids - dropped,
         tower_locations=tower_locations,
     )
 
@@ -509,10 +520,7 @@ def ablate_towers(radio_map: RadioMap, drop_fraction: float, seed: int) -> Radio
 
 def save_radio_map(radio_map: RadioMap, path: str) -> None:
     """Serialize a map to versioned JSON, one field per array.  Byte-identical for equal maps."""
-    heard = radio_map.point_asu >= 0  # the readings flat and sparse, in column order
-    arrays = {**vars(radio_map), "n_read": heard.sum(axis=1), "reading_tower": np.nonzero(heard)[1],
-              "reading_asu": radio_map.point_asu[heard]}
-    body: dict = {name: np.asarray(arrays[name]).tolist() for name in _MAP_FIELDS}
+    body: dict = {name: np.asarray(getattr(radio_map, name)).tolist() for name in _MAP_FIELDS}
     body.update(grid_length_m=radio_map.grid_length, towers=sorted(radio_map.tower_ids),
                 grid_anchor={"x": radio_map.anchor_x, "y": radio_map.anchor_y})
     if (locations := radio_map.tower_locations) is not None:
@@ -593,34 +601,23 @@ def load_radio_map(path: str) -> RadioMap:
     Raises:
         MapFormatError: on another version (rebuild a version-1 file with
             ``gsmloc build``), a malformed/truncated file, a missing field, an
-            array breaking :func:`json_array`, ``towers`` not strings, unsorted or repeated,
-            readings disagreeing with the points or ``towers``, an ASU outside
-            0..31, an origin outside the lat/lon range, or any :class:`RadioMap`
+            array breaking :func:`json_array`, ``towers`` not strings, unsorted or
+            repeated, an origin outside the lat/lon range, or any :class:`RadioMap`
             rule (a repeated cell breaks the key order); never a partial map.
     """
     return load_document(path, RADIO_MAP_KIND, "radio map", _parse_radio_map)
 
 
 def _parse_radio_map(doc: dict, origin: GeoPoint) -> RadioMap:
-    arrays = {name: json_array(doc[name], *rule) for name, rule in _MAP_FIELDS.items()}
+    arrays = {name: json_array(doc[name], kind, width)
+              for name, (kind, width, _) in _MAP_FIELDS.items()}
     towers = [json_value(t, str) for t in json_value(doc["towers"], list)]
     if towers != sorted(set(towers)):
         raise ValueError("'towers' must be sorted, each tower once")
-    n_read, columns, asus = (arrays.pop(k) for k in ("n_read", "reading_tower", "reading_asu"))
-    n_points = len(arrays["point_xy"])
-    if len(n_read) != n_points or not n_read.sum() == len(columns) == len(asus):
-        raise ValueError("reading counts disagree with point_xy or with the readings")
-    _check_columns(columns, len(towers))
-    if asus.size and not 0 <= asus.min() <= asus.max() <= ASU_MAX:  # before the int8 store
-        raise ValueError(f"a point reading is outside ASU 0..{ASU_MAX}")
-    point_asu = np.full((n_points, len(towers)), -1, dtype=np.int8)
-    point_asu[np.repeat(np.arange(n_points), n_read), columns] = asus
-    if ((point_asu >= 0).sum(axis=1) != n_read).any():
-        raise ValueError("a point reads one tower twice")
     tower_locations = None if "tower_locations" not in doc else {
         tid: PlanarPoint(*json_floats(p, "x", "y"))
         for tid, p in json_value(doc["tower_locations"], dict).items()}
     return RadioMap(
         origin, json_value(doc["grid_length_m"], float), *json_floats(doc["grid_anchor"], "x", "y"),
-        tuple(map(tuple, arrays.pop("keys").tolist())), **arrays, point_asu=point_asu,
-        tower_ids=frozenset(towers), tower_locations=tower_locations)
+        tuple(map(tuple, arrays.pop("keys").tolist())), **arrays, tower_ids=frozenset(towers),
+        tower_locations=tower_locations)

@@ -77,8 +77,10 @@ class Route:
     def __post_init__(self) -> None:
         if len(self.waypoints) < 2:
             raise ValueError("route needs at least 2 waypoints")
-        if self.speed <= 0:
-            raise ValueError("route speed must be > 0")
+        if not 0.0 < self.speed < math.inf:
+            raise ValueError(f"route speed must be > 0 and finite, got {self.speed!r}")
+        if not all(math.isfinite(c) for p in self.waypoints for c in (p.x, p.y)):
+            raise ValueError("route waypoints must be finite")
 
     @property
     def length(self) -> float:

@@ -36,10 +36,13 @@ def map_cells(rm: RadioMap) -> dict:
              for key, (x, y) in zip(rm.keys, rm.centroids.tolist())}
     for c, t, counts in zip(rm.hist_cell.tolist(), rm.hist_tower.tolist(), rm.counts.tolist()):
         cells[rm.keys[c]]["histograms"][towers[t]] = counts
-    offsets, xy, asus = rm.point_offsets.tolist(), rm.point_xy.tolist(), rm.point_asu.tolist()
+    offsets, xy, n_read = rm.point_offsets.tolist(), rm.point_xy.tolist(), rm.n_read.tolist()
+    columns, asus = rm.reading_tower.tolist(), rm.reading_asu.tolist()
+    first = 0  # point i's readings are the n_read[i] after those of points 0..i-1
     for c, key in enumerate(rm.keys):
         for i in range(offsets[c], offsets[c + 1]):
-            readings = {towers[t]: asu for t, asu in enumerate(asus[i]) if asu >= 0}
+            readings = {towers[columns[j]]: asus[j] for j in range(first, first + n_read[i])}
+            first += n_read[i]
             cells[key]["points"].append((*xy[i], readings))
     return cells
 
@@ -358,7 +361,7 @@ def scalar_radio_map(scans, grid_length: float, *, origin=None, tower_locations=
         members.setdefault(key, []).append((p, kept))
 
     keys, centroids, hist_cell, hist_tower, counts = [], [], [], [], []
-    point_xy, point_offsets, point_asu = [], [0], []
+    point_xy, point_offsets, n_read, reading_tower, reading_asu = [], [0], [], [], []
     for key in sorted(members):
         kept_points = [(p, r) for p, r in members[key] if r]
         if not kept_points:
@@ -381,10 +384,10 @@ def scalar_radio_map(scans, grid_length: float, *, origin=None, tower_locations=
         if not strip_points:
             for p, r in kept_points:
                 point_xy.append((p.x, p.y))
-                row = [-1] * len(towers)
+                n_read.append(len(r))
                 for t, asu in r:
-                    row[t] = asu
-                point_asu.append(row)
+                    reading_tower.append(t)
+                    reading_asu.append(asu)
         point_offsets.append(len(point_xy))
 
     planar_towers = None if tower_locations is None else {
@@ -394,7 +397,7 @@ def scalar_radio_map(scans, grid_length: float, *, origin=None, tower_locations=
         origin, float(grid_length), ax, ay, tuple(keys), centroids=centroids,
         hist_cell=hist_cell, hist_tower=hist_tower, counts=np.reshape(counts, (-1, N_ASU_BINS)),
         point_xy=np.reshape(point_xy, (-1, 2)), point_offsets=point_offsets,
-        point_asu=np.reshape(point_asu, (-1, len(towers))),
+        n_read=n_read, reading_tower=reading_tower, reading_asu=reading_asu,
         tower_ids=frozenset(towers), tower_locations=planar_towers)
 
 

@@ -86,6 +86,19 @@ class TestKernel:
         with pytest.raises(ValueError):
             GpHyperparams(1.0, -1.0, 1.0)
 
+    @pytest.mark.parametrize("args,name", [
+        ((math.nan, 1.0, 50.0), "sigma_f2"),
+        ((math.inf, 1.0, 50.0), "sigma_f2"),
+        ((1.0, math.nan, 50.0), "sigma_n2"),
+        ((1.0, math.inf, 50.0), "sigma_n2"),
+        ((1.0, 1.0, math.nan), "length_scale"),
+        ((1.0, 1.0, math.inf), "length_scale"),
+    ])
+    def test_non_finite_hyperparams_rejected(self, args, name):
+        # Accepted, a NaN sigma_f2 fit a model whose alpha and log_marginal were NaN.
+        with pytest.raises(ValueError, match=f"^{name} (nan|inf) is not a positive finite number$"):
+            GpHyperparams(*args)
+
 
 class TestFit:
     def test_needs_two_points(self):
@@ -345,16 +358,19 @@ class TestSelection:
         with pytest.raises(ValueError, match="finite"):
             gp_fit(bad_x, y)
 
-    @pytest.mark.parametrize("x,y,hyper_grid,message", [
-        pytest.param(np.zeros((5, 2)), np.zeros(4), None, "match values", id="length_mismatch"),
-        pytest.param(np.zeros((5, 3)), np.zeros(5), None, r"\(n, 2\)", id="three_columns"),
-        pytest.param(np.zeros(5), np.zeros(5), None, r"\(n, 2\)", id="one_dimensional"),
-        pytest.param(np.arange(10.0).reshape(5, 2), np.zeros(5), [], "at least one candidate",
-                     id="empty_hyper_grid"),
+    @pytest.mark.parametrize("x,y,options,message", [
+        pytest.param(np.zeros((5, 2)), np.zeros(4), {}, "match values", id="length_mismatch"),
+        pytest.param(np.zeros((5, 3)), np.zeros(5), {}, r"\(n, 2\)", id="three_columns"),
+        pytest.param(np.zeros(5), np.zeros(5), {}, r"\(n, 2\)", id="one_dimensional"),
+        pytest.param(np.arange(10.0).reshape(5, 2), np.zeros(5), dict(hyper_grid=[]),
+                     "at least one candidate", id="empty_hyper_grid"),
+        *(pytest.param(np.arange(10.0).reshape(5, 2), np.arange(5.0), dict(max_points=n),
+                       rf"^max_points must be an integer >= 2, got {n}$", id=f"max_points_{n}")
+          for n in (1, 0, -1, True)),
     ])
-    def test_bad_shape_or_empty_hyper_grid_rejected(self, x, y, hyper_grid, message):
+    def test_bad_shape_or_empty_hyper_grid_rejected(self, x, y, options, message):
         with pytest.raises(ValueError, match=message):
-            gp_fit(x, y, hyper_grid)
+            gp_fit(x, y, **options)
 
 
 class TestPredict:
@@ -476,6 +492,9 @@ class TestGrid:
                      re.escape("bounds (0.0, -inf, 100.0, 100.0) must be finite"), id="minus_infinite"),
         pytest.param((0.0, 0.0, 100.0, math.nan), ("A",),
                      re.escape("bounds (0.0, 0.0, 100.0, nan) must be finite"), id="nan"),
+        pytest.param((-1e308, 0.0, 1e308, 1.0), ("A",),
+                     re.escape("bounds (-1e+308, 0.0, 1e+308, 1.0) must be finite, and so must their span"),
+                     id="span_overflows"),
     ])
     def test_empty_lattice_or_no_models_rejected(self, bounds, towers, message):
         models = self._models(np.random.default_rng(13), towers)

@@ -140,7 +140,8 @@ class TestBuild:
     def test_strip_points(self):
         scans = [scan_at_planar(0, 1.0, 1.0, {"A": 5})]
         rm = build_radio_map(scans, 70.0, origin=ORIGIN, strip_points=True)
-        assert rm.point_xy.shape == (0, 2) and rm.point_asu.shape == (0, len(rm.tower_ids))
+        assert rm.point_xy.shape == (0, 2) and rm.n_read.shape == (0,)
+        assert rm.reading_tower.shape == rm.reading_asu.shape == (0,)
         assert rm.point_offsets.tolist() == [0, 0]
         assert all(c["points"] == [] for c in map_cells(rm).values())
 
@@ -269,7 +270,8 @@ def _map_with(**fields):
 
     The base arrays: keys ((0, 0), (0, 1)); towers A and B in columns 0 and
     1; histograms (0, 0)/A at ASU 10, (0, 0)/B at 4 and (0, 1)/A at 7; one
-    point per cell, reading {A: 10, B: 4} and {A: 7}: ``point_asu`` [[10, 4], [7, -1]].
+    point per cell, reading {A: 10, B: 4} and {A: 7}: ``n_read`` [2, 1],
+    ``reading_tower`` [0, 1, 0] and ``reading_asu`` [10, 4, 7].
     """
     return dataclasses.replace(_base_map(), **fields)
 
@@ -301,12 +303,19 @@ class TestRules:
                      "non-negative", id="negative_count"),
         pytest.param(dict(hist_tower=[0, 2, 0]), r"not in 'towers'.*columns \[2\]",
                      id="unknown_histogram_tower"),
-        pytest.param(dict(point_asu=[[-2, 4], [7, -1]]), "outside ASU", id="asu_minus_2"),
-        pytest.param(dict(point_asu=[[32, 4], [7, -1]]), "outside ASU", id="asu_32"),
-        pytest.param(dict(point_asu=[[-1, -1], [7, -1]]), r"1\.\.7 readings", id="no_readings"),
-        pytest.param(dict(tower_ids=frozenset(["A", "B", *EIGHT]),
-                          point_asu=[[10, 4, *[5] * 6, -1, -1], [7, *[-1] * 9]]),
+        pytest.param(dict(reading_asu=[-2, 4, 7]), "outside ASU", id="asu_minus_2"),
+        pytest.param(dict(reading_asu=[32, 4, 7]), "outside ASU", id="asu_32"),
+        pytest.param(dict(n_read=[0, 1], reading_tower=[0], reading_asu=[7]),
+                     r"1\.\.7 readings", id="no_readings"),
+        pytest.param(dict(tower_ids=frozenset(["A", "B", *EIGHT]), n_read=[8, 1],
+                          reading_tower=[*range(8), 0], reading_asu=[10, 4, *[5] * 6, 7]),
                      r"1\.\.7 readings", id="eight_readings"),
+        pytest.param(dict(reading_tower=[0, 0, 0]), "reads one tower twice", id="tower_twice"),
+        pytest.param(dict(reading_tower=[1, 0, 0], reading_asu=[4, 10, 7]),
+                     "out of column order", id="readings_out_of_column_order"),
+        pytest.param(dict(reading_tower=[0, 2, 0]), r"not in 'towers'.*columns \[2\]",
+                     id="unknown_reading_tower"),
+        pytest.param(dict(n_read=[2, 2]), "reading counts disagree", id="n_read_sum_too_high"),
         pytest.param(dict(centroids=[[math.nan, 1.0], [101.0, 1.0]]), "finite",
                      id="nan_centroid"),
         pytest.param(dict(grid_length=math.inf), "finite", id="inf_grid_length"),
@@ -321,8 +330,7 @@ class TestRules:
                      id="histogram_cell_outside_keys"),
         pytest.param(dict(point_offsets=[0, 1, 3]), "shape or offsets", id="offsets_past_end"),
         pytest.param(dict(centroids=[[1.0, 1.0]]), "shape or offsets", id="centroid_missing"),
-        pytest.param(dict(point_asu=[[10, 4, -1], [7, -1, -1]]), "shape or offsets",
-                     id="point_asu_extra_column"),
+        pytest.param(dict(n_read=[2, 1, 0]), "reading counts disagree", id="n_read_extra_point"),
     ])
     def test_broken_rule_raises(self, fields, message):
         with pytest.raises(ValueError, match=message):
@@ -340,7 +348,8 @@ class TestEquality:
     @pytest.mark.parametrize("edit", [
         pytest.param(lambda rm: dict(counts=[_counts(a10=2), _counts(a4=1), _counts(a7=1)]),
                      id="one_count"),
-        pytest.param(lambda rm: dict(point_asu=[[11, 4], [7, -1]]), id="one_point_asu"),
+        pytest.param(lambda rm: dict(reading_asu=[11, 4, 7]), id="one_reading_asu"),
+        pytest.param(lambda rm: dict(reading_tower=[0, 1, 1]), id="one_reading_tower"),
         pytest.param(lambda rm: dict(centroids=[[np.nextafter(rm.centroids[0, 0], np.inf),
                                                  rm.centroids[0, 1]], rm.centroids[1]]),
                      id="one_centroid_ulp"),
@@ -388,7 +397,7 @@ class TestAsuZero:
         assert len(kept) == 2
         (cell,) = map_cells(rm).values()
         assert cell["points"][0][2] == dict.fromkeys(kept, 0)
-        assert rm.point_asu[0].tolist() == [0, 0]
+        assert rm.n_read[0] == 2 and rm.reading_asu[:2].tolist() == [0, 0]
         assert [sum(cell["histograms"][t]) for t in kept] == [2, 2]
 
 
@@ -506,6 +515,12 @@ def _negative_count(doc):
     """Point 0 claims -1 readings and point 1 the rest, so the total still agrees."""
     n_read = doc["n_read"]
     n_read[0], n_read[1] = -1, n_read[0] + n_read[1] + 1
+
+
+def _wrapping_counts(doc):
+    """Four counts each 2**62 higher: their int64 sum wraps back to the number of readings."""
+    for i in range(4):
+        doc["n_read"][i] += 2**62
 
 
 #: A map file in the version-1 layout: one object per cell, readings keyed by tower id.
@@ -626,7 +641,8 @@ class TestPersistence:
                      "reading counts disagree", id="count_too_high"),
         pytest.param(lambda d: d["reading_asu"].pop(), "reading counts disagree",
                      id="asu_missing"),
-        pytest.param(_negative_count, "negative", id="count_negative"),
+        pytest.param(_negative_count, r"1\.\.7 readings", id="count_negative"),
+        pytest.param(_wrapping_counts, r"1\.\.7 readings", id="counts_wrapping_int64"),
         pytest.param(_repeat_a_tower, "reads one tower twice", id="tower_twice"),
     ])
     def test_reading_counts_disagreeing_with_the_points_rejected(self, tmp_path, edit, message):
@@ -748,6 +764,20 @@ class TestPersistence:
         path.write_text(json.dumps([doc]))
         with pytest.raises(MapFormatError, match="expected a JSON object at top level"):
             load_radio_map(str(path))
+
+    @pytest.mark.parametrize("preset", ["rural", "urban"])
+    def test_loaded_preset_map_saves_the_same_bytes(self, tmp_path, preset):
+        world, routes = make_preset(preset, 0)
+        train = generate_trace(world, routes["train"])
+        towers = world.tower_locations_geo()
+        built = build_radio_map(train, 70.0, tower_locations=towers)
+        maps = {"full": built, "ablated_0.4_7": ablate_towers(built, 0.4, 7),
+                "stripped": build_radio_map(train, 70.0, tower_locations=towers, strip_points=True)}
+        for name, rm in maps.items():
+            saved, again = tmp_path / f"{name}.json", tmp_path / f"{name}.again.json"
+            save_radio_map(rm, str(saved))
+            save_radio_map(load_radio_map(str(saved)), str(again))
+            assert saved.read_bytes() == again.read_bytes(), name
 
     def test_stripped_map_round_trip(self, tmp_path):
         scans = [scan_at_planar(0, 1.0, 1.0, {"A": 5})]

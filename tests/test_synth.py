@@ -205,6 +205,14 @@ _ORIGIN_XY = PlanarPoint(0.0, 0.0)
     pytest.param(lambda: Route((_ORIGIN_XY,), 10.0), "at least 2 waypoints", id="one_waypoint"),
     pytest.param(lambda: Route((_ORIGIN_XY, PlanarPoint(100.0, 0.0)), 0.0),
                  "speed must be > 0", id="speed_0"),
+    pytest.param(lambda: Route((_ORIGIN_XY, PlanarPoint(100.0, 0.0)), math.nan),
+                 "speed must be > 0 and finite, got nan", id="speed_nan"),
+    pytest.param(lambda: Route((_ORIGIN_XY, PlanarPoint(100.0, 0.0)), math.inf),
+                 "speed must be > 0 and finite, got inf", id="speed_inf"),
+    pytest.param(lambda: Route((_ORIGIN_XY, PlanarPoint(math.nan, 0.0)), 10.0),
+                 "waypoints must be finite", id="waypoint_nan"),
+    pytest.param(lambda: Route((_ORIGIN_XY, PlanarPoint(100.0, -math.inf)), 10.0),
+                 "waypoints must be finite", id="waypoint_inf"),
     pytest.param(lambda: flat_world([_T0], bounds=(0.0, 0.0, 1000.0, 0.0)),
                  "bounds must have positive extent", id="zero_extent_bounds"),
     pytest.param(lambda: flat_world([_T0], seed=-1), "seed must be non-negative",
