@@ -20,12 +20,17 @@ exactly by Cholesky, so the chosen model equals that of a dense search.
 
 Towers are fitted, and gridded, concurrently, one thread per CPU the process
 may run on.  Every LAPACK call (``dsytrd``, ``dptsv``, ``dpotrf``, ``dtrtrs``)
-goes through one binding, ``_lapack``, to the C pointer that ``cython_lapack``
-exports, which ctypes calls without holding the GIL.  Every GP factorization
-and solve runs with scipy's and numpy's bundled OpenBLAS pinned to one thread,
-so GP arrays are bit-reproducible on one machine and numpy/scipy build at any
-BLAS thread count.  Where a library exports no thread-count setter, its pin
-does nothing, and the bits then depend on that library's thread count.
+goes through one binding, ``_lapack``, which ctypes calls without holding the
+GIL, to the OpenBLAS that numpy already links: numpy 2's wheels export its
+ILP64 routines as ``scipy_<name>_64_``.  The posterior mean's ``k*^T alpha``
+runs in that library too, so one pin of it to one thread makes every GP
+factorization, solve and product bit-reproducible on one machine and numpy
+build at any BLAS thread count, and importing this module loads no scipy.
+Where numpy exports no LAPACK (numpy 1.x, Accelerate or MKL builds,
+Windows), the routines come from scipy's ``cython_lapack``, imported at the
+first LAPACK call, and scipy's OpenBLAS joins the pin.  Where a library
+exports no thread-count setter, its pin does nothing, and the bits then
+depend on that library's thread count.
 
 For localization, posterior mean and variance are precomputed once on a dense
 lattice, where the kernel factors per axis, exp(-(dx^2 + dy^2) / (2 l^2)) =
@@ -34,7 +39,8 @@ exp(-dx^2 / (2 l^2)) exp(-dy^2 / (2 l^2)), so k* is the outer product of an
 by its Gaussian likelihood of the observed readings and returns the weighted
 average position; that per-point work makes this baseline much slower than the
 histogram techniques.  scipy.stats, for that likelihood, loads at a process's
-first GP estimate, once (about 43 MB and 0.9 s), and never in other processes.
+first GP estimate, once (about 69 MB and 0.8-1.4 s, scipy.linalg with it), and
+never in other processes.
 """
 
 from __future__ import annotations
@@ -48,10 +54,10 @@ import queue
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from types import ModuleType
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
-from scipy.linalg import cython_lapack
 
 from .estimators import LocationEstimate, _check_scans, check_count
 from .geo import GeoPoint, PlanarPoint, ScanVector, project_array
@@ -102,39 +108,134 @@ def default_hyper_grid() -> list[GpHyperparams]:
 # ---------------------------------------------------------------------------
 
 _T = TypeVar("_T")
+_Control = tuple[Callable[[], int], Callable[[int], None]]
 _capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
     ("PyCapsule_GetName", ctypes.pythonapi))
 _capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
     ("PyCapsule_GetPointer", ctypes.pythonapi))
 
 
+def _numpy_library() -> ctypes.CDLL | None:
+    """numpy's core extension, through which the OpenBLAS it links resolves; None if unavailable."""
+    try:
+        return ctypes.CDLL(importlib.import_module("numpy._core._multiarray_umath").__file__)
+    except (ImportError, OSError):  # numpy 1.x: no such module, or a Python shim
+        return None
+
+
+_NUMPY_LIBRARY = _numpy_library()
+
+
+def _thread_control(library: ctypes.CDLL | None, suffix: str) -> _Control | None:
+    """(get, set) of the thread count of the scipy-openblas behind ``library``; None if it exports none."""
+    try:
+        get, set_ = (getattr(library, f"scipy_openblas_{verb}_num_threads{suffix}")
+                     for verb in ("get", "set"))
+    except AttributeError:
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+class _OneBlasThread:
+    """Re-entrant pin of every OpenBLAS whose control was added to it to one thread.
+
+    The count is process-wide: while any thread holds the pin, every BLAS
+    call to those libraries runs single-threaded.  The outermost exit
+    restores the counts found at the outermost entry, or at :meth:`add` for
+    a library added inside the pin.  Without controls it does nothing.
+    """
+
+    def __init__(self) -> None:
+        self._controls: list[_Control] = []
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._saved: list[int] = []
+
+    def add(self, control: _Control | None) -> None:
+        """Pin ``control``'s library too: from now on, and at once if the pin is held.  None does nothing."""
+        if control is None:
+            return
+        with self._lock:
+            self._controls.append(control)
+            if self._depth:
+                self._saved.append(control[0]())
+                control[1](1)
+
+    def __enter__(self) -> None:
+        with self._lock:
+            if self._depth == 0:
+                self._saved = [get() for get, _ in self._controls]
+                for _, set_ in self._controls:
+                    set_(1)
+            self._depth += 1
+
+    def __exit__(self, *exc_info: object) -> None:
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0:
+                # Last in, first restored: a library added twice ends at the count saved first.
+                for (_, set_), count in reversed(list(zip(self._controls, self._saved))):
+                    set_(count)
+
+
+_ONE_BLAS_THREAD = _OneBlasThread()
+_ONE_BLAS_THREAD.add(_thread_control(_NUMPY_LIBRARY, "64_"))
+
+
 @functools.cache
-def _lapack_function(name: str, n_args: int) -> Callable[..., None]:
-    """The ctypes prototype of LAPACK routine ``name`` at ``cython_lapack``'s C pointer."""
-    capsule = cython_lapack.__pyx_capi__[name]
-    address = _capsule_pointer(capsule, _capsule_name(capsule))
-    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * n_args)(address)
+def _scipy_lapack() -> ModuleType:
+    """scipy's ``cython_lapack``, imported at the first call, which adds scipy's OpenBLAS to the pin."""
+    from scipy.linalg import cython_lapack
+    _ONE_BLAS_THREAD.add(_thread_control(ctypes.CDLL(cython_lapack.__file__), ""))
+    return cython_lapack
 
 
-def _lapack(name: str, *args: np.ndarray | bytes | int) -> int:
+@functools.cache
+def _lapack_function(name: str, n_args: int) -> tuple[Callable[..., None], type[ctypes._SimpleCData]]:
+    """The ctypes prototype of LAPACK routine ``name`` and the C type of its integers.
+
+    numpy 2's wheels link an ILP64 OpenBLAS that exports ``scipy_<name>_64_``,
+    the library numpy's own matrix products run in.  Where numpy exports no
+    such routine (numpy 1.x, Accelerate or MKL builds, Windows), the routine
+    is ``cython_lapack``'s C pointer, with 32-bit integers.
+    """
+    try:
+        routine = getattr(_NUMPY_LIBRARY, f"scipy_{name}_64_")
+    except AttributeError:
+        capsule = _scipy_lapack().__pyx_capi__[name]
+        address, c_int = _capsule_pointer(capsule, _capsule_name(capsule)), ctypes.c_int
+    else:
+        address, c_int = ctypes.cast(routine, ctypes.c_void_p).value, ctypes.c_int64
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * n_args)(address), c_int
+
+
+def _lapack(name: str, *args: np.ndarray | bytes | int, query: bool = False) -> int:
     """``info`` of LAPACK routine ``name``, called without the GIL, which f2py wrappers hold.
 
     As in Fortran, every argument goes by address: an array, float64 in
     Fortran order, by its data pointer, a ``bytes`` flag or an ``int`` by
-    reference; ``info`` is appended.  Callers check shapes, since a wrong one
-    lets LAPACK read past a buffer.  ``info < 0`` raises ``ValueError``.
+    reference, in the library's integer width; ``query`` appends lwork = -1,
+    LAPACK's workspace query, and ``info`` is appended last.  Callers check
+    shapes, since a wrong one lets LAPACK read past a buffer.  A negative
+    ``int`` raises ``ValueError`` before the call, where LAPACK's error
+    handler would print; any other argument LAPACK rejects (``info < 0``)
+    raises the same ``ValueError`` after it.
     """
-    refs = []
-    for arg in args:
+    for i, arg in enumerate(args, 1):
         if isinstance(arg, np.ndarray):
             if arg.dtype != np.float64 or not arg.flags.f_contiguous:
                 raise ValueError("LAPACK buffers must be float64 and in Fortran order")
-            refs.append(arg.ctypes.data)
-        else:
-            scalar = ctypes.c_char(arg) if isinstance(arg, bytes) else ctypes.c_int(arg)
-            refs.append(ctypes.byref(scalar))
-    info = ctypes.c_int()
-    _lapack_function(name, len(args) + 1)(*refs, ctypes.byref(info))
+        elif not isinstance(arg, bytes) and arg < 0:
+            raise ValueError(f"{name} rejected argument {i}")
+    if query:
+        args = (*args, -1)
+    function, c_int = _lapack_function(name, len(args) + 1)
+    refs = [arg.ctypes.data if isinstance(arg, np.ndarray)
+            else ctypes.byref(ctypes.c_char(arg) if isinstance(arg, bytes) else c_int(arg)) for arg in args]
+    info = c_int()
+    function(*refs, ctypes.byref(info))
     if info.value < 0:
         raise ValueError(f"{name} rejected argument {-info.value}")
     return info.value
@@ -150,7 +251,7 @@ def _tridiagonal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("dsytrd needs a square matrix")
     n = len(a)
     d, e, tau, work = np.empty(n), np.empty(n - 1), np.empty(n - 1), np.empty(1)
-    _lapack("dsytrd", b"L", n, a, n, d, e, tau, work, -1)  # workspace query
+    _lapack("dsytrd", b"L", n, a, n, d, e, tau, work, query=True)
     work = np.empty(int(work[0]))
     _lapack("dsytrd", b"L", n, a, n, d, e, tau, work, len(work))
     return d, e
@@ -177,59 +278,6 @@ def _solve_lower_in_place(chol: np.ndarray, b: np.ndarray, trans: bytes = b"N") 
     info = _lapack("dtrtrs", b"L", trans, b"N", len(b), b.shape[1], a, len(b), b, len(b))
     if info:
         raise np.linalg.LinAlgError(f"dtrtrs failed with info {info}")
-
-
-def _blas_thread_controls() -> list[tuple[Callable[[], int], Callable[[int], None]]]:
-    """(get, set) of the thread count of scipy's and of numpy's bundled OpenBLAS.
-
-    The scipy-openblas builds that scipy's and numpy 2's wheels bundle
-    export these symbols; a library without them gets no control.
-    """
-    controls = []
-    for module, suffix in (("scipy.linalg.cython_lapack", ""), ("numpy._core._multiarray_umath", "64_")):
-        try:
-            library = ctypes.CDLL(importlib.import_module(module).__file__)
-            get, set_ = (getattr(library, f"scipy_openblas_{verb}_num_threads{suffix}")
-                         for verb in ("get", "set"))
-        except (ImportError, OSError, AttributeError):
-            continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        set_.argtypes, set_.restype = [ctypes.c_int], None
-        controls.append((get, set_))
-    return controls
-
-
-class _OneBlasThread:
-    """Re-entrant pin of every OpenBLAS in :func:`_blas_thread_controls` to one thread.
-
-    The count is process-wide: while any thread holds the pin, every BLAS
-    call in the process runs single-threaded.  The outermost exit restores
-    the counts found at the outermost entry.  Without controls it does nothing.
-    """
-
-    def __init__(self, controls: list[tuple[Callable[[], int], Callable[[int], None]]]) -> None:
-        self._controls = controls
-        self._lock = threading.Lock()
-        self._depth = 0
-        self._saved: list[int] = []
-
-    def __enter__(self) -> None:
-        with self._lock:
-            if self._depth == 0:
-                self._saved = [get() for get, _ in self._controls]
-                for _, set_ in self._controls:
-                    set_(1)
-            self._depth += 1
-
-    def __exit__(self, *exc_info: object) -> None:
-        with self._lock:
-            self._depth -= 1
-            if self._depth == 0:
-                for (_, set_), count in zip(self._controls, self._saved):
-                    set_(count)
-
-
-_ONE_BLAS_THREAD = _OneBlasThread(_blas_thread_controls())
 
 
 def _n_workers(n_tasks: int) -> int:
@@ -475,10 +523,11 @@ def fit_tower_models(
 
     The towers are fitted concurrently, one thread per CPU the process may
     run on, the largest first, with every LAPACK call releasing the GIL and
-    scipy's and numpy's OpenBLAS pinned to one thread (the callers' counts
-    restored after).  The models equal a serial loop of :func:`gp_fit`'s,
-    bit for bit, at any BLAS thread count.  The first tower, in tower order,
-    whose fit fails raises its exception once the other fits have stopped.
+    the OpenBLAS that numpy links pinned to one thread (scipy's too where
+    numpy exports no LAPACK), the callers' counts restored after.  The
+    models equal a serial loop of :func:`gp_fit`'s, bit for bit, at any BLAS
+    thread count.  The first tower, in tower order, whose fit fails raises
+    its exception once the other fits have stopped.
     """
     xy = project_array(origin, ground_truths(scans))
     towers, n_read, reading_tower, reading_asu = reading_arrays(scans)
@@ -615,7 +664,7 @@ def gp_locate(grid: PrecomputedGrid, window: Sequence[ScanVector]) -> LocationEs
     default timing, a median over repeats, excludes that import, and
     ``evaluate(..., time_repeats=1)`` includes it.
     """
-    from scipy.stats import norm  # ~43 MB and ~0.9 s, paid only by processes that run GP
+    from scipy.stats import norm  # ~69 MB and ~1 s, paid only by processes that run GP
     scans = _check_scans(window)
     ll = np.zeros(grid.n_points)
     used = 0

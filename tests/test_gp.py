@@ -13,7 +13,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.linalg import cython_lapack
 
 import gsmloc
 from conftest import ORIGIN, scan_at_planar
@@ -149,9 +148,9 @@ class TestFit:
     def test_gp_fit_error_after_the_jitter_retries(self, monkeypatch):
         attempts = []
 
-        def never_positive_definite(name, *args):
+        def never_positive_definite(name, *args, **kwargs):
             if name != "dpotrf":
-                return real_lapack(name, *args)
+                return real_lapack(name, *args, **kwargs)
             attempts.append(args[2].copy())
             return 1  # info > 0: the leading minor of order 1 is not positive
 
@@ -213,9 +212,65 @@ class TestLapackBinding:
             call()
         assert calls == []
 
-    def test_rejected_argument_raises(self):
+    def test_rejected_argument_raises(self, capfd, monkeypatch):
+        calls = []
+        monkeypatch.setattr(gp, "_lapack_function", lambda *args: calls.append(args))
         with pytest.raises(ValueError, match="dpotrf rejected argument 2"):
             gp._lapack("dpotrf", b"L", -1, np.eye(3, order="F"), 3)
+        assert calls == []
+        assert capfd.readouterr() == ("", "")  # OpenBLAS's xerbla prints a rejected argument
+
+    def test_argument_rejected_by_lapack_raises(self):
+        with pytest.raises(ValueError, match="dpotrf rejected argument 4"):  # lda < n
+            gp._lapack("dpotrf", b"L", 3, np.eye(3, order="F"), 2)
+
+    def test_scipy_fallback_when_numpy_exports_no_lapack(self, monkeypatch):
+        """Without numpy's LAPACK symbols, gp_fit runs on cython_lapack and pins scipy's OpenBLAS."""
+        from scipy.linalg import cython_lapack
+        x, y = random_training(np.random.default_rng(21), n=60)
+        primary = gp_fit(x, y)
+        scipy_control = gp._thread_control(ctypes.CDLL(cython_lapack.__file__), "")
+        if scipy_control is None:
+            pytest.skip("scipy's OpenBLAS exports no thread-count setter")
+        scipy_get, scipy_set = scipy_control
+        resolve = gp._lapack_function
+        resolved = {}
+
+        def recording(name, n_args):
+            function, c_int = resolve(name, n_args)
+            resolved[name] = ctypes.cast(function, ctypes.c_void_p).value, c_int
+            return function, c_int
+
+        numpy_controls = list(gp._ONE_BLAS_THREAD._controls)
+        pin = gp._OneBlasThread()
+        for control in numpy_controls:
+            pin.add(control)
+        monkeypatch.setattr(gp, "_NUMPY_LIBRARY", None)
+        monkeypatch.setattr(gp, "_ONE_BLAS_THREAD", pin)
+        monkeypatch.setattr(gp, "_lapack_function", recording)
+        before = scipy_get()
+        resolve.cache_clear()
+        gp._scipy_lapack.cache_clear()
+        try:
+            scipy_set(2)
+            fallback = gp_fit(x, y)
+            assert scipy_get() == 2
+            with gp._ONE_BLAS_THREAD:
+                assert scipy_get() == 1
+            assert scipy_get() == 2
+        finally:
+            scipy_set(before)
+            resolve.cache_clear()
+            gp._scipy_lapack.cache_clear()
+        capsules = {name: cython_lapack.__pyx_capi__[name] for name in resolved}
+        assert resolved == {name: (gp._capsule_pointer(c, gp._capsule_name(c)), ctypes.c_int)
+                            for name, c in capsules.items()}
+        assert set(resolved) == {"dsytrd", "dptsv", "dpotrf", "dtrtrs"}
+        assert len(pin._controls) == len(numpy_controls) + 1
+        assert fallback.hyper == primary.hyper
+        for name in ("chol", "alpha"):
+            a, b = getattr(fallback, name), getattr(primary, name)
+            assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b), name
 
 
 class TestSelection:
@@ -567,8 +622,10 @@ _FOOTPRINT_SCRIPT = textwrap.dedent("""
     from gsmloc import (GeoPoint, PlanarPoint, ScanVector, build_radio_map, evaluate,
                         fit_tower_models, gp_build_grid, gp_locate, load_radio_map,
                         save_radio_map, unproject, write_trace)
+    from gsmloc import gp
     from gsmloc.cli import main
 
+    assert "scipy.linalg" not in sys.modules, "import gsmloc loaded scipy.linalg"
     origin = GeoPoint(30.0, 31.0)
     towers = {"A": PlanarPoint(0.0, 0.0), "B": PlanarPoint(300.0, 0.0), "C": PlanarPoint(150.0, 300.0)}
 
@@ -591,8 +648,12 @@ _FOOTPRINT_SCRIPT = textwrap.dedent("""
         assert main(["locate", "--map", map_path, "--scans", scans_path,
                      "--technique", "probabilistic", "--out", os.path.join(tmp, "est.csv")]) == 0
     assert "scipy.stats" not in sys.modules, "a histogram path loaded scipy.stats"
+    assert "scipy.linalg" not in sys.modules, "a histogram path loaded scipy.linalg"
 
     grid = gp_build_grid(fit_tower_models(train, origin), (0.0, 0.0, 300.0, 300.0), 100.0, origin)
+    # Only where numpy exports no LAPACK does the first GP fit import scipy's.
+    numpy_lapack = hasattr(gp._NUMPY_LIBRARY, "scipy_dpotrf_64_")
+    assert "scipy.linalg" not in sys.modules or not numpy_lapack, "the GP fit loaded scipy.linalg"
     est = gp_locate(grid, test[:2])
     assert math.isfinite(est.location.x) and math.isfinite(est.location.y)
     assert "scipy.stats" in sys.modules, "gp_locate ran without scipy.stats"
@@ -641,13 +702,13 @@ class TestFitTowerModels:
 
 
 @pytest.fixture
-def scipy_blas_threads():
-    """scipy's OpenBLAS thread count getter, the count set to 2 for the test."""
-    library = ctypes.CDLL(cython_lapack.__file__)
+def blas_threads():
+    """The thread count getter of numpy's OpenBLAS, which GP runs in, the count set to 2 for the test."""
+    library = gp._NUMPY_LIBRARY
     try:
-        get, set_ = library.scipy_openblas_get_num_threads, library.scipy_openblas_set_num_threads
-    except AttributeError:
-        pytest.skip("scipy's OpenBLAS exports no thread-count setter")
+        get, set_ = library.scipy_openblas_get_num_threads64_, library.scipy_openblas_set_num_threads64_
+    except AttributeError:  # also when library is None
+        pytest.skip("numpy's OpenBLAS exports no thread-count setter")
     before = get()
     set_(2)
     yield get
@@ -683,11 +744,11 @@ class TestConcurrentFit:
                 assert np.array_equal(getattr(model, name), getattr(serial, name)), (tid, name)
         assert list(models) == [t for t in towers if t in models]
 
-    def test_blas_count_pinned_inside_and_restored_after(self, scipy_blas_threads, monkeypatch):
+    def test_blas_count_pinned_inside_and_restored_after(self, blas_threads, monkeypatch):
         seen = []
 
         def recording_fit(*args, **kwargs):
-            seen.append(scipy_blas_threads())
+            seen.append(blas_threads())
             return real_fit(*args, **kwargs)
 
         real_fit = gp.gp_fit
@@ -698,18 +759,18 @@ class TestConcurrentFit:
         models = fit_tower_models(scans, ORIGIN)
         assert list(models) == ["A", "B"]
         assert seen == [1, 1]
-        assert scipy_blas_threads() == 2
+        assert blas_threads() == 2
         gp_build_grid(models, (0.0, 0.0, 100.0, 20.0), 10.0, ORIGIN)
-        assert scipy_blas_threads() == 2
+        assert blas_threads() == 2
         assert threading.active_count() == threads
 
-    def test_worker_error_reaches_the_caller_unchanged(self, scipy_blas_threads, monkeypatch):
+    def test_worker_error_reaches_the_caller_unchanged(self, blas_threads, monkeypatch):
         threads = threading.active_count()
         scans = TestFitTowerModels._scans()
         scans[2].readings["A"] = math.nan
         with pytest.raises(ValueError, match="^GP training locations and values must be finite$"):
             fit_tower_models(scans, ORIGIN)
-        assert scipy_blas_threads() == 2
+        assert blas_threads() == 2
 
         error = GpFitError("tower B failed")
         real_fit = gp.gp_fit
@@ -725,17 +786,17 @@ class TestConcurrentFit:
         with pytest.raises(GpFitError) as raised:
             fit_tower_models(scans, ORIGIN)
         assert raised.value is error
-        assert scipy_blas_threads() == 2
+        assert blas_threads() == 2
         assert threading.active_count() == threads
 
-    def test_pin_holds_under_many_threads_entering_at_once(self, scipy_blas_threads):
+    def test_pin_holds_under_many_threads_entering_at_once(self, blas_threads):
         seen = set()
 
         def enter_and_leave():
             for _ in range(300):
                 with gp._ONE_BLAS_THREAD:
                     with gp._ONE_BLAS_THREAD:
-                        seen.add(scipy_blas_threads())
+                        seen.add(blas_threads())
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -749,7 +810,22 @@ class TestConcurrentFit:
             sys.setswitchinterval(interval)
         assert not any(worker.is_alive() for worker in workers)
         assert seen == {1}
-        assert scipy_blas_threads() == 2
+        assert blas_threads() == 2
+
+    def test_library_added_inside_the_pin_is_restored_at_the_outermost_exit(self):
+        count = [3]
+        control = (lambda: count[0], lambda n: count.__setitem__(0, n))
+        pin = gp._OneBlasThread()
+        with pin:
+            with pin:
+                pin.add(control)
+                pin.add(control)  # two threads that resolve LAPACK at once may both add it
+                assert count == [1]
+            assert count == [1]
+        assert count == [3]
+        with pin:
+            assert count == [1]
+        assert count == [3]
 
 
 _THREAD_COUNT_SCRIPT = textwrap.dedent("""
@@ -776,8 +852,8 @@ _THREAD_COUNT_SCRIPT = textwrap.dedent("""
 """)
 
 
-@pytest.mark.skipif(len(gp._ONE_BLAS_THREAD._controls) < 2,
-                    reason="without both OpenBLAS thread-count setters the bits follow the count")
+@pytest.mark.skipif(not gp._ONE_BLAS_THREAD._controls,
+                    reason="without an OpenBLAS thread-count setter the bits follow the count")
 def test_fit_and_grid_bits_do_not_depend_on_the_blas_thread_count():
     src = str(Path(gsmloc.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
