@@ -57,6 +57,7 @@ _SWEEP_VALUES = {
     "towers": _checked(float, check_drop_fraction),
     "density": _checked(float, check_keep_fraction),
 }
+_SEED = _checked(int, functools.partial(check_count, "seed", minimum=0))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -74,7 +75,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("synth", help="generate synthetic training/test traces")
     p.add_argument("--preset", required=True, choices=PRESETS)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_SEED, default=0)
     p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("build", help="build a radio map (or GP grid) from a trace")
@@ -106,7 +107,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--param", required=True, choices=_SWEEP_VALUES)
     p.add_argument("--values", required=True, nargs="+", help="integers for ns and k")
     p.add_argument("--preset", default="rural", choices=PRESETS)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_SEED, default=0)
     p.add_argument("--out", required=True, help="output directory")
     # Sweeps build radio maps, which the GP technique cannot use.
     p.add_argument(

@@ -21,16 +21,15 @@ exactly by Cholesky, so the chosen model equals that of a dense search.
 Towers are fitted, and gridded, concurrently, one thread per CPU the process
 may run on.  Every LAPACK call (``dsytrd``, ``dptsv``, ``dpotrf``, ``dtrtrs``)
 goes through one binding, ``_lapack``, which ctypes calls without holding the
-GIL, to the OpenBLAS that numpy already links: numpy 2's wheels export its
-ILP64 routines as ``scipy_<name>_64_``.  The posterior mean's ``k*^T alpha``
-runs in that library too, so one pin of it to one thread makes every GP
-factorization, solve and product bit-reproducible on one machine and numpy
-build at any BLAS thread count, and importing this module loads no scipy.
-Where numpy exports no LAPACK (numpy 1.x, Accelerate or MKL builds,
-Windows), the routines come from scipy's ``cython_lapack``, imported at the
-first LAPACK call, and scipy's OpenBLAS joins the pin.  Where a library
-exports no thread-count setter, its pin does nothing, and the bits then
-depend on that library's thread count.
+GIL, to the OpenBLAS that numpy already links (numpy 2's wheels export its
+ILP64 routines as ``scipy_<name>_64_``), where ``k*^T alpha`` runs too.  So
+one pin of it to one thread makes every GP factorization, solve and product
+bit-reproducible on one machine and numpy build at any BLAS thread count,
+and importing this module loads no scipy.  ``_lapack_library`` chooses the
+library once per process, at first use: where numpy exports no LAPACK, it is
+scipy's ``cython_lapack``, and scipy's OpenBLAS is pinned next to numpy's.
+A library without a thread-count setter is not pinned, and the bits then
+follow its thread count.
 
 For localization, posterior mean and variance are precomputed once on a dense
 lattice, where the kernel factors per axis, exp(-(dx^2 + dy^2) / (2 l^2)) =
@@ -54,7 +53,6 @@ import queue
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from types import ModuleType
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
@@ -109,6 +107,7 @@ def default_hyper_grid() -> list[GpHyperparams]:
 
 _T = TypeVar("_T")
 _Control = tuple[Callable[[], int], Callable[[int], None]]
+_ROUTINES = ("dsytrd", "dptsv", "dpotrf", "dtrtrs")  # every LAPACK routine GP calls
 _capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
     ("PyCapsule_GetName", ctypes.pythonapi))
 _capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
@@ -123,51 +122,63 @@ def _numpy_library() -> ctypes.CDLL | None:
         return None
 
 
-_NUMPY_LIBRARY = _numpy_library()
-
-
-def _thread_control(library: ctypes.CDLL | None, suffix: str) -> _Control | None:
-    """(get, set) of the thread count of the scipy-openblas behind ``library``; None if it exports none."""
+def _thread_control(library: ctypes.CDLL | None, suffix: str) -> tuple[_Control, ...]:
+    """(get, set) of the thread count of the scipy-openblas behind ``library``, or () if it exports none."""
     try:
         get, set_ = (getattr(library, f"scipy_openblas_{verb}_num_threads{suffix}")
                      for verb in ("get", "set"))
     except AttributeError:
-        return None
+        return ()
     get.argtypes, get.restype = [], ctypes.c_int
     set_.argtypes, set_.restype = [ctypes.c_int], None
-    return get, set_
+    return ((get, set_),)
+
+
+@functools.cache
+def _lapack_library() -> tuple[dict[str, int], type[ctypes._SimpleCData], tuple[_Control, ...]]:
+    """The library GP's LAPACK runs in, chosen once per process, at the first use.
+
+    Returns each routine's address by name, the C type of LAPACK's integers
+    and the thread controls the one-thread pin sets.  numpy 2's wheels link an
+    ILP64 OpenBLAS that exports ``scipy_<name>_64_``.  Where numpy exports no
+    such routines (numpy 1.x, Accelerate or MKL builds, Windows), scipy is
+    imported and they are ``cython_lapack``'s, with 32-bit integers; numpy's
+    OpenBLAS, where ``k*^T alpha`` runs, stays pinned too.
+    """
+    numpy_library = _numpy_library()
+    controls = _thread_control(numpy_library, "64_")
+    try:
+        routines = [getattr(numpy_library, f"scipy_{name}_64_") for name in _ROUTINES]
+    except AttributeError:  # also when numpy_library is None
+        from scipy.linalg import cython_lapack
+        capsules = [cython_lapack.__pyx_capi__[name] for name in _ROUTINES]
+        addresses = [_capsule_pointer(c, _capsule_name(c)) for c in capsules]
+        return (dict(zip(_ROUTINES, addresses)), ctypes.c_int,
+                controls + _thread_control(ctypes.CDLL(cython_lapack.__file__), ""))
+    addresses = [ctypes.cast(r, ctypes.c_void_p).value for r in routines]
+    return dict(zip(_ROUTINES, addresses)), ctypes.c_int64, controls
 
 
 class _OneBlasThread:
-    """Re-entrant pin of every OpenBLAS whose control was added to it to one thread.
+    """Re-entrant pin of the OpenBLAS libraries GP runs in to one thread.
 
     The count is process-wide: while any thread holds the pin, every BLAS
-    call to those libraries runs single-threaded.  The outermost exit
-    restores the counts found at the outermost entry, or at :meth:`add` for
-    a library added inside the pin.  Without controls it does nothing.
+    call to those libraries runs single-threaded.  The outermost entry, before
+    any LAPACK call under the pin, saves and pins :func:`_lapack_library`'s
+    controls; the outermost exit restores them.
     """
 
     def __init__(self) -> None:
-        self._controls: list[_Control] = []
         self._lock = threading.Lock()
         self._depth = 0
-        self._saved: list[int] = []
-
-    def add(self, control: _Control | None) -> None:
-        """Pin ``control``'s library too: from now on, and at once if the pin is held.  None does nothing."""
-        if control is None:
-            return
-        with self._lock:
-            self._controls.append(control)
-            if self._depth:
-                self._saved.append(control[0]())
-                control[1](1)
+        self._saved: list[tuple[_Control, int]] = []
 
     def __enter__(self) -> None:
         with self._lock:
             if self._depth == 0:
-                self._saved = [get() for get, _ in self._controls]
-                for _, set_ in self._controls:
+                *_, controls = _lapack_library()
+                self._saved = [(control, control[0]()) for control in controls]
+                for (_, set_), _ in self._saved:
                     set_(1)
             self._depth += 1
 
@@ -175,40 +186,18 @@ class _OneBlasThread:
         with self._lock:
             self._depth -= 1
             if self._depth == 0:
-                # Last in, first restored: a library added twice ends at the count saved first.
-                for (_, set_), count in reversed(list(zip(self._controls, self._saved))):
+                for (_, set_), count in self._saved:
                     set_(count)
 
 
 _ONE_BLAS_THREAD = _OneBlasThread()
-_ONE_BLAS_THREAD.add(_thread_control(_NUMPY_LIBRARY, "64_"))
-
-
-@functools.cache
-def _scipy_lapack() -> ModuleType:
-    """scipy's ``cython_lapack``, imported at the first call, which adds scipy's OpenBLAS to the pin."""
-    from scipy.linalg import cython_lapack
-    _ONE_BLAS_THREAD.add(_thread_control(ctypes.CDLL(cython_lapack.__file__), ""))
-    return cython_lapack
 
 
 @functools.cache
 def _lapack_function(name: str, n_args: int) -> tuple[Callable[..., None], type[ctypes._SimpleCData]]:
-    """The ctypes prototype of LAPACK routine ``name`` and the C type of its integers.
-
-    numpy 2's wheels link an ILP64 OpenBLAS that exports ``scipy_<name>_64_``,
-    the library numpy's own matrix products run in.  Where numpy exports no
-    such routine (numpy 1.x, Accelerate or MKL builds, Windows), the routine
-    is ``cython_lapack``'s C pointer, with 32-bit integers.
-    """
-    try:
-        routine = getattr(_NUMPY_LIBRARY, f"scipy_{name}_64_")
-    except AttributeError:
-        capsule = _scipy_lapack().__pyx_capi__[name]
-        address, c_int = _capsule_pointer(capsule, _capsule_name(capsule)), ctypes.c_int
-    else:
-        address, c_int = ctypes.cast(routine, ctypes.c_void_p).value, ctypes.c_int64
-    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * n_args)(address), c_int
+    """The ctypes prototype of LAPACK routine ``name`` and the C type of its integers."""
+    addresses, c_int, _ = _lapack_library()
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * n_args)(addresses[name]), c_int
 
 
 def _lapack(name: str, *args: np.ndarray | bytes | int, query: bool = False) -> int:
@@ -523,11 +512,12 @@ def fit_tower_models(
 
     The towers are fitted concurrently, one thread per CPU the process may
     run on, the largest first, with every LAPACK call releasing the GIL and
-    the OpenBLAS that numpy links pinned to one thread (scipy's too where
-    numpy exports no LAPACK), the callers' counts restored after.  The
-    models equal a serial loop of :func:`gp_fit`'s, bit for bit, at any BLAS
-    thread count.  The first tower, in tower order, whose fit fails raises
-    its exception once the other fits have stopped.
+    the OpenBLAS that numpy links pinned to one thread (with scipy's where
+    numpy exports no LAPACK, both chosen before the first fit starts), the
+    callers' counts restored after.  The models equal a serial loop of
+    :func:`gp_fit`'s, bit for bit, at any BLAS thread count.  The first
+    tower, in tower order, whose fit fails raises its exception once the
+    other fits have stopped.
     """
     xy = project_array(origin, ground_truths(scans))
     towers, n_read, reading_tower, reading_asu = reading_arrays(scans)
@@ -664,6 +654,8 @@ def gp_locate(grid: PrecomputedGrid, window: Sequence[ScanVector]) -> LocationEs
     default timing, a median over repeats, excludes that import, and
     ``evaluate(..., time_repeats=1)`` includes it.
     """
+    # Kept: a numpy log density in scipy's order gives the same estimates bit for bit on
+    # criterion 7's timing bed, but takes its GP/prob from 16.5-20.7x to 3.5-6.4x, under 10x.
     from scipy.stats import norm  # ~69 MB and ~1 s, paid only by processes that run GP
     scans = _check_scans(window)
     ll = np.zeros(grid.n_points)

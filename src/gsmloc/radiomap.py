@@ -345,8 +345,10 @@ def ground_truths(scans: Sequence[ScanVector]) -> list[GeoPoint]:
 
 
 def default_origin(scans: Sequence[ScanVector]) -> GeoPoint:
-    """The mean of the scans' ground truths: the default projection origin."""
+    """The mean of the scans' ground truths, the default projection origin; ``ValueError`` if none."""
     truths = ground_truths(scans)
+    if not truths:
+        raise ValueError("cannot take an origin from an empty trace")
     return GeoPoint(
         sum(t.lat for t in truths) / len(truths),
         sum(t.lon for t in truths) / len(truths),

@@ -38,6 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .estimators import check_count
 from .geo import (
     ASU_MAX,
     ASU_MIN,
@@ -424,11 +425,12 @@ def make_preset(name: str, seed: int = 0) -> tuple[SynthWorld, dict[str, Route]]
     passes over the same area would.
 
     Raises:
-        ValueError: for an unknown preset name.
+        ValueError: for an unknown preset name, or a seed that is not an integer >= 0.
     """
     cfg = PRESETS.get(name)
     if cfg is None:
         raise ValueError(f"unknown preset {name!r}; expected one of {sorted(PRESETS)}")
+    check_count("seed", seed, minimum=0)
     side = cfg["side"]
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
     positions = [PlanarPoint(rng.uniform(0.0, side), rng.uniform(0.0, side)) for _ in range(cfg["n_towers"])]

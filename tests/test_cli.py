@@ -124,6 +124,15 @@ class TestExitCodes:
         assert exc.value.code == 1
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["synth", "--preset", "rural"],
+                                      ["sweep", "--param", "k", "--values", "1"]])
+    def test_negative_seed_is_1_before_synthesis(self, tmp_path, capsys, no_synthesis, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--seed", "-1", "--out", str(tmp_path / "out")])
+        assert exc.value.code == 1
+        assert "argument --seed: seed must be an integer >= 0, got -1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("spacing", ["0", "nan", "-1"])
     def test_gp_spacing_out_of_range_is_1_before_fitting(self, tiny_trace, tmp_path, capsys,
                                                           monkeypatch, spacing):
@@ -205,6 +214,15 @@ class TestExitCodes:
                    "--technique", "probabilistic"])
         assert rc == 2
         assert f"{header_only}: no scans" in capsys.readouterr().err
+
+    def test_gp_build_on_a_trace_without_scans_is_2(self, tmp_path, capsys):
+        header_only = tmp_path / "empty.csv"
+        header_only.write_text("timestamp,lat,lon,tower_id,asu\n")
+        rc = main(["build", "--traces", str(header_only), "--kind", "gp",
+                   "--out", str(tmp_path / "grid.json")])
+        assert rc == 2
+        assert "gsmloc build: error: cannot take an origin from an empty trace" in capsys.readouterr().err
+        assert not (tmp_path / "grid.json").exists()
 
     @pytest.mark.parametrize("kind,technique,edit,message", [
         pytest.param("map", "probabilistic", lambda d: d.update(keys=[]),

@@ -1,5 +1,6 @@
 import ctypes
 import dataclasses
+import inspect
 import json
 import math
 import os
@@ -183,6 +184,18 @@ class TestFit:
         assert rel < 1e-8
 
 
+class HiddenLapack:
+    """numpy's core extension with its ``scipy_d*_64_`` LAPACK symbols hidden, its thread controls kept."""
+
+    def __init__(self, library):
+        self._library = library
+
+    def __getattr__(self, name):
+        if name.startswith("scipy_d") and name.endswith("_64_"):
+            raise AttributeError(name)
+        return getattr(self._library, name)
+
+
 class TestLapackBinding:
     """``_lapack`` and its wrappers refuse a buffer LAPACK would misread, before calling it."""
 
@@ -229,31 +242,30 @@ class TestLapackBinding:
         from scipy.linalg import cython_lapack
         x, y = random_training(np.random.default_rng(21), n=60)
         primary = gp_fit(x, y)
+        *_, numpy_controls = gp._lapack_library()
         scipy_control = gp._thread_control(ctypes.CDLL(cython_lapack.__file__), "")
-        if scipy_control is None:
+        if not scipy_control:
             pytest.skip("scipy's OpenBLAS exports no thread-count setter")
-        scipy_get, scipy_set = scipy_control
+        (scipy_get, scipy_set), = scipy_control
         resolve = gp._lapack_function
-        resolved = {}
+        resolved, counts = {}, []
 
         def recording(name, n_args):
+            counts.append(scipy_get())  # before the call, and before the first call resolves
             function, c_int = resolve(name, n_args)
             resolved[name] = ctypes.cast(function, ctypes.c_void_p).value, c_int
             return function, c_int
 
-        numpy_controls = list(gp._ONE_BLAS_THREAD._controls)
-        pin = gp._OneBlasThread()
-        for control in numpy_controls:
-            pin.add(control)
-        monkeypatch.setattr(gp, "_NUMPY_LIBRARY", None)
-        monkeypatch.setattr(gp, "_ONE_BLAS_THREAD", pin)
+        real_library = gp._numpy_library
+        monkeypatch.setattr(gp, "_numpy_library", lambda: HiddenLapack(real_library()))
         monkeypatch.setattr(gp, "_lapack_function", recording)
         before = scipy_get()
         resolve.cache_clear()
-        gp._scipy_lapack.cache_clear()
+        gp._lapack_library.cache_clear()
         try:
             scipy_set(2)
             fallback = gp_fit(x, y)
+            *_, controls = gp._lapack_library()
             assert scipy_get() == 2
             with gp._ONE_BLAS_THREAD:
                 assert scipy_get() == 1
@@ -261,12 +273,13 @@ class TestLapackBinding:
         finally:
             scipy_set(before)
             resolve.cache_clear()
-            gp._scipy_lapack.cache_clear()
+            gp._lapack_library.cache_clear()
         capsules = {name: cython_lapack.__pyx_capi__[name] for name in resolved}
         assert resolved == {name: (gp._capsule_pointer(c, gp._capsule_name(c)), ctypes.c_int)
                             for name, c in capsules.items()}
         assert set(resolved) == {"dsytrd", "dptsv", "dpotrf", "dtrtrs"}
-        assert len(pin._controls) == len(numpy_controls) + 1
+        assert set(counts) == {1}
+        assert len(controls) == len(numpy_controls) + 1  # numpy's k*^T alpha stays pinned
         assert fallback.hyper == primary.hyper
         for name in ("chol", "alpha"):
             a, b = getattr(fallback, name), getattr(primary, name)
@@ -652,7 +665,7 @@ _FOOTPRINT_SCRIPT = textwrap.dedent("""
 
     grid = gp_build_grid(fit_tower_models(train, origin), (0.0, 0.0, 300.0, 300.0), 100.0, origin)
     # Only where numpy exports no LAPACK does the first GP fit import scipy's.
-    numpy_lapack = hasattr(gp._NUMPY_LIBRARY, "scipy_dpotrf_64_")
+    numpy_lapack = hasattr(gp._numpy_library(), "scipy_dpotrf_64_")
     assert "scipy.linalg" not in sys.modules or not numpy_lapack, "the GP fit loaded scipy.linalg"
     est = gp_locate(grid, test[:2])
     assert math.isfinite(est.location.x) and math.isfinite(est.location.y)
@@ -704,7 +717,7 @@ class TestFitTowerModels:
 @pytest.fixture
 def blas_threads():
     """The thread count getter of numpy's OpenBLAS, which GP runs in, the count set to 2 for the test."""
-    library = gp._NUMPY_LIBRARY
+    library = gp._numpy_library()
     try:
         get, set_ = library.scipy_openblas_get_num_threads64_, library.scipy_openblas_set_num_threads64_
     except AttributeError:  # also when library is None
@@ -812,21 +825,6 @@ class TestConcurrentFit:
         assert seen == {1}
         assert blas_threads() == 2
 
-    def test_library_added_inside_the_pin_is_restored_at_the_outermost_exit(self):
-        count = [3]
-        control = (lambda: count[0], lambda n: count.__setitem__(0, n))
-        pin = gp._OneBlasThread()
-        with pin:
-            with pin:
-                pin.add(control)
-                pin.add(control)  # two threads that resolve LAPACK at once may both add it
-                assert count == [1]
-            assert count == [1]
-        assert count == [3]
-        with pin:
-            assert count == [1]
-        assert count == [3]
-
 
 _THREAD_COUNT_SCRIPT = textwrap.dedent("""
     import hashlib, os, tempfile
@@ -852,18 +850,47 @@ _THREAD_COUNT_SCRIPT = textwrap.dedent("""
 """)
 
 
-@pytest.mark.skipif(not gp._ONE_BLAS_THREAD._controls,
-                    reason="without an OpenBLAS thread-count setter the bits follow the count")
-def test_fit_and_grid_bits_do_not_depend_on_the_blas_thread_count():
+# Run before _THREAD_COUNT_SCRIPT, it makes GP fall back to scipy's cython_lapack.
+_FALLBACK_PRELUDE = "\n".join([
+    "from gsmloc import gp",
+    inspect.getsource(HiddenLapack),
+    "real_library = gp._numpy_library",
+    "gp._numpy_library = lambda: HiddenLapack(real_library())",
+])
+
+
+def _digests_at_one_and_two_blas_threads(script):
     src = str(Path(gsmloc.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     digests = set()
     for threads in ("1", "2"):
         env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}
-        proc = subprocess.run([sys.executable, "-c", _THREAD_COUNT_SCRIPT], env=env,
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         digests.add(proc.stdout.strip())
+    return digests
+
+
+_NO_SETTER = pytest.mark.skipif(not gp._lapack_library()[2],
+                                reason="without an OpenBLAS thread-count setter the bits follow the count")
+
+
+@_NO_SETTER
+def test_fit_and_grid_bits_do_not_depend_on_the_blas_thread_count():
+    digests = _digests_at_one_and_two_blas_threads(_THREAD_COUNT_SCRIPT)
+    assert len(digests) == 1, digests
+
+
+@_NO_SETTER
+def test_fallback_fit_and_grid_bits_do_not_depend_on_the_blas_thread_count():
+    """On cython_lapack, numpy's OpenBLAS, which runs k*^T alpha, is pinned next to scipy's."""
+    from scipy.linalg import cython_lapack
+    if not gp._thread_control(ctypes.CDLL(cython_lapack.__file__), ""):
+        pytest.skip("scipy's OpenBLAS exports no thread-count setter")
+    digests = _digests_at_one_and_two_blas_threads("\n".join([
+        _FALLBACK_PRELUDE, _THREAD_COUNT_SCRIPT,
+        "assert gp._lapack_library()[1].__name__ == 'c_int', 'the fit ran on numpy LAPACK'"]))
     assert len(digests) == 1, digests
 
 

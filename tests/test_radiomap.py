@@ -15,6 +15,7 @@ from gsmloc.radiomap import (
     SmoothingParams,
     ablate_towers,
     build_radio_map,
+    default_origin,
     load_radio_map,
     save_radio_map,
 )
@@ -155,6 +156,11 @@ class TestBuild:
         lons = [s.truth.lon for s in scans]
         assert rm.origin.lat == pytest.approx(sum(lats) / 2)
         assert rm.origin.lon == pytest.approx(sum(lons) / 2)
+
+    def test_default_origin_of_an_empty_trace_raises(self):
+        # It divided by the zero truth count: a ZeroDivisionError, not a data error.
+        with pytest.raises(ValueError, match="^cannot take an origin from an empty trace$"):
+            default_origin([])
 
 
     def test_far_trace_warns_once(self):

@@ -274,6 +274,15 @@ class TestPresets:
         with pytest.raises(ValueError, match="unknown preset"):
             make_preset("suburban", 0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_seed_not_an_integer_from_0_refused_before_any_draw(self, monkeypatch, seed):
+        def refuse(*args, **kwargs):
+            raise AssertionError("drew from a SeedSequence before checking the seed")
+
+        monkeypatch.setattr(np.random, "SeedSequence", refuse)
+        with pytest.raises(ValueError, match=rf"^seed must be an integer >= 0, got {seed!r}$"):
+            make_preset("rural", seed)
+
     def test_rural_shape(self):
         world, routes = make_preset("rural", seed=0)
         assert len(world.towers) == 51

@@ -74,6 +74,12 @@ BLIND_SPOTS = [
     "synth.tower_evals counts scans x towers, but synthesis runs the exact path loss only on "
     "the pairs a numpy estimate finds audible (seed 0: 9.9% urban, 16.7% rural), more than "
     "synth.useful_frac's readings, as a scan keeps at most 7 (from BENCH_17.json on)",
+    "build_s sums a separate best-of for each BUILD_PARTS entry: best of 60 on the histogram "
+    "workloads but best of 1 (GP_BUILD_REPS) on rural-gp, so rural-gp build_s carries the GP "
+    "fit's whole run-to-run spread (parent medians 0.55-0.67 s in the pairs CHANGES.md quotes "
+    "next to BENCH_31.json to BENCH_33.json)",
+    "rural-gp peak_rss_mb (about 160 MB) includes the about 69 MB scipy.stats import of the "
+    "first gp_locate",
 ]
 
 
