@@ -33,10 +33,10 @@ from .estimators import (
     hybrid_locate,
     probabilistic_locate,
 )
-from .geo import GeoPoint, PlanarPoint, ScanVector, project_array
+from .geo import GeoPoint, PlanarPoint, ScanVector
 from .gp import PrecomputedGrid, gp_locate
 from .radiomap import (RadioMap, ablate_towers, build_radio_map, check_keep_fraction,
-                       derived_seed, ground_truths)
+                       derived_seed, planar_truths)
 
 REPORT_HEADER = ("technique", "grid_m", "ns", "k", "median_err_m", "p95_err_m", "mean_ms")
 CDF_HEADER = ("error_m", "cum_frac")
@@ -152,7 +152,7 @@ def evaluate(
     if not test_scans:
         raise ValueError("empty test set")
     check_count("time_repeats", time_repeats)
-    truths = project_array(model.origin, ground_truths(test_scans)).tolist()
+    truths = planar_truths(test_scans, model.origin)[1].tolist()
     locate = TECHNIQUES.get(technique, technique)
     if not callable(locate):
         raise ValueError(f"unknown technique {technique!r}; expected one of {tuple(TECHNIQUES)}")

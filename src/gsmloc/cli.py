@@ -18,7 +18,6 @@ from typing import Callable, Sequence
 from . import bench, gp
 from .estimators import check_count
 from .geo import (
-    project_array,
     read_tower_locations,
     read_trace,
     unproject,
@@ -26,7 +25,7 @@ from .geo import (
     write_trace,
 )
 from .radiomap import (build_radio_map, check_drop_fraction, check_keep_fraction,
-                       check_positive_finite, default_origin, load_radio_map, save_radio_map)
+                       check_positive_finite, load_radio_map, planar_truths, save_radio_map)
 from .synth import PRESETS, generate_trace, make_preset
 
 USAGE_ERROR = 1
@@ -147,9 +146,8 @@ def _cmd_build(args: argparse.Namespace) -> int:
         save_radio_map(radio_map, args.out)
         print(f"built radio map: {radio_map.n_cells} cells, {len(radio_map.tower_ids)} towers")
     else:
-        origin = default_origin(scans)
+        origin, xy = planar_truths(scans)
         models = gp.fit_tower_models(scans, origin)
-        xy = project_array(origin, [s.truth for s in scans])
         bounds = (*xy.min(axis=0).tolist(), *xy.max(axis=0).tolist())
         grid = gp.gp_build_grid(models, bounds, args.spacing, origin)
         gp.save_grid(grid, args.out)

@@ -58,9 +58,9 @@ from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 import numpy as np
 
 from .estimators import LocationEstimate, _check_scans, check_count
-from .geo import GeoPoint, PlanarPoint, ScanVector, project_array
-from .radiomap import (check_positive_finite, derived_seed, ground_truths, json_array, json_value,
-                       load_document, reading_arrays, save_document)
+from .geo import GeoPoint, PlanarPoint, ScanVector
+from .radiomap import (check_positive_finite, derived_seed, json_array, json_value, load_document,
+                       planar_truths, reading_arrays, save_document)
 
 GP_GRID_KIND = "gp_grid"
 
@@ -388,16 +388,15 @@ def _spectral_lmls(
     n = len(yc)
     lmls = np.full(len(candidates), np.inf)
     bordered = np.empty((n + 1, n + 1), order="F")
-    r = np.empty_like(d2)
+    r = bordered[1:, 1:]
     tridiagonals: dict[float, tuple[np.ndarray, np.ndarray, float]] = {}
     for i, hyper in enumerate(candidates):
         if hyper.length_scale not in tridiagonals:
-            np.negative(d2, out=r)
+            np.negative(d2.T, out=r)  # d2 is exactly symmetric; .T matches the Fortran order
             r /= 2.0 * hyper.length_scale**2
             np.exp(r, out=r)
             bordered[0, 0] = 0.0
             bordered[1:, 0] = yc
-            bordered[1:, 1:] = r.T  # R is exactly symmetric; .T matches the Fortran order
             d, e = _tridiagonal(bordered)
             tridiagonals[hyper.length_scale] = d[1:], e[1:], e[0] ** 2
         d, e, yy = tridiagonals[hyper.length_scale]
@@ -519,7 +518,7 @@ def fit_tower_models(
     tower, in tower order, whose fit fails raises its exception once the
     other fits have stopped.
     """
-    xy = project_array(origin, ground_truths(scans))
+    xy = planar_truths(scans, origin)[1]
     towers, n_read, reading_tower, reading_asu = reading_arrays(scans)
     # Readings grouped by tower; the stable sort keeps each tower's in scan order.
     order = np.argsort(reading_tower, kind="stable")

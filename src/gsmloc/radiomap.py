@@ -311,9 +311,11 @@ class RadioMap:
             shape = (len(self._tower_index) + 1, N_ASU_BINS, self.n_cells)
             table = np.full(shape, math.log(smoothing.p_min), dtype=float)
             counts, alpha = self.counts, smoothing.alpha
-            probs = (counts + alpha) / (counts.sum(axis=1) + N_ASU_BINS * alpha)[:, None]
+            probs = counts.astype(float)  # one buffer; float first, as alpha may be an int
+            probs += alpha
+            probs /= (counts.sum(axis=1) + N_ASU_BINS * alpha)[:, None]
             with np.errstate(divide="ignore"):
-                table[self.hist_tower, :, self.hist_cell] = np.log(probs)
+                table[self.hist_tower, :, self.hist_cell] = np.log(probs, out=probs)
             table.setflags(write=False)
             self._loglik[smoothing] = table
         return table
@@ -336,23 +338,23 @@ class RadioMap:
         return self._points[key]
 
 
-def ground_truths(scans: Sequence[ScanVector]) -> list[GeoPoint]:
-    """The scans' ground truths; ``ValueError`` names the first scan without one."""
-    for scan in scans:
-        if scan.truth is None:
+def planar_truths(scans: Sequence[ScanVector], origin: GeoPoint | None = None):
+    """``(origin, xy)``: the ground truths projected about ``origin``, by default their mean.
+
+    ``ValueError`` names the first scan without ground truth, or an empty trace without an origin.
+    """
+    truths = [scan.truth for scan in scans]
+    for scan, truth in zip(scans, truths):
+        if truth is None:  # identity, not ``None in truths``, which calls GeoPoint.__eq__
             raise ValueError(f"scan at t={scan.timestamp} has no ground truth")
-    return [scan.truth for scan in scans]
-
-
-def default_origin(scans: Sequence[ScanVector]) -> GeoPoint:
-    """The mean of the scans' ground truths, the default projection origin; ``ValueError`` if none."""
-    truths = ground_truths(scans)
-    if not truths:
-        raise ValueError("cannot take an origin from an empty trace")
-    return GeoPoint(
-        sum(t.lat for t in truths) / len(truths),
-        sum(t.lon for t in truths) / len(truths),
-    )
+    if origin is None:
+        if not truths:
+            raise ValueError("cannot take an origin from an empty trace")
+        origin = GeoPoint(
+            sum(t.lat for t in truths) / len(truths),
+            sum(t.lon for t in truths) / len(truths),
+        )
+    return origin, project_array(origin, truths)
 
 
 def reading_arrays(scans: Sequence[ScanVector]):
@@ -401,8 +403,8 @@ def build_radio_map(
     Points are bucketed into grid cells of side ``grid_length`` anchored at
     the minimum x/y of the data, histograms accumulate one count per
     reading, and each cell's centroid is the mean of its member points.
-    The trace is read once into arrays (:func:`~gsmloc.geo.project_array`
-    and :func:`reading_arrays`); everything after that is array work.
+    The trace is read once into arrays (:func:`planar_truths` and
+    :func:`reading_arrays`); everything after that is array work.
 
     Args:
         scans: training scans; every one must carry ground truth.
@@ -420,11 +422,7 @@ def build_radio_map(
     check_positive_finite("grid_length", grid_length)
     if not scans:
         raise ValueError("cannot build a radio map from an empty trace")
-    truths = ground_truths(scans)
-    if origin is None:
-        origin = default_origin(scans)
-
-    xy = project_array(origin, truths)
+    origin, xy = planar_truths(scans, origin)
     anchor = xy.min(axis=0)
     with np.errstate(over="ignore"):
         cell = np.floor((xy - anchor) / grid_length)

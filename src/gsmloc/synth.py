@@ -106,11 +106,11 @@ class SynthWorld:
 
     Raises:
         ValueError: naming the field, for bounds that are not finite or have
-            no extent, a negative seed, an exponent outside [2, 5], a noise
-            or shadowing sigma that is negative or not finite, a lattice
-            spacing that is not finite and > 0, two towers with one
-            ``tower_id``, a tower whose location or ``tx_power_dbm`` is not
-            finite, or no tower inside the bounds.
+            no extent, a seed not an integer >= 0, an exponent outside [2, 5],
+            a noise or shadowing sigma that is negative or not finite, a
+            lattice spacing that is not finite and > 0, an empty ``tower_id``
+            or one that names two towers, a tower whose location or
+            ``tx_power_dbm`` is not finite, or no tower inside the bounds.
     """
 
     bounds: tuple[float, float, float, float]  # (x_min, y_min, x_max, y_max)
@@ -131,8 +131,7 @@ class SynthWorld:
             raise ValueError(f"bounds must be finite, got {self.bounds!r}")
         if x_max <= x_min or y_max <= y_min:
             raise ValueError("bounds must have positive extent")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+        check_count("seed", self.seed, minimum=0)
         if not 2.0 <= self.exponent <= 5.0:
             raise ValueError(f"exponent must be in [2, 5], got {self.exponent!r}")
         for name in ("measurement_noise_db", "shadow_sigma_db"):
@@ -142,6 +141,8 @@ class SynthWorld:
             raise ValueError(
                 f"shadow_grid_spacing must be finite and > 0, got {self.shadow_grid_spacing!r}")
         ids = [t.tower_id for t in self.towers]
+        if not all(ids):
+            raise ValueError("tower_id must be non-empty")
         by_id = np.array(sorted(range(len(ids)), key=ids.__getitem__))
         sorted_ids = tuple(ids[k] for k in by_id.tolist())
         for a, b in zip(sorted_ids, sorted_ids[1:]):
@@ -330,7 +331,8 @@ def generate_trace(world: SynthWorld, route: Route) -> list[ScanVector]:
     n_steps = int(math.ceil(total / route.speed - 1e-9))
     t = np.arange(n_steps + 1.0)
     dist = np.minimum(t * route.speed, total)
-    seg = np.minimum(np.searchsorted(cumulative, dist, side="right") - 1, len(seg_lengths) - 1)
+    last = np.flatnonzero(seg_lengths)[-1]  # the end's segment, not a repeated final waypoint
+    seg = np.minimum(np.searchsorted(cumulative, dist, side="right") - 1, last)
     frac = (dist - cumulative[seg]) / seg_lengths[seg]
     w = np.array([(p.x, p.y) for p in pts])
     x, y = (w[seg] + frac[:, None] * (w[seg + 1] - w[seg])).T

@@ -694,7 +694,7 @@ class TestFitTowerModels:
         assert "B" not in models
 
     def test_requires_truth(self):
-        with pytest.raises(ValueError, match="ground truth"):
+        with pytest.raises(ValueError, match=r"^scan at t=0\.0 has no ground truth$"):
             fit_tower_models([ScanVector(0.0, {"A": 5})], ORIGIN)
 
     @staticmethod

@@ -15,8 +15,8 @@ from gsmloc.radiomap import (
     SmoothingParams,
     ablate_towers,
     build_radio_map,
-    default_origin,
     load_radio_map,
+    planar_truths,
     save_radio_map,
 )
 from gsmloc.synth import generate_trace, make_preset
@@ -55,7 +55,7 @@ class TestBuild:
         from gsmloc.geo import ScanVector
 
         scans = [scan_at_planar(0, 1.0, 1.0, {"A": 5}), ScanVector(17.5, {"A": 5})]
-        with pytest.raises(ValueError, match="17.5"):
+        with pytest.raises(ValueError, match=r"^scan at t=17\.5 has no ground truth$"):
             build_radio_map(scans, 70.0)
 
     def test_bad_grid_length(self):
@@ -151,16 +151,20 @@ class TestBuild:
             scan_at_planar(0, 0.0, 0.0, {"A": 5}),
             scan_at_planar(1, 100.0, 0.0, {"A": 5}),
         ]
-        rm = build_radio_map(scans, 70.0)
+        origin, xy = planar_truths(scans)
         lats = [s.truth.lat for s in scans]
         lons = [s.truth.lon for s in scans]
-        assert rm.origin.lat == pytest.approx(sum(lats) / 2)
-        assert rm.origin.lon == pytest.approx(sum(lons) / 2)
+        assert origin.lat == pytest.approx(sum(lats) / 2)
+        assert origin.lon == pytest.approx(sum(lons) / 2)
+        assert xy.tolist() == [[p.x, p.y] for p in (project(origin, s.truth) for s in scans)]
+        assert build_radio_map(scans, 70.0).origin == origin
 
     def test_default_origin_of_an_empty_trace_raises(self):
         # It divided by the zero truth count: a ZeroDivisionError, not a data error.
         with pytest.raises(ValueError, match="^cannot take an origin from an empty trace$"):
-            default_origin([])
+            planar_truths([])
+        origin, xy = planar_truths([], ORIGIN)  # a given origin needs no truths
+        assert origin == ORIGIN and xy.shape == (0, 2)
 
 
     def test_far_trace_warns_once(self):
@@ -491,7 +495,9 @@ class TestCellLikelihood:
         rm, _ = random_instance(np.random.default_rng(3))
         first = rm.log_likelihood_table(SmoothingParams())
         cells = map_cells(rm)
-        for sm in (SmoothingParams(alpha=2.0, p_min=1e-3), SmoothingParams(alpha=0.1)):
+        # An int alpha passes the rule; the table must not do integer arithmetic on it.
+        for sm in (SmoothingParams(alpha=2.0, p_min=1e-3), SmoothingParams(alpha=0.1),
+                   SmoothingParams(alpha=1)):
             table = rm.log_likelihood_table(sm)
             for ci, key in enumerate(rm.cell_keys()):
                 for tid, t in rm.tower_index().items():

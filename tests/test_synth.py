@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -172,6 +173,19 @@ class TestGenerateTrace:
             )
             assert d < 1e-6
 
+    @pytest.mark.parametrize("repeats", [1, 2])
+    def test_route_ending_on_a_repeated_waypoint_ends_there(self, repeats):
+        # The end fell on the zero-length last segment: a 0/0 fraction, a NaN
+        # position and "no tower audible at (nan, nan)".
+        world = self._world()
+        end = PlanarPoint(10.0, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = generate_trace(world, Route((_ORIGIN_XY, end) + (end,) * repeats, 3.0))
+            plain = generate_trace(world, Route((_ORIGIN_XY, end), 3.0))
+        assert [s.truth for s in trace] == [s.truth for s in plain]
+        assert project(GEO_ORIGIN, trace[-1].truth).x == pytest.approx(10.0, abs=1e-6)
+
     def test_monotone_audibility_under_power_increase(self):
         towers = [Tower(f"T{i}", PlanarPoint(123.0 * i, 77.0 * i), -45.0) for i in range(8)]
         noiseless = dict(measurement_noise_db=0.0)
@@ -215,7 +229,7 @@ _ORIGIN_XY = PlanarPoint(0.0, 0.0)
                  "waypoints must be finite", id="waypoint_inf"),
     pytest.param(lambda: flat_world([_T0], bounds=(0.0, 0.0, 1000.0, 0.0)),
                  "bounds must have positive extent", id="zero_extent_bounds"),
-    pytest.param(lambda: flat_world([_T0], seed=-1), "seed must be non-negative",
+    pytest.param(lambda: flat_world([_T0], seed=-1), "^seed must be an integer >= 0, got -1$",
                  id="negative_seed"),
     pytest.param(lambda: generate_trace(flat_world([_T0]), Route((_ORIGIN_XY, _ORIGIN_XY), 10.0)),
                  "route has zero length", id="equal_waypoints"),
@@ -223,6 +237,23 @@ _ORIGIN_XY = PlanarPoint(0.0, 0.0)
 def test_bad_route_or_world_refused(make, message):
     with pytest.raises(ValueError, match=message):
         make()
+
+
+@pytest.mark.parametrize("seed,tower_id,message", [
+    pytest.param(-1, "T0", "^seed must be an integer >= 0, got -1$", id="seed_-1"),
+    pytest.param(1.5, "T0", r"^seed must be an integer >= 0, got 1\.5$", id="seed_1.5"),
+    pytest.param(True, "T0", "^seed must be an integer >= 0, got True$", id="seed_True"),
+    pytest.param(0, "", "^tower_id must be non-empty$", id="empty_tower_id"),
+])
+def test_world_seed_or_tower_id_refused_before_any_draw(monkeypatch, seed, tower_id, message):
+    # A seed of 1.5 raised numpy's TypeError at the first draw and True was
+    # accepted; an empty id failed only inside generate_trace.
+    def refuse(*args, **kwargs):
+        raise AssertionError("drew from a SeedSequence before checking the world")
+
+    monkeypatch.setattr(np.random, "SeedSequence", refuse)
+    with pytest.raises(ValueError, match=message):
+        flat_world([Tower(tower_id, PlanarPoint(0.0, 0.0), -20.0)], seed=seed)
 
 
 @pytest.mark.parametrize("name,value", [

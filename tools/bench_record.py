@@ -63,7 +63,7 @@ BLIND_SPOTS = [
     "gp.lml_evals reports towers x 45 candidates, not the factorizations the fit runs",
     "setup_s cannot resolve its 0.25 bound: over the ten parent runs CHANGES.md quotes next "
     "to BENCH_21.json, its IQR/median read 0.426 on rural-gp (34 ms median) and 0.382 on "
-    "urban-track (110 ms)",
+    "urban-track (110 ms), and over the ten next to BENCH_34.json 0.418 on rural-sweep (41 ms)",
     "radiomap.mean_asu_s and radiomap.point_arrays_s time plain accessors: the map builds "
     "those arrays at construction, so their work is in radiomap.build_s",
     "radiomap.table_bytes counts the log table's floor row for unknown towers, one row more "
