@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geo import PlanarPoint, ScanVector
+from .geo import PlanarPoint, ScanVector, float_sum
 from .radiomap import N_ASU_BINS, RadioMap, SmoothingParams
 
 
@@ -58,7 +58,7 @@ class EstimatorParams:
         check_count("k", self.k)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LocationEstimate:
     """An estimated position plus how it was formed.
 
@@ -163,7 +163,7 @@ def probabilistic_locate(
     if math.isfinite(m):
         # libm's exp, not np.exp, whose last bit moves with the SIMD level.
         weights = [math.exp(s - m) for s in top_scores]
-        total = sum(weights)
+        total = float_sum(weights)
         weights = [w / total for w in weights]
     else:
         # Every candidate has zero likelihood (possible only with alpha=0);

@@ -3,7 +3,9 @@
 ASU (Active Set Update) is the integer signal-strength unit reported by GSM
 phone APIs, an integer in [0, 31] with dBm = 2*ASU - 113.  A scan is the set
 of readings a phone reports in one instant: the serving cell plus up to six
-neighbours, so at most seven towers.
+neighbours, so at most seven towers.  The point and scan types are frozen,
+slotted dataclasses: a trace holds one scan and one truth per second of
+driving, and a slot saves each instance its ``__dict__``.
 
 Trace and tower-location CSV files share one record reader.  A trace becomes
 a list of :class:`ScanVector` in a single pass over its rows, and every
@@ -70,7 +72,7 @@ def dbm_to_asu(dbm: float) -> int:
     return min(max(math.floor((dbm - SENSITIVITY_DBM) / 2.0 + 0.5), ASU_MIN), ASU_MAX)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GeoPoint:
     """A geodetic position in degrees."""
 
@@ -84,7 +86,7 @@ class GeoPoint:
             raise ValueError(f"longitude {self.lon} outside [-180, 180]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlanarPoint:
     """Meters east (x) and north (y) of a projection origin."""
 
@@ -93,6 +95,19 @@ class PlanarPoint:
 
     def distance_to(self, other: "PlanarPoint") -> float:
         return math.hypot(self.x - other.x, self.y - other.y)
+
+
+def float_sum(values: Iterable[float]) -> float:
+    """The floats of ``values`` added left to right, starting from 0.0.
+
+    This is how ``sum()`` adds floats up to Python 3.11.  From 3.12 on,
+    ``sum()`` compensates the rounding and may differ in the last bits, which
+    would move every origin, route length and posterior weight built on it.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def project(origin: GeoPoint, p: GeoPoint) -> PlanarPoint:
@@ -155,7 +170,7 @@ def _check_asu(asu: int) -> None:
         raise ValueError(f"ASU reading {asu!r} outside [{ASU_MIN}, {ASU_MAX}]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScanVector:
     """All readings reported at one instant: 1 to 7 towers.
 

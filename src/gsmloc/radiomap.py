@@ -37,6 +37,7 @@ from .geo import (
     GeoPoint,
     PlanarPoint,
     ScanVector,
+    float_sum,
     project_array,
 )
 
@@ -72,7 +73,7 @@ class SmoothingParams:
             raise ValueError("p_min must be in (0, 1]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FingerprintPoint:
     """One war-driving sample in :attr:`RadioMap.cells`: a position and the towers heard."""
 
@@ -80,14 +81,14 @@ class FingerprintPoint:
     readings: dict[str, int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TowerHistogram:
     """ASU histogram of one tower within one grid cell (32 integer bins)."""
 
     counts: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GridCell:
     """One grid square in :attr:`RadioMap.cells`, which keys it by (row, col)."""
 
@@ -100,9 +101,10 @@ class GridCell:
 #: field -> (JSON number kind, row width or 0, dtype stored; None keeps ``keys`` a tuple).
 _MAP_FIELDS = dict(keys=(int, 2, None), centroids=(float, 2, np.float64),
                    hist_cell=(int, 0, np.intp), hist_tower=(int, 0, np.intp),
-                   counts=(int, N_ASU_BINS, np.int64), point_xy=(float, 2, np.float64),
+                   counts=(int, N_ASU_BINS, np.int32), point_xy=(float, 2, np.float64),
                    point_offsets=(int, 0, np.intp), n_read=(int, 0, np.intp),
                    reading_tower=(int, 0, np.intp), reading_asu=(int, 0, np.int8))
+_INT32_MAX = np.iinfo(np.int32).max
 
 
 def check_positive_finite(name: str, value: float) -> None:
@@ -151,14 +153,14 @@ class RadioMap:
     Construction stores read-only copies in the dtypes of ``_MAP_FIELDS``,
     derives the mean-ASU matrix, its row norms and hybrid's dense readings
     (ASU 0 where not heard), and raises ``ValueError`` on the first rule
-    broken: at least one cell, each with a histogram; 32 bins, counts >= 0
-    and one reading or more per histogram; histogram and reading towers in
-    ``tower_ids``; 1..7 readings per point, ``n_read`` summing to them, each
-    in ASU 0..31, each tower once, in column order; a positive finite
-    ``grid_length``; a finite anchor, centroids, point and tower locations;
-    arrays agreeing in shape, offsets and order.  The log-likelihood table
-    is built on first use per :class:`SmoothingParams`.  Equal maps have
-    equal fields, arrays equal in dtype and value.
+    broken: at least one cell, each with a histogram; 32 bins, counts in
+    0..2**31-1 (int32) and one reading or more per histogram; histogram and
+    reading towers in ``tower_ids``; 1..7 readings per point, ``n_read``
+    summing to them, each in ASU 0..31, each tower once, in column order; a
+    positive finite ``grid_length``; a finite anchor, centroids, point and
+    tower locations; arrays agreeing in shape, offsets and order.  The
+    log-likelihood table is built on first use per :class:`SmoothingParams`.
+    Equal maps have equal fields, arrays equal in dtype and value.
     """
 
     origin: GeoPoint
@@ -184,9 +186,13 @@ class RadioMap:
     _loglik: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        asu = np.asarray(self.reading_asu)
+        asu, counts = np.asarray(self.reading_asu), np.asarray(self.counts)
         if asu.size and not 0 <= asu.min() <= asu.max() <= ASU_MAX:  # before the int8 store
             raise ValueError(f"a point reading is outside ASU 0..{ASU_MAX}")
+        if counts.size and counts.min() < 0:  # before the int32 store, as for the ASUs
+            raise ValueError("histogram counts must be non-negative")
+        if counts.size and counts.max() > _INT32_MAX:
+            raise ValueError(f"a histogram count does not fit in int32 (above {_INT32_MAX})")
         for name, (_, _, dtype) in _MAP_FIELDS.items():
             if dtype is not None:
                 object.__setattr__(self, name, np.array(getattr(self, name), dtype=dtype))
@@ -218,9 +224,7 @@ class RadioMap:
         empty = np.bincount(self.hist_cell, minlength=n_cells) == 0
         if empty.any():
             raise ValueError(f"cell {keys[np.argmax(empty)]} holds no histogram")
-        if counts.min() < 0:
-            raise ValueError("histogram counts must be non-negative")
-        totals = counts.sum(axis=1)
+        totals = counts.sum(axis=1, dtype=np.int64)  # 32 int32 bins cannot wrap it
         if totals.min() < 1:
             raise ValueError("stored histograms must hold at least one reading")
         if ((n_read < 1) | (n_read > MAX_READINGS)).any():  # first: 4 x 2**62 wraps the sum to 0
@@ -236,7 +240,8 @@ class RadioMap:
             raise ValueError("anchor, centroids, point and tower locations must be finite")
         mean_asu = np.zeros((n_cells, n_towers))
         # An exact integer sum, then one division: the mean ASU of each histogram.
-        mean_asu[self.hist_cell, self.hist_tower] = (counts @ np.arange(N_ASU_BINS)) / totals
+        mean_asu[self.hist_cell, self.hist_tower] = (
+            counts @ np.arange(N_ASU_BINS, dtype=np.int64)) / totals
         norm2 = (mean_asu * mean_asu).sum(axis=1)
         # Hybrid's dense copy of the readings costs 0.40 MB on urban seed 0 but is
         # faster than either way without it, all in int32: clipping the cell's rows
@@ -313,7 +318,7 @@ class RadioMap:
             counts, alpha = self.counts, smoothing.alpha
             probs = counts.astype(float)  # one buffer; float first, as alpha may be an int
             probs += alpha
-            probs /= (counts.sum(axis=1) + N_ASU_BINS * alpha)[:, None]
+            probs /= (counts.sum(axis=1, dtype=np.int64) + N_ASU_BINS * alpha)[:, None]
             with np.errstate(divide="ignore"):
                 table[self.hist_tower, :, self.hist_cell] = np.log(probs, out=probs)
             table.setflags(write=False)
@@ -351,8 +356,8 @@ def planar_truths(scans: Sequence[ScanVector], origin: GeoPoint | None = None):
         if not truths:
             raise ValueError("cannot take an origin from an empty trace")
         origin = GeoPoint(
-            sum(t.lat for t in truths) / len(truths),
-            sum(t.lon for t in truths) / len(truths),
+            float_sum(t.lat for t in truths) / len(truths),
+            float_sum(t.lon for t in truths) / len(truths),
         )
     return origin, project_array(origin, truths)
 

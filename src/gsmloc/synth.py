@@ -43,16 +43,20 @@ from .geo import (
     ASU_MAX,
     ASU_MIN,
     MAX_READINGS,
+    EARTH_RADIUS_M,
     SENSITIVITY_DBM,
     GeoPoint,
     PlanarPoint,
     ScanVector,
+    float_sum,
     unproject,
 )
 
 P0_DBM = 30.0  # path loss (dB) at the reference distance D0_M
 D0_M = 10.0  # reference distance (m); nearer points get the loss at D0_M
 GEO_ORIGIN = GeoPoint(30.0, 31.0)  # where every world's planar origin lies
+#: :func:`unproject`'s meters per radian of longitude about ``GEO_ORIGIN``.
+_LON_SCALE_M = EARTH_RADIUS_M * math.cos(math.radians(GEO_ORIGIN.lat))
 #: Scans synthesized together: bounds the (scans, towers) working arrays.
 _BLOCK_SCANS = 256
 #: A pair whose numpy power estimate lies more than this below the
@@ -85,7 +89,7 @@ class Route:
 
     @property
     def length(self) -> float:
-        return sum(a.distance_to(b) for a, b in zip(self.waypoints, self.waypoints[1:]))
+        return float_sum(a.distance_to(b) for a, b in zip(self.waypoints, self.waypoints[1:]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -274,14 +278,16 @@ def _block_scans(
         raise ValueError(f"no tower audible at ({x[silent[0]]:.1f}, {y[silent[0]]:.1f})")
     # dbm_to_asu's arithmetic; -inf past a row's count clamps to ASU 0 and is never read
     asu = np.clip(np.floor((top_dbm - SENSITIVITY_DBM) / 2.0 + 0.5), ASU_MIN, ASU_MAX)
+    # unproject(GEO_ORIGIN, .) on the whole block: np.degrees multiplies by math.degrees' 180/pi.
+    lat = GEO_ORIGIN.lat + np.degrees(y / EARTH_RADIUS_M)
+    lon = GEO_ORIGIN.lon + np.degrees(x / _LON_SCALE_M)
     names = world._ids
     scans: list[ScanVector] = []
-    for t, px, py, n, kept, levels in zip(
-        times, x.tolist(), y.tolist(), counts.tolist(), top.tolist(), asu.astype(int).tolist()
+    for t, p_lat, p_lon, n, kept, levels in zip(
+        times, lat.tolist(), lon.tolist(), counts.tolist(), top.tolist(), asu.astype(int).tolist()
     ):
         readings = {names[k]: level for k, level in zip(kept[:n], levels[:n])}
-        truth = unproject(GEO_ORIGIN, PlanarPoint(px, py))
-        scans.append(ScanVector(t, readings, truth=truth))
+        scans.append(ScanVector(t, readings, truth=GeoPoint(p_lat, p_lon)))
     return scans
 
 

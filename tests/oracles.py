@@ -348,8 +348,11 @@ def scalar_radio_map(scans, grid_length: float, *, origin=None, tower_locations=
     from gsmloc.geo import GeoPoint, project
 
     if origin is None:
-        origin = GeoPoint(sum(s.truth.lat for s in scans) / len(scans),
-                          sum(s.truth.lon for s in scans) / len(scans))
+        lat = lon = 0.0  # left to right, as the centroids below: sum() compensates from 3.12 on
+        for s in scans:
+            lat += s.truth.lat
+            lon += s.truth.lon
+        origin = GeoPoint(lat / len(scans), lon / len(scans))
     pts = [project(origin, s.truth) for s in scans]
     ax, ay = min(p.x for p in pts), min(p.y for p in pts)
     towers = sorted({tid for s in scans for tid in s.readings} - set(dropped))

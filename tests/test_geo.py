@@ -15,6 +15,7 @@ from gsmloc.geo import (
     TraceFormatError,
     asu_to_dbm,
     dbm_to_asu,
+    float_sum,
     project,
     project_array,
     read_tower_locations,
@@ -51,6 +52,18 @@ class TestAsuConversion:
     @given(st.integers(min_value=0, max_value=31))
     def test_exact_inverse_on_integer_range(self, asu):
         assert dbm_to_asu(asu_to_dbm(asu)) == asu
+
+
+class TestFloatSum:
+    """``float_sum`` adds as ``sum()`` did up to Python 3.11, with no compensation."""
+
+    def test_adds_left_to_right(self):
+        assert float_sum([1e16, 1.0, 1.0]) == 1e16  # a compensated sum gives 1e16 + 2
+        assert float_sum(iter([0.1] * 10)) == 0.9999999999999999
+
+    def test_starts_from_zero(self):
+        assert math.copysign(1.0, float_sum([-0.0])) == 1.0
+        assert float_sum([]) == 0.0 and type(float_sum([])) is float
 
 
 class TestProjection:

@@ -1,6 +1,8 @@
+import copy
 import dataclasses
 import json
 import math
+import pickle
 import random
 import re
 import warnings
@@ -8,11 +10,15 @@ import warnings
 import pytest
 
 from conftest import ORIGIN, scan_at_planar
+from gsmloc.estimators import LocationEstimate
 from gsmloc.geo import GeoPoint, PlanarPoint, ProjectionRangeWarning, ScanVector, project, unproject
 from gsmloc.radiomap import (
     MAP_FORMAT_VERSION,
+    FingerprintPoint,
+    GridCell,
     MapFormatError,
     SmoothingParams,
+    TowerHistogram,
     ablate_towers,
     build_radio_map,
     load_radio_map,
@@ -166,6 +172,15 @@ class TestBuild:
         origin, xy = planar_truths([], ORIGIN)  # a given origin needs no truths
         assert origin == ORIGIN and xy.shape == (0, 2)
 
+    def test_default_origin_adds_the_truths_left_to_right(self):
+        # 60 + 1e-15 rounds to 60, so the mean is 0.0; Python 3.12's compensated
+        # sum() would keep the 1e-15 and move the origin, so every projected truth.
+        scans = [ScanVector(float(t), {"A": 5}, GeoPoint(lat, 31.0))
+                 for t, lat in enumerate((60.0, 1e-15, -60.0))]
+        with pytest.warns(ProjectionRangeWarning):
+            origin, _ = planar_truths(scans)
+        assert origin.lat == 0.0
+
 
     def test_far_trace_warns_once(self):
         # 351 scans about 11 km east of the origin, each at its own distance.
@@ -311,6 +326,10 @@ class TestRules:
                      "at least one reading", id="all_counts_zero"),
         pytest.param(dict(counts=[_counts(a3=-1, a5=2), _counts(a4=1), _counts(a7=1)]),
                      "non-negative", id="negative_count"),
+        pytest.param(dict(counts=[_counts(a3=-2**32, a10=1), _counts(a4=1), _counts(a7=1)]),
+                     "non-negative", id="negative_count_wrapping_int32"),
+        pytest.param(dict(counts=[_counts(a10=2**31), _counts(a4=1), _counts(a7=1)]),
+                     "does not fit in int32", id="count_2_31"),
         pytest.param(dict(hist_tower=[0, 2, 0]), r"not in 'towers'.*columns \[2\]",
                      id="unknown_histogram_tower"),
         pytest.param(dict(reading_asu=[-2, 4, 7]), "outside ASU", id="asu_minus_2"),
@@ -345,6 +364,39 @@ class TestRules:
     def test_broken_rule_raises(self, fields, message):
         with pytest.raises(ValueError, match=message):
             _map_with(**fields)
+
+
+class TestValueTypes:
+    """The value types held one per scan, estimate, cell, point or histogram are slotted."""
+
+    @staticmethod
+    def _values():
+        """A map with tower locations, and one instance of each slotted type."""
+        rm = _base_map()
+        cell = rm.cells[(0, 0)]
+        scan = scan_at_planar(0, 1.0, 1.0, {"A": 10, "B": 4})
+        estimate = LocationEstimate(cell.centroid, -3.5, (((0, 0), 1.0),))
+        return rm, [scan.truth, cell.centroid, scan, estimate, cell.points[0],
+                    cell.histograms["A"], cell]
+
+    def test_no_instance_dict(self):
+        _, values = self._values()
+        assert [type(v) for v in values] == [GeoPoint, PlanarPoint, ScanVector, LocationEstimate,
+                                             FingerprintPoint, TowerHistogram, GridCell]
+        for value in values:
+            assert not hasattr(value, "__dict__"), type(value).__name__
+
+    @pytest.mark.parametrize("copy_of", [
+        pytest.param(lambda obj: pickle.loads(pickle.dumps(obj)), id="pickle"),
+        pytest.param(copy.deepcopy, id="deepcopy"),
+    ])
+    def test_copies_equal(self, copy_of):
+        rm, values = self._values()
+        assert rm.tower_locations
+        copied_map, copied = copy_of((rm, values))
+        assert copied == values
+        assert copied_map == rm and copied_map.tower_locations == rm.tower_locations
+        assert copied_map.cells == rm.cells
 
 
 class TestEquality:
@@ -527,6 +579,13 @@ def _negative_count(doc):
     """Point 0 claims -1 readings and point 1 the rest, so the total still agrees."""
     n_read = doc["n_read"]
     n_read[0], n_read[1] = -1, n_read[0] + n_read[1] + 1
+
+
+def _wrapping_histogram(doc):
+    """Four empty bins of the first histogram each 2**62: its int64 total wraps back to its count."""
+    counts = _first_counts(doc)
+    for asu in [asu for asu, count in enumerate(counts) if count == 0][:4]:
+        counts[asu] = 2**62
 
 
 def _wrapping_counts(doc):
@@ -756,6 +815,17 @@ class TestPersistence:
         edit(doc)
         path.write_text(json.dumps(doc))
         with pytest.raises(MapFormatError, match="too large"):
+            load_radio_map(str(path))
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param(_wrapping_histogram, id="histogram_wrapping_int64"),
+        pytest.param(lambda d: _first_counts(d).__setitem__(0, 2**31), id="count_2_31"),
+    ])
+    def test_count_beyond_int32_rejected(self, tmp_path, edit):
+        path, doc = self._saved_doc(tmp_path)
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MapFormatError, match="does not fit in int32"):
             load_radio_map(str(path))
 
     def test_wrong_kind_rejected(self, tmp_path):

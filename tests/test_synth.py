@@ -142,6 +142,12 @@ class TestGenerateTrace:
         towers = [Tower(f"T{i}", PlanarPoint(200.0 * i, 100.0), -20.0) for i in range(5)]
         return flat_world(towers, shadow=3.0, seed=5)
 
+    def test_route_length_adds_segments_left_to_right(self):
+        # 1e16 + 1 rounds to 1e16 twice; a compensated sum would give 1e16 + 2.
+        waypoints = (PlanarPoint(0.0, 0.0), PlanarPoint(1e16, 0.0), PlanarPoint(1e16, 1.0),
+                     PlanarPoint(1e16, 2.0))
+        assert Route(waypoints, 10.0).length == 1e16
+
     def test_kinematics_100m_at_10mps(self):
         route = Route((PlanarPoint(0.0, 0.0), PlanarPoint(100.0, 0.0)), 10.0)
         trace = generate_trace(self._world(), route)
