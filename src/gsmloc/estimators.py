@@ -63,7 +63,7 @@ class LocationEstimate:
     """An estimated position plus how it was formed.
 
     ``log_score`` is the unnormalized log posterior of the winning cell for
-    the probabilistic techniques and ``None`` where no posterior exists.
+    prob and hybrid, always finite, and ``None`` where no posterior exists.
     ``contributing_cells`` lists ((row, col), weight) pairs whose weights
     sum to 1.
     """
@@ -148,34 +148,27 @@ def probabilistic_locate(
 ) -> LocationEstimate:
     """Grid-histogram Bayes estimate: weighted average of the top-K cells.
 
-    The K cells with the highest log posterior are selected (ties broken by
-    (row, col) order), their posteriors renormalized over the K via
-    log-sum-exp, and the estimate is the weighted average of their
+    The K cells with the highest log posterior, all finite, are selected
+    (ties broken by (row, col) order), their posteriors renormalized over the
+    K via log-sum-exp, and the estimate is the weighted average of their
     centroids.  K = 1 degenerates to the most-probable-cell centroid.
     """
     scans = _check_scans(window)
     scores = _posterior_vector(radio_map, scans, params.smoothing)
 
-    k = min(params.k, radio_map.n_cells)
-    top = (-scores).argsort(kind="stable")[:k]  # ties resolve to the lowest index
+    top = (-scores).argsort(kind="stable")[:params.k]  # ties resolve to the lowest index
     top_scores = scores[top].tolist()
     m = top_scores[0]
-    if math.isfinite(m):
-        # libm's exp, not np.exp, whose last bit moves with the SIMD level.
-        weights = [math.exp(s - m) for s in top_scores]
-        total = float_sum(weights)
-        weights = [w / total for w in weights]
-    else:
-        # Every candidate has zero likelihood (possible only with alpha=0);
-        # fall back to uniform weights over the K for determinism.
-        weights = [1.0 / k] * k
-    return _weighted_estimate(radio_map, top, weights, m)
+    # libm's exp, not np.exp, whose last bit moves with the SIMD level.
+    weights = [math.exp(s - m) for s in top_scores]
+    total = float_sum(weights)
+    return _weighted_estimate(radio_map, top, [w / total for w in weights], m)
 
 
 def hybrid_locate(
     radio_map: RadioMap,
     window: Sequence[ScanVector],
-    k_refine: int = 1,
+    k_refine: int,
     smoothing: SmoothingParams = SmoothingParams(),
 ) -> LocationEstimate:
     """Two-phase estimate: rough probabilistic cell pick, then KNN refinement.

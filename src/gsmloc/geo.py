@@ -163,6 +163,15 @@ def unproject(origin: GeoPoint, p: PlanarPoint) -> GeoPoint:
     return GeoPoint(lat, lon)
 
 
+def check_tower_id(tower_id: str) -> None:
+    """``ValueError`` unless ``tower_id`` is a non-empty ``str``: scans, worlds, maps and grids
+    hold to it, as their files store ids as text and would read an int 5 back as "5"."""
+    if not isinstance(tower_id, str):
+        raise ValueError(f"tower_id must be a str, got {tower_id!r}")
+    if not tower_id:
+        raise ValueError("tower_id must be non-empty")
+
+
 def _check_asu(asu: int) -> None:
     if not isinstance(asu, int) or isinstance(asu, bool):
         raise TypeError(f"ASU reading must be an int, got {asu!r}")
@@ -174,8 +183,8 @@ def _check_asu(asu: int) -> None:
 class ScanVector:
     """All readings reported at one instant: 1 to 7 towers.
 
-    ``readings`` maps tower id to ASU.  Treat instances as immutable; the
-    readings dict must not be mutated after construction.
+    ``readings`` maps tower id (:func:`check_tower_id`) to ASU.  Treat instances
+    as immutable; the readings dict must not be mutated after construction.
     """
 
     timestamp: float
@@ -189,8 +198,7 @@ class ScanVector:
                 f"expected 1..{MAX_READINGS}"
             )
         for tower_id, asu in self.readings.items():
-            if not tower_id:
-                raise ValueError("tower_id must be non-empty")
+            check_tower_id(tower_id)
             _check_asu(asu)
 
 
@@ -275,8 +283,7 @@ def read_trace(path: str) -> list[ScanVector]:
                 raise ValueError(f"timestamp {t_s!r} is not finite")
             if row_t < t:
                 raise ValueError(f"timestamp {row_t} after {t}: rows not sorted by timestamp")
-            if not tower_id:
-                raise ValueError("tower_id must be non-empty")
+            check_tower_id(tower_id)
             asu = int(asu_s)
             _check_asu(asu)
             row_truth = GeoPoint(float(lat_s), float(lon_s)) if lat_s or lon_s else None
@@ -319,8 +326,7 @@ def read_tower_locations(path: str) -> dict[str, GeoPoint]:
         if tower_id in towers:
             raise TraceFormatError(f"{path}:{line}: tower {tower_id!r} listed twice")
         try:
-            if not tower_id:
-                raise ValueError("tower_id must be non-empty")
+            check_tower_id(tower_id)
             towers[tower_id] = GeoPoint(float(lat_s), float(lon_s))
         except ValueError as exc:
             raise TraceFormatError(f"{path}:{line}: {exc}") from exc

@@ -58,7 +58,7 @@ from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 import numpy as np
 
 from .estimators import LocationEstimate, _check_scans, check_count
-from .geo import GeoPoint, PlanarPoint, ScanVector
+from .geo import GeoPoint, PlanarPoint, ScanVector, check_tower_id
 from .radiomap import (check_positive_finite, derived_seed, json_array, json_value, load_document,
                        planar_truths, reading_arrays, save_document)
 
@@ -545,9 +545,9 @@ class PrecomputedGrid:
     Construction checks every rule of a grid and raises ``ValueError`` on the
     first one broken: ``spacing`` is positive and finite; there is at least
     one point and one tower; ``means``, ``variances`` and ``noise_vars``
-    name the same towers; each tower's mean and variance arrays have one
-    entry per point; points and means are finite; variances are in [0, inf)
-    and each ``noise_var`` is in (0, inf).
+    name the same towers (:func:`~gsmloc.geo.check_tower_id`); each tower's
+    mean and variance arrays have one entry per point; points and means are
+    finite; variances are in [0, inf) and each ``noise_var`` is in (0, inf).
     """
 
     origin: GeoPoint
@@ -568,6 +568,7 @@ class PrecomputedGrid:
         if not np.isfinite(self.points).all():
             raise ValueError("precomputed grid points must be finite")
         for tid, mean in self.means.items():
+            check_tower_id(tid)
             var, noise_var = self.variances[tid], self.noise_vars[tid]
             if len(mean) != self.n_points or len(var) != self.n_points:
                 raise ValueError(f"tower {tid!r} arrays do not match the point count")

@@ -37,6 +37,7 @@ from .geo import (
     GeoPoint,
     PlanarPoint,
     ScanVector,
+    check_tower_id,
     float_sum,
     project_array,
 )
@@ -57,9 +58,8 @@ class MapFormatError(ValueError):
 class SmoothingParams:
     """Histogram smoothing constants for likelihood evaluation.
 
-    alpha: Laplace constant added to every ASU bin, finite and >= 0.
-        Zero-count bins would otherwise zero out the whole likelihood
-        product on any unseen ASU.
+    alpha: Laplace constant added to every ASU bin, positive and finite,
+        so that an unseen ASU scores a finite penalty, not a veto.
     p_min: floor probability for a tower with no histogram in a cell.
     """
 
@@ -67,8 +67,7 @@ class SmoothingParams:
     p_min: float = 1e-4
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.alpha < math.inf:
-            raise ValueError(f"alpha must be a finite number >= 0, got {self.alpha}")
+        check_positive_finite("alpha", self.alpha)
         if not 0.0 < self.p_min <= 1.0:
             raise ValueError("p_min must be in (0, 1]")
 
@@ -158,7 +157,8 @@ class RadioMap:
     reading towers in ``tower_ids``; 1..7 readings per point, ``n_read``
     summing to them, each in ASU 0..31, each tower once, in column order; a
     positive finite ``grid_length``; a finite anchor, centroids, point and
-    tower locations; arrays agreeing in shape, offsets and order.  The
+    tower locations; every id in ``tower_ids`` and ``tower_locations`` a
+    non-empty ``str``; arrays agreeing in shape, offsets and order.  The
     log-likelihood table is built on first use per :class:`SmoothingParams`.
     Equal maps have equal fields, arrays equal in dtype and value.
     """
@@ -203,6 +203,8 @@ class RadioMap:
         check_positive_finite("grid_length", self.grid_length)
         if counts.ndim != 2 or counts.shape[1] != N_ASU_BINS:
             raise ValueError(f"histograms must have {N_ASU_BINS} bins")
+        for tid in chain(self.tower_ids, self.tower_locations or ()):
+            check_tower_id(tid)
         tower_index = {tid: i for i, tid in enumerate(sorted(self.tower_ids))}
         n_cells, n_points, n_towers = len(keys), len(self.point_xy), len(tower_index)
         shapes = [a.shape for a in (self.centroids, self.point_xy, self.hist_cell, self.hist_tower,
@@ -309,7 +311,6 @@ class RadioMap:
         :meth:`cell_keys`).  Cells without a histogram for a tower hold
         log(p_min).  The last row, ``table[n_towers]``, is the floor row: it
         holds log(p_min) in every cell and scores towers the map never heard.
-        With alpha == 0, unseen ASU bins are -inf.
         """
         table = self._loglik.get(smoothing)
         if table is None:
@@ -319,8 +320,7 @@ class RadioMap:
             probs = counts.astype(float)  # one buffer; float first, as alpha may be an int
             probs += alpha
             probs /= (counts.sum(axis=1, dtype=np.int64) + N_ASU_BINS * alpha)[:, None]
-            with np.errstate(divide="ignore"):
-                table[self.hist_tower, :, self.hist_cell] = np.log(probs, out=probs)
+            table[self.hist_tower, :, self.hist_cell] = np.log(probs, out=probs)
             table.setflags(write=False)
             self._loglik[smoothing] = table
         return table
@@ -456,7 +456,7 @@ def build_radio_map(
 
     planar_towers = None
     if tower_locations is not None:
-        ids = sorted(tower_locations)
+        ids = list(tower_locations)
         tower_xy = project_array(origin, [tower_locations[tid] for tid in ids]).tolist()
         planar_towers = {tid: PlanarPoint(x, y) for tid, (x, y) in zip(ids, tower_xy)}
     return RadioMap(

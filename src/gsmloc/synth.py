@@ -48,6 +48,7 @@ from .geo import (
     GeoPoint,
     PlanarPoint,
     ScanVector,
+    check_tower_id,
     float_sum,
     unproject,
 )
@@ -112,9 +113,9 @@ class SynthWorld:
         ValueError: naming the field, for bounds that are not finite or have
             no extent, a seed not an integer >= 0, an exponent outside [2, 5],
             a noise or shadowing sigma that is negative or not finite, a
-            lattice spacing that is not finite and > 0, an empty ``tower_id``
-            or one that names two towers, a tower whose location or
-            ``tx_power_dbm`` is not finite, or no tower inside the bounds.
+            lattice spacing that is not finite and > 0, a ``tower_id`` that fails
+            :func:`~gsmloc.geo.check_tower_id` or names two towers, a tower whose location
+            or ``tx_power_dbm`` is not finite, or no tower inside the bounds.
     """
 
     bounds: tuple[float, float, float, float]  # (x_min, y_min, x_max, y_max)
@@ -145,8 +146,8 @@ class SynthWorld:
             raise ValueError(
                 f"shadow_grid_spacing must be finite and > 0, got {self.shadow_grid_spacing!r}")
         ids = [t.tower_id for t in self.towers]
-        if not all(ids):
-            raise ValueError("tower_id must be non-empty")
+        for tower_id in ids:
+            check_tower_id(tower_id)
         by_id = np.array(sorted(range(len(ids)), key=ids.__getitem__))
         sorted_ids = tuple(ids[k] for k in by_id.tolist())
         for a, b in zip(sorted_ids, sorted_ids[1:]):
@@ -218,9 +219,7 @@ def received_dbm(world: SynthWorld, tower: Tower, p: PlanarPoint) -> float:
     rank = world.towers.index(tower)
     tx, ty, power = world._xyp[:, rank]
     dbm = power - _exact_loss_db(world.exponent, np.array([tx - p.x]), np.array([ty - p.y]))[0]
-    if world.shadow_sigma_db > 0:
-        dbm += _shadow_db(world, np.array([p.x]), np.array([p.y]))[0, rank]
-    return float(dbm)
+    return float(dbm + _shadow_db(world, np.array([p.x]), np.array([p.y]))[0, rank])
 
 
 def _heard_dbm(
@@ -238,7 +237,7 @@ def _heard_dbm(
     dy = ty - y[:, None]
     log_ratio = np.log10(np.maximum(np.hypot(dx, dy), D0_M) / D0_M)
     dbm = power - (P0_DBM + 10.0 * world.exponent * log_ratio)
-    terms = [_shadow_db(world, x, y)] if world.shadow_sigma_db > 0 else []
+    terms = [_shadow_db(world, x, y)]
     if noise is not None:
         terms.append(noise)
     for term in terms:

@@ -24,6 +24,7 @@ import sys
 import time
 from contextlib import contextmanager
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -294,7 +295,7 @@ def test_criterion_3_probabilistic_correctness():
         # per-cell likelihoods with alpha=0 sum to 1 over the defined support
         for _ in range(50):
             rm, _ = random_instance(rng)
-            zero = SmoothingParams(alpha=0.0)
+            zero = SimpleNamespace(alpha=0.0, p_min=1e-4)  # oracle only: the package refuses 0
             for cell in map_cells(rm).values():
                 for tid in cell["histograms"]:
                     total = math.fsum(

@@ -64,9 +64,10 @@ def remake(request, tmp_path):
 class TestParams:
     """Parameters the estimators cannot use are refused at construction."""
 
-    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
-    def test_alpha_must_be_finite(self, alpha):
-        with pytest.raises(ValueError, match="alpha must be a finite number"):
+    @pytest.mark.parametrize("alpha", [0.0, -0.5, math.nan, math.inf])
+    def test_alpha_must_be_positive_and_finite(self, alpha):
+        # alpha = 0 would let one unseen ASU veto a cell with a -inf score.
+        with pytest.raises(ValueError, match="alpha .* is not a positive finite number"):
             SmoothingParams(alpha=alpha)
 
     @pytest.mark.parametrize("name,value", [("k", 1.5), ("n_samples", 2.5),
@@ -171,25 +172,6 @@ class TestProbabilisticLocate:
             assert est.location.x == pytest.approx(bx, abs=1e-9)
             assert est.location.y == pytest.approx(by, abs=1e-9)
             checked += 1
-
-    @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_zero_alpha_unseen_asu_falls_back_to_uniform_weights(self, k):
-        # Every cell heard tower A, none at ASU 20: with alpha = 0 every
-        # cell scores -inf, and the top K are weighted uniformly.
-        scans = [
-            scan_at_planar(t, x, 10.0, {"A": 10, "B": 12})
-            for t, x in enumerate((10.0, 100.0, 190.0, 280.0))
-        ]
-        rm = build_radio_map(scans, 70.0, origin=ORIGIN)
-        sm = SmoothingParams(alpha=0.0)
-        window = [scan({"A": 20, "B": 12})]
-        est = probabilistic_locate(rm, window, EstimatorParams(k=k, smoothing=sm))
-        assert est.log_score == -math.inf
-        assert [key for key, _ in est.contributing_cells] == sorted(rm.keys)[:k]
-        assert [w for _, w in est.contributing_cells] == [1.0 / k] * k
-        bx, by = brute_probabilistic(rm, window, k, sm)
-        assert est.location.x == pytest.approx(bx, abs=1e-9)
-        assert est.location.y == pytest.approx(by, abs=1e-9)
 
     def test_weights_sum_to_one_inside_hull(self):
         rng = np.random.default_rng(53)

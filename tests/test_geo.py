@@ -183,6 +183,13 @@ class TestScanTypes:
         with pytest.raises(ValueError, match="tower_id must be non-empty"):
             ScanVector(0.0, {"A": 5, "": 7})
 
+    @pytest.mark.parametrize("tower_id", [5, 0, 1.5, None, b"A"])
+    def test_scan_vector_rejects_tower_id_not_a_str(self, tower_id):
+        # A trace file reads every id back as a str: an int id 5 would come back
+        # as "5", a tower no map built in memory knows.
+        with pytest.raises(ValueError, match="^tower_id must be a str, got "):
+            ScanVector(0.0, {"A": 5, tower_id: 7})
+
     @pytest.mark.parametrize("asu", [True, 5.0])
     def test_scan_vector_rejects_non_int_asu(self, asu):
         with pytest.raises(TypeError, match="ASU reading must be an int"):

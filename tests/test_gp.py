@@ -928,6 +928,12 @@ class TestGridRules:
                      "name the same towers", id="variance_extra"),
         pytest.param(lambda g: dict(noise_vars={**g.noise_vars, "B": 1.0}),
                      "name the same towers", id="noise_var_extra"),
+        pytest.param(lambda g: {name: {5: getattr(g, name)["A"]}
+                                for name in ("means", "variances", "noise_vars")},
+                     "tower_id must be a str, got 5", id="int_tower"),
+        pytest.param(lambda g: {name: {"": getattr(g, name)["A"]}
+                                for name in ("means", "variances", "noise_vars")},
+                     "tower_id must be non-empty", id="empty_tower"),
     ])
     def test_broken_rule_raises(self, edit, message):
         models = {"A": gp_fit(*random_training(np.random.default_rng(19), n=20), [HYPER])}

@@ -6,6 +6,7 @@ import pickle
 import random
 import re
 import warnings
+from types import SimpleNamespace
 
 import pytest
 
@@ -56,6 +57,14 @@ class TestBuild:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             build_radio_map([], 70.0)
+
+    @pytest.mark.parametrize("ids", [("A", 5), (5,)], ids=["mixed", "int"])
+    def test_tower_location_ids_not_str_refused(self, ids):
+        # An int key would save as "5" and load as another map; mixed keys broke the sort.
+        towers = {tid: GeoPoint(30.001, 31.0) for tid in ids}
+        with pytest.raises(ValueError, match="^tower_id must be a str, got 5$"):
+            build_radio_map([scan_at_planar(0, 1.0, 1.0, {"A": 5})], 70.0, origin=ORIGIN,
+                            tower_locations=towers)
 
     def test_missing_truth_names_timestamp(self):
         from gsmloc.geo import ScanVector
@@ -360,6 +369,13 @@ class TestRules:
         pytest.param(dict(point_offsets=[0, 1, 3]), "shape or offsets", id="offsets_past_end"),
         pytest.param(dict(centroids=[[1.0, 1.0]]), "shape or offsets", id="centroid_missing"),
         pytest.param(dict(n_read=[2, 1, 0]), "reading counts disagree", id="n_read_extra_point"),
+        pytest.param(dict(tower_ids=frozenset([0, 1])), "tower_id must be a str", id="int_towers"),
+        pytest.param(dict(tower_ids=frozenset(["A", 1])), "tower_id must be a str",
+                     id="mixed_towers"),
+        pytest.param(dict(tower_locations={5: PlanarPoint(0.0, 0.0)}), "tower_id must be a str",
+                     id="int_tower_location"),
+        pytest.param(dict(tower_locations={"": PlanarPoint(0.0, 0.0)}),
+                     "tower_id must be non-empty", id="empty_tower_location"),
     ])
     def test_broken_rule_raises(self, fields, message):
         with pytest.raises(ValueError, match=message):
@@ -508,7 +524,7 @@ class TestCellLikelihood:
 
     def test_uniform_histogram_alpha_zero(self):
         cell = self._cell_with({asu: 1 for asu in range(32)})
-        sm = SmoothingParams(alpha=0.0)
+        sm = SimpleNamespace(alpha=0.0, p_min=1e-4)  # the oracle's alpha; the package refuses 0
         for asu in (0, 7, 31):
             assert likelihood_from_counts(cell, "A", asu, sm) == pytest.approx(1 / 32, abs=1e-15)
 
@@ -519,7 +535,7 @@ class TestCellLikelihood:
 
     def test_sums_to_one_alpha_zero(self):
         cell = self._cell_with({3: 2, 9: 5, 30: 1})
-        sm = SmoothingParams(alpha=0.0)
+        sm = SimpleNamespace(alpha=0.0, p_min=1e-4)  # the oracle's alpha; the package refuses 0
         total = sum(likelihood_from_counts(cell, "A", asu, sm) for asu in range(32))
         assert total == pytest.approx(1.0, abs=1e-12)
 

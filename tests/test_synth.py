@@ -287,6 +287,14 @@ def test_two_towers_with_one_id_refused():
         flat_world([_T0, Tower("T1", PlanarPoint(9.0, 0.0), -20.0), twin])
 
 
+@pytest.mark.parametrize("ids", [(5,), ("T0", 5)], ids=["int", "mixed"])
+def test_tower_id_not_a_str_refused(ids):
+    # Int ids would reach every scan, and a mixed pair broke the id sort.
+    towers = [Tower(tid, PlanarPoint(5.0 * k, 5.0), -20.0) for k, tid in enumerate(ids)]
+    with pytest.raises(ValueError, match="^tower_id must be a str, got 5$"):
+        flat_world(towers)
+
+
 @pytest.mark.parametrize("location,tx_power_dbm", [
     (PlanarPoint(math.nan, 0.0), -20.0),
     (PlanarPoint(0.0, math.inf), -20.0),
