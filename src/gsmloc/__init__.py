@@ -24,7 +24,6 @@ from .bench import (
     PRESET_PARAMS,
     TECHNIQUES,
     evaluate,
-    preset_params,
     sweep_density,
     sweep_grid_length,
     sweep_params,

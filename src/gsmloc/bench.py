@@ -11,7 +11,7 @@ median and 95th percentile are derived from the errors.
 Sweeps rebuild or re-evaluate per parameter value on fixed seeds, one
 report row per value; randomized configurations derive their seed from
 (base seed, configuration index) so results are order-independent.  A
-sweep takes ``technique`` as :func:`evaluate` does.
+sweep takes ``params`` and ``technique`` as :func:`evaluate` does.
 """
 
 from __future__ import annotations
@@ -71,14 +71,6 @@ TIME_REPEATS = 3
 PRESET_GP_SPACING_M = {"rural": 42.0, "urban": 87.0}
 
 
-def preset_params(preset: str, technique: str) -> EstimatorParams:
-    """Tuned defaults for a (preset, technique) pair."""
-    try:
-        return PRESET_PARAMS[preset][technique]
-    except KeyError:
-        raise ValueError(f"no tuned defaults for {technique!r} on {preset!r}") from None
-
-
 @dataclass(frozen=True)
 class EvalReport:
     """Accuracy and runtime of one technique under one configuration.
@@ -114,10 +106,10 @@ class EvalReport:
         return tuple((e, (j + 1) / n) for j, e in enumerate(self.errors_m))
 
 
-#: Every technique by name, as ``(model, window, params) -> LocationEstimate``.
-#: GP takes a :class:`PrecomputedGrid`, the others a :class:`RadioMap`.
-#: Hybrid and cell-ID read only the window's last (freshest) scan, so
-#: ``params.n_samples`` does not change their estimates.
+#: Every technique by name, as ``(model, window, params) -> LocationEstimate``, with
+#: ``params`` from the caller, such as a :data:`PRESET_PARAMS` entry.  GP takes a
+#: :class:`PrecomputedGrid`, the others a :class:`RadioMap`.  Hybrid and cell-ID read only
+#: the window's last (freshest) scan, so ``params.n_samples`` does not change their estimates.
 TECHNIQUES: dict[str, Callable[..., LocationEstimate]] = {
     "probabilistic": probabilistic_locate,
     "hybrid": lambda m, window, p: hybrid_locate(m, window, p.k, p.smoothing),
@@ -136,18 +128,18 @@ def evaluate(
     model: RadioMap | PrecomputedGrid,
     test_scans: Sequence[ScanVector],
     technique: str | Callable,
-    params: EstimatorParams = EstimatorParams(),
+    params: EstimatorParams,
     *,
     time_repeats: int = TIME_REPEATS,
 ) -> EvalReport:
     """Run one technique over a test trace and aggregate an :class:`EvalReport`.
 
-    ``technique`` names one of :data:`TECHNIQUES` or is a custom estimator
-    with their signature, ``(model, window, params) -> LocationEstimate``.
-    Every test scan must carry ground truth.  Windows at the start of the
-    trace are shorter than ``n_samples``; tracking produces an estimate from
-    the first scan on.  Each window's time is the median of ``time_repeats``
-    calls, a count that must pass :func:`~gsmloc.estimators.check_count`.
+    ``technique`` names one of :data:`TECHNIQUES` or is a custom estimator with
+    their signature, ``(model, window, params) -> LocationEstimate``.  ``params``
+    has no default: :data:`PRESET_PARAMS` holds the tuned ones.  Every test scan must
+    carry ground truth.  Windows at the start of the trace are shorter than ``n_samples``;
+    tracking produces an estimate from the first scan on.  Each window's time is the median
+    of ``time_repeats`` calls, a count that must pass :func:`~gsmloc.estimators.check_count`.
     """
     if not test_scans:
         raise ValueError("empty test set")
@@ -204,7 +196,7 @@ def sweep_grid_length(
     test_scans: Sequence[ScanVector],
     grid_lengths: Sequence[float],
     *,
-    params: EstimatorParams = EstimatorParams(),
+    params: EstimatorParams,
     technique: str | Callable = "probabilistic",
     tower_locations: Mapping[str, GeoPoint] | None = None,
 ) -> list[EvalReport]:
@@ -230,7 +222,7 @@ def sweep_tower_drop(
     test_scans: Sequence[ScanVector],
     drop_fractions: Sequence[float],
     *,
-    params: EstimatorParams = EstimatorParams(),
+    params: EstimatorParams,
     technique: str | Callable = "probabilistic",
     base_seed: int = 0,
 ) -> list[EvalReport]:
@@ -246,7 +238,7 @@ def sweep_density(
     keep_fractions: Sequence[float],
     *,
     grid_length: float,
-    params: EstimatorParams = EstimatorParams(),
+    params: EstimatorParams,
     technique: str | Callable = "probabilistic",
     tower_locations: Mapping[str, GeoPoint] | None = None,
     base_seed: int = 0,

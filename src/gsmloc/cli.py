@@ -240,7 +240,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if "technique" in args:
         # The preset's tuned parameters for the technique, overridden by --ns/--k.
-        tuned = bench.preset_params(getattr(args, "preset", "rural"), args.technique)
+        tuned = bench.PRESET_PARAMS[getattr(args, "preset", "rural")][args.technique]
         given = {f: getattr(args, o) for o, f in _COUNTS.items() if getattr(args, o) is not None}
         args.params = dataclasses.replace(tuned, **given)
     if args.command == "sweep":

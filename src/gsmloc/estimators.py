@@ -47,10 +47,14 @@ def check_count(name: str, value: int, minimum: int = 1) -> None:
 
 @dataclass(frozen=True)
 class EstimatorParams:
-    """Online-phase knobs: window length and averaging count (:func:`check_count`), smoothing."""
+    """Online-phase knobs: window length and averaging count (:func:`check_count`), smoothing.
 
-    n_samples: int = 4
-    k: int = 2
+    ``n_samples`` and ``k`` have no defaults: :data:`gsmloc.bench.PRESET_PARAMS`
+    holds the tuned ones, and any other setting is the caller's.
+    """
+
+    n_samples: int
+    k: int
     smoothing: SmoothingParams = SmoothingParams()
 
     def __post_init__(self) -> None:
@@ -109,7 +113,7 @@ def _posterior_vector(
 def cell_log_posterior(
     radio_map: RadioMap,
     window: Sequence[ScanVector],
-    params: EstimatorParams = EstimatorParams(),
+    params: EstimatorParams,
 ) -> dict[tuple[int, int], float]:
     """Log P(window | cell) for every cell, under a uniform location prior.
 
@@ -144,7 +148,7 @@ def _weighted_estimate(
 def probabilistic_locate(
     radio_map: RadioMap,
     window: Sequence[ScanVector],
-    params: EstimatorParams = EstimatorParams(),
+    params: EstimatorParams,
 ) -> LocationEstimate:
     """Grid-histogram Bayes estimate: weighted average of the top-K cells.
 
@@ -169,7 +173,7 @@ def hybrid_locate(
     radio_map: RadioMap,
     window: Sequence[ScanVector],
     k_refine: int,
-    smoothing: SmoothingParams = SmoothingParams(),
+    smoothing: SmoothingParams,
 ) -> LocationEstimate:
     """Two-phase estimate: rough probabilistic cell pick, then KNN refinement.
 
@@ -218,7 +222,7 @@ def hybrid_locate(
 def deterministic_locate(
     radio_map: RadioMap,
     window: Sequence[ScanVector],
-    params: EstimatorParams = EstimatorParams(),
+    params: EstimatorParams,
 ) -> LocationEstimate:
     """KNN baseline over cells in RSSI space with inverse-distance weights.
 

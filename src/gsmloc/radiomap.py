@@ -616,7 +616,9 @@ def load_radio_map(path: str) -> RadioMap:
 def _parse_radio_map(doc: dict, origin: GeoPoint) -> RadioMap:
     arrays = {name: json_array(doc[name], kind, width)
               for name, (kind, width, _) in _MAP_FIELDS.items()}
-    towers = [json_value(t, str) for t in json_value(doc["towers"], list)]
+    towers = json_value(doc["towers"], list)
+    for tid in towers:  # before sorted(set(...)), which raises TypeError on mixed or list ids
+        check_tower_id(tid)
     if towers != sorted(set(towers)):
         raise ValueError("'towers' must be sorted, each tower once")
     tower_locations = None if "tower_locations" not in doc else {

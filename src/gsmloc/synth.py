@@ -222,9 +222,7 @@ def received_dbm(world: SynthWorld, tower: Tower, p: PlanarPoint) -> float:
     return float(dbm + _shadow_db(world, np.array([p.x]), np.array([p.y]))[0, rank])
 
 
-def _heard_dbm(
-    world: SynthWorld, x: np.ndarray, y: np.ndarray, noise: np.ndarray | None
-) -> np.ndarray:
+def _heard_dbm(world: SynthWorld, x: np.ndarray, y: np.ndarray, noise: np.ndarray) -> np.ndarray:
     """Static received power plus ``noise`` on the pairs that can be heard, -inf elsewhere.
 
     A numpy estimate of each pair's power keeps the pairs within
@@ -237,15 +235,13 @@ def _heard_dbm(
     dy = ty - y[:, None]
     log_ratio = np.log10(np.maximum(np.hypot(dx, dy), D0_M) / D0_M)
     dbm = power - (P0_DBM + 10.0 * world.exponent * log_ratio)
-    terms = [_shadow_db(world, x, y)]
-    if noise is not None:
-        terms.append(noise)
-    for term in terms:
-        dbm += term
+    shadow = _shadow_db(world, x, y)
+    dbm += shadow
+    dbm += noise
     rows, cols = np.nonzero(dbm >= SENSITIVITY_DBM - _PRUNE_MARGIN_DB)
     heard = power[cols] - _exact_loss_db(world.exponent, dx[rows, cols], dy[rows, cols])
-    for term in terms:
-        heard += term[rows, cols]
+    heard += shadow[rows, cols]
+    heard += noise[rows, cols]
     dbm.fill(-np.inf)
     dbm[rows, cols] = heard
     return dbm
@@ -260,11 +256,12 @@ def _block_scans(
 ) -> list[ScanVector]:
     """A :func:`scan_at` scan at each ``(times[k], x[k], y[k])``; raises at the first silent one.
 
-    The noise is one (points, towers) draw of the world's ``measurement_noise_db``.
+    The noise is one (points, towers) draw of the world's ``measurement_noise_db``,
+    zeros without ``noise_rng``.
     """
-    noise = None
-    if noise_rng is not None and world.measurement_noise_db > 0:
-        noise = noise_rng.normal(0.0, world.measurement_noise_db, size=(len(x), len(world.towers)))
+    shape = (len(x), len(world.towers))
+    noise = np.zeros(shape) if noise_rng is None else noise_rng.normal(
+        0.0, world.measurement_noise_db, size=shape)
     dbm = _heard_dbm(world, x, y, noise)
 
     # strongest first, ties by tower id: a stable sort over columns in id order

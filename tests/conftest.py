@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
-sys.path.insert(0, str(Path(__file__).parent.parent / "tools"))  # estimate_digests
+sys.path.insert(0, str(Path(__file__).parent.parent / "tools"))  # estimate_digests, bench_record
 
 from gsmloc.geo import GeoPoint, PlanarPoint, ScanVector, unproject
 from gsmloc.radiomap import build_radio_map

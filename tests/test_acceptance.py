@@ -33,9 +33,9 @@ from hypothesis import strategies as st
 
 import estimate_digests
 from gsmloc.bench import (
+    PRESET_PARAMS,
     ablate_towers,
     evaluate,
-    preset_params,
     thin_fingerprint,
 )
 from gsmloc.estimators import (
@@ -218,7 +218,7 @@ def test_criterion_2_oracle_equivalence():
             k = int(rng.integers(1, 4))
             if boundary_tie(cell_probabilities(rm, window, sm), k, descending=True):
                 continue
-            est = probabilistic_locate(rm, window, EstimatorParams(k=k, smoothing=sm))
+            est = probabilistic_locate(rm, window, EstimatorParams(n_samples=4, k=k, smoothing=sm))
             bx, by = brute_probabilistic(rm, window, k, sm)
             assert math.hypot(est.location.x - bx, est.location.y - by) < 1e-9
             checked += 1
@@ -247,7 +247,7 @@ def test_criterion_2_oracle_equivalence():
             k = int(rng.integers(1, 4))
             if boundary_tie(deterministic_distances(rm, window), k, descending=False):
                 continue
-            est = deterministic_locate(rm, window, EstimatorParams(k=k))
+            est = deterministic_locate(rm, window, EstimatorParams(n_samples=4, k=k))
             bx, by = brute_deterministic(rm, window, k)
             assert math.hypot(est.location.x - bx, est.location.y - by) < 1e-9
             checked += 1
@@ -315,7 +315,7 @@ def test_criterion_3_probabilistic_correctness():
             probs = cell_probabilities(rm, window, SmoothingParams())
             if min(probs.values()) < 1e-280:
                 continue
-            scores = cell_log_posterior(rm, window)
+            scores = cell_log_posterior(rm, window, PRESET_PARAMS["rural"]["probabilistic"])
             for key, log_p in scores.items():
                 assert math.exp(log_p) == pytest.approx(probs[key], rel=1e-12)
             n_checked += 1
@@ -327,11 +327,11 @@ def test_criterion_3_probabilistic_correctness():
             rm, window = random_instance(rng)
             if len(window[-1].readings) >= 7:
                 continue
-            base = probabilistic_locate(rm, window, EstimatorParams(k=2))
+            base = probabilistic_locate(rm, window, EstimatorParams(n_samples=4, k=2))
             readings = dict(window[-1].readings)
             readings["UNSEEN"] = 11
             shifted_window = list(window[:-1]) + [ScanVector(window[-1].timestamp, readings)]
-            shifted = probabilistic_locate(rm, shifted_window, EstimatorParams(k=2))
+            shifted = probabilistic_locate(rm, shifted_window, EstimatorParams(n_samples=4, k=2))
             assert [k for k, _ in base.contributing_cells] == [
                 k for k, _ in shifted.contributing_cells
             ]
@@ -404,7 +404,7 @@ def test_criterion_5_technique_ordering(rural):
 
         med = {
             tech: evaluate(
-                radio_map, test, tech, preset_params("rural", tech), time_repeats=1
+                radio_map, test, tech, PRESET_PARAMS["rural"][tech], time_repeats=1
             ).median_error_m
             for tech in ("probabilistic", "hybrid", "deterministic", "cellid")
         }
@@ -429,7 +429,7 @@ def test_criterion_6_parameter_trends(rural):
     with criterion(6, "grid-length, K, tower-density and fingerprint-density trends"):
         t0 = time.monotonic()
         world, train, test, radio_map = rural
-        params = preset_params("rural", "probabilistic")
+        params = PRESET_PARAMS["rural"]["probabilistic"]
 
         base = evaluate(radio_map, test, "probabilistic", params, time_repeats=1).median_error_m
 
@@ -482,7 +482,8 @@ def test_criterion_7_runtime_contract(timing_bed):
         windows = [drive_scans[max(0, i + 1 - 4) : i + 1] for i in range(len(drive_scans))]
         n = 120  # median of >= 100 estimates
         t_prob = _median_call_ms(lambda w: probabilistic_locate(radio_map, w, params), windows, n)
-        t_hyb = _median_call_ms(lambda w: hybrid_locate(radio_map, w, 1), windows, n)
+        t_hyb = _median_call_ms(
+            lambda w: hybrid_locate(radio_map, w, 1, params.smoothing), windows, n)
         t_gp = _median_call_ms(lambda w: gp_locate(gp_grid, w), windows, n)
         print(
             f"  cells={radio_map.n_cells} N_p={gp_grid.n_points}  "
@@ -599,7 +600,7 @@ def test_criterion_9_determinism_and_persistence(rural, tmp_path):
         loaded = load_radio_map(str(m1))
         assert loaded == radio_map
 
-        params = preset_params("rural", "probabilistic")
+        params = PRESET_PARAMS["rural"]["probabilistic"]
         r1 = evaluate(radio_map, test, "probabilistic", params, time_repeats=1)
         r2 = evaluate(loaded, test, "probabilistic", params, time_repeats=1)
         assert r1.median_error_m == r2.median_error_m

@@ -3,12 +3,13 @@ import copy
 import numpy as np
 import pytest
 
+import bench_record
 from conftest import ORIGIN, scan_at_planar
 from gsmloc.bench import (
+    PRESET_PARAMS,
     EvalReport,
     ablate_towers,
     evaluate,
-    preset_params,
     sweep_density,
     sweep_grid_length,
     sweep_params,
@@ -22,6 +23,8 @@ from gsmloc.estimators import EstimatorParams, LocationEstimate, probabilistic_l
 from gsmloc.geo import PlanarPoint, ScanVector, project, read_trace, unproject
 from gsmloc.radiomap import SmoothingParams, build_radio_map, load_radio_map, save_radio_map
 from oracles import map_cells
+
+RURAL_PROB = PRESET_PARAMS["rural"]["probabilistic"]
 
 
 @pytest.fixture
@@ -61,11 +64,11 @@ class TestEvaluate:
         rm = build_radio_map(training_scans, 70.0, origin=ORIGIN)
         scans = list(test_scans[:3]) + [ScanVector(17.5, {"T0": 10})]
         with pytest.raises(ValueError, match=r"^scan at t=17\.5 has no ground truth$"):
-            evaluate(rm, scans, "probabilistic", time_repeats=1)
+            evaluate(rm, scans, "probabilistic", RURAL_PROB, time_repeats=1)
 
     def test_perfect_estimator_zero_error(self, training_scans, test_scans):
         rm = build_radio_map(training_scans, 70.0, origin=ORIGIN)
-        report = evaluate(rm, test_scans, perfect_estimator, time_repeats=1)
+        report = evaluate(rm, test_scans, perfect_estimator, RURAL_PROB, time_repeats=1)
         assert report.median_error_m == pytest.approx(0.0, abs=1e-9)
         assert report.p95_error_m == pytest.approx(0.0, abs=1e-9)
 
@@ -90,14 +93,14 @@ class TestEvaluate:
             truth = project(model.origin, window[-1].truth)
             return LocationEstimate(PlanarPoint(truth.x + offsets[window[-1].timestamp], truth.y))
 
-        report = evaluate(rm, scans, offset_estimator, time_repeats=1)
+        report = evaluate(rm, scans, offset_estimator, RURAL_PROB, time_repeats=1)
         # errors are exactly 1..100 m
         assert 50.0 <= report.median_error_m <= 51.0
         assert 95.0 <= report.p95_error_m <= 96.0
 
     def test_cdf_consistent_and_complete(self, training_scans, test_scans):
         rm = build_radio_map(training_scans, 70.0, origin=ORIGIN)
-        report = evaluate(rm, test_scans, "probabilistic", EstimatorParams(), time_repeats=1)
+        report = evaluate(rm, test_scans, "probabilistic", RURAL_PROB, time_repeats=1)
         fracs = [f for _, f in report.error_cdf]
         errs = [e for e, _ in report.error_cdf]
         assert fracs[-1] == 1.0
@@ -111,15 +114,15 @@ class TestEvaluate:
     def test_does_not_mutate_map(self, training_scans, test_scans):
         rm = build_radio_map(training_scans, 70.0, origin=ORIGIN)
         snapshot = copy.deepcopy(rm)
-        evaluate(rm, test_scans, "probabilistic", EstimatorParams(), time_repeats=1)
-        evaluate(rm, test_scans, "hybrid", EstimatorParams(k=1), time_repeats=1)
-        evaluate(rm, test_scans, "deterministic", EstimatorParams(k=3), time_repeats=1)
+        evaluate(rm, test_scans, "probabilistic", RURAL_PROB, time_repeats=1)
+        evaluate(rm, test_scans, "hybrid", EstimatorParams(n_samples=4, k=1), time_repeats=1)
+        evaluate(rm, test_scans, "deterministic", EstimatorParams(n_samples=4, k=3), time_repeats=1)
         assert rm == snapshot
 
     def test_error_statistics_reproducible(self, training_scans, test_scans):
         rm = build_radio_map(training_scans, 70.0, origin=ORIGIN)
-        r1 = evaluate(rm, test_scans, "probabilistic", EstimatorParams(), time_repeats=1)
-        r2 = evaluate(rm, test_scans, "probabilistic", EstimatorParams(), time_repeats=1)
+        r1 = evaluate(rm, test_scans, "probabilistic", RURAL_PROB, time_repeats=1)
+        r2 = evaluate(rm, test_scans, "probabilistic", RURAL_PROB, time_repeats=1)
         assert r1.median_error_m == r2.median_error_m
         assert r1.error_cdf == r2.error_cdf
 
@@ -128,44 +131,44 @@ class TestEvaluate:
 
         rm = build_radio_map(training_scans, 70.0, origin=ORIGIN)
         with pytest.raises(ValueError, match="ground truth"):
-            evaluate(rm, [ScanVector(0.0, {"T0": 5})], "probabilistic")
+            evaluate(rm, [ScanVector(0.0, {"T0": 5})], "probabilistic", RURAL_PROB)
 
     def test_empty_test_set(self, training_scans):
         rm = build_radio_map(training_scans, 70.0, origin=ORIGIN)
         with pytest.raises(ValueError, match="empty"):
-            evaluate(rm, [], "probabilistic")
+            evaluate(rm, [], "probabilistic", RURAL_PROB)
 
     @pytest.mark.parametrize("time_repeats", [0, -3, 1.5, True])
     def test_time_repeats_not_a_count_refused(self, training_scans, test_scans, time_repeats):
         rm = build_radio_map(training_scans, 70.0, origin=ORIGIN)
         with pytest.raises(ValueError, match=r"^time_repeats must be an integer >= 1, got "):
-            evaluate(rm, test_scans, perfect_estimator, time_repeats=time_repeats)
+            evaluate(rm, test_scans, perfect_estimator, RURAL_PROB, time_repeats=time_repeats)
 
     def test_unknown_technique(self, training_scans, test_scans):
         rm = build_radio_map(training_scans, 70.0, origin=ORIGIN)
         with pytest.raises(ValueError, match="unknown technique"):
-            evaluate(rm, test_scans, "quantum")
+            evaluate(rm, test_scans, "quantum", RURAL_PROB)
 
 
 class TestSweeps:
     def test_single_value_equals_plain_evaluate(self, training_scans, test_scans):
-        reports = sweep_grid_length(training_scans, test_scans, [70.0])
+        reports = sweep_grid_length(training_scans, test_scans, [70.0], params=RURAL_PROB)
         rm = build_radio_map(training_scans, 70.0)
-        single = evaluate(rm, test_scans, "probabilistic", time_repeats=1)
+        single = evaluate(rm, test_scans, "probabilistic", RURAL_PROB, time_repeats=1)
         assert len(reports) == 1
         assert reports[0].median_error_m == single.median_error_m
         assert reports[0].error_cdf == single.error_cdf
 
     def test_grid_sweep_rows(self, training_scans, test_scans):
-        reports = sweep_grid_length(training_scans, test_scans, [50.0, 150.0])
+        reports = sweep_grid_length(training_scans, test_scans, [50.0, 150.0], params=RURAL_PROB)
         assert [r.grid_m for r in reports] == [50.0, 150.0]
 
     def test_ns_and_k_sweeps(self, training_scans, test_scans):
         rm = build_radio_map(training_scans, 70.0, origin=ORIGIN)
-        ns_configs = [EstimatorParams(n_samples=ns) for ns in (1, 3)]
+        ns_configs = [EstimatorParams(n_samples=ns, k=2) for ns in (1, 3)]
         ns_reports = sweep_params(rm, test_scans, ns_configs)
         assert [r.n_samples for r in ns_reports] == [1, 3]
-        k_configs = [EstimatorParams(k=k) for k in (1, 2, 4)]
+        k_configs = [EstimatorParams(n_samples=4, k=k) for k in (1, 2, 4)]
         k_reports = sweep_params(rm, test_scans, k_configs)
         assert [r.k for r in k_reports] == [1, 2, 4]
 
@@ -174,15 +177,15 @@ class TestSweeps:
         with pytest.raises(ValueError):
             sweep_params(rm, test_scans, [])
         with pytest.raises(ValueError):
-            sweep_grid_length(training_scans, test_scans, [])
+            sweep_grid_length(training_scans, test_scans, [], params=RURAL_PROB)
 
     def test_tower_drop_and_density_single_value_equal_plain_evaluate(
         self, training_scans, test_scans
     ):
         rm = build_radio_map(training_scans, 70.0)
-        single = evaluate(rm, test_scans, "probabilistic", time_repeats=1)
-        dropped = sweep_tower_drop(rm, test_scans, [0.0])
-        kept = sweep_density(training_scans, test_scans, [1.0], grid_length=70.0)
+        single = evaluate(rm, test_scans, "probabilistic", RURAL_PROB, time_repeats=1)
+        dropped = sweep_tower_drop(rm, test_scans, [0.0], params=RURAL_PROB)
+        kept = sweep_density(training_scans, test_scans, [1.0], grid_length=70.0, params=RURAL_PROB)
         for reports in (dropped, kept):
             assert len(reports) == 1
             assert reports[0].error_cdf == single.error_cdf
@@ -190,22 +193,23 @@ class TestSweeps:
     def test_tower_drop_and_density_seed_per_value(self, training_scans, test_scans):
         rm = build_radio_map(training_scans, 70.0, origin=ORIGIN)
         seeds = [int(np.random.SeedSequence([9, i]).generate_state(1)[0]) for i in range(2)]
-        dropped = sweep_tower_drop(rm, test_scans, [0.5, 0.25], base_seed=9)
+        dropped = sweep_tower_drop(rm, test_scans, [0.5, 0.25], params=RURAL_PROB, base_seed=9)
         kept = sweep_density(training_scans, test_scans, [0.5, 0.6], grid_length=70.0,
-                             base_seed=9)
+                             params=RURAL_PROB, base_seed=9)
         for i, (drop, keep) in enumerate(zip((0.5, 0.25), (0.5, 0.6))):
             ablated = ablate_towers(rm, drop, seeds[i])
             thinned = build_radio_map(thin_fingerprint(training_scans, keep, seeds[i]), 70.0)
             for report, radio_map in ((dropped[i], ablated), (kept[i], thinned)):
-                direct = evaluate(radio_map, test_scans, "probabilistic", time_repeats=1)
+                direct = evaluate(radio_map, test_scans, "probabilistic", RURAL_PROB,
+                                  time_repeats=1)
                 assert report.error_cdf == direct.error_cdf
 
     def test_tower_drop_and_density_empty_values_rejected(self, training_scans, test_scans):
         rm = build_radio_map(training_scans, 70.0, origin=ORIGIN)
         with pytest.raises(ValueError):
-            sweep_tower_drop(rm, test_scans, [])
+            sweep_tower_drop(rm, test_scans, [], params=RURAL_PROB)
         with pytest.raises(ValueError):
-            sweep_density(training_scans, test_scans, [], grid_length=70.0)
+            sweep_density(training_scans, test_scans, [], grid_length=70.0, params=RURAL_PROB)
 
 
 class TestAblateTowers:
@@ -305,17 +309,17 @@ def test_cells_view_stays_unbuilt(tmp_path, training_scans, test_scans):
     for technique in ("probabilistic", "hybrid", "deterministic", "cellid"):
         # Cell-ID cannot place a scan whose strongest tower was ablated.
         for m in (rm, loaded) if technique == "cellid" else (rm, loaded, ablated):
-            evaluate(m, test_scans, technique, EstimatorParams(k=2), time_repeats=1)
+            evaluate(m, test_scans, technique, RURAL_PROB, time_repeats=1)
 
     def recording(model, window, params):
         maps[id(model)] = model
         return probabilistic_locate(model, window, params)
 
-    kw = dict(technique=recording)
+    kw = dict(params=RURAL_PROB, technique=recording)
     sweep_grid_length(training_scans, test_scans, [50.0, 70.0], **kw)
     sweep_density(training_scans, test_scans, [0.5], grid_length=70.0, **kw)
     sweep_tower_drop(rm, test_scans, [0.0, 0.5], **kw)
-    sweep_params(rm, test_scans, [EstimatorParams(k=1)], **kw)
+    sweep_params(rm, test_scans, [EstimatorParams(n_samples=4, k=1)], technique=recording)
     assert len(maps) == 7  # plus two grid lengths, one density and one drop of 0.5
     assert all("cells" not in m.__dict__ for m in maps.values())
 
@@ -343,7 +347,7 @@ class TestThinFingerprint:
 class TestCsvOutput:
     def test_report_csv(self, tmp_path, training_scans, test_scans):
         rm = build_radio_map(training_scans, 70.0, origin=ORIGIN)
-        reports = [evaluate(rm, test_scans, "probabilistic", time_repeats=1)]
+        reports = [evaluate(rm, test_scans, "probabilistic", RURAL_PROB, time_repeats=1)]
         path = tmp_path / "report.csv"
         write_report_csv(reports, str(path))
         lines = path.read_text().strip().splitlines()
@@ -354,7 +358,7 @@ class TestCsvOutput:
 
     def test_cdf_csv(self, tmp_path, training_scans, test_scans):
         rm = build_radio_map(training_scans, 70.0, origin=ORIGIN)
-        report = evaluate(rm, test_scans, "probabilistic", time_repeats=1)
+        report = evaluate(rm, test_scans, "probabilistic", RURAL_PROB, time_repeats=1)
         path = tmp_path / "cdf.csv"
         write_cdf_csv(report, str(path))
         lines = path.read_text().strip().splitlines()
@@ -377,8 +381,40 @@ def test_window_at_ends_at_the_scan_and_holds_up_to_n_samples():
     assert window_at(scans, 4, 1) == [4]
 
 
-def test_preset_params_lookup():
-    p = preset_params("rural", "probabilistic")
-    assert p.k == 2
-    with pytest.raises(ValueError):
-        preset_params("rural", "quantum")
+#: Every parameter with a default over gsmloc's exports, as ``name.param``.  A new
+#: default is one more setting to test and tune, so it is added here on purpose.
+PUBLIC_OPTIONS = [
+    "EstimatorParams.smoothing",
+    "LocationEstimate.contributing_cells",
+    "LocationEstimate.log_score",
+    "RadioMap.tower_locations",
+    "ScanVector.truth",
+    "SmoothingParams.alpha",
+    "SmoothingParams.p_min",
+    "SynthWorld.exponent",
+    "SynthWorld.measurement_noise_db",
+    "SynthWorld.shadow_grid_spacing",
+    "SynthWorld.shadow_sigma_db",
+    "build_radio_map.origin",
+    "build_radio_map.strip_points",
+    "build_radio_map.tower_locations",
+    "evaluate.time_repeats",
+    "fit_tower_models.max_points",
+    "gp_fit.hyper_grid",
+    "gp_fit.max_points",
+    "gp_fit.seed",
+    "make_preset.seed",
+    "scan_at.noise_rng",
+    "sweep_density.base_seed",
+    "sweep_density.technique",
+    "sweep_density.tower_locations",
+    "sweep_grid_length.technique",
+    "sweep_grid_length.tower_locations",
+    "sweep_params.technique",
+    "sweep_tower_drop.base_seed",
+    "sweep_tower_drop.technique",
+]
+
+
+def test_public_options_pinned():
+    assert sorted(bench_record.public_option_names()) == PUBLIC_OPTIONS

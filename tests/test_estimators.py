@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ORIGIN, scan_at_planar
-from gsmloc.bench import DEFAULT_GRID_M, ablate_towers, preset_params
+from gsmloc.bench import DEFAULT_GRID_M, PRESET_PARAMS, ablate_towers
 from gsmloc.estimators import (
     EstimatorParams,
     cell_log_posterior,
@@ -39,6 +39,9 @@ from oracles import (
     map_cells,
     random_instance,
 )
+
+RURAL_PROB = PRESET_PARAMS["rural"]["probabilistic"]
+SMOOTHING = RURAL_PROB.smoothing
 
 
 def scan(readings, t=100.0):
@@ -74,7 +77,7 @@ class TestParams:
                                             ("k", True), ("n_samples", True)])
     def test_counts_must_be_integers(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
-            EstimatorParams(**{name: value})
+            EstimatorParams(**{"n_samples": 4, "k": 2, name: value})
 
     def test_numpy_integers_accepted(self):
         params = EstimatorParams(n_samples=np.int64(3), k=np.intp(2))
@@ -89,7 +92,7 @@ class TestParams:
 class TestLogPosterior:
     def test_single_cell_map_gets_finite_score(self):
         rm = build_radio_map([scan_at_planar(0, 1.0, 1.0, {"A": 10})], 70.0, origin=ORIGIN)
-        scores = cell_log_posterior(rm, [scan({"A": 10})])
+        scores = cell_log_posterior(rm, [scan({"A": 10})], RURAL_PROB)
         assert len(scores) == 1
         assert math.isfinite(next(iter(scores.values())))
 
@@ -100,15 +103,16 @@ class TestLogPosterior:
             scan_at_planar(t + 4, 100.0, 10.0, {"T": 20}) for t in range(4)
         ]
         rm = build_radio_map(scans, 70.0, origin=ORIGIN)
-        scores = cell_log_posterior(rm, [scan({"T": 10})])
+        scores = cell_log_posterior(rm, [scan({"T": 10})], RURAL_PROB)
         assert scores[(0, 0)] > scores[(0, 1)]
 
     def test_log_matches_probability_domain(self):
         rng = np.random.default_rng(41)
         sm = SmoothingParams()
+        params = EstimatorParams(n_samples=4, k=2, smoothing=sm)
         for _ in range(50):
             rm, window = random_instance(rng)
-            scores = cell_log_posterior(rm, window, EstimatorParams(smoothing=sm))
+            scores = cell_log_posterior(rm, window, params)
             probs = cell_probabilities(rm, window, sm)
             for key, log_p in scores.items():
                 assert math.exp(log_p) == pytest.approx(probs[key], rel=1e-12)
@@ -120,8 +124,8 @@ class TestLogPosterior:
             readings = window[0].readings
             uniform = [ScanVector(float(i), dict(readings)) for i in range(3)]
             extended = uniform + [ScanVector(3.0, dict(readings))]
-            s3 = cell_log_posterior(rm, uniform)
-            s4 = cell_log_posterior(rm, extended)
+            s3 = cell_log_posterior(rm, uniform, RURAL_PROB)
+            s4 = cell_log_posterior(rm, extended, RURAL_PROB)
             best = max(s3, key=lambda k: (s3[k], k))
             for key in s3:
                 gap_before = s3[best] - s3[key]
@@ -133,7 +137,7 @@ class TestProbabilisticLocate:
     def test_k1_returns_map_cell_centroid(self, small_map):
         window = [scan({"A": 10, "B": 4})]
         est = probabilistic_locate(small_map, window, EstimatorParams(n_samples=1, k=1))
-        scores = cell_log_posterior(small_map, window)
+        scores = cell_log_posterior(small_map, window, RURAL_PROB)
         best = min(scores, key=lambda key: (-scores[key], key))
         assert est.location == PlanarPoint(*map_cells(small_map)[best]["centroid"])
         assert est.contributing_cells == ((best, 1.0),)
@@ -144,7 +148,7 @@ class TestProbabilisticLocate:
             scan_at_planar(1, 100.0, 10.0, {"T": 15}),
         ]
         rm = build_radio_map(scans, 70.0, origin=ORIGIN)
-        est = probabilistic_locate(rm, [scan({"T": 15})], EstimatorParams(k=2))
+        est = probabilistic_locate(rm, [scan({"T": 15})], EstimatorParams(n_samples=4, k=2))
         cents = [c["centroid"] for c in map_cells(rm).values()]
         assert est.location.x == pytest.approx(sum(x for x, _ in cents) / 2, abs=1e-9)
         assert est.location.y == pytest.approx(sum(y for _, y in cents) / 2, abs=1e-9)
@@ -167,7 +171,7 @@ class TestProbabilisticLocate:
             rm = remake(rm)
             if boundary_tie(cell_probabilities(rm, window, sm), k, descending=True):
                 continue  # top-K boundary tie: selection is domain-dependent
-            est = probabilistic_locate(rm, window, EstimatorParams(k=k, smoothing=sm))
+            est = probabilistic_locate(rm, window, EstimatorParams(n_samples=4, k=k, smoothing=sm))
             bx, by = brute_probabilistic(rm, window, k, sm)
             assert est.location.x == pytest.approx(bx, abs=1e-9)
             assert est.location.y == pytest.approx(by, abs=1e-9)
@@ -177,7 +181,7 @@ class TestProbabilisticLocate:
         rng = np.random.default_rng(53)
         for _ in range(20):
             rm, window = random_instance(rng)
-            est = probabilistic_locate(rm, window, EstimatorParams(k=3))
+            est = probabilistic_locate(rm, window, EstimatorParams(n_samples=4, k=3))
             weights = [w for _, w in est.contributing_cells]
             assert sum(weights) == pytest.approx(1.0, abs=1e-12)
             assert all(w >= 0 for w in weights)
@@ -190,8 +194,8 @@ class TestProbabilisticLocate:
     def test_deterministic_repeat(self):
         rng = np.random.default_rng(59)
         rm, window = random_instance(rng)
-        a = probabilistic_locate(rm, window, EstimatorParams(k=2))
-        b = probabilistic_locate(rm, window, EstimatorParams(k=2))
+        a = probabilistic_locate(rm, window, EstimatorParams(n_samples=4, k=2))
+        b = probabilistic_locate(rm, window, EstimatorParams(n_samples=4, k=2))
         assert a == b
 
     def test_empty_map_rejected(self, tmp_path):
@@ -214,7 +218,7 @@ class TestProbabilisticLocate:
         rng = np.random.default_rng(61)
         for _ in range(100):
             rm, window = random_instance(rng)
-            params = EstimatorParams(k=2)
+            params = EstimatorParams(n_samples=4, k=2)
             base = probabilistic_locate(rm, window, params)
             noisy = list(window)
             readings = dict(noisy[-1].readings)
@@ -233,18 +237,18 @@ class TestProbabilisticLocate:
 class TestScanWindow:
     def test_rejects_empty(self, small_map):
         with pytest.raises(ValueError, match="at least one scan"):
-            probabilistic_locate(small_map, ())
+            probabilistic_locate(small_map, (), RURAL_PROB)
 
     def test_rejects_non_increasing(self, small_map):
         window = (scan({"A": 1}, t=5.0), scan({"A": 1}, t=5.0))
         with pytest.raises(ValueError, match="strictly increasing"):
-            probabilistic_locate(small_map, window)
+            probabilistic_locate(small_map, window, RURAL_PROB)
 
     def test_accepts_tuple_window(self, small_map):
         w = (scan({"A": 10}, t=1.0), scan({"A": 11}, t=2.0))
         assert len(w) == 2
         assert w[0].timestamp == 1.0
-        est = probabilistic_locate(small_map, w)
+        est = probabilistic_locate(small_map, w, RURAL_PROB)
         assert est.location is not None
 
 
@@ -269,7 +273,7 @@ class TestHybridLocate:
         scans = [scan_at_planar(0, 12.0, 34.0, {"A": 10})]
         rm = build_radio_map(scans, 70.0, origin=ORIGIN)
         for k in (1, 2, 5):
-            est = hybrid_locate(rm, [scan({"A": 10})], k)
+            est = hybrid_locate(rm, [scan({"A": 10})], k, SMOOTHING)
             assert est.location.x == pytest.approx(12.0, abs=1e-9)
             assert est.location.y == pytest.approx(34.0, abs=1e-9)
 
@@ -279,7 +283,7 @@ class TestHybridLocate:
             scan_at_planar(1, 60.0, 60.0, {"A": 25, "B": 3}),
         ]
         rm = build_radio_map(scans, 70.0, origin=ORIGIN)
-        est = hybrid_locate(rm, [scan({"A": 25, "B": 3})], 1)
+        est = hybrid_locate(rm, [scan({"A": 25, "B": 3})], 1, SMOOTHING)
         assert est.location.x == pytest.approx(60.0, abs=1e-9)
         assert est.location.y == pytest.approx(60.0, abs=1e-9)
 
@@ -289,9 +293,9 @@ class TestHybridLocate:
         # where its last scan is, the position evaluate measures it against.
         s0, s1, s2 = (scan({"A": a, "B": b}, float(t))
                       for t, (a, b) in enumerate([(10, 4), (20, 10), (30, 22)]))
-        est = hybrid_locate(small_map, [s0, s1, s2], k)
-        assert est == hybrid_locate(small_map, [s2], k)
-        assert est != hybrid_locate(small_map, [s0], k)
+        est = hybrid_locate(small_map, [s0, s1, s2], k, SMOOTHING)
+        assert est == hybrid_locate(small_map, [s2], k, SMOOTHING)
+        assert est != hybrid_locate(small_map, [s0], k, SMOOTHING)
 
     def test_matches_brute_force(self):
         self._check_brute_force(as_built)
@@ -333,8 +337,8 @@ class TestHybridLocate:
             rm, window = random_instance(rng)
             known = window[-1].readings
             mixed = {"U0": 31, **known, "U1": 0, "U2": 17}
-            est = hybrid_locate(rm, [scan(mixed)], k)
-            expected = hybrid_locate(rm, [scan(known)], k)
+            est = hybrid_locate(rm, [scan(mixed)], k, SMOOTHING)
+            expected = hybrid_locate(rm, [scan(known)], k, SMOOTHING)
             assert (est.location, est.contributing_cells) == (
                 expected.location, expected.contributing_cells)
 
@@ -350,7 +354,8 @@ class TestHybridLocate:
         assert rm.n_cells == 1
         query = [scan({"A": 10, "B": 3})]
         for k, (x, y) in [(1, (35.0, 35.0)), (2, (25.0, 30.0)), (4, (20.0, 20.0))]:
-            est = hybrid_locate(rm, query, k)  # k = 1: the first minimum; 2: points 1 and 2
+            # k = 1: the first minimum; 2: points 1 and 2
+            est = hybrid_locate(rm, query, k, SMOOTHING)
             assert (est.location.x, est.location.y) == (
                 pytest.approx(x, abs=1e-6), pytest.approx(y, abs=1e-6))
 
@@ -358,7 +363,7 @@ class TestHybridLocate:
         rng = np.random.default_rng(71)
         for _ in range(20):
             rm, window = random_instance(rng)
-            est = hybrid_locate(rm, window, 3)
+            est = hybrid_locate(rm, window, 3, SMOOTHING)
             ((key, _),) = est.contributing_cells
             points = map_cells(rm)[key]["points"]
             xs = [x for x, _, _ in points]
@@ -371,24 +376,25 @@ class TestHybridLocate:
             [scan_at_planar(0, 1.0, 1.0, {"A": 10})], 70.0, origin=ORIGIN, strip_points=True
         )
         with pytest.raises(ValueError, match="strip"):
-            hybrid_locate(rm, [scan({"A": 10})], 1)
+            hybrid_locate(rm, [scan({"A": 10})], 1, SMOOTHING)
 
     def test_k_refine_below_1_rejected(self, small_map):
         with pytest.raises(ValueError, match=r"^k_refine must be an integer >= 1, got 0$"):
-            hybrid_locate(small_map, [scan({"A": 10})], k_refine=0)
+            hybrid_locate(small_map, [scan({"A": 10})], k_refine=0, smoothing=SMOOTHING)
 
     @pytest.mark.parametrize("k_refine", [True, 1.5, 2.0])
     def test_k_refine_that_is_not_an_integer_rejected(self, small_map, k_refine):
         # EstimatorParams' count rule: a bool or a float is not a count.
         with pytest.raises(ValueError, match=rf"^k_refine must be an integer >= 1, got {k_refine}$"):
-            hybrid_locate(small_map, [scan({"A": 10})], k_refine=k_refine)
+            hybrid_locate(small_map, [scan({"A": 10})], k_refine=k_refine,
+                          smoothing=SMOOTHING)
 
 
 class TestDeterministicLocate:
     def test_single_cell_returns_centroid(self):
         scans = [scan_at_planar(0, 5.0, 5.0, {"A": 10}), scan_at_planar(1, 15.0, 25.0, {"A": 12})]
         rm = build_radio_map(scans, 70.0, origin=ORIGIN)
-        est = deterministic_locate(rm, [scan({"A": 11})], EstimatorParams(k=1))
+        est = deterministic_locate(rm, [scan({"A": 11})], EstimatorParams(n_samples=4, k=1))
         (cell,) = map_cells(rm).values()
         assert est.location == PlanarPoint(*cell["centroid"])
 
@@ -398,7 +404,7 @@ class TestDeterministicLocate:
             scan_at_planar(1, 100.0, 10.0, {"T": 20}),
         ]
         rm = build_radio_map(scans, 70.0, origin=ORIGIN)
-        est = deterministic_locate(rm, [scan({"T": 15})], EstimatorParams(k=2))
+        est = deterministic_locate(rm, [scan({"T": 15})], EstimatorParams(n_samples=4, k=2))
         cents = [c["centroid"] for c in map_cells(rm).values()]
         assert est.location.x == pytest.approx(sum(x for x, _ in cents) / 2, abs=1e-9)
 
@@ -419,7 +425,7 @@ class TestDeterministicLocate:
             if any(boundary_tie(dists, k, descending=False) for k in (1, 2, 4)):
                 continue
             for k in (1, 2, 4):
-                est = deterministic_locate(rm, window, EstimatorParams(k=k))
+                est = deterministic_locate(rm, window, EstimatorParams(n_samples=4, k=k))
                 bx, by = brute_deterministic(rm, window, k)
                 assert est.location.x == pytest.approx(bx, abs=1e-9)
                 assert est.location.y == pytest.approx(by, abs=1e-9)
@@ -428,7 +434,7 @@ class TestDeterministicLocate:
     def test_weights_sum_to_one(self):
         rng = np.random.default_rng(79)
         rm, window = random_instance(rng)
-        est = deterministic_locate(rm, window, EstimatorParams(k=3))
+        est = deterministic_locate(rm, window, EstimatorParams(n_samples=4, k=3))
         assert sum(w for _, w in est.contributing_cells) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -464,7 +470,7 @@ class TestDeterministicScreen:
 
     @staticmethod
     def _assert_dense(rm, window, k):
-        est = deterministic_locate(rm, window, EstimatorParams(k=k))
+        est = deterministic_locate(rm, window, EstimatorParams(n_samples=4, k=k))
         assert (est.location, est.contributing_cells) == dense_deterministic(rm, window, k)
 
     @staticmethod
@@ -481,7 +487,7 @@ class TestDeterministicScreen:
         test, rm = preset_maps[preset]
         if label == "ablated":
             rm = ablate_towers(rm, 0.4, 7)
-        params = preset_params(preset, "deterministic")
+        params = PRESET_PARAMS[preset]["deterministic"]
         for k in (1, params.k, rm.n_cells - 1, rm.n_cells, rm.n_cells + 3):
             for i in range(len(test)):
                 self._assert_dense(rm, test[max(0, i + 1 - params.n_samples) : i + 1], k)
@@ -537,7 +543,7 @@ class TestDeterministicScreen:
         _, rm = preset_maps["rural"]
         window = [scan({"X1": 20, "X2": 9}, 1.0), scan({"X1": 23, "X3": 0}, 2.0)]
         assert not set(rm.tower_index()) & {"X1", "X2", "X3"}
-        for k in (1, preset_params("rural", "deterministic").k, rm.n_cells):
+        for k in (1, PRESET_PARAMS["rural"]["deterministic"].k, rm.n_cells):
             self._assert_dense(rm, window, k)
 
 

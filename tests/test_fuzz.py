@@ -13,15 +13,14 @@ import random
 import numpy as np
 import pytest
 
-from gsmloc.bench import TECHNIQUES
-from gsmloc.estimators import EstimatorParams
+from gsmloc.bench import PRESET_PARAMS, TECHNIQUES
 from gsmloc.geo import GeoPoint, ScanVector, TraceFormatError, read_trace, write_trace
 from gsmloc.gp import PrecomputedGrid, load_grid, save_grid
 from gsmloc.radiomap import MapFormatError, build_radio_map, load_radio_map, save_radio_map
 from gsmloc.synth import generate_trace, make_preset
 
 HISTOGRAM_TECHNIQUES = ("probabilistic", "hybrid", "deterministic", "cellid")
-PARAMS = EstimatorParams()
+PARAMS = PRESET_PARAMS["rural"]["probabilistic"]
 
 #: Values a structural mutation writes in place of a JSON value.
 REPLACEMENTS = (0, -1, 1, 7, 31, 32, 2**31, 2**63, 10**400, 0.5, -0.0, 1e308, math.nan,

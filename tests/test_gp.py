@@ -632,8 +632,8 @@ class TestGpLocate:
 
 _FOOTPRINT_SCRIPT = textwrap.dedent("""
     import math, os, sys, tempfile
-    from gsmloc import (GeoPoint, PlanarPoint, ScanVector, build_radio_map, evaluate,
-                        fit_tower_models, gp_build_grid, gp_locate, load_radio_map,
+    from gsmloc import (PRESET_PARAMS, GeoPoint, PlanarPoint, ScanVector, build_radio_map,
+                        evaluate, fit_tower_models, gp_build_grid, gp_locate, load_radio_map,
                         save_radio_map, unproject, write_trace)
     from gsmloc import gp
     from gsmloc.cli import main
@@ -651,8 +651,9 @@ _FOOTPRINT_SCRIPT = textwrap.dedent("""
     test = train[::17]
     tower_geo = {tid: unproject(origin, q) for tid, q in towers.items()}
     radio_map = build_radio_map(train, 50.0, origin=origin, tower_locations=tower_geo)
+    params = PRESET_PARAMS["rural"]["probabilistic"]
     for technique in ("probabilistic", "hybrid", "deterministic", "cellid"):
-        assert math.isfinite(evaluate(radio_map, test, technique).median_error_m)
+        assert math.isfinite(evaluate(radio_map, test, technique, params).median_error_m)
     with tempfile.TemporaryDirectory() as tmp:
         map_path, scans_path = os.path.join(tmp, "map.json"), os.path.join(tmp, "test.csv")
         save_radio_map(radio_map, map_path)

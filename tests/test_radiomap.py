@@ -709,7 +709,19 @@ class TestPersistence:
         path, doc = self._saved_doc(tmp_path)
         doc["towers"] = [kind(i) for i in range(len(doc["towers"]))]
         path.write_text(json.dumps(doc))
-        with pytest.raises(MapFormatError, match=rf"expected str, got {kind(0)}"):
+        with pytest.raises(MapFormatError, match=rf"tower_id must be a str, got {kind(0)}"):
+            load_radio_map(str(path))
+
+    @pytest.mark.parametrize("first, message", [
+        pytest.param("", "tower_id must be non-empty", id="empty"),
+        pytest.param(5, "tower_id must be a str, got 5", id="mixed"),
+    ])
+    def test_bad_first_tower_id_rejected(self, tmp_path, first, message):
+        # Checked ahead of the order check, whose sort raises TypeError on mixed ids.
+        path, doc = self._saved_doc(tmp_path)
+        doc["towers"][0] = first
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MapFormatError, match=message):
             load_radio_map(str(path))
 
     @pytest.mark.parametrize("column", [-1, "n_towers"])

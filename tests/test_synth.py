@@ -449,9 +449,7 @@ class TestPrunedFieldOracle:
         kept = 0
         for k, p in enumerate(points):
             for rank in range(len(world.towers)):
-                want = scalar_received_dbm(world, rank, p)
-                if noise is not None:
-                    want += noise[k, rank]
+                want = scalar_received_dbm(world, rank, p) + noise[k, rank]
                 if want >= SENSITIVITY_DBM:
                     assert got[k, rank] == want, (k, rank)
                 else:
@@ -465,7 +463,7 @@ class TestPrunedFieldOracle:
         world = _oracle_world(shadow)
         tower = world.towers[4].location
         points = _ORACLE_POINTS + [tower, PlanarPoint(tower.x + 3.0, tower.y - 4.0)]
-        noise = None
+        noise = np.zeros((len(points), len(world.towers)))
         if sigma:
             noise = np.random.default_rng(6).normal(0.0, sigma, (len(points), len(world.towers)))
         kept = self._assert_heard_pairs_exact(world, points, noise)
@@ -474,9 +472,10 @@ class TestPrunedFieldOracle:
     def test_reading_exactly_at_the_threshold_kept(self):
         # tx - p0 - 10*3*log10(100/10) = -53 - 30 - 30 = -113 exactly
         world = flat_world([Tower("T0", PlanarPoint(0.0, 0.0), -53.0)])
-        got = _heard_dbm(world, np.array([100.0]), np.array([0.0]), None)
+        noise = np.zeros((1, 1))
+        got = _heard_dbm(world, np.array([100.0]), np.array([0.0]), noise)
         assert got.tolist() == [[SENSITIVITY_DBM]]
-        assert self._assert_heard_pairs_exact(world, [PlanarPoint(100.0, 0.0)], None) == 1
+        assert self._assert_heard_pairs_exact(world, [PlanarPoint(100.0, 0.0)], noise) == 1
 
     def test_route_over_blocks_matches_stepwise_oracle(self):
         world = dataclasses.replace(_oracle_world(6.0), measurement_noise_db=3.0)

@@ -112,12 +112,13 @@ def _import_cost() -> tuple[float, float]:
     return round(statistics.median(times), 4), round(statistics.median(rss_mb), 1)
 
 
-def _public_options() -> int:
-    """Parameters with a default over the functions and classes ``gsmloc`` exports."""
+def public_option_names() -> list[str]:
+    """``name.param`` for each parameter with a default over the functions and classes
+    ``gsmloc`` exports, in export order."""
     sys.path.insert(0, str(ROOT / "src"))
     import gsmloc
 
-    count = 0
+    names = []
     for name, obj in vars(gsmloc).items():
         if name.startswith("_") or inspect.ismodule(obj) or not callable(obj):
             continue
@@ -125,8 +126,8 @@ def _public_options() -> int:
             params = inspect.signature(obj).parameters.values()
         except ValueError:  # exception classes have no signature
             continue
-        count += sum(p.default is not p.empty for p in params)
-    return count
+        names += [f"{name}.{p.name}" for p in params if p.default is not p.empty]
+    return names
 
 
 def record(out: Path) -> int:
@@ -139,7 +140,7 @@ def record(out: Path) -> int:
     bench = {
         "command": f"benchmark/run.py --seed {SEED} --seconds {SECONDS}",
         "src_lines": next(iter(workloads.values()))["run_record"]["src_lines"],
-        "public_options": _public_options(),
+        "public_options": len(public_option_names()),
         "import_s": import_s,
         "import_rss_mb": import_rss_mb,
         "notes": BLIND_SPOTS,

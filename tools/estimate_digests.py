@@ -43,12 +43,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from gsmloc import (  # noqa: E402
     DEFAULT_GRID_M,
+    PRESET_PARAMS,
     TECHNIQUES,
     ablate_towers,
     build_radio_map,
     generate_trace,
     make_preset,
-    preset_params,
     save_radio_map,
     window_at,
     write_trace,
@@ -82,7 +82,7 @@ def world_lines(preset: str, seed: int):
     maps = {"full": full, "ablated": ablate_towers(full, 0.4, 7)}
     for label, radio_map in maps.items():
         for technique in TECHNIQUE_NAMES:
-            params = preset_params(preset, technique)
+            params = PRESET_PARAMS[preset][technique]
             h = hashlib.sha256()
             for i in range(len(test)):
                 window = window_at(test, i, params.n_samples)
