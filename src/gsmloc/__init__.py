@@ -3,8 +3,8 @@
 The package splits along the natural pipeline:
 
 * :mod:`gsmloc.geo` - readings, scans, ASU/dBm conversion, planar projection,
-  trace and tower CSV I/O (a malformed file raises ``TraceFormatError``
-  naming its line).
+  CSV I/O (a malformed file raises ``TraceFormatError`` naming its line) and
+  every rule checker.
 * :mod:`gsmloc.radiomap` - offline fingerprint construction, tower ablation
   and persistence.
 * :mod:`gsmloc.estimators` - the probabilistic, hybrid, deterministic-KNN

@@ -16,7 +16,6 @@ sweep takes ``params`` and ``technique`` as :func:`evaluate` does.
 
 from __future__ import annotations
 
-import csv
 import statistics
 import time
 from dataclasses import dataclass
@@ -28,15 +27,14 @@ from .estimators import (
     EstimatorParams,
     LocationEstimate,
     cellid_locate,
-    check_count,
     deterministic_locate,
     hybrid_locate,
     probabilistic_locate,
 )
-from .geo import GeoPoint, PlanarPoint, ScanVector
+from .geo import (GeoPoint, PlanarPoint, ScanVector, check_count, check_keep_fraction,
+                  write_csv)
 from .gp import PrecomputedGrid, gp_locate
-from .radiomap import (RadioMap, ablate_towers, build_radio_map, check_keep_fraction,
-                       derived_seed, planar_truths)
+from .radiomap import RadioMap, ablate_towers, build_radio_map, derived_seed, planar_truths
 
 REPORT_HEADER = ("technique", "grid_m", "ns", "k", "median_err_m", "p95_err_m", "mean_ms")
 CDF_HEADER = ("error_m", "cum_frac")
@@ -110,6 +108,7 @@ class EvalReport:
 #: ``params`` from the caller, such as a :data:`PRESET_PARAMS` entry.  GP takes a
 #: :class:`PrecomputedGrid`, the others a :class:`RadioMap`.  Hybrid and cell-ID read only
 #: the window's last (freshest) scan, so ``params.n_samples`` does not change their estimates.
+#: :func:`evaluate` and the sweeps take a name: register a custom technique as a new entry.
 TECHNIQUES: dict[str, Callable[..., LocationEstimate]] = {
     "probabilistic": probabilistic_locate,
     "hybrid": lambda m, window, p: hybrid_locate(m, window, p.k, p.smoothing),
@@ -127,26 +126,25 @@ def window_at(scans: Sequence[ScanVector], i: int, n_samples: int) -> Sequence[S
 def evaluate(
     model: RadioMap | PrecomputedGrid,
     test_scans: Sequence[ScanVector],
-    technique: str | Callable,
+    technique: str,
     params: EstimatorParams,
     *,
     time_repeats: int = TIME_REPEATS,
 ) -> EvalReport:
     """Run one technique over a test trace and aggregate an :class:`EvalReport`.
 
-    ``technique`` names one of :data:`TECHNIQUES` or is a custom estimator with
-    their signature, ``(model, window, params) -> LocationEstimate``.  ``params``
-    has no default: :data:`PRESET_PARAMS` holds the tuned ones.  Every test scan must
-    carry ground truth.  Windows at the start of the trace are shorter than ``n_samples``;
-    tracking produces an estimate from the first scan on.  Each window's time is the median
-    of ``time_repeats`` calls, a count that must pass :func:`~gsmloc.estimators.check_count`.
+    ``technique`` is a key of :data:`TECHNIQUES`: add a custom estimator there under a new
+    name.  ``params`` has no default: :data:`PRESET_PARAMS` holds the tuned ones.  Every test
+    scan must carry ground truth.  Windows at the start of the trace are shorter than
+    ``n_samples``; tracking produces an estimate from the first scan on.  Each window's time is
+    the median of ``time_repeats`` calls, a count (:func:`~gsmloc.geo.check_count`).
     """
     if not test_scans:
         raise ValueError("empty test set")
     check_count("time_repeats", time_repeats)
     truths = planar_truths(test_scans, model.origin)[1].tolist()
-    locate = TECHNIQUES.get(technique, technique)
-    if not callable(locate):
+    locate = TECHNIQUES.get(technique)
+    if locate is None:
         raise ValueError(f"unknown technique {technique!r}; expected one of {tuple(TECHNIQUES)}")
 
     errors: list[float] = []
@@ -163,9 +161,8 @@ def evaluate(
         times_s.append(statistics.median(reps))
 
     grid_m = model.grid_length if isinstance(model, RadioMap) else model.spacing
-    name = technique if isinstance(technique, str) else getattr(technique, "__name__", "custom")
     return EvalReport(
-        technique=name,
+        technique=technique,
         grid_m=float(grid_m),
         n_samples=params.n_samples,
         k=params.k,
@@ -182,7 +179,7 @@ def evaluate(
 def _sweep(
     runs: Iterable[tuple[RadioMap, EstimatorParams]],
     test_scans: Sequence[ScanVector],
-    technique: str | Callable,
+    technique: str,
 ) -> list[EvalReport]:
     """Evaluate each (map, params) pair as ``runs`` yields it, one report each."""
     reports = [evaluate(m, test_scans, technique, p) for m, p in runs]
@@ -197,7 +194,7 @@ def sweep_grid_length(
     grid_lengths: Sequence[float],
     *,
     params: EstimatorParams,
-    technique: str | Callable = "probabilistic",
+    technique: str = "probabilistic",
     tower_locations: Mapping[str, GeoPoint] | None = None,
 ) -> list[EvalReport]:
     """Rebuild the map at each grid length and evaluate on the same trace."""
@@ -211,7 +208,7 @@ def sweep_params(
     test_scans: Sequence[ScanVector],
     configs: Sequence[EstimatorParams],
     *,
-    technique: str | Callable = "probabilistic",
+    technique: str = "probabilistic",
 ) -> list[EvalReport]:
     """Evaluate one map under each estimator configuration, one report each."""
     return _sweep(((radio_map, p) for p in configs), test_scans, technique)
@@ -223,7 +220,7 @@ def sweep_tower_drop(
     drop_fractions: Sequence[float],
     *,
     params: EstimatorParams,
-    technique: str | Callable = "probabilistic",
+    technique: str = "probabilistic",
     base_seed: int = 0,
 ) -> list[EvalReport]:
     """Evaluate maps with a random subset of towers removed."""
@@ -239,7 +236,7 @@ def sweep_density(
     *,
     grid_length: float,
     params: EstimatorParams,
-    technique: str | Callable = "probabilistic",
+    technique: str = "probabilistic",
     tower_locations: Mapping[str, GeoPoint] | None = None,
     base_seed: int = 0,
 ) -> list[EvalReport]:
@@ -261,7 +258,7 @@ def thin_fingerprint(
     """Seeded uniform subsample of training scans (time order preserved).
 
     Raises:
-        ValueError: if ``keep_fraction`` breaks :func:`~gsmloc.radiomap.check_keep_fraction`.
+        ValueError: if ``keep_fraction`` breaks :func:`~gsmloc.geo.check_keep_fraction`.
     """
     check_keep_fraction(keep_fraction)
     n_keep = int(round(keep_fraction * len(scans)))
@@ -275,31 +272,13 @@ def thin_fingerprint(
 # ---------------------------------------------------------------------------
 
 
-def report_row(r: EvalReport) -> list:
-    """A report as one CSV row under :data:`REPORT_HEADER` (floats via repr)."""
-    return [
-        r.technique,
-        repr(r.grid_m),
-        r.n_samples,
-        r.k,
-        repr(r.median_error_m),
-        repr(r.p95_error_m),
-        repr(r.mean_time_per_estimate_ms),
-    ]
-
-
-def write_report_csv(reports: Sequence[EvalReport], path: str) -> None:
-    """One row per configuration: technique,grid_m,ns,k,median,p95,mean_ms."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(REPORT_HEADER)
-        writer.writerows(report_row(r) for r in reports)
+def write_report_csv(reports: Sequence[EvalReport], path: str | None) -> None:
+    """One row per report under :data:`REPORT_HEADER`, floats via repr (None: stdout)."""
+    write_csv(path, REPORT_HEADER, ((r.technique, repr(r.grid_m), r.n_samples, r.k,
+                                     repr(r.median_error_m), repr(r.p95_error_m),
+                                     repr(r.mean_time_per_estimate_ms)) for r in reports))
 
 
 def write_cdf_csv(report: EvalReport, path: str) -> None:
     """The report's error CDF as ``error_m,cum_frac`` rows."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CDF_HEADER)
-        for error_m, frac in report.error_cdf:
-            writer.writerow([repr(error_m), repr(frac)])
+    write_csv(path, CDF_HEADER, ((repr(e), repr(f)) for e, f in report.error_cdf))

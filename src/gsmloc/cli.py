@@ -8,7 +8,6 @@ files, missing ground truth, unknown towers and the like).
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import functools
 import os
@@ -16,16 +15,19 @@ import sys
 from typing import Callable, Sequence
 
 from . import bench, gp
-from .estimators import check_count
 from .geo import (
+    check_count,
+    check_drop_fraction,
+    check_keep_fraction,
+    check_positive_finite,
     read_tower_locations,
     read_trace,
     unproject,
+    write_csv,
     write_tower_locations,
     write_trace,
 )
-from .radiomap import (build_radio_map, check_drop_fraction, check_keep_fraction,
-                       check_positive_finite, load_radio_map, planar_truths, save_radio_map)
+from .radiomap import build_radio_map, load_radio_map, planar_truths, save_radio_map
 from .synth import PRESETS, generate_trace, make_preset
 
 USAGE_ERROR = 1
@@ -167,18 +169,14 @@ def _cmd_locate(args: argparse.Namespace) -> int:
     if not scans:
         raise ValueError(f"{args.scans}: no scans")
     locate = bench.TECHNIQUES[args.technique]
-    out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
-    try:
-        writer = csv.writer(out)
-        writer.writerow(("timestamp", "lat", "lon"))
+
+    def rows():
         for i in range(len(scans)):
-            window = bench.window_at(scans, i, args.params.n_samples)
-            est = locate(model, window, args.params)
+            est = locate(model, bench.window_at(scans, i, args.params.n_samples), args.params)
             geo = unproject(model.origin, est.location)
-            writer.writerow([repr(scans[i].timestamp), repr(geo.lat), repr(geo.lon)])
-    finally:
-        if args.out:
-            out.close()
+            yield repr(scans[i].timestamp), repr(geo.lat), repr(geo.lon)
+
+    write_csv(args.out, ("timestamp", "lat", "lon"), rows())
     return 0
 
 
@@ -186,9 +184,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     model = _load_model(args)
     scans = read_trace(args.scans)
     report = bench.evaluate(model, scans, args.technique, args.params)
-    writer = csv.writer(sys.stdout)
-    writer.writerow(bench.REPORT_HEADER)
-    writer.writerow(bench.report_row(report))
+    bench.write_report_csv([report], None)
     if args.report:
         bench.write_report_csv([report], args.report)
     if args.cdf:

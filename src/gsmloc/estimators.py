@@ -25,29 +25,18 @@ only the per-smoothing log-likelihood table is built on first use.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .geo import PlanarPoint, ScanVector, float_sum
+from .geo import PlanarPoint, ScanVector, check_count, check_window, float_sum
 from .radiomap import N_ASU_BINS, RadioMap, SmoothingParams
-
-
-def check_count(name: str, value: int, minimum: int = 1) -> None:
-    """``ValueError`` naming ``name`` unless ``value`` is an integer >= ``minimum``, not a bool."""
-    # type() first: hybrid checks on every call, and the ABC isinstance costs
-    # about 0.9 us (Python 3.11, Xeon), some 4% of a hybrid estimate.
-    integral = type(value) is int or (
-        isinstance(value, numbers.Integral) and not isinstance(value, bool))
-    if not integral or value < minimum:
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 @dataclass(frozen=True)
 class EstimatorParams:
-    """Online-phase knobs: window length and averaging count (:func:`check_count`), smoothing.
+    """Online-phase knobs: window length, averaging count (geo's :func:`check_count`), smoothing.
 
     ``n_samples`` and ``k`` have no defaults: :data:`gsmloc.bench.PRESET_PARAMS`
     holds the tuned ones, and any other setting is the caller's.
@@ -75,15 +64,6 @@ class LocationEstimate:
     location: PlanarPoint
     log_score: float | None = None
     contributing_cells: tuple[tuple[tuple[int, int], float], ...] = ()
-
-
-def _check_scans(scans: Sequence[ScanVector]) -> Sequence[ScanVector]:
-    if len(scans) == 0:
-        raise ValueError("window must contain at least one scan")
-    for a, b in zip(scans, scans[1:]):
-        if not b.timestamp > a.timestamp:
-            raise ValueError("window timestamps must be strictly increasing")
-    return scans
 
 
 def _table_sum(radio_map: RadioMap, smoothing: SmoothingParams, rows: list[int]) -> np.ndarray:
@@ -121,7 +101,7 @@ def cell_log_posterior(
     in each scan of the log smoothed histogram likelihood.  Accumulation is
     entirely in log domain, so long windows cannot underflow.
     """
-    scans = _check_scans(window)
+    scans = check_window(window)
     scores = _posterior_vector(radio_map, scans, params.smoothing)
     return {key: float(s) for key, s in zip(radio_map.cell_keys(), scores)}
 
@@ -157,7 +137,7 @@ def probabilistic_locate(
     K via log-sum-exp, and the estimate is the weighted average of their
     centroids.  K = 1 degenerates to the most-probable-cell centroid.
     """
-    scans = _check_scans(window)
+    scans = check_window(window)
     scores = _posterior_vector(radio_map, scans, params.smoothing)
 
     top = (-scores).argsort(kind="stable")[:params.k]  # ties resolve to the lowest index
@@ -185,11 +165,11 @@ def hybrid_locate(
     checked for time order, so the window length does not change the estimate.
 
     Raises:
-        ValueError: if ``k_refine`` breaks :func:`check_count`, or the map was
+        ValueError: if ``k_refine`` breaks :func:`~gsmloc.geo.check_count`, or the map was
             built with ``strip_points=True``.
     """
     check_count("k_refine", k_refine)
-    readings = _check_scans(window)[-1].readings
+    readings = check_window(window)[-1].readings
     tower_index = radio_map.tower_index()
     spare = len(tower_index)  # the floor row in phase one, a dropped slot in phase two
     columns = [tower_index.get(tower_id, spare) for tower_id in readings]
@@ -238,7 +218,7 @@ def deterministic_locate(
     ``tol``, so no cell tied with or nearer than the K-th is dropped, and a
     kept row reduces as in the full matrix: bit-identical to a dense ranking.
     """
-    scans = _check_scans(window)
+    scans = check_window(window)
 
     readings: dict[str, list[int]] = {}
     for scan in scans:

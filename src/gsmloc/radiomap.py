@@ -17,7 +17,8 @@ A saved map (format version 2) is its arrays: next to ``grid_length_m``,
 ``grid_anchor``, the sorted ``towers`` and the optional ``tower_locations``
 it holds one JSON field per array of ``_MAP_FIELDS``, as it is, rows as
 arrays (keys as [row, col]).  :class:`RadioMap` alone checks the rules, so
-built, ablated and loaded maps pass the same checks.
+built, ablated and loaded maps pass the same checks; the rule checkers it
+shares with the other modules live in :mod:`gsmloc.geo`.
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ from .geo import (
     GeoPoint,
     PlanarPoint,
     ScanVector,
+    check_drop_fraction,
+    check_positive_finite,
     check_tower_id,
     float_sum,
     project_array,
@@ -104,24 +107,6 @@ _MAP_FIELDS = dict(keys=(int, 2, None), centroids=(float, 2, np.float64),
                    point_offsets=(int, 0, np.intp), n_read=(int, 0, np.intp),
                    reading_tower=(int, 0, np.intp), reading_asu=(int, 0, np.int8))
 _INT32_MAX = np.iinfo(np.int32).max
-
-
-def check_positive_finite(name: str, value: float) -> None:
-    """``ValueError`` naming ``name`` unless ``value`` is a positive finite number."""
-    if not 0.0 < value < math.inf:
-        raise ValueError(f"{name} {value} is not a positive finite number")
-
-
-def check_keep_fraction(value: float) -> None:
-    """``ValueError`` unless ``value`` is a fraction of scans to keep, in (0, 1]."""
-    if not 0.0 < value <= 1.0:
-        raise ValueError(f"keep_fraction must be in (0, 1], got {value}")
-
-
-def check_drop_fraction(value: float) -> None:
-    """``ValueError`` unless ``value`` is a fraction of towers to drop, in [0, 1)."""
-    if not 0.0 <= value < 1.0:
-        raise ValueError(f"drop_fraction must be in [0, 1), got {value}")
 
 
 def derived_seed(base_seed: int, i: int) -> int:
@@ -479,7 +464,7 @@ def ablate_towers(radio_map: RadioMap, drop_fraction: float, seed: int) -> Radio
     own), and cells left with no towers are removed.
 
     Raises:
-        ValueError: if drop_fraction breaks :func:`check_drop_fraction` or
+        ValueError: if drop_fraction breaks :func:`~gsmloc.geo.check_drop_fraction` or
             rounding would drop every tower.
     """
     check_drop_fraction(drop_fraction)
@@ -617,14 +602,14 @@ def _parse_radio_map(doc: dict, origin: GeoPoint) -> RadioMap:
     arrays = {name: json_array(doc[name], kind, width)
               for name, (kind, width, _) in _MAP_FIELDS.items()}
     towers = json_value(doc["towers"], list)
-    for tid in towers:  # before sorted(set(...)), which raises TypeError on mixed or list ids
-        check_tower_id(tid)
-    if towers != sorted(set(towers)):
-        raise ValueError("'towers' must be sorted, each tower once")
     tower_locations = None if "tower_locations" not in doc else {
         tid: PlanarPoint(*json_floats(p, "x", "y"))
         for tid, p in json_value(doc["tower_locations"], dict).items()}
-    return RadioMap(
+    # The map checks every id; the sort below needs them checked (mixed ids raise TypeError).
+    radio_map = RadioMap(
         origin, json_value(doc["grid_length_m"], float), *json_floats(doc["grid_anchor"], "x", "y"),
         tuple(map(tuple, arrays.pop("keys").tolist())), **arrays, tower_ids=frozenset(towers),
         tower_locations=tower_locations)
+    if towers != sorted(radio_map.tower_ids):
+        raise ValueError("'towers' must be sorted, each tower once")
+    return radio_map

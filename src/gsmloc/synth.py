@@ -38,7 +38,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .estimators import check_count
 from .geo import (
     ASU_MAX,
     ASU_MIN,
@@ -48,6 +47,8 @@ from .geo import (
     GeoPoint,
     PlanarPoint,
     ScanVector,
+    check_count,
+    check_positive_finite,
     check_tower_id,
     float_sum,
     unproject,
@@ -83,8 +84,7 @@ class Route:
     def __post_init__(self) -> None:
         if len(self.waypoints) < 2:
             raise ValueError("route needs at least 2 waypoints")
-        if not 0.0 < self.speed < math.inf:
-            raise ValueError(f"route speed must be > 0 and finite, got {self.speed!r}")
+        check_positive_finite("speed", self.speed)
         if not all(math.isfinite(c) for p in self.waypoints for c in (p.x, p.y)):
             raise ValueError("route waypoints must be finite")
 
@@ -113,7 +113,7 @@ class SynthWorld:
         ValueError: naming the field, for bounds that are not finite or have
             no extent, a seed not an integer >= 0, an exponent outside [2, 5],
             a noise or shadowing sigma that is negative or not finite, a
-            lattice spacing that is not finite and > 0, a ``tower_id`` that fails
+            lattice spacing that is not a positive finite number, a ``tower_id`` that fails
             :func:`~gsmloc.geo.check_tower_id` or names two towers, a tower whose location
             or ``tx_power_dbm`` is not finite, or no tower inside the bounds.
     """
@@ -142,9 +142,7 @@ class SynthWorld:
         for name in ("measurement_noise_db", "shadow_sigma_db"):
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)!r}")
-        if not 0.0 < self.shadow_grid_spacing < math.inf:
-            raise ValueError(
-                f"shadow_grid_spacing must be finite and > 0, got {self.shadow_grid_spacing!r}")
+        check_positive_finite("shadow_grid_spacing", self.shadow_grid_spacing)
         ids = [t.tower_id for t in self.towers]
         for tower_id in ids:
             check_tower_id(tower_id)

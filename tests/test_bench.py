@@ -5,6 +5,7 @@ import pytest
 
 import bench_record
 from conftest import ORIGIN, scan_at_planar
+from gsmloc import bench
 from gsmloc.bench import (
     PRESET_PARAMS,
     EvalReport,
@@ -66,13 +67,14 @@ class TestEvaluate:
         with pytest.raises(ValueError, match=r"^scan at t=17\.5 has no ground truth$"):
             evaluate(rm, scans, "probabilistic", RURAL_PROB, time_repeats=1)
 
-    def test_perfect_estimator_zero_error(self, training_scans, test_scans):
+    def test_perfect_estimator_zero_error(self, monkeypatch, training_scans, test_scans):
         rm = build_radio_map(training_scans, 70.0, origin=ORIGIN)
-        report = evaluate(rm, test_scans, perfect_estimator, RURAL_PROB, time_repeats=1)
+        monkeypatch.setitem(bench.TECHNIQUES, "perfect", perfect_estimator)
+        report = evaluate(rm, test_scans, "perfect", RURAL_PROB, time_repeats=1)
         assert report.median_error_m == pytest.approx(0.0, abs=1e-9)
         assert report.p95_error_m == pytest.approx(0.0, abs=1e-9)
 
-    def test_custom_technique_gets_the_run_params(self, training_scans, test_scans):
+    def test_custom_technique_gets_the_run_params(self, monkeypatch, training_scans, test_scans):
         rm = build_radio_map(training_scans, 70.0, origin=ORIGIN)
         params = EstimatorParams(n_samples=3, k=5)
         calls = []
@@ -81,10 +83,12 @@ class TestEvaluate:
             calls.append((len(window), p))
             return perfect_estimator(model, window, p)
 
-        evaluate(rm, test_scans, recording, params, time_repeats=1)
+        monkeypatch.setitem(bench.TECHNIQUES, "recording", recording)
+        report = evaluate(rm, test_scans, "recording", params, time_repeats=1)
         assert calls == [(min(i + 1, 3), params) for i in range(len(test_scans))]
+        assert report.technique == "recording"
 
-    def test_uniform_errors_order_statistics(self, training_scans):
+    def test_uniform_errors_order_statistics(self, monkeypatch, training_scans):
         rm = build_radio_map(training_scans, 70.0, origin=ORIGIN)
         scans = [scan_at_planar(1000 + i, 150.0, 150.0, {"T0": 10}) for i in range(100)]
         offsets = {s.timestamp: float(i + 1) for i, s in enumerate(scans)}
@@ -93,7 +97,8 @@ class TestEvaluate:
             truth = project(model.origin, window[-1].truth)
             return LocationEstimate(PlanarPoint(truth.x + offsets[window[-1].timestamp], truth.y))
 
-        report = evaluate(rm, scans, offset_estimator, RURAL_PROB, time_repeats=1)
+        monkeypatch.setitem(bench.TECHNIQUES, "offset", offset_estimator)
+        report = evaluate(rm, scans, "offset", RURAL_PROB, time_repeats=1)
         # errors are exactly 1..100 m
         assert 50.0 <= report.median_error_m <= 51.0
         assert 95.0 <= report.p95_error_m <= 96.0
@@ -142,7 +147,7 @@ class TestEvaluate:
     def test_time_repeats_not_a_count_refused(self, training_scans, test_scans, time_repeats):
         rm = build_radio_map(training_scans, 70.0, origin=ORIGIN)
         with pytest.raises(ValueError, match=r"^time_repeats must be an integer >= 1, got "):
-            evaluate(rm, test_scans, perfect_estimator, RURAL_PROB, time_repeats=time_repeats)
+            evaluate(rm, test_scans, "probabilistic", RURAL_PROB, time_repeats=time_repeats)
 
     def test_unknown_technique(self, training_scans, test_scans):
         rm = build_radio_map(training_scans, 70.0, origin=ORIGIN)
@@ -295,7 +300,7 @@ class TestAblateTowers:
         assert seen == {"A", "B"}
 
 
-def test_cells_view_stays_unbuilt(tmp_path, training_scans, test_scans):
+def test_cells_view_stays_unbuilt(monkeypatch, tmp_path, training_scans, test_scans):
     """No package path builds the GridCell view: it costs memory, and only
     the benchmark reference reads it."""
     towers = {f"T{i}": unproject(ORIGIN, PlanarPoint(80.0 * i, 60.0 * i)) for i in range(4)}
@@ -315,11 +320,12 @@ def test_cells_view_stays_unbuilt(tmp_path, training_scans, test_scans):
         maps[id(model)] = model
         return probabilistic_locate(model, window, params)
 
-    kw = dict(params=RURAL_PROB, technique=recording)
+    monkeypatch.setitem(bench.TECHNIQUES, "recording", recording)
+    kw = dict(params=RURAL_PROB, technique="recording")
     sweep_grid_length(training_scans, test_scans, [50.0, 70.0], **kw)
     sweep_density(training_scans, test_scans, [0.5], grid_length=70.0, **kw)
     sweep_tower_drop(rm, test_scans, [0.0, 0.5], **kw)
-    sweep_params(rm, test_scans, [EstimatorParams(n_samples=4, k=1)], technique=recording)
+    sweep_params(rm, test_scans, [EstimatorParams(n_samples=4, k=1)], technique="recording")
     assert len(maps) == 7  # plus two grid lengths, one density and one drop of 0.5
     assert all("cells" not in m.__dict__ for m in maps.values())
 

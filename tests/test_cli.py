@@ -310,6 +310,23 @@ class TestBuildLocateEvaluate:
                      "--technique", "hybrid", "--k", "2", "--report", str(report_path)]) == 0
         assert capsys.readouterr().out.splitlines() == report_path.read_text().splitlines()
 
+    def test_stdout_is_byte_equal_to_the_file(self, tmp_path, tiny_trace, capsys):
+        # locate without --out, and evaluate, write their CSV to stdout.
+        trace, _ = tiny_trace
+        map_path, est_path, report_path = (tmp_path / name for name in
+                                           ("map.json", "est.csv", "report.csv"))
+        main(["build", "--traces", str(trace), "--out", str(map_path)])
+        locate = ["locate", "--map", str(map_path), "--scans", str(trace), "--technique", "hybrid"]
+        capsys.readouterr()
+        assert main(locate) == 0
+        stdout = capsys.readouterr().out
+        assert main(locate + ["--out", str(est_path)]) == 0
+        assert stdout.encode() == est_path.read_bytes()
+        assert stdout.startswith("timestamp,lat,lon\r\n") and stdout.count("\r\n") == 61
+        assert main(["evaluate", "--map", str(map_path), "--scans", str(trace),
+                     "--technique", "hybrid", "--report", str(report_path)]) == 0
+        assert capsys.readouterr().out.encode() == report_path.read_bytes()
+
     def test_evaluate_requires_truth(self, tmp_path, capsys):
         from gsmloc.geo import ScanVector
 

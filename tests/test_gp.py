@@ -919,7 +919,8 @@ class TestGridRules:
                      "non-finite mean", id="nan_mean"),
         pytest.param(lambda g: dict(variances={"A": _with(g.variances["A"], 1, -1.0)}),
                      "negative or non-finite variance", id="negative_variance"),
-        pytest.param(lambda g: dict(noise_vars={"A": 0.0}), "noise_var 0.0 is not positive",
+        pytest.param(lambda g: dict(noise_vars={"A": 0.0}),
+                     r"^tower 'A' noise_var 0\.0 is not a positive finite number$",
                      id="zero_noise_var"),
         pytest.param(lambda g: dict(spacing=math.inf), "spacing inf is not a positive finite",
                      id="inf_spacing"),

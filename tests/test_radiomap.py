@@ -715,9 +715,11 @@ class TestPersistence:
     @pytest.mark.parametrize("first, message", [
         pytest.param("", "tower_id must be non-empty", id="empty"),
         pytest.param(5, "tower_id must be a str, got 5", id="mixed"),
+        pytest.param([], "malformed radio map", id="list"),
     ])
     def test_bad_first_tower_id_rejected(self, tmp_path, first, message):
-        # Checked ahead of the order check, whose sort raises TypeError on mixed ids.
+        # The map checks every id ahead of the order check, whose sort raises TypeError on
+        # mixed ids; a JSON array is refused as unhashable by the set of ids.
         path, doc = self._saved_doc(tmp_path)
         doc["towers"][0] = first
         path.write_text(json.dumps(doc))

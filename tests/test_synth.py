@@ -68,7 +68,8 @@ class TestReceivedPower:
             flat_world([tower], exponent=1.5)
         with pytest.raises(ValueError):
             flat_world([tower], shadow=-1.0)
-        with pytest.raises(ValueError, match="shadow_grid_spacing must be finite and > 0"):
+        with pytest.raises(ValueError,
+                           match=r"^shadow_grid_spacing 0\.0 is not a positive finite number$"):
             SynthWorld((0.0, 0.0, 1000.0, 1000.0), (tower,), seed=0, shadow_grid_spacing=0.0)
         with pytest.raises(ValueError):
             flat_world([Tower("T0", PlanarPoint(5000.0, 0.0), 0.0)])  # outside bounds
@@ -224,11 +225,11 @@ _ORIGIN_XY = PlanarPoint(0.0, 0.0)
 @pytest.mark.parametrize("make,message", [
     pytest.param(lambda: Route((_ORIGIN_XY,), 10.0), "at least 2 waypoints", id="one_waypoint"),
     pytest.param(lambda: Route((_ORIGIN_XY, PlanarPoint(100.0, 0.0)), 0.0),
-                 "speed must be > 0", id="speed_0"),
+                 r"^speed 0\.0 is not a positive finite number$", id="speed_0"),
     pytest.param(lambda: Route((_ORIGIN_XY, PlanarPoint(100.0, 0.0)), math.nan),
-                 "speed must be > 0 and finite, got nan", id="speed_nan"),
+                 "^speed nan is not a positive finite number$", id="speed_nan"),
     pytest.param(lambda: Route((_ORIGIN_XY, PlanarPoint(100.0, 0.0)), math.inf),
-                 "speed must be > 0 and finite, got inf", id="speed_inf"),
+                 "^speed inf is not a positive finite number$", id="speed_inf"),
     pytest.param(lambda: Route((_ORIGIN_XY, PlanarPoint(math.nan, 0.0)), 10.0),
                  "waypoints must be finite", id="waypoint_nan"),
     pytest.param(lambda: Route((_ORIGIN_XY, PlanarPoint(100.0, -math.inf)), 10.0),
@@ -276,7 +277,9 @@ def test_world_seed_or_tower_id_refused_before_any_draw(monkeypatch, seed, tower
 ])
 def test_world_setting_not_finite_or_negative_refused(name, value):
     settings = {"bounds": (0.0, 0.0, 1000.0, 1000.0), "towers": (_T0,), "seed": 0, name: value}
-    with pytest.raises(ValueError, match=f"^{name} must"):
+    message = (f"^{name} {value} is not a positive finite number$"
+               if name == "shadow_grid_spacing" else f"^{name} must")
+    with pytest.raises(ValueError, match=message):
         SynthWorld(**settings)
 
 
