@@ -14,11 +14,12 @@ heard in a cell, so an online observation can penalize but never veto a
 candidate cell.
 
 A saved map (format version 2) is its arrays: next to ``grid_length_m``,
-``grid_anchor``, the sorted ``towers`` and the optional ``tower_locations``
-it holds one JSON field per array of ``_MAP_FIELDS``, as it is, rows as
-arrays (keys as [row, col]).  :class:`RadioMap` alone checks the rules, so
-built, ablated and loaded maps pass the same checks; the rule checkers it
-shares with the other modules live in :mod:`gsmloc.geo`.
+``grid_anchor``, ``towers`` (``tower_ids``, the tower of each column, in
+sorted order) and the optional ``tower_locations`` it holds one JSON field
+per array of ``_MAP_FIELDS``, as it is, rows as arrays (keys as
+[row, col]).  :class:`RadioMap` alone checks the rules, so built, ablated and
+loaded maps pass the same checks; the rule checkers it shares with the other
+modules live in :mod:`gsmloc.geo`.
 """
 
 from __future__ import annotations
@@ -127,12 +128,13 @@ class RadioMap:
     (row, col) covers [anchor_x + col*G, anchor_x + (col+1)*G) horizontally
     and the same vertically with row.  Cells are indexed by position in
     ``keys``, in increasing (row, col) order, and towers by column, their
-    position in ``sorted(tower_ids)``.  Each heard (cell, tower) pair, in
-    that order, has a ``hist_cell``, ``hist_tower`` and 32 ``counts``.
-    Cell c's points are rows ``point_offsets[c]:point_offsets[c+1]`` of
-    ``point_xy`` and ``n_read`` (none with ``strip_points``).  The readings
-    follow flat, as a saved map holds them: point i's ``n_read[i]``, in
-    increasing tower column, each a ``reading_tower`` and a ``reading_asu``.
+    position in ``tower_ids``, which is sorted with each tower once.  Each
+    heard (cell, tower) pair, in that order, has a ``hist_cell``,
+    ``hist_tower`` and 32 ``counts``.  Cell c's points are rows
+    ``point_offsets[c]:point_offsets[c+1]`` of ``point_xy`` and ``n_read``
+    (none with ``strip_points``).  The readings follow flat, as a saved map
+    holds them: point i's ``n_read[i]``, in increasing tower column, each a
+    ``reading_tower`` and a ``reading_asu``.
 
     Construction stores read-only copies in the dtypes of ``_MAP_FIELDS``,
     derives the mean-ASU matrix, its row norms and hybrid's dense readings
@@ -143,8 +145,9 @@ class RadioMap:
     summing to them, each in ASU 0..31, each tower once, in column order; a
     positive finite ``grid_length``; a finite anchor, centroids, point and
     tower locations; every id in ``tower_ids`` and ``tower_locations`` a
-    non-empty ``str``; arrays agreeing in shape, offsets and order.  The
-    log-likelihood table is built on first use per :class:`SmoothingParams`.
+    non-empty ``str``, then ``tower_ids`` sorted, each tower once; arrays
+    agreeing in shape, offsets and order.  The log-likelihood table is built
+    on first use per :class:`SmoothingParams`.
     Equal maps have equal fields, arrays equal in dtype and value.
     """
 
@@ -162,7 +165,7 @@ class RadioMap:
     n_read: np.ndarray
     reading_tower: np.ndarray
     reading_asu: np.ndarray
-    tower_ids: frozenset[str]
+    tower_ids: tuple[str, ...]
     tower_locations: dict[str, PlanarPoint] | None = None
     _tower_index: dict[str, int] = field(init=False, repr=False, compare=False)
     _mean_asu: np.ndarray = field(init=False, repr=False, compare=False)
@@ -190,7 +193,9 @@ class RadioMap:
             raise ValueError(f"histograms must have {N_ASU_BINS} bins")
         for tid in chain(self.tower_ids, self.tower_locations or ()):
             check_tower_id(tid)
-        tower_index = {tid: i for i, tid in enumerate(sorted(self.tower_ids))}
+        if not all(a < b for a, b in zip(self.tower_ids, self.tower_ids[1:])):
+            raise ValueError("'towers' must be sorted, each tower once")
+        tower_index = {tid: i for i, tid in enumerate(self.tower_ids)}
         n_cells, n_points, n_towers = len(keys), len(self.point_xy), len(tower_index)
         shapes = [a.shape for a in (self.centroids, self.point_xy, self.hist_cell, self.hist_tower,
                                     cell_points)]
@@ -260,7 +265,7 @@ class RadioMap:
         A read-only view that nothing in the package reads.  It remains for
         the benchmark's brute-force reference until that reads the arrays.
         """
-        towers = sorted(self.tower_ids)
+        towers = self.tower_ids
         hists = [(towers[t], TowerHistogram(tuple(c)))
                  for t, c in zip(self.hist_tower.tolist(), self.counts.tolist())]
         names = [towers[t] for t in self.reading_tower.tolist()]
@@ -451,7 +456,7 @@ def build_radio_map(
         counts=counts.reshape(-1, N_ASU_BINS), point_xy=xy[order], n_read=n_read[order],
         point_offsets=_offsets(np.bincount(point_cell[order], minlength=len(keys))),
         reading_tower=reading_tower[by_point], reading_asu=reading_asu[by_point],
-        tower_ids=frozenset(towers), tower_locations=planar_towers,
+        tower_ids=tuple(towers), tower_locations=planar_towers,
     )
 
 
@@ -468,7 +473,7 @@ def ablate_towers(radio_map: RadioMap, drop_fraction: float, seed: int) -> Radio
             rounding would drop every tower.
     """
     check_drop_fraction(drop_fraction)
-    towers = sorted(radio_map.tower_ids)
+    towers = radio_map.tower_ids
     n_drop = int(round(drop_fraction * len(towers)))
     if n_drop == 0:
         return radio_map
@@ -498,7 +503,7 @@ def ablate_towers(radio_map: RadioMap, drop_fraction: float, seed: int) -> Radio
         hist_tower=column[rm.hist_tower[hist]], counts=rm.counts[hist],
         point_xy=rm.point_xy[point], point_offsets=_offsets(n_kept[live]), n_read=n_read[point],
         reading_tower=column[rm.reading_tower[reading]], reading_asu=rm.reading_asu[reading],
-        tower_ids=rm.tower_ids - dropped,
+        tower_ids=tuple(compress(towers, kept)),
         tower_locations=tower_locations,
     )
 
@@ -511,7 +516,7 @@ def ablate_towers(radio_map: RadioMap, drop_fraction: float, seed: int) -> Radio
 def save_radio_map(radio_map: RadioMap, path: str) -> None:
     """Serialize a map to versioned JSON, one field per array.  Byte-identical for equal maps."""
     body: dict = {name: np.asarray(getattr(radio_map, name)).tolist() for name in _MAP_FIELDS}
-    body.update(grid_length_m=radio_map.grid_length, towers=sorted(radio_map.tower_ids),
+    body.update(grid_length_m=radio_map.grid_length, towers=radio_map.tower_ids,
                 grid_anchor={"x": radio_map.anchor_x, "y": radio_map.anchor_y})
     if (locations := radio_map.tower_locations) is not None:
         body["tower_locations"] = {tid: {"x": p.x, "y": p.y} for tid, p in locations.items()}
@@ -591,9 +596,10 @@ def load_radio_map(path: str) -> RadioMap:
     Raises:
         MapFormatError: on another version (rebuild a version-1 file with
             ``gsmloc build``), a malformed/truncated file, a missing field, an
-            array breaking :func:`json_array`, ``towers`` not strings, unsorted or
-            repeated, an origin outside the lat/lon range, or any :class:`RadioMap`
-            rule (a repeated cell breaks the key order); never a partial map.
+            array breaking :func:`json_array`, ``towers`` not a list, an origin
+            outside the lat/lon range, or any :class:`RadioMap` rule (``towers`` not
+            strings, unsorted or repeated; a repeated cell breaks the key order);
+            never a partial map.
     """
     return load_document(path, RADIO_MAP_KIND, "radio map", _parse_radio_map)
 
@@ -601,15 +607,11 @@ def load_radio_map(path: str) -> RadioMap:
 def _parse_radio_map(doc: dict, origin: GeoPoint) -> RadioMap:
     arrays = {name: json_array(doc[name], kind, width)
               for name, (kind, width, _) in _MAP_FIELDS.items()}
-    towers = json_value(doc["towers"], list)
     tower_locations = None if "tower_locations" not in doc else {
         tid: PlanarPoint(*json_floats(p, "x", "y"))
         for tid, p in json_value(doc["tower_locations"], dict).items()}
-    # The map checks every id; the sort below needs them checked (mixed ids raise TypeError).
-    radio_map = RadioMap(
+    return RadioMap(
         origin, json_value(doc["grid_length_m"], float), *json_floats(doc["grid_anchor"], "x", "y"),
-        tuple(map(tuple, arrays.pop("keys").tolist())), **arrays, tower_ids=frozenset(towers),
+        tuple(map(tuple, arrays.pop("keys").tolist())), **arrays,
+        tower_ids=tuple(json_value(doc["towers"], list)),
         tower_locations=tower_locations)
-    if towers != sorted(radio_map.tower_ids):
-        raise ValueError("'towers' must be sorted, each tower once")
-    return radio_map

@@ -50,7 +50,6 @@ from .geo import (
     check_count,
     check_positive_finite,
     check_tower_id,
-    float_sum,
     unproject,
 )
 
@@ -87,10 +86,6 @@ class Route:
         check_positive_finite("speed", self.speed)
         if not all(math.isfinite(c) for p in self.waypoints for c in (p.x, p.y)):
             raise ValueError("route waypoints must be finite")
-
-    @property
-    def length(self) -> float:
-        return float_sum(a.distance_to(b) for a, b in zip(self.waypoints, self.waypoints[1:]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -356,12 +351,14 @@ def generate_trace(world: SynthWorld, route: Route) -> list[ScanVector]:
 _RURAL = {
     "side": 1400.0,  # 1.96 km^2
     "n_towers": 51,
-    "exponent": 3.0,
-    "shadow_sigma_db": 6.0,
-    "shadow_grid_spacing": 60.0,
+    "world": {  # SynthWorld settings
+        "measurement_noise_db": 4.5,
+        "exponent": 3.0,
+        "shadow_sigma_db": 6.0,
+        "shadow_grid_spacing": 60.0,
+    },
     "tx_power_dbm": -42.0,
     "tx_spread_db": 32.0,
-    "measurement_noise_db": 4.5,
     "speed": 12.0,
     "train_scans": 1599,
     "test_scans": 573,
@@ -373,12 +370,14 @@ _RURAL = {
 _URBAN = {
     "side": 2335.0,  # 5.45 km^2
     "n_towers": 137,
-    "exponent": 3.5,
-    "shadow_sigma_db": 8.0,
-    "shadow_grid_spacing": 60.0,
+    "world": {  # SynthWorld settings
+        "measurement_noise_db": 4.5,
+        "exponent": 3.5,
+        "shadow_sigma_db": 8.0,
+        "shadow_grid_spacing": 60.0,
+    },
     "tx_power_dbm": -32.0,
     "tx_spread_db": 32.0,
-    "measurement_noise_db": 4.5,
     "speed": 6.0,
     "train_scans": 3090,
     "test_scans": 1239,
@@ -416,15 +415,17 @@ def _trim_polyline(waypoints: Sequence[PlanarPoint], target: float) -> list[Plan
     raise ValueError(f"polyline shorter ({acc:.0f} m) than requested {target:.0f} m")
 
 
-def make_preset(name: str, seed: int = 0) -> tuple[SynthWorld, dict[str, Route]]:
+def make_preset(name: str, seed: int) -> tuple[SynthWorld, dict[str, Route]]:
     """Build a named world plus its training and test drive routes.
 
     ``rural`` is a ~2 km^2 area with 51 towers and a 12 m/s drive; ``urban``
     is ~5.45 km^2 with 137 towers, steeper path loss, stronger shadowing
-    and a 6 m/s drive.  Route lengths are cut so the 1 Hz traces hit the
-    intended training/test scan counts exactly, and the test drive stays on
-    the training streets (opposite direction, one lane over) the way two
-    passes over the same area would.
+    and a 6 m/s drive.  The training drive covers every street and then
+    drives back the same way.  Both drives are cut so the 1 Hz traces hit
+    the intended training/test scan counts exactly, which ends urban's
+    training drive before it turns back.  The test drive stays on the
+    training streets (opposite direction, one lane over) the way two passes
+    over the same area would.
 
     Raises:
         ValueError: for an unknown preset name, or a seed that is not an integer >= 0.
@@ -442,24 +443,12 @@ def make_preset(name: str, seed: int = 0) -> tuple[SynthWorld, dict[str, Route]]
         Tower(tower_id=f"T{i:03d}", location=p, tx_power_dbm=tx)
         for i, (p, tx) in enumerate(zip(positions, powers))
     )
-    world = SynthWorld(
-        bounds=(0.0, 0.0, side, side),
-        towers=towers,
-        seed=seed,
-        measurement_noise_db=cfg["measurement_noise_db"],
-        exponent=cfg["exponent"],
-        shadow_sigma_db=cfg["shadow_sigma_db"],
-        shadow_grid_spacing=cfg["shadow_grid_spacing"],
-    )
+    world = SynthWorld(bounds=(0.0, 0.0, side, side), towers=towers, seed=seed, **cfg["world"])
 
     speed = cfg["speed"]
     streets = _serpentine(side, cfg["margin"], cfg["street_spacing"], 0.0)
-    train_target = speed * (cfg["train_scans"] - 1)
-    if Route(tuple(streets), speed).length >= train_target:
-        train_path = streets
-    else:
-        train_path = streets + list(reversed(streets))[1:]  # drive back the same way
-    train = Route(tuple(_trim_polyline(train_path, train_target)), speed)
+    train_path = streets + list(reversed(streets))[1:]  # every street, then back the same way
+    train = Route(tuple(_trim_polyline(train_path, speed * (cfg["train_scans"] - 1))), speed)
 
     lane = _serpentine(side, cfg["margin"], cfg["street_spacing"], cfg["lane_offset"])
     test_path = list(reversed(lane))

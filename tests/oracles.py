@@ -401,7 +401,7 @@ def scalar_radio_map(scans, grid_length: float, *, origin=None, tower_locations=
         hist_cell=hist_cell, hist_tower=hist_tower, counts=np.reshape(counts, (-1, N_ASU_BINS)),
         point_xy=np.reshape(point_xy, (-1, 2)), point_offsets=point_offsets,
         n_read=n_read, reading_tower=reading_tower, reading_asu=reading_asu,
-        tower_ids=frozenset(towers), tower_locations=planar_towers)
+        tower_ids=tuple(towers), tower_locations=planar_towers)
 
 
 # ---------------------------------------------------------------------------

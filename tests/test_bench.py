@@ -239,9 +239,9 @@ class TestAblateTowers:
         rm = build_radio_map(training_scans, 70.0, origin=ORIGIN)
         out = ablate_towers(rm, 0.5, seed=3)
         for cell in map_cells(out).values():
-            assert set(cell["histograms"]) <= out.tower_ids
+            assert set(cell["histograms"]) <= set(out.tower_ids)
             for _, _, readings in cell["points"]:
-                assert set(readings) <= out.tower_ids
+                assert set(readings) <= set(out.tower_ids)
                 assert readings
 
     def test_centroids_recomputed(self, training_scans):
@@ -409,7 +409,6 @@ PUBLIC_OPTIONS = [
     "gp_fit.hyper_grid",
     "gp_fit.max_points",
     "gp_fit.seed",
-    "make_preset.seed",
     "scan_at.noise_rng",
     "sweep_density.base_seed",
     "sweep_density.technique",
